@@ -6,13 +6,8 @@ A guard's cost is too small to resolve inside one real simulation run
 (run-to-run noise swamps it), so we measure it directly:
 
 1. A **bare engine replica** (the pre-instrumentation event loop, inlined
-   below) and the reference :class:`repro.sim.HeapEngine` each drain the
-   same synthetic event storm; the timing delta is the guard cost per
-   event on the loop architecture that actually carries per-event guards.
-   (The production :class:`~repro.sim.Engine` hoists the ``obs`` test out
-   of its fast loop entirely when no session is attached — see
-   ``docs/performance.md`` — so this per-event estimate is an upper
-   bound for it.)
+   below) and :class:`repro.sim.Engine` each drain the same synthetic
+   event storm; the timing delta is the guard cost per event.
 2. A real tiny run with obs off gives events-processed and wall-clock.
    Estimated overhead = guard cost x events x guard sites / runtime.
 
@@ -29,7 +24,7 @@ import time
 
 from repro import GpuUvmSimulator, build_workload, obs, systems
 from repro.errors import SimulationError
-from repro.sim.engine import HeapEngine
+from repro.sim.engine import Engine
 
 #: Upper bound on `is not None` guard evaluations per engine event across
 #: all instrumented components (engine step, fault path, buffer, DMA, SM).
@@ -45,14 +40,16 @@ STORM_EVENTS = 200_000
 ANALYTICS_GUARD_SITES = 8
 
 
-class BareEngine(HeapEngine):
+class BareEngine(Engine):
     """The seed's event loop, verbatim minus the obs hooks.
 
     ``step``/``run`` below are byte-for-byte the pre-instrumentation
     bodies (commit c1363d8), so the timing delta against
-    :class:`HeapEngine` — the reference loop those hooks were added to —
-    isolates exactly what the observability change added per event.
+    :class:`Engine` — the loop those hooks were added to — isolates
+    exactly what the observability change added per event.
     """
+
+    _running = False  # the replica's own reentrancy latch
 
     def step(self) -> bool:
         if not self._queue:
@@ -123,7 +120,7 @@ def test_obs_off_overhead_below_two_percent():
     assert obs.current() is None, "a leaked obs session would skew timing"
 
     bare, guarded = interleaved_mins(
-        lambda: drain_storm(BareEngine()), lambda: drain_storm(HeapEngine())
+        lambda: drain_storm(BareEngine()), lambda: drain_storm(Engine())
     )
     guard_cost_per_event = max(0.0, guarded - bare) / STORM_EVENTS
 
@@ -158,7 +155,7 @@ def test_analytics_off_overhead_below_two_percent():
     assert obs.current() is None, "a leaked obs session would skew timing"
 
     bare, guarded = interleaved_mins(
-        lambda: drain_storm(BareEngine()), lambda: drain_storm(HeapEngine())
+        lambda: drain_storm(BareEngine()), lambda: drain_storm(Engine())
     )
     guard_cost_per_event = max(0.0, guarded - bare) / STORM_EVENTS
 
@@ -207,7 +204,7 @@ def test_checkpoint_off_overhead_below_two_percent():
     assert obs.current() is None, "a leaked obs session would skew timing"
 
     bare, guarded = interleaved_mins(
-        lambda: drain_storm(BareEngine()), lambda: drain_storm(HeapEngine())
+        lambda: drain_storm(BareEngine()), lambda: drain_storm(Engine())
     )
     guard_cost_per_event = max(0.0, guarded - bare) / STORM_EVENTS
 

@@ -7,12 +7,8 @@ the disabled path adds only guard evaluations.  One guard is too small to
 resolve inside a real run (noise swamps it), so we measure it directly:
 
 1. A **pre-watchdog engine replica** (the ``run`` body as of the obs PR,
-   inlined below) races the reference :class:`repro.sim.HeapEngine` over
-   the same synthetic event storm; the delta is the per-event guard cost
-   on the loop architecture that carries per-event guards.  (The
-   production :class:`~repro.sim.Engine` hoists the watchdog test out of
-   its fast loop entirely when none is attached, so the estimate is an
-   upper bound for it.)
+   inlined below) races :class:`repro.sim.Engine` over the same
+   synthetic event storm; the delta is the per-event guard cost.
 2. A real tiny run with robustness off gives events and wall-clock.
    Estimated overhead = guard cost x guard sites x events / runtime.
 
@@ -28,7 +24,7 @@ import time
 
 from repro import GpuUvmSimulator, build_workload, obs, systems
 from repro.chaos.config import parse_chaos_spec
-from repro.sim.engine import HeapEngine
+from repro.sim.engine import Engine
 
 #: Upper bound on robustness ``is not None`` guards per engine event:
 #: the watchdog tick in the run loop, plus the runtime/fault-buffer/DMA
@@ -40,8 +36,10 @@ GUARD_SITES_PER_EVENT = 4
 STORM_EVENTS = 200_000
 
 
-class PreWatchdogEngine(HeapEngine):
+class PreWatchdogEngine(Engine):
     """The event loop exactly as it shipped before the watchdog hook."""
+
+    _running = False  # the replica's own reentrancy latch
 
     def run(self, until=None, max_events=None) -> None:
         if self._running:
@@ -108,7 +106,7 @@ def test_robustness_off_overhead_below_two_percent():
     assert obs.current() is None, "a leaked obs session would skew timing"
 
     bare, guarded = interleaved_mins(
-        lambda: drain_storm(PreWatchdogEngine()), lambda: drain_storm(HeapEngine())
+        lambda: drain_storm(PreWatchdogEngine()), lambda: drain_storm(Engine())
     )
     guard_cost_per_event = max(0.0, guarded - bare) / STORM_EVENTS
 

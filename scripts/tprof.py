@@ -10,15 +10,14 @@ is the event-loop substrate.
 
 Usage::
 
-    PYTHONPATH=src python scripts/tprof.py                          # TO+UE / BFS-TTC, SoA backend
+    PYTHONPATH=src python scripts/tprof.py                          # TO+UE / BFS-TTC
     PYTHONPATH=src python scripts/tprof.py --system BASELINE --workload KCORE
-    PYTHONPATH=src python scripts/tprof.py --backend object         # profile the reference model
     PYTHONPATH=src python scripts/tprof.py --json prof.json
 
-Note the SoA backend inlines the L1 TLB probe and the data-cache access
-into the issue loop, so on ``--backend soa`` that work is attributed to
-``warp.issue`` rather than ``pt.translate`` / ``cache.access`` — compare
-with ``--backend object`` to see the split (see docs/performance.md).
+Note the simulator inlines the L1 TLB probe and the data-cache access
+into the issue loop (and calls the TLB-miss path through a pre-bound
+reference), so that work is attributed to ``warp.issue`` rather than
+``pt.translate`` / ``cache.access`` (see docs/performance.md).
 """
 
 from __future__ import annotations
@@ -51,10 +50,6 @@ def main(argv: list[str] | None = None) -> int:
         help="memory-to-footprint ratio passed to the preset (default 0.5)",
     )
     parser.add_argument(
-        "--backend", default="soa", choices=["soa", "object"],
-        help="warp-model backend to profile (default: soa)",
-    )
-    parser.add_argument(
         "--json", type=argparse.FileType("w"), metavar="PATH",
         help="also write the attribution as JSON",
     )
@@ -71,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
 
     workload = build_workload(args.workload, scale=args.scale, seed=args.seed)
     config = systems.by_name(args.system).configure(workload, ratio=args.ratio)
-    sim = GpuUvmSimulator(workload, config, backend=args.backend)
+    sim = GpuUvmSimulator(workload, config)
     prof = ComponentProfiler().attach(sim)
     try:
         result = sim.run()
@@ -79,8 +74,8 @@ def main(argv: list[str] | None = None) -> int:
         prof.detach()
 
     print(
-        f"{args.system} / {args.workload} ({args.scale}, "
-        f"backend={args.backend}): {result.exec_cycles:,} cycles, "
+        f"{args.system} / {args.workload} ({args.scale}): "
+        f"{result.exec_cycles:,} cycles, "
         f"{result.events_processed:,} events"
     )
     print(prof.render(top=args.top))
@@ -91,7 +86,6 @@ def main(argv: list[str] | None = None) -> int:
                 "system": args.system,
                 "workload": args.workload,
                 "scale": args.scale,
-                "backend": args.backend,
                 "wall_seconds": prof.wall_ns / 1e9,
                 "attribution": prof.attribution(top=args.top),
             },

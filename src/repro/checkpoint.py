@@ -5,10 +5,10 @@ A checkpoint is one pickled envelope::
     {"meta": {...}, "payload": <pickled GpuUvmSimulator bytes>}
 
 The *meta* dict is small and self-describing (magic string, schema
-version, workload/backend, engine clock, source fingerprint); the
+version, workload, engine clock, source fingerprint); the
 *payload* is the entire simulator object graph — engine queues, page
-tables, memory manager, fault buffer, DMA/PCIe channels, warp state
-(both backends), chaos RNG streams, obs/analytics counters, lifecycle
+tables, memory manager, fault buffer, DMA/PCIe channels, warp store,
+chaos RNG streams, obs/analytics counters, lifecycle
 machines.  Keeping the payload as opaque bytes inside the envelope means
 a reader can validate the meta (schema, fingerprint) *before* paying for
 — or crashing on — the full unpickle.
@@ -27,8 +27,8 @@ Guarantees and failure handling (see ``docs/robustness.md``):
   it is left in place (a matching reader may still want it).
 * **Restore is bit-exact** — ``restore_checkpoint(...).resume()`` must
   produce the same ``SimulationResult`` as the uninterrupted run (the
-  golden-corpus checkpoint suite enforces this for both warp backends,
-  with and without chaos).
+  golden-corpus checkpoint suite enforces this, with and without
+  chaos).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ MAGIC = "repro-checkpoint"
 #: compatibility is governed by the source fingerprint instead — any
 #: code change invalidates old payloads, which is exactly the contract
 #: the bit-identical resume guarantee needs.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _source_fingerprint() -> str:
@@ -96,7 +96,6 @@ class SimCheckpoint:
             "schema": SCHEMA_VERSION,
             "fingerprint": _source_fingerprint(),
             "workload": sim.workload.name,
-            "backend": sim.backend,
             "engine_now": sim.engine.now,
             "events_processed": sim.engine.events_processed,
             "batches": sim.runtime.batch_stats.num_batches,

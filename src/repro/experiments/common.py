@@ -180,10 +180,6 @@ class RunSpec:
     checkpoint_dir: str | None = None
     checkpoint_every: int = 1
     resume: bool = False
-    #: Warp-model backend (``"soa"`` or ``"object"``); both are locked
-    #: bit-identical by the equivalence suites, but the choice is part of
-    #: *how* the cell is specified, so it participates in the cache key.
-    backend: str = "soa"
     #: Process-level chaos for the supervised pool (``worker-kill`` /
     #: ``worker-hang`` / ``worker-slow``).  Deliberately *not* part of
     #: the cache key: process chaos perturbs where a cell computes,
@@ -241,7 +237,7 @@ def _memo_key(spec: RunSpec) -> tuple:
     Checkpoint fields and ``pool_chaos`` are deliberately absent: resumed
     runs and runs under process-level chaos produce results identical to
     uninterrupted, chaos-free ones, so they share a cache entry."""
-    robustness = (spec.chaos, spec.check_invariants, spec.backend)
+    robustness = (spec.chaos, spec.check_invariants)
     if spec.config is not None:
         config_hash = hashlib.sha256(
             repr(spec.config).encode()
@@ -846,7 +842,7 @@ def _simulate_spec(spec: RunSpec) -> SimulationResult:
             chaos=spec.chaos,
             check_invariants=spec.check_invariants,
         )
-    sim = GpuUvmSimulator(workload, config, backend=spec.backend)
+    sim = GpuUvmSimulator(workload, config)
     if checkpoint_file is not None:
         sim.enable_checkpoints(
             spec.checkpoint_dir,

@@ -4,7 +4,8 @@ from repro.gpu.config import GpuConfig, SimConfig, UvmConfig
 from repro.gpu.context import ContextCostModel
 from repro.gpu.occupancy import KernelResources, OccupancyCalculator
 from repro.gpu.thread_block import BlockState, ThreadBlock
-from repro.gpu.warp import Warp, WarpOp, WarpState
+from repro.gpu.warp import WarpOp, WarpState
+from repro.gpu.warp_soa import SoAWarp, WarpStore
 
 __all__ = [
     "GpuConfig",
@@ -15,7 +16,8 @@ __all__ = [
     "OccupancyCalculator",
     "BlockState",
     "ThreadBlock",
-    "Warp",
+    "SoAWarp",
     "WarpOp",
     "WarpState",
+    "WarpStore",
 ]

@@ -20,7 +20,8 @@ from repro.errors import SimulationError
 from repro.gpu.context import ContextCostModel
 from repro.gpu.occupancy import KernelResources
 from repro.gpu.thread_block import BlockState, ThreadBlock
-from repro.gpu.warp import Warp, WarpState
+from repro.gpu.warp import WarpState
+from repro.gpu.warp_soa import SoAWarp
 from repro.sim.engine import Engine
 
 
@@ -72,7 +73,7 @@ class StreamingMultiprocessor:
         active_limit: int,
         context_cost: ContextCostModel,
         kernel_resources: KernelResources,
-        schedule_warp: Callable[[Warp, int], None],
+        schedule_warp: Callable[[SoAWarp, int], None],
         switch_allowed: Callable[[], bool] = _always_allowed,
         forced_oversubscription: bool = False,
     ) -> None:
@@ -88,7 +89,7 @@ class StreamingMultiprocessor:
         self.active_blocks: list[ThreadBlock] = []
         self.inactive_blocks: list[ThreadBlock] = []
         self.throttled = False
-        self.parked_warps: list[Warp] = []
+        self.parked_warps: list[SoAWarp] = []
         self.context_switches = 0
         self.switch_cycles_spent = 0
         self._switching = 0  # blocks currently in a switch transition
@@ -193,13 +194,13 @@ class StreamingMultiprocessor:
         self._switching -= 1
         self._activate(incoming, charge_restore=False)
 
-    def on_warp_stalled(self, warp: Warp) -> None:
+    def on_warp_stalled(self, warp: SoAWarp) -> None:
         """A warp stalled on page faults; switch its block if fully stalled."""
         block = warp.block
         if block.state is BlockState.ACTIVE and block.fully_stalled():
             self.try_context_switch(block)
 
-    def on_warp_mem_wait(self, warp: Warp) -> None:
+    def on_warp_mem_wait(self, warp: SoAWarp) -> None:
         """Forced-oversubscription trigger: all warps waiting on DRAM."""
         if not self.forced_oversubscription:
             return
@@ -270,5 +271,5 @@ class StreamingMultiprocessor:
             for warp in parked:
                 self._schedule_warp(warp, 0)
 
-    def park(self, warp: Warp) -> None:
+    def park(self, warp: SoAWarp) -> None:
         self.parked_warps.append(warp)

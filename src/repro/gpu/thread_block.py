@@ -12,7 +12,14 @@ from __future__ import annotations
 import enum
 from typing import Sequence
 
-from repro.gpu.warp import Warp, WarpState
+from repro.gpu.warp_soa import (
+    FINISHED,
+    READY,
+    RUNNING,
+    STALLED,
+    SUSPENDED,
+    SoAWarp,
+)
 
 
 class BlockState(enum.Enum):
@@ -24,7 +31,13 @@ class BlockState(enum.Enum):
 
 
 class ThreadBlock:
-    """A thread block and its warps."""
+    """A thread block over a contiguous warp-index range of a WarpStore.
+
+    Every predicate the SM scheduler consults per stall/wake/switch scans
+    the block's warps; each is an early-exit loop over the block's
+    ``[lo, hi)`` slice of the store arrays — one C-level slice copy plus
+    at most hi−lo integer compares, no per-warp attribute loads.
+    """
 
     __slots__ = (
         "block_id",
@@ -33,9 +46,12 @@ class ThreadBlock:
         "sm",
         "context_switches",
         "ever_active",
+        "store",
+        "lo",
+        "hi",
     )
 
-    def __init__(self, block_id: int, warps: Sequence[Warp]) -> None:
+    def __init__(self, block_id: int, warps: Sequence[SoAWarp]) -> None:
         self.block_id = block_id
         self.warps = list(warps)
         for warp in self.warps:
@@ -44,11 +60,19 @@ class ThreadBlock:
         self.sm = None
         self.context_switches = 0
         self.ever_active = False
+        self.store = warps[0].store
+        self.lo = warps[0].index
+        self.hi = warps[-1].index + 1
+        if [w.index for w in warps] != list(range(self.lo, self.hi)):
+            raise ValueError("ThreadBlock requires contiguous warp indices")
 
     # ------------------------------------------------------------------
     @property
     def finished(self) -> bool:
-        return all(warp.finished for warp in self.warps)
+        for s in self.store.state[self.lo : self.hi]:
+            if s != FINISHED:
+                return False
+        return True
 
     @property
     def num_threads(self) -> int:
@@ -62,13 +86,13 @@ class ThreadBlock:
         At least one warp must actually be stalled — a finished block is not
         "stalled".
         """
-        any_stalled = False
-        for warp in self.warps:
-            if warp.state in (WarpState.READY, WarpState.RUNNING):
+        saw_stalled = False
+        for s in self.store.state[self.lo : self.hi]:
+            if s == STALLED:
+                saw_stalled = True
+            elif s == READY or s == RUNNING:
                 return False
-            if warp.state is WarpState.STALLED:
-                any_stalled = True
-        return any_stalled
+        return saw_stalled
 
     def fully_mem_stalled(self) -> bool:
         """True when every unfinished warp is waiting on DRAM or faults.
@@ -76,46 +100,55 @@ class ThreadBlock:
         The Virtual Thread / forced-oversubscription (Figure 5) switch
         trigger: all warps descheduled due to long-latency operations.
         """
-        any_waiting = False
-        for warp in self.warps:
-            if warp.state is WarpState.FINISHED:
+        store = self.store
+        state = store.state
+        mem_wait = store.mem_wait
+        unfinished = False
+        for i in range(self.lo, self.hi):
+            s = state[i]
+            if s == FINISHED:
                 continue
-            if warp.state is WarpState.STALLED or warp.mem_wait:
-                any_waiting = True
-                continue
-            return False
-        return any_waiting
+            if s != STALLED and not mem_wait[i]:
+                return False
+            unfinished = True
+        return unfinished
 
     def ready_to_run(self) -> bool:
         """True when at least one warp could make progress if activated."""
-        return any(
-            warp.state in (WarpState.READY, WarpState.SUSPENDED)
-            for warp in self.warps
-        )
+        for s in self.store.state[self.lo : self.hi]:
+            if s == READY or s == SUSPENDED:
+                return True
+        return False
 
-    def suspend_runnable_warps(self) -> list[Warp]:
+    def suspend_runnable_warps(self) -> list[SoAWarp]:
         """Mark READY warps SUSPENDED (context switch out); return them."""
-        suspended = []
-        for warp in self.warps:
-            if warp.state is WarpState.READY:
-                validator = warp.validator
+        store = self.store
+        state = store.state
+        warps = store.warps
+        validator = store.validator
+        picked: list[SoAWarp] = []
+        for i in range(self.lo, self.hi):
+            if state[i] == READY:
                 if validator is not None:
-                    validator.check("suspend", "ready", warp=warp.warp_id)
-                warp.state = WarpState.SUSPENDED
-                suspended.append(warp)
-        return suspended
+                    validator.check("suspend", "ready", warp=warps[i].warp_id)
+                state[i] = SUSPENDED
+                picked.append(warps[i])
+        return picked
 
-    def resume_suspended_warps(self) -> list[Warp]:
+    def resume_suspended_warps(self) -> list[SoAWarp]:
         """Mark SUSPENDED warps READY (context switch in); return them."""
-        resumed = []
-        for warp in self.warps:
-            if warp.state is WarpState.SUSPENDED:
-                validator = warp.validator
+        store = self.store
+        state = store.state
+        warps = store.warps
+        validator = store.validator
+        picked: list[SoAWarp] = []
+        for i in range(self.lo, self.hi):
+            if state[i] == SUSPENDED:
                 if validator is not None:
-                    validator.check("resume", "suspended", warp=warp.warp_id)
-                warp.state = WarpState.READY
-                resumed.append(warp)
-        return resumed
+                    validator.check("resume", "suspended", warp=warps[i].warp_id)
+                state[i] = READY
+                picked.append(warps[i])
+        return picked
 
     def __repr__(self) -> str:
         done = sum(1 for w in self.warps if w.finished)

@@ -1,4 +1,4 @@
-"""Warp model.
+"""Warp trace ops and warp states.
 
 A warp is the primary execution unit: 32 scalar threads in SIMT lockstep.
 Each warp executes a pre-generated *trace* of :class:`WarpOp` items.  A warp
@@ -6,13 +6,14 @@ op bundles the compute cycles leading up to one (coalesced) memory
 instruction with the byte addresses the instruction touches.  The simulator
 advances a warp op-by-op; a warp stalls when any page it touches is not
 resident in GPU memory (Section 2.2: "A warp is stalled once it generates a
-page fault").
+page fault").  Warp state itself lives in struct-of-arrays form
+(:mod:`repro.gpu.warp_soa`).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.gpu.config import LINE_SIZE
 from repro.lifecycle import WARP_LIFECYCLE
@@ -27,7 +28,7 @@ class WarpState(enum.Enum):
 
 
 # The declared machine is the single source of truth for warp states;
-# this enum (and the SoA store's integer codes) must mirror it exactly.
+# this enum (and the warp store's integer codes) must mirror it exactly.
 assert tuple(s.value for s in WarpState) == WARP_LIFECYCLE.states
 
 
@@ -132,129 +133,3 @@ class WarpOp:
             f"WarpOp(compute={self.compute_cycles}, "
             f"naddr={len(self.addresses)}, store={self.is_store})"
         )
-
-
-class Warp:
-    """A warp executing a trace of :class:`WarpOp` items."""
-
-    __slots__ = (
-        "warp_id",
-        "block",
-        "ops",
-        "pc",
-        "state",
-        "waiting_pages",
-        "resume_latency",
-        "stall_start",
-        "stalled_cycles",
-        "mem_wait",
-        "replay_pending",
-        "exec_event",
-        "complete_event",
-        "validator",
-    )
-
-    def __init__(self, warp_id: int, ops: Sequence[WarpOp], block=None) -> None:
-        self.warp_id = warp_id
-        self.block = block
-        self.ops = ops
-        self.pc = 0
-        self.state = WarpState.READY
-        self.waiting_pages: set[int] = set()
-        #: Interned engine events (set by the simulator): one reusable
-        #: bound-argument object per warp for the hot op-issue/completion
-        #: schedulings, instead of a fresh closure per event.
-        self.exec_event = None
-        self.complete_event = None
-        #: Latency still owed to the in-flight op when the warp resumes
-        #: after its faults are serviced (the memory access replays).
-        self.resume_latency = 0
-        self.stall_start = 0
-        self.stalled_cycles = 0
-        #: True while the warp's in-flight access is waiting on DRAM; used
-        #: by the forced-oversubscription (Figure 5) switch trigger.
-        self.mem_wait = False
-        #: True between a fault-stall wake and the next op issue; lets the
-        #: analytics layer charge the re-issued op's cycles to the
-        #: ``replay`` bucket.  Only written when analytics is enabled.
-        self.replay_pending = False
-        #: Shared :class:`repro.lifecycle.TransitionValidator`; installed
-        #: only under ``check_invariants`` so the hot path pays one
-        #: ``is None`` test.
-        self.validator = None
-
-    # ------------------------------------------------------------------
-    @property
-    def finished(self) -> bool:
-        return self.state is WarpState.FINISHED
-
-    @property
-    def remaining_ops(self) -> int:
-        return len(self.ops) - self.pc
-
-    def current_op(self) -> WarpOp:
-        return self.ops[self.pc]
-
-    # ------------------------------------------------------------------
-    def stall_on(self, pages: Iterable[int], now: int, replay_latency: int) -> None:
-        """Stall this warp until every page in ``pages`` becomes resident.
-
-        A warp that is *already* stalled may accrue more waiting pages
-        (e.g. a replayed access faulting on a different page set while
-        earlier faults are still outstanding).  In that case the original
-        ``stall_start`` is preserved — the warp has been stalled since the
-        first fault, and overwriting it would silently drop the
-        already-accrued stall time from ``stalled_cycles``.  Replay
-        latencies merge by ``max``: the replays overlap, so the warp owes
-        the longest one, not their sum.
-        """
-        validator = self.validator
-        if validator is not None:
-            already = self.state is WarpState.STALLED
-            validator.check(
-                "restall" if already else "stall",
-                self.state.value,
-                warp=self.warp_id,
-                now=now,
-            )
-        self.waiting_pages.update(pages)
-        if self.state is WarpState.STALLED:
-            self.resume_latency = max(self.resume_latency, replay_latency)
-            return
-        self.state = WarpState.STALLED
-        self.resume_latency = replay_latency
-        self.stall_start = now
-
-    def page_arrived(self, page: int, now: int) -> bool:
-        """Notify the warp that ``page`` is resident; True if it can resume."""
-        self.waiting_pages.discard(page)
-        if self.waiting_pages:
-            return False
-        if self.state is WarpState.STALLED:
-            validator = self.validator
-            if validator is not None:
-                validator.check("wake", "stalled", warp=self.warp_id, now=now)
-            self.stalled_cycles += now - self.stall_start
-            self.state = WarpState.READY
-            return True
-        return False
-
-    def advance(self) -> None:
-        """Retire the current op and move to the next."""
-        self.pc += 1
-        done = self.pc >= len(self.ops)
-        validator = self.validator
-        if validator is not None:
-            validator.check(
-                "finish" if done else "retire",
-                self.state.value,
-                warp=self.warp_id,
-                pc=self.pc,
-            )
-        if done:
-            self.state = WarpState.FINISHED
-        else:
-            self.state = WarpState.READY
-
-    def __repr__(self) -> str:
-        return f"Warp(id={self.warp_id}, pc={self.pc}/{len(self.ops)}, {self.state.value})"

@@ -1,14 +1,10 @@
-"""Struct-of-arrays warp state: the vectorized model backend.
+"""Struct-of-arrays warp state.
 
-The object model (:mod:`repro.gpu.warp`) keeps each warp's scheduler
-state in its own Python object; per-warp predicates are attribute loads
-and block-level predicates (``fully_stalled``, ``ready_to_run``) are
-Python loops over those objects.  At tiny scale this is fine; at sweep
-scale the warp/fault hot path dominates end-to-end runtime (see
-``docs/performance.md`` and ``scripts/tprof.py``).
-
-This module restructures that state as struct-of-arrays, one parallel
-flat array per field across *every* warp of a kernel launch:
+At sweep scale the warp/fault hot path dominates end-to-end runtime (see
+``docs/performance.md`` and ``scripts/tprof.py``), so warp scheduler
+state is not kept in one Python object per warp.  It lives in
+struct-of-arrays form, one parallel flat array per field across *every*
+warp of a kernel launch:
 
 * ``pc``, ``state``, ``waiting_count``, ``stall_start``,
   ``stalled_cycles``, ``resume_latency``, ``mem_wait`` — parallel
@@ -18,7 +14,8 @@ flat array per field across *every* warp of a kernel launch:
   shared across launches of the same trace via the simulator's derived
   cache — so replays never re-derive them;
 * blocks own contiguous index ranges, so every block-level predicate is
-  a short early-exit scan over the block's ``[lo, hi)`` slice.
+  a short early-exit scan over the block's ``[lo, hi)`` slice
+  (:class:`~repro.gpu.thread_block.ThreadBlock`).
 
 The parallel arrays are compact Python ``list``s, not NumPy ndarrays —
 a deliberate, profiler-driven choice.  The event core drives warps one
@@ -31,29 +28,24 @@ prefetcher's region masks); warp state is the opposite regime.  The
 layout — index-aligned flat arrays, precomputed derivatives, contiguous
 block slices — is what the speedup comes from, not the element type.
 
-:class:`SoAWarp` handles give the SM/dispatcher/runtime code the same
-duck-typed interface as :class:`~repro.gpu.warp.Warp` (state enums,
-``page_arrived``, ``stall_on``); the simulator's SoA issue loop bypasses
-the handles and works on the arrays directly.
-
-Equivalence contract: the SoA backend must be *bit-identical* to the
-object model — same golden cells, same metrics, same chaos counters
-(``tests/test_equivalence_golden.py``, ``tests/test_soa_equivalence.py``).
-The object model stays in-tree as the behavioural reference, exactly as
-:class:`~repro.sim.engine.HeapEngine` does for the event core.
+:class:`SoAWarp` handles give the SM/dispatcher/runtime code a
+per-warp view (``WarpState`` enums, ``stall_on``); ``page_arrived`` and
+``advance`` are the scalar specification of the wake and retire steps
+that the simulator's issue and wake loops inline over the arrays.  The
+recorded golden corpus (``tests/test_equivalence_golden.py``) locks the
+result bits: same cells, same metrics, same chaos counters.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.gpu.thread_block import BlockState, ThreadBlock
 from repro.gpu.warp import WarpOp, WarpState
 from repro.lifecycle import WARP_LIFECYCLE
 
 # Integer encoding of WarpState for the ``state`` array: the index of
 # each state in the declared machine, so the spec is the single source
-# of truth for both backends.  Values are load-bearing only through the
+# of truth for both encodings.  Values are load-bearing only through the
 # mapping tables below.
 _CODE_OF = {name: code for code, name in enumerate(WARP_LIFECYCLE.states)}
 READY = _CODE_OF["ready"]
@@ -121,8 +113,9 @@ class WarpStore:
         self.stalled_cycles = [0] * n
         self.resume_latency = [0] * n
         self.mem_wait = [False] * n
-        # Analytics-only flag (see Warp.replay_pending); stays False
-        # everywhere when analytics is off.
+        # Analytics-only flag: True between a fault-stall wake and the
+        # next op issue, so the re-issued op's cycles are charged to the
+        # ``replay`` bucket.  Stays False everywhere when analytics is off.
         self.replay_pending = [False] * n
         self.n_ops = [0] * n
         # Ragged per-warp data, indexed by the same warp index: tuples
@@ -141,7 +134,7 @@ class WarpStore:
         #: Shared :class:`repro.lifecycle.TransitionValidator`; installed
         #: only under ``check_invariants`` (one ``is None`` test on the
         #: handle paths; the inlined array loops stay untouched and are
-        #: covered transitively by the equivalence locks).
+        #: covered transitively by the golden corpus).
         self.validator = None
 
     def add_warp(
@@ -184,8 +177,8 @@ class WarpStore:
 class SoAWarp:
     """Lightweight handle: a warp index into a :class:`WarpStore`.
 
-    Exposes the :class:`~repro.gpu.warp.Warp` interface for the
-    SM/block/dispatcher code; hot paths index the store arrays directly.
+    Exposes a per-warp interface for the SM/block/dispatcher code; hot
+    paths index the store arrays directly.
     """
 
     __slots__ = ("store", "index", "warp_id", "block", "exec_event", "complete_event")
@@ -198,7 +191,7 @@ class SoAWarp:
         self.exec_event = None
         self.complete_event = None
 
-    # -- Warp interface parity -----------------------------------------
+    # -- per-warp view -------------------------------------------------
     @property
     def state(self) -> WarpState:
         return _CODE_TO_STATE[self.store.state[self.index]]
@@ -259,8 +252,17 @@ class SoAWarp:
         self.store.replay_pending[self.index] = value
 
     def stall_on(self, pages: Iterable[int], now: int, replay_latency: int) -> None:
-        """Same semantics as :meth:`Warp.stall_on`, including the
-        preserved ``stall_start`` when the warp is already stalled."""
+        """Stall this warp until every page in ``pages`` becomes resident.
+
+        A warp that is *already* stalled may accrue more waiting pages
+        (e.g. a replayed access faulting on a different page set while
+        earlier faults are still outstanding).  In that case the original
+        ``stall_start`` is preserved — the warp has been stalled since the
+        first fault, and overwriting it would silently drop the
+        already-accrued stall time from ``stalled_cycles``.  Replay
+        latencies merge by ``max``: the replays overlap, so the warp owes
+        the longest one, not their sum.
+        """
         store = self.store
         i = self.index
         validator = store.validator
@@ -284,7 +286,7 @@ class SoAWarp:
         store.stall_start[i] = now
 
     def page_arrived(self, page: int, now: int) -> bool:
-        """Same semantics as :meth:`Warp.page_arrived`."""
+        """Notify the warp that ``page`` is resident; True if it can resume."""
         store = self.store
         i = self.index
         waiting = store.waiting_pages[i]
@@ -303,6 +305,7 @@ class SoAWarp:
         return False
 
     def advance(self) -> None:
+        """Retire the current op and move to the next."""
         store = self.store
         i = self.index
         pc = store.pc[i] + 1
@@ -325,96 +328,9 @@ class SoAWarp:
         )
 
 
-class SoAThreadBlock(ThreadBlock):
-    """Thread block over a contiguous warp-index range of a WarpStore.
-
-    Every predicate the SM scheduler consults per stall/wake/switch scans
-    the block's warps; here each is an early-exit loop over the block's
-    ``[lo, hi)`` slice of the store arrays — one C-level slice copy plus
-    at most hi−lo integer compares, no per-warp attribute loads.
-    """
-
-    __slots__ = ("store", "lo", "hi")
-
-    def __init__(self, block_id: int, warps: Sequence[SoAWarp]) -> None:
-        super().__init__(block_id, warps)
-        self.store = warps[0].store
-        self.lo = warps[0].index
-        self.hi = warps[-1].index + 1
-        if [w.index for w in warps] != list(range(self.lo, self.hi)):
-            raise ValueError("SoAThreadBlock requires contiguous warp indices")
-
-    # -- slice-scan predicates -----------------------------------------
-    @property
-    def finished(self) -> bool:
-        for s in self.store.state[self.lo : self.hi]:
-            if s != FINISHED:
-                return False
-        return True
-
-    def fully_stalled(self) -> bool:
-        saw_stalled = False
-        for s in self.store.state[self.lo : self.hi]:
-            if s == STALLED:
-                saw_stalled = True
-            elif s == READY or s == RUNNING:
-                return False
-        return saw_stalled
-
-    def fully_mem_stalled(self) -> bool:
-        store = self.store
-        state = store.state
-        mem_wait = store.mem_wait
-        unfinished = False
-        for i in range(self.lo, self.hi):
-            s = state[i]
-            if s == FINISHED:
-                continue
-            if s != STALLED and not mem_wait[i]:
-                return False
-            unfinished = True
-        return unfinished
-
-    def ready_to_run(self) -> bool:
-        for s in self.store.state[self.lo : self.hi]:
-            if s == READY or s == SUSPENDED:
-                return True
-        return False
-
-    def suspend_runnable_warps(self) -> list[SoAWarp]:
-        store = self.store
-        state = store.state
-        warps = store.warps
-        validator = store.validator
-        picked: list[SoAWarp] = []
-        for i in range(self.lo, self.hi):
-            if state[i] == READY:
-                if validator is not None:
-                    validator.check("suspend", "ready", warp=warps[i].warp_id)
-                state[i] = SUSPENDED
-                picked.append(warps[i])
-        return picked
-
-    def resume_suspended_warps(self) -> list[SoAWarp]:
-        store = self.store
-        state = store.state
-        warps = store.warps
-        validator = store.validator
-        picked: list[SoAWarp] = []
-        for i in range(self.lo, self.hi):
-            if state[i] == SUSPENDED:
-                if validator is not None:
-                    validator.check("resume", "suspended", warp=warps[i].warp_id)
-                state[i] = READY
-                picked.append(warps[i])
-        return picked
-
-
 __all__ = [
     "WarpStore",
     "SoAWarp",
-    "SoAThreadBlock",
-    "BlockState",
     "derive_ops",
     "READY",
     "RUNNING",

@@ -299,13 +299,14 @@ class StateMachine:
 class TransitionValidator:
     """Spec-conformance checker shared by many lightweight objects.
 
-    Warps store their own state (an enum field in the object model, a
-    code array in the SoA store); materialising a :class:`StateMachine`
-    per warp would bloat both.  Instead one validator serves every warp
-    on a simulator: :meth:`check` verifies that a protocol-level move is
-    declared, counts it, and forwards to the observer.  Components keep
-    the validator slot ``None`` unless ``check_invariants`` is on, so the
-    hot path pays one ``is None`` test.
+    Warp state lives in the code arrays of a
+    :class:`~repro.gpu.warp_soa.WarpStore`; materialising a
+    :class:`StateMachine` per warp would bloat it.  Instead one validator
+    serves every warp on a simulator: :meth:`check` verifies that a
+    protocol-level move is declared, counts it, and forwards to the
+    observer.  Components keep the validator slot ``None`` unless
+    ``check_invariants`` is on, so the hot path pays one ``is None``
+    test.
     """
 
     __slots__ = ("spec", "counts", "observer")
@@ -390,8 +391,8 @@ ENGINE_LOOP = MachineSpec(
     ),
 )
 
-#: Per-warp stall/wake protocol, shared by both warp backends (the SoA
-#: store derives its state codes from this spec's state order, so the
+#: Per-warp stall/wake protocol (the warp store derives its state codes
+#: from this spec's state order, and ``WarpState`` mirrors it, so the
 #: declaration is the single source of truth).  ``stall`` from ``ready``
 #: covers warps whose first access faults before they ever issue;
 #: ``finish`` from ``ready`` covers zero-op warps retired at build time.

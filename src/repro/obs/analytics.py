@@ -12,7 +12,7 @@ in — the fault-handling batch.  Four cooperating pieces:
   prefetcher, and the fault buffer.
 * :class:`CycleAttribution` — per-warp cycle accounting split into
   ``compute / fault_latency / eviction_wait / pcie_queue / replay``
-  buckets, charged from both warp backends (bit-identical), rolled up
+  buckets, charged from the simulator's issue and wake loops, rolled up
   per SM and per cell.  See ``docs/analytics.md`` for the model and the
   identity the test suite locks: the three stall buckets sum exactly to
   ``SimulationResult.warp_stall_cycles``.

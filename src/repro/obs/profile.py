@@ -24,7 +24,7 @@ Usage::
     prof.attach(sim)
     result = sim.run()
     prof.detach()
-    print(prof.render(total_seconds=...))
+    print(prof.render())
 """
 
 from __future__ import annotations
@@ -35,16 +35,13 @@ from collections import defaultdict
 
 #: Component -> list of (owner attribute path, method name) wrap targets.
 #: Paths are resolved against the simulator instance at attach time;
-#: missing targets are skipped (e.g. ``_execute_op_soa`` only exists on
-#: the SoA backend, ``prefetcher.expand`` is a no-op object for
-#: NoPrefetcher but still wrappable).
+#: missing targets are skipped (``prefetcher.expand`` is a no-op object
+#: for NoPrefetcher but still wrappable).
 COMPONENTS: tuple[tuple[str, str, str], ...] = (
     ("warp.issue", "", "_execute_op"),
-    ("warp.issue", "", "_execute_op_soa"),
-    # The wake callbacks must be wrapped where the runtime *stores* them
-    # (instance attributes on UvmRuntime), not on the simulator: the
+    # The wake callback must be wrapped where the runtime *stores* it (an
+    # instance attribute on UvmRuntime), not on the simulator: the
     # runtime calls its stored reference, not sim._wake_warps.
-    ("warp.wake", "runtime", "wake_warp"),
     ("warp.wake", "runtime", "wake_warps"),
     ("fault.raise", "runtime", "raise_fault"),
     ("batch.preprocess", "runtime", "_begin_batch"),
@@ -226,7 +223,7 @@ class ComponentProfiler:
         return "\n".join(lines)
 
 
-def profile_simulation(workload, config, backend: str = "soa", **run_kwargs):
+def profile_simulation(workload, config, **run_kwargs):
     """One-call helper: build, profile, and run a simulation.
 
     Returns ``(SimulationResult, ComponentProfiler)``.  Used by
@@ -234,7 +231,7 @@ def profile_simulation(workload, config, backend: str = "soa", **run_kwargs):
     """
     from repro.simulator import GpuUvmSimulator
 
-    sim = GpuUvmSimulator(workload, config, backend=backend)
+    sim = GpuUvmSimulator(workload, config)
     prof = ComponentProfiler().attach(sim)
     try:
         result = sim.run(**run_kwargs)

@@ -1,33 +1,15 @@
-"""Deterministic discrete-event engine with a two-level fast-path scheduler.
+"""Deterministic discrete-event engine.
 
 Simulated time is an integer cycle count; at the paper's 1 GHz GPU clock
 one cycle equals one nanosecond, so microsecond-scale runtime costs (e.g.
 the 20 us GPU runtime fault handling time) translate directly to cycle
 counts.
 
-Two implementations share one contract:
+The queue is one binary heap of ``(time, sequence, callback)`` tuples;
+the sequence number gives deterministic FIFO order within a cycle.
 
-* :class:`Engine` — the production scheduler.  Warp stepping generates
-  dense same-cycle/near-cycle traffic, so events within a near horizon
-  (``now .. now + near_window``) live in exact-time *calendar buckets*
-  (``dict[int, list]``), ordered by a small heap of distinct bucket
-  times; events beyond the horizon fall back to a classic
-  ``(time, seq, callback)`` heap and migrate into buckets as the clock
-  advances.  FIFO order within a cycle is the bucket's append order, so
-  the hot path allocates no tuples and pays no per-event heap
-  comparisons.  :meth:`run` selects a specialized loop once at entry —
-  the common case (no observability session, no watchdog) drains whole
-  buckets with the ``obs``/``watchdog`` pointer tests hoisted out
-  entirely.
-* :class:`HeapEngine` — the pre-optimization reference: one binary heap
-  of ``(time, sequence, callback)`` tuples, kept verbatim.  The
-  equivalence property suite replays identical event scripts through
-  both and asserts identical traces; the hot-path benchmark uses it as
-  the like-for-like baseline (see ``benchmarks/bench_core_hotpath.py``
-  and ``docs/performance.md``).
-
-Determinism contract (both engines, proven by ``tests/test_engine.py``
-and ``tests/test_properties_core.py``): events fire in nondecreasing time
+Determinism contract (proven by ``tests/test_engine.py`` and
+``tests/test_properties_core.py``): events fire in nondecreasing time
 order, and two events scheduled for the same cycle fire in the order they
 were scheduled, independent of callback identity.
 """
@@ -62,64 +44,26 @@ class Engine:
     [10]
     """
 
-    def __init__(self, near_window: int = 4096) -> None:
-        if near_window <= 0:
-            raise SimulationError(
-                "near_window must be positive", near_window=near_window
-            )
+    def __init__(self) -> None:
         self.now: int = 0
-        #: Width of the calendar's near horizon in cycles.  Events within
-        #: ``now + near_window`` go to exact-time buckets; later ones to
-        #: the far heap.  Any positive value is correct (the property
-        #: suite runs with pathological widths); the default comfortably
-        #: covers warp compute times and batch windows at every scale.
-        self.near_window = near_window
-        # Near level: exact-time buckets + a heap of distinct bucket
-        # times (pushed once per bucket creation, so its size is the
-        # number of *distinct* pending near times, not pending events).
-        self._buckets: dict[int, list[Callback]] = {}
-        self._bucket_times: list[int] = []
-        # Head slot: the *earliest* pending near bucket, held outside the
-        # dict/heap.  Serial chains (one event per cycle — warp compute
-        # steps, DMA completions) hit only this slot, paying zero heap
-        # and dict operations per event.  Invariant: when non-None, its
-        # time is strictly below every key in ``_buckets`` and at or
-        # above ``_active_time`` while a bucket drains.
-        self._head_time = 0
-        self._head_bucket: list[Callback] | None = None
-        # The bucket currently being drained.  It is removed from
-        # `_buckets` when activated; `_active_idx` marks the next event
-        # to fire, so a partially drained bucket survives run() exits.
-        self._active: list[Callback] | None = None
-        self._active_time = 0
-        self._active_idx = 0
-        # Far level: the classic heap, for events beyond the horizon.
-        self._far: list[tuple[int, int, Callback]] = []
+        self._queue: list[tuple[int, int, Callback]] = []
         self._seq = 0
-        self._horizon = near_window  # == now + near_window
-        self._pending = 0
         self._events_processed = 0
-        #: Declared run-loop lifecycle (idle → running → idle/failed);
-        #: replaces the old ``_running`` boolean latch.  ``start`` is
-        #: declared from ``failed`` too, so the harness can retry a cell
-        #: on the same engine after an exception.
+        #: Declared run-loop lifecycle (idle → running → idle/failed).
+        #: ``start`` is declared from ``failed`` too, so the harness can
+        #: retry a cell on the same engine after an exception.
         self.lifecycle = StateMachine(ENGINE_LOOP, owner=self)
         #: Optional :class:`repro.obs.Observability` session.  None (the
-        #: default) keeps the event loop un-instrumented: run() selects
-        #: the fast loop and the hot path pays nothing.
+        #: default) keeps the event loop un-instrumented.
         self.obs = None
-        #: Optional :class:`repro.invariants.Watchdog`.  None (the
-        #: default) keeps the loop unguarded at the same zero cost; when
-        #: set, :meth:`run` calls ``watchdog.tick`` after every event and
-        #: a stalled run raises
-        #: :class:`~repro.errors.SimulationStalledError`.
+        #: Optional :class:`repro.invariants.Watchdog`.  When set,
+        #: :meth:`run` calls ``watchdog.tick`` after every event and a
+        #: stalled run raises :class:`~repro.errors.SimulationStalledError`.
         self.watchdog = None
         #: Checkpoint plumbing (see :mod:`repro.checkpoint`): when a
-        #: batch-boundary trigger sets ``checkpoint_due``, the guarded
-        #: loop calls ``checkpoint_hook()`` *between* events — the only
-        #: points where the queue counters are guaranteed published.
-        #: Both stay None/False unless checkpointing is enabled, so the
-        #: fast loop is still selected and the off path pays nothing.
+        #: batch-boundary trigger sets ``checkpoint_due`` during an event,
+        #: :meth:`run` calls ``checkpoint_hook()`` *between* events, where
+        #: the queue is consistent.
         self.checkpoint_hook: Callback | None = None
         self.checkpoint_due = False
 
@@ -127,56 +71,12 @@ class Engine:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay: int, callback: Callback) -> None:
-        """Schedule ``callback`` to fire ``delay`` cycles from now.
-
-        The near-horizon insert below duplicates :meth:`schedule_at`'s
-        body deliberately: relative-delay scheduling is the simulator's
-        hottest call and an extra Python frame per event would cost more
-        than the whole insert.  The property suite locks the two paths
-        to identical observable behaviour.
-        """
+        """Schedule ``callback`` to fire ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(
                 "cannot schedule into the past", delay=delay, now=self.now
             )
-        time = self.now + delay
-        if not isinstance(time, int):
-            # Non-int delay (e.g. numpy): normalise via the checked path.
-            self.schedule_at(time, callback)
-            return
-        self._pending += 1
-        if time <= self._horizon:
-            active = self._active
-            if active is not None and time == self._active_time:
-                active.append(callback)
-                return
-            head = self._head_bucket
-            if head is not None:
-                head_time = self._head_time
-                if time == head_time:
-                    head.append(callback)
-                    return
-                if time < head_time:
-                    self._buckets[head_time] = head
-                    heapq.heappush(self._bucket_times, head_time)
-                    self._head_time = time
-                    self._head_bucket = [callback]
-                    return
-            else:
-                times = self._bucket_times
-                if not times or time < times[0]:
-                    self._head_time = time
-                    self._head_bucket = [callback]
-                    return
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = [callback]
-                heapq.heappush(self._bucket_times, time)
-            else:
-                bucket.append(callback)
-        else:
-            heapq.heappush(self._far, (time, self._seq, callback))
-            self._seq += 1
+        self.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, time: int, callback: Callback) -> None:
         """Schedule ``callback`` to fire at absolute cycle ``time``.
@@ -197,487 +97,12 @@ class Engine:
             raise SimulationError(
                 "cannot schedule into the past", time=time, now=self.now
             )
-        self._pending += 1
-        if time <= self._horizon:
-            active = self._active
-            if active is not None and time == self._active_time:
-                # Same-cycle event scheduled while that cycle's bucket is
-                # draining: appending keeps FIFO order and the drain loop
-                # picks it up without another heap touch.
-                active.append(callback)
-                return
-            head = self._head_bucket
-            if head is not None:
-                head_time = self._head_time
-                if time == head_time:
-                    head.append(callback)
-                    return
-                if time < head_time:
-                    # New earliest near time: the old head drops into the
-                    # calendar (it is still below every dict key, so the
-                    # invariant holds) and the new time takes the slot.
-                    self._buckets[head_time] = head
-                    heapq.heappush(self._bucket_times, head_time)
-                    self._head_time = time
-                    self._head_bucket = [callback]
-                    return
-            else:
-                times = self._bucket_times
-                if not times or time < times[0]:
-                    self._head_time = time
-                    self._head_bucket = [callback]
-                    return
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = [callback]
-                heapq.heappush(self._bucket_times, time)
-            else:
-                bucket.append(callback)
-        else:
-            heapq.heappush(self._far, (time, self._seq, callback))
-            self._seq += 1
-
-    # ------------------------------------------------------------------
-    # Clock
-    # ------------------------------------------------------------------
-    def _advance(self, time: int) -> None:
-        """Move the clock to ``time`` and refresh the near horizon.
-
-        Far events whose time entered the horizon migrate into buckets in
-        ``(time, seq)`` order — i.e. schedule order per cycle — *before*
-        any callback at the new time runs, so later same-cycle appends
-        land behind them and FIFO-within-cycle holds across the levels.
-        """
-        if time < self.now:
-            raise SimulationError(
-                "event queue went backwards in time",
-                event_time=time,
-                now=self.now,
-            )
-        self.now = time
-        horizon = time + self.near_window
-        self._horizon = horizon
-        far = self._far
-        if far and far[0][0] <= horizon:
-            self._migrate(horizon)
-
-    def _migrate(self, horizon: int) -> None:
-        """Move far events at or below ``horizon`` into calendar buckets.
-
-        Migrated times always exceed any live head-slot time (a far time
-        is above the horizon that was current when it was scheduled, and
-        the head is always within it), so the head invariant holds.
-        """
-        far = self._far
-        buckets = self._buckets
-        times = self._bucket_times
-        pop = heapq.heappop
-        push = heapq.heappush
-        while far and far[0][0] <= horizon:
-            t, _seq, callback = pop(far)
-            bucket = buckets.get(t)
-            if bucket is None:
-                buckets[t] = [callback]
-                push(times, t)
-            else:
-                bucket.append(callback)
+        heapq.heappush(self._queue, (time, self._seq, callback))
+        self._seq += 1
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the next event; return False when the queue is empty."""
-        active = self._active
-        if active is not None and self._active_idx < len(active):
-            time = self._active_time
-            callback = active[self._active_idx]
-            self._active_idx += 1
-        else:
-            self._active = None
-            head = self._head_bucket
-            if head is not None:
-                time = self._head_time
-                self._head_bucket = None
-                self._active = head
-                self._active_time = time
-                self._active_idx = 1
-                callback = head[0]
-            elif self._bucket_times:
-                time = heapq.heappop(self._bucket_times)
-                bucket = self._buckets.pop(time)
-                self._active = bucket
-                self._active_time = time
-                self._active_idx = 1
-                callback = bucket[0]
-            elif self._far:
-                time, _seq, callback = heapq.heappop(self._far)
-            else:
-                return False
-        if time != self.now:
-            self._advance(time)
-        self._pending -= 1
-        self._events_processed += 1
-        callback()
-        obs = self.obs
-        if obs is not None and obs.full:
-            # Per-event-kind dispatch counts (kind = callback qualname,
-            # or the `kind` tag carried by interned event objects).
-            obs.count_event(callback)
-        return True
-
-    def run(self, until: int | None = None, max_events: int | None = None) -> None:
-        """Run until the queue drains, ``until`` cycles pass, or ``max_events``.
-
-        ``until`` is an absolute simulated time.  Events scheduled exactly at
-        ``until`` still fire; later events remain queued.  When the run is
-        bounded by ``until`` the clock always advances to it — including
-        when the queue is empty or drains early — so ``run(until=N)`` is a
-        reliable "advance time to N" regardless of pending work.  A stop
-        caused by ``max_events`` leaves the clock at the last fired event.
-
-        The loop variant is selected once at entry: with neither an obs
-        session nor a watchdog attached (the common case), the fast loop
-        drains calendar buckets with no per-event pointer tests; either
-        hook being present selects the guarded loop, which preserves the
-        original per-event semantics (obs dispatch counts, watchdog
-        ticks).
-
-        Reentrancy and failure are lifecycle transitions: a nested call
-        fires ``start`` while already ``running`` — an undeclared move,
-        so it raises :class:`~repro.errors.IllegalTransition` (a
-        :class:`SimulationError`) carrying the machine snapshot.  An
-        event handler (or the watchdog) raising moves the machine to
-        ``failed``, from which ``start`` is declared — so the engine
-        instance, and the harness retrying a failed cell on it, stays
-        usable after an exception.
-        """
-        lifecycle = self.lifecycle
-        lifecycle.fire(
-            "start", reason="engine.run() is not reentrant", now=self.now
-        )
-        start_time = self.now
-        obs = self.obs
-        try:
-            if (
-                obs is None
-                and self.watchdog is None
-                and self.checkpoint_hook is None
-            ):
-                processed = self._run_fast(until, max_events)
-            else:
-                processed = self._run_guarded(until, max_events)
-        except BaseException:
-            lifecycle.fire("fail")
-            raise
-        lifecycle.fire("finish")
-        active = self._active
-        if active is not None and self._active_time > self.now:
-            # A bounded run can break having just *activated* a future
-            # bucket (activation consumes no budget, so the until/budget
-            # check trips afterwards).  The drain loop always prefers the
-            # active slot, so leaving it would fire ahead of any earlier
-            # time scheduled between runs — return it to the calendar.
-            # The bucket is necessarily un-started: draining advances the
-            # clock to the bucket's time before firing.
-            self._active = None
-            time = self._active_time
-            head = self._head_bucket
-            if head is None:
-                self._head_time = time
-                self._head_bucket = active
-            elif time < self._head_time:
-                self._buckets[self._head_time] = head
-                heapq.heappush(self._bucket_times, self._head_time)
-                self._head_time = time
-                self._head_bucket = active
-            else:
-                self._buckets[time] = active
-                heapq.heappush(self._bucket_times, time)
-        if until is not None and until > self.now:
-            nxt = self.peek_time()
-            if nxt is None or nxt > until:
-                self._advance(until)
-        if obs is not None and processed:
-            obs.tracer.complete(
-                "engine", "event loop", start_time, self.now, events=processed
-            )
-
-    def _run_fast(self, until: int | None, max_events: int | None) -> int:
-        """The off-path loop: no obs, no watchdog, whole-bucket drains.
-
-        ``until`` is tested once per bucket (every event in a bucket
-        shares its time) and the event-count budget bounds each drain
-        slice, so the per-event work is a list index plus the callback.
-        Counters (`_active_idx`, `_pending`, `_events_processed`) publish
-        at drain boundaries; the ``finally`` keeps them exact when a
-        callback raises, so a failed run leaves the queue coherent for
-        the harness's retry path.
-        """
-        processed = 0
-        remaining = -1 if max_events is None else max_events
-        buckets = self._buckets
-        times = self._bucket_times
-        far = self._far
-        near_window = self.near_window
-        pop = heapq.heappop
-        while True:
-            active = self._active
-            if active is not None:
-                idx = self._active_idx
-                n = len(active)
-                if idx < n:
-                    if remaining == 0:
-                        break  # budget exhausted: stop before advancing
-                    time = self._active_time
-                    if until is not None and time > until:
-                        break
-                    if time != self.now:
-                        self._advance(time)
-                    stop = n if remaining < 0 else min(n, idx + remaining)
-                    start_idx = idx
-                    try:
-                        while idx < stop:
-                            callback = active[idx]
-                            idx += 1
-                            callback()
-                    finally:
-                        fired = idx - start_idx
-                        self._active_idx = idx
-                        self._pending -= fired
-                        self._events_processed += fired
-                        processed += fired
-                        if remaining > 0:
-                            remaining -= fired
-                    continue
-                self._active = None
-            head = self._head_bucket
-            if head is not None:
-                time = self._head_time
-                if until is not None and time > until:
-                    break
-                if len(head) == 1:
-                    # Singleton fast-fire: serial chains produce a fresh
-                    # one-event bucket per cycle; fire it inline instead
-                    # of cycling it through the activation machinery.
-                    # Counters publish before the callback (matching the
-                    # reference engine's counted-then-fired order) so an
-                    # exception leaves them exact.
-                    if remaining == 0:
-                        break
-                    self._head_bucket = None
-                    if time != self.now:
-                        self.now = time
-                        horizon = time + near_window
-                        self._horizon = horizon
-                        if far and far[0][0] <= horizon:
-                            self._migrate(horizon)
-                    self._pending -= 1
-                    self._events_processed += 1
-                    processed += 1
-                    if remaining > 0:
-                        remaining -= 1
-                    head[0]()
-                    continue
-                self._head_bucket = None
-                self._active = head
-                self._active_time = time
-                self._active_idx = 0
-                continue
-            if times:
-                time = pop(times)
-                self._active = buckets.pop(time)
-                self._active_time = time
-                self._active_idx = 0
-                continue
-            if far:
-                time = far[0][0]
-                if until is not None and time > until:
-                    break
-                if remaining == 0:
-                    break
-                time, _seq, callback = pop(far)
-                self._advance(time)
-                self._pending -= 1
-                self._events_processed += 1
-                processed += 1
-                if remaining > 0:
-                    remaining -= 1
-                callback()
-                continue
-            break
-        return processed
-
-    def _run_guarded(self, until: int | None, max_events: int | None) -> int:
-        """The instrumented loop: per-event obs dispatch, watchdog ticks,
-        and batch-boundary checkpoint writes (``checkpoint_due`` is set by
-        the runtime's batch machine observer *during* an event; the write
-        happens here, between events, where the queue is consistent)."""
-        watchdog = self.watchdog
-        processed = 0
-        while True:
-            nxt = self.peek_time()
-            if nxt is None:
-                break
-            if until is not None and nxt > until:
-                break
-            if max_events is not None and processed >= max_events:
-                break
-            self.step()
-            processed += 1
-            if watchdog is not None:
-                watchdog.tick(self.now)
-            if self.checkpoint_due:
-                self.checkpoint_due = False
-                hook = self.checkpoint_hook
-                if hook is not None:
-                    hook()
-        return processed
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def pending_events(self) -> int:
-        """Number of events still queued."""
-        return self._pending
-
-    @property
-    def events_processed(self) -> int:
-        """Total number of events fired so far."""
-        return self._events_processed
-
-    def peek_time(self) -> int | None:
-        """Time of the next queued event, or None if the queue is empty.
-
-        Bucket times never exceed the horizon and far times always do, so
-        the levels need no cross-comparison.
-        """
-        active = self._active
-        if active is not None and self._active_idx < len(active):
-            return self._active_time
-        if self._head_bucket is not None:
-            return self._head_time
-        if self._bucket_times:
-            return self._bucket_times[0]
-        if self._far:
-            return self._far[0][0]
-        return None
-
-    def _iter_pending(self):
-        """Pending ``(time, callback)`` pairs in firing order (diagnostics)."""
-        active = self._active
-        if active is not None:
-            for callback in active[self._active_idx:]:
-                yield self._active_time, callback
-        if self._head_bucket is not None:
-            for callback in self._head_bucket:
-                yield self._head_time, callback
-        for time in sorted(self._bucket_times):
-            for callback in self._buckets[time]:
-                yield time, callback
-        for time, _seq, callback in heapq.nsmallest(4, self._far):
-            yield time, callback
-
-    def state_snapshot(self) -> dict:
-        """Diagnostic snapshot for stall reports (watchdog context).
-
-        Includes the clock, queue depth, and a preview of the next few
-        queued events (time + callback kind) so a stall report names the
-        event kinds involved in the livelock.  The preview walks the
-        active bucket and ``heapq.nsmallest`` over the far heap — it
-        never sorts the whole pending queue.
-        """
-        preview = []
-        for time, callback in self._iter_pending():
-            preview.append((time, _event_label(callback)))
-            if len(preview) == 4:
-                break
-        return {
-            "engine_now": self.now,
-            "events_processed": self._events_processed,
-            "pending_events": self._pending,
-            "next_events": preview,
-            "run_loop": self.lifecycle.snapshot(),
-        }
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle a *between-events* engine as restorable state.
-
-        The queue levels (head slot, active bucket + index, calendar,
-        far heap) pickle as-is — counters are published between events,
-        which is the only place checkpoints are taken.  The watchdog and
-        checkpoint hook are dropped (the deadline is wall-clock and the
-        hook may close over process-local state; the resuming process
-        arms fresh ones) and the run-loop machine is normalised to
-        ``idle`` (counts kept): the restored engine is not inside
-        ``run()``.
-        """
-        state = self.__dict__.copy()
-        state["watchdog"] = None
-        state["checkpoint_hook"] = None
-        state["checkpoint_due"] = False
-        state["lifecycle"] = self.lifecycle.detached_copy("idle")
-        return state
-
-
-class HeapEngine:
-    """Reference engine: the pre-optimization single-heap event loop.
-
-    Events are ``(time, sequence, callback)`` tuples on one binary heap;
-    the sequence number gives deterministic FIFO order within a cycle.
-    This is the seed implementation kept verbatim (minus the full-queue
-    sort in :meth:`state_snapshot`) as the behavioural yardstick: the
-    property suite asserts :class:`Engine` produces identical traces, and
-    the hot-path benchmark measures :class:`Engine`'s speedup against it
-    on the same machine.  Do not "optimize" this class — its value is
-    being the unoptimized contract.
-    """
-
-    def __init__(self) -> None:
-        self.now: int = 0
-        self._queue: list[tuple[int, int, Callback]] = []
-        self._seq = 0
-        self._events_processed = 0
-        self._running = False  # kept for bench replicas that subclass us
-        self.obs = None
-        self.watchdog = None
-        #: Same declared run-loop lifecycle and checkpoint trigger slots
-        #: as :class:`Engine`, so the cross-engine snapshot/equivalence
-        #: locks compare like with like and the batch-machine observer
-        #: works against either engine.
-        self.lifecycle = StateMachine(ENGINE_LOOP, owner=self)
-        self.checkpoint_hook: Callback | None = None
-        self.checkpoint_due = False
-
-    # -- scheduling ----------------------------------------------------
-    def schedule(self, delay: int, callback: Callback) -> None:
-        """Schedule ``callback`` to fire ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(
-                "cannot schedule into the past", delay=delay, now=self.now
-            )
-        self.schedule_at(self.now + delay, callback)
-
-    def schedule_at(self, time: int, callback: Callback) -> None:
-        """Schedule ``callback`` to fire at absolute cycle ``time``."""
-        if not isinstance(time, int):
-            as_int = int(time)
-            if as_int != time:
-                raise SimulationError(
-                    f"event times must be whole cycles (got {time!r})"
-                )
-            time = as_int
-        if time < self.now:
-            raise SimulationError(
-                "cannot schedule into the past", time=time, now=self.now
-            )
-        heapq.heappush(self._queue, (time, self._seq, callback))
-        self._seq += 1
-
-    # -- execution -----------------------------------------------------
     def step(self) -> bool:
         """Fire the next event; return False when the queue is empty."""
         if not self._queue:
@@ -696,12 +121,28 @@ class HeapEngine:
         return True
 
     def run(self, until: int | None = None, max_events: int | None = None) -> None:
-        """Run until the queue drains, ``until`` cycles pass, or ``max_events``."""
+        """Run until the queue drains, ``until`` cycles pass, or ``max_events``.
+
+        ``until`` is an absolute simulated time.  Events scheduled exactly at
+        ``until`` still fire; later events remain queued.  When the run is
+        bounded by ``until`` the clock always advances to it — including
+        when the queue is empty or drains early — so ``run(until=N)`` is a
+        reliable "advance time to N" regardless of pending work.  A stop
+        caused by ``max_events`` leaves the clock at the last fired event.
+
+        Reentrancy and failure are lifecycle transitions: a nested call
+        fires ``start`` while already ``running`` — an undeclared move,
+        so it raises :class:`~repro.errors.IllegalTransition` (a
+        :class:`SimulationError`) carrying the machine snapshot.  An
+        event handler (or the watchdog) raising moves the machine to
+        ``failed``, from which ``start`` is declared — so the engine
+        instance, and the harness retrying a failed cell on it, stays
+        usable after an exception.
+        """
         lifecycle = self.lifecycle
         lifecycle.fire(
             "start", reason="engine.run() is not reentrant", now=self.now
         )
-        self._running = True
         start_time = self.now
         watchdog = self.watchdog
         try:
@@ -723,8 +164,6 @@ class HeapEngine:
         except BaseException:
             lifecycle.fire("fail")
             raise
-        finally:
-            self._running = False
         lifecycle.fire("finish")
         if until is not None and until > self.now:
             if not self._queue or self._queue[0][0] > until:
@@ -734,7 +173,9 @@ class HeapEngine:
                 "engine", "event loop", start_time, self.now, events=processed
             )
 
-    # -- introspection -------------------------------------------------
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
     @property
     def pending_events(self) -> int:
         """Number of events still queued."""
@@ -750,8 +191,13 @@ class HeapEngine:
         return self._queue[0][0] if self._queue else None
 
     def state_snapshot(self) -> dict:
-        """Diagnostic snapshot; previews the next events via ``nsmallest``
-        instead of sorting the whole pending queue."""
+        """Diagnostic snapshot for stall reports (watchdog context).
+
+        Includes the clock, queue depth, and a preview of the next few
+        queued events (time + callback kind) so a stall report names the
+        event kinds involved in a livelock.  The preview uses
+        ``heapq.nsmallest`` — it never sorts the whole pending queue.
+        """
         preview = [
             (time, _event_label(callback))
             for time, _seq, callback in heapq.nsmallest(4, self._queue)
@@ -763,3 +209,22 @@ class HeapEngine:
             "next_events": preview,
             "run_loop": self.lifecycle.snapshot(),
         }
+
+    # ------------------------------------------------------------------
+    # Checkpointing
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        """Pickle a *between-events* engine as restorable state.
+
+        The queue pickles as-is.  The watchdog and checkpoint hook are
+        dropped (the deadline is wall-clock and the hook may close over
+        process-local state; the resuming process arms fresh ones) and
+        the run-loop machine is normalised to ``idle`` (counts kept): the
+        restored engine is not inside ``run()``.
+        """
+        state = self.__dict__.copy()
+        state["watchdog"] = None
+        state["checkpoint_hook"] = None
+        state["checkpoint_due"] = False
+        state["lifecycle"] = self.lifecycle.detached_copy("idle")
+        return state

@@ -41,14 +41,12 @@ from repro.gpu.dispatcher import Dispatcher
 from repro.gpu.occupancy import OccupancyCalculator
 from repro.gpu.sm import StreamingMultiprocessor, _always_allowed
 from repro.gpu.thread_block import BlockState, ThreadBlock
-from repro.gpu.warp import Warp, WarpState
 from repro.gpu.warp_soa import (
-    FINISHED as SOA_FINISHED,
-    RUNNING as SOA_RUNNING,
-    STALLED as SOA_STALLED,
-    SUSPENDED as SOA_SUSPENDED,
-    READY as SOA_READY,
-    SoAThreadBlock,
+    FINISHED,
+    READY,
+    RUNNING,
+    STALLED,
+    SUSPENDED,
     SoAWarp,
     WarpStore,
     derive_ops,
@@ -81,7 +79,7 @@ class _ExecuteOpEvent:
     __slots__ = ("_sim", "_warp")
     kind = "GpuUvmSimulator._execute_op"
 
-    def __init__(self, sim: "GpuUvmSimulator", warp: Warp) -> None:
+    def __init__(self, sim: "GpuUvmSimulator", warp: SoAWarp) -> None:
         self._sim = sim
         self._warp = warp
 
@@ -95,31 +93,12 @@ class _WarpCompletedEvent:
     __slots__ = ("_sim", "_warp")
     kind = "GpuUvmSimulator._warp_completed"
 
-    def __init__(self, sim: "GpuUvmSimulator", warp: Warp) -> None:
-        self._sim = sim
-        self._warp = warp
-
-    def __call__(self) -> None:
-        self._sim._warp_completed(self._warp)
-
-
-class _SoAExecuteOpEvent:
-    """Interned warp-step event for the SoA backend.
-
-    Carries the *same* ``kind`` label as the object-model event: the obs
-    layer's per-event-kind dispatch counters must be backend-invariant
-    for the golden equivalence lock to hold in full-obs runs.
-    """
-
-    __slots__ = ("_sim", "_warp")
-    kind = "GpuUvmSimulator._execute_op"
-
     def __init__(self, sim: "GpuUvmSimulator", warp: SoAWarp) -> None:
         self._sim = sim
         self._warp = warp
 
     def __call__(self) -> None:
-        self._sim._execute_op_soa(self._warp)
+        self._sim._warp_completed(self._warp)
 
 
 @dataclass
@@ -197,19 +176,7 @@ class GpuUvmSimulator:
         config: SimConfig,
         timeline=None,
         obs=None,
-        backend: str = "soa",
     ) -> None:
-        if backend not in ("soa", "object"):
-            raise ConfigError(
-                f"unknown model backend {backend!r}; expected 'soa' or 'object'"
-            )
-        #: Warp-model backend: ``"soa"`` (default) keeps warp state in
-        #: struct-of-arrays form (:mod:`repro.gpu.warp_soa`) with the
-        #: vectorized issue path; ``"object"`` is the reference
-        #: per-warp-object model.  Both produce bit-identical results —
-        #: backend is a constructor argument rather than a SimConfig field
-        #: precisely because it must not perturb run-cache keys.
-        self.backend = backend
         self.workload = workload
         self.config = config
         self.timeline = timeline
@@ -256,10 +223,7 @@ class GpuUvmSimulator:
             make_prefetcher(config.uvm),
             workload.address_space.all_pages(),
         )
-        self.runtime.wake_warp = self._wake_warp
-        self.runtime.wake_warps = (
-            self._wake_warps_soa if backend == "soa" else self._wake_warps
-        )
+        self.runtime.wake_warps = self._wake_warps
         self.runtime.on_evict = self._on_evict
         self.runtime.timeline = timeline
         self.runtime.obs = self.obs
@@ -362,17 +326,12 @@ class GpuUvmSimulator:
     def _bind_hot_paths(self) -> None:
         """(Re)build the process-local hot-path bindings.
 
-        Called from ``__init__`` and again from ``__setstate__``: the SoA
+        Called from ``__init__`` and again from ``__setstate__``: the
         issue loop's per-SM tuples hold bound builtin methods
         (``dict.get``, ``set.add``) that cannot be pickled, so checkpoints
         drop them and restore rebinds against the unpickled containers.
         """
-        self._schedule_warp_impl = (
-            self._schedule_warp_soa
-            if self.backend == "soa"
-            else self._schedule_warp
-        )
-        # Access-promotion hook for the SoA issue loop: None when the
+        # Access-promotion hook for the issue loop: None when the
         # configured policy inherits the base no-op ``touch`` (aged-lru),
         # letting the hot loop skip the per-page call entirely; bound
         # method otherwise (access-lru).  Behaviour-identical either way.
@@ -382,7 +341,7 @@ class GpuUvmSimulator:
             if type(policy).touch is ReplacementPolicy.touch
             else policy.touch
         )
-        # Per-SM hot-path bindings for the SoA issue loop: one tuple
+        # Per-SM hot-path bindings for the issue loop: one tuple
         # unpack replaces ~20 attribute-chain loads per executed op.  All
         # referenced containers (TLB/cache sets, version map, dirty set)
         # are created once in their owners' __init__ and never reassigned,
@@ -390,7 +349,7 @@ class GpuUvmSimulator:
         gpu = self.config.gpu
         versions = self.page_table._versions
         l2d = self.caches.l2
-        self._soa_hot = [
+        self._sm_hot = [
             (
                 l1,
                 l1._sets[0],
@@ -553,10 +512,9 @@ class GpuUvmSimulator:
         batches (and on watchdog stalls) into ``directory``.
 
         The batch machine's ``complete`` transition marks the file due;
-        the engine's guarded loop writes it *between* events — possibly a
+        the engine's run loop writes it *between* events — possibly a
         few events into the next batch, which is still a consistent (and
-        restorable) point.  Enabling checkpoints routes the engine through
-        its guarded loop; leave disabled for cache-hot sweeps.
+        restorable) point.
         """
         if every <= 0:
             raise ConfigError("checkpoint interval must be positive", every=every)
@@ -564,9 +522,7 @@ class GpuUvmSimulator:
         directory.mkdir(parents=True, exist_ok=True)
         self._checkpoint_dir = str(directory)
         self._checkpoint_every = int(every)
-        self._checkpoint_basename = basename or (
-            f"{self.workload.name}-{self.backend}"
-        )
+        self._checkpoint_basename = basename or self.workload.name
         self.engine.checkpoint_hook = self._write_checkpoint
 
     def snapshot(self):
@@ -616,14 +572,13 @@ class GpuUvmSimulator:
     def __getstate__(self) -> dict:
         """Checkpoint pickling: drop the process-local hot-path bindings.
 
-        ``_soa_hot`` holds bound builtin methods (``dict.get``,
+        ``_sm_hot`` holds bound builtin methods (``dict.get``,
         ``set.add``) that cannot pickle; ``__setstate__`` rebinds them
         against the restored containers via :meth:`_bind_hot_paths`.
         """
         state = self.__dict__.copy()
-        state.pop("_soa_hot", None)
+        state.pop("_sm_hot", None)
         state.pop("_policy_touch", None)
-        state.pop("_schedule_warp_impl", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -641,11 +596,7 @@ class GpuUvmSimulator:
         kernel = self.workload.kernels[self._kernel_index]
         self._kernel_index += 1
 
-        if self.backend == "soa":
-            blocks = self._build_blocks_soa(kernel)
-        else:
-            blocks = self._build_blocks_object(kernel)
-
+        blocks = self._build_blocks(kernel)
         if not blocks:
             self.engine.schedule(0, self._start_next_kernel)
             return
@@ -662,7 +613,7 @@ class GpuUvmSimulator:
                 active_limit,
                 self.context_cost,
                 kernel.resources,
-                self._schedule_warp_impl,
+                self._schedule_warp,
                 switch_allowed,
                 forced,
             )
@@ -690,27 +641,8 @@ class GpuUvmSimulator:
         )
         self._dispatcher.launch()
 
-    def _build_blocks_object(self, kernel) -> list[ThreadBlock]:
-        """Reference object-model kernel build: one Warp object per warp."""
-        blocks: list[ThreadBlock] = []
-        validator = self._warp_validator
-        for block_trace in kernel.blocks:
-            warps = []
-            for warp_id, ops in enumerate(block_trace.warp_ops):
-                warp = Warp(warp_id, ops)
-                warp.exec_event = _ExecuteOpEvent(self, warp)
-                warp.complete_event = _WarpCompletedEvent(self, warp)
-                warp.validator = validator
-                if not ops:
-                    warp.state = WarpState.FINISHED
-                warps.append(warp)
-            if not warps or all(w.finished for w in warps):
-                continue  # nothing to execute
-            blocks.append(ThreadBlock(len(blocks), warps))
-        return blocks
-
-    def _build_blocks_soa(self, kernel) -> list[ThreadBlock]:
-        """SoA kernel build: one WarpStore for the whole launch.
+    def _build_blocks(self, kernel) -> list[ThreadBlock]:
+        """Kernel build: one WarpStore for the whole launch.
 
         Warp indices are assigned in dispatch order, so each block's warps
         occupy a contiguous index range (what the block predicates scan).
@@ -725,7 +657,7 @@ class GpuUvmSimulator:
         store.validator = self._warp_validator
         self._warp_store = store
         blocks: list[ThreadBlock] = []
-        derived = self._kernel_derived_soa(kernel)
+        derived = self._kernel_derived(kernel)
         index = 0
         for block_trace in kernel.blocks:
             warps = []
@@ -733,16 +665,16 @@ class GpuUvmSimulator:
                 warp = store.add_warp_derived(
                     index, warp_id, ops, derived[index]
                 )
-                warp.exec_event = _SoAExecuteOpEvent(self, warp)
+                warp.exec_event = _ExecuteOpEvent(self, warp)
                 warp.complete_event = _WarpCompletedEvent(self, warp)
                 warps.append(warp)
                 index += 1
             if not warps or all(w.finished for w in warps):
                 continue  # nothing to execute
-            blocks.append(SoAThreadBlock(len(blocks), warps))
+            blocks.append(ThreadBlock(len(blocks), warps))
         return blocks
 
-    def _kernel_derived_soa(self, kernel) -> list[tuple]:
+    def _kernel_derived(self, kernel) -> list[tuple]:
         """Per-warp derived tuples for ``kernel``, cached on the trace.
 
         The cache key covers everything the derivation reads: the page
@@ -751,10 +683,10 @@ class GpuUvmSimulator:
         itself, so it dies with the trace.
         """
         key = (self.page_shift, self.config.time_scale)
-        cache = getattr(kernel, "_soa_derived_cache", None)
+        cache = getattr(kernel, "_derived_cache", None)
         if cache is None:
             cache = {}
-            object.__setattr__(kernel, "_soa_derived_cache", cache)
+            object.__setattr__(kernel, "_derived_cache", cache)
         derived = cache.get(key)
         if derived is None:
             page_shift = self.page_shift
@@ -805,139 +737,38 @@ class GpuUvmSimulator:
     # ------------------------------------------------------------------
     # Warp execution
     # ------------------------------------------------------------------
-    def _schedule_warp(self, warp: Warp, extra_delay: int) -> None:
-        """Schedule the warp's current op to issue after its compute time."""
-        if warp.finished:
-            return
-        warp.state = WarpState.RUNNING
-        delay = extra_delay + self._compute_cycles(warp.current_op())
-        self.engine.schedule(delay, warp.exec_event)
-
-    def _compute_cycles(self, op) -> int:
-        scale = self.config.time_scale
-        if scale == 1.0:
-            return op.compute_cycles
-        return max(1, round(op.compute_cycles * scale))
-
     def _scale_compute(self, cycles: int) -> int:
-        """Scalar twin of :meth:`_compute_cycles` for SoA precomputation."""
+        """Scheduled cycles for ``cycles`` of raw compute under the
+        config's time scale (applied once per op at kernel build)."""
         scale = self.config.time_scale
         if scale == 1.0:
             return cycles
         return max(1, round(cycles * scale))
 
-    def _execute_op(self, warp: Warp) -> None:
-        if warp.finished:
-            return
-        block = warp.block
-        if block.state is not BlockState.ACTIVE:
-            # The block was context-switched out while this event was in
-            # flight; the warp resumes when the block is reactivated.
-            warp.state = WarpState.SUSPENDED
-            return
-        sm: StreamingMultiprocessor = block.sm
-        if sm.throttled:
-            sm.park(warp)
-            return
-        if sm.switch_busy_until > self.engine.now:
-            # The register file is busy with a context save/restore; the
-            # SM cannot issue until it completes.
-            self.engine.schedule_at(sm.switch_busy_until, warp.exec_event)
-            return
-
-        warp.mem_wait = False
-        op = warp.current_op()
-        now = self.engine.now
-        pages = op.pages(self.page_shift)
-
-        latency = 0
-        missing = []
-        for page in pages:
-            result = self.mmu.translate(page, sm.sm_id, now)
-            latency = max(latency, result.latency)
-            if not result.resident:
-                missing.append(page)
-
-        an = self._an
-        if missing:
-            if an is not None:
-                # Busy cycles leading up to the faulting access; charged
-                # to ``replay`` when this issue is a post-stall re-issue.
-                cycles = self._compute_cycles(op)
-                if warp.replay_pending:
-                    warp.replay_pending = False
-                    an.attr.replay[sm.sm_id] += cycles
-                else:
-                    an.attr.compute[sm.sm_id] += cycles
-            warp.stall_on(missing, now, 0)
-            for page in missing:
-                self._unique_fault_pages.add(page)
-                self.runtime.raise_fault(page, warp)
-            if self.config.runahead.enabled:
-                self._runahead_probe(warp)
-            sm.on_warp_stalled(warp)
-            return
-
-        for page in pages:
-            self.memory.on_access(page)
-        for page in op.store_pages(self.page_shift):
-            self.memory.mark_dirty(page)
-        data_latency = 0
-        if op.addresses:
-            data_latency = self.caches.access_lines(op.lines(), sm.sm_id)
-            data_latency += self._access_penalty
-        total = latency + data_latency
-
-        # Virtual Thread descheduling trigger: any access that leaves the
-        # core (L2 or DRAM) counts as a long-latency operation.
-        if total >= self.config.gpu.l2_hit_cycles:
-            warp.mem_wait = True
-            sm.on_warp_mem_wait(warp)
-
-        if an is not None:
-            # Busy cycles of the retiring op: its issue compute plus the
-            # translation + data latency it just paid.
-            cycles = self._compute_cycles(op) + total
-            if warp.replay_pending:
-                warp.replay_pending = False
-                an.attr.replay[sm.sm_id] += cycles
-            else:
-                an.attr.compute[sm.sm_id] += cycles
-        warp.advance()
-        if warp.finished:
-            self.engine.schedule(total, warp.complete_event)
-        else:
-            warp.state = WarpState.RUNNING
-            next_delay = total + self._compute_cycles(warp.current_op())
-            self.engine.schedule(next_delay, warp.exec_event)
-
-    # ------------------------------------------------------------------
-    # Warp execution: SoA backend
-    # ------------------------------------------------------------------
-    def _schedule_warp_soa(self, warp: SoAWarp, extra_delay: int) -> None:
-        """SoA twin of :meth:`_schedule_warp` (compute pre-scaled)."""
+    def _schedule_warp(self, warp: SoAWarp, extra_delay: int) -> None:
+        """Schedule the warp's current op to issue after its compute time
+        (pre-scaled at kernel build)."""
         store = warp.store
         i = warp.index
-        if store.state[i] == SOA_FINISHED:
+        if store.state[i] == FINISHED:
             return
-        store.state[i] = SOA_RUNNING
+        store.state[i] = RUNNING
         delay = extra_delay + store.op_compute[i][store.pc[i]]
         self.engine.schedule(delay, warp.exec_event)
 
-    def _execute_op_soa(self, warp: SoAWarp) -> None:
-        """Vectorized-backend twin of :meth:`_execute_op`.
+    def _execute_op(self, warp: SoAWarp) -> None:
+        """Issue the warp's current op: translate, fault or access, retire.
 
-        Behaviourally bit-identical to the object path (the golden
-        equivalence suite runs both), but with the per-event work
-        restructured for speed:
+        The per-event work is restructured for speed; the golden corpus
+        (``tests/test_equivalence_golden.py``) locks the result bits:
 
         * op-derived data (pages, lines, store pages, scaled compute)
           comes from the WarpStore's precomputed tuples;
         * the L1 TLB probe is inlined (fully associative by construction,
           so ``_sets[0]`` is the whole TLB), replicating
           :meth:`~repro.vm.tlb.Tlb.lookup` counter-for-counter; misses
-          fall back to :meth:`~repro.vm.mmu.GpuMmu.translate_after_l1_miss`
-          so the cold path stays shared with the object model;
+          fall back to :meth:`~repro.vm.mmu.GpuMmu.translate_after_l1_miss`,
+          the cold path :meth:`~repro.vm.mmu.GpuMmu.translate` shares;
         * the data-cache probe-and-fill is inlined from
           :meth:`~repro.gpu.caches.CacheHierarchy.access_lines`;
         * the replacement-policy ``touch`` is skipped outright when the
@@ -946,13 +777,13 @@ class GpuUvmSimulator:
         store = warp.store
         i = warp.index
         state = store.state
-        if state[i] == SOA_FINISHED:
+        if state[i] == FINISHED:
             return
         block = warp.block
         if block.state is not BlockState.ACTIVE:
             # The block was context-switched out while this event was in
             # flight; the warp resumes when the block is reactivated.
-            state[i] = SOA_SUSPENDED
+            state[i] = SUSPENDED
             return
         sm: StreamingMultiprocessor = block.sm
         if sm.throttled:
@@ -992,7 +823,7 @@ class GpuUvmSimulator:
             alloc_time,
             dirty_add,
             touch,
-        ) = self._soa_hot[sm.sm_id]
+        ) = self._sm_hot[sm.sm_id]
         latency = 0
         missing = None
         for page in pages:
@@ -1024,8 +855,8 @@ class GpuUvmSimulator:
         if missing is not None:
             an = self._an
             if an is not None:
-                # Mirror of the object path's fault-issue busy charge
-                # (op_compute is pre-scaled, so values are identical).
+                # Busy cycles leading up to the faulting access; charged
+                # to ``replay`` when this issue is a post-stall re-issue.
                 cycles = store.op_compute[i][pc]
                 replay_pending = store.replay_pending
                 if replay_pending[i]:
@@ -1113,7 +944,8 @@ class GpuUvmSimulator:
 
         an = self._an
         if an is not None:
-            # Mirror of the object path's retire busy charge.
+            # Busy cycles of the retiring op: its issue compute plus the
+            # translation + data latency it just paid.
             cycles = store.op_compute[i][pc] + total
             replay_pending = store.replay_pending
             if replay_pending[i]:
@@ -1125,13 +957,13 @@ class GpuUvmSimulator:
         store.pc[i] = pc
         compute = store.op_compute[i]
         if pc >= len(compute):
-            state[i] = SOA_FINISHED
+            state[i] = FINISHED
             engine.schedule(total, warp.complete_event)
         else:
-            state[i] = SOA_RUNNING
+            state[i] = RUNNING
             engine.schedule(total + compute[pc], warp.exec_event)
 
-    def _runahead_probe(self, warp: Warp) -> None:
+    def _runahead_probe(self, warp: SoAWarp) -> None:
         """Speculatively translate the stalled warp's next ops (§4.1 alt).
 
         Runahead issues translations only — no execution, no warp state
@@ -1153,7 +985,7 @@ class GpuUvmSimulator:
                 self._runahead_faults += 1
                 self.runtime.raise_fault(page, None)
 
-    def _warp_completed(self, warp: Warp) -> None:
+    def _warp_completed(self, warp: SoAWarp) -> None:
         warp.mem_wait = False
         self._warp_stall_cycles += warp.stalled_cycles
         block = warp.block
@@ -1163,109 +995,17 @@ class GpuUvmSimulator:
     # ------------------------------------------------------------------
     # Runtime callbacks
     # ------------------------------------------------------------------
-    def _wake_warp(self, warp: Warp) -> None:
-        block = warp.block
-        an = self._an
-        if an is not None:
-            sm0 = block.sm
-            an.record_stall(
-                sm0.sm_id if sm0 is not None else an.attr.num_sms,
-                warp.stall_start,
-                self.engine.now,
-            )
-            warp.replay_pending = True
-        if block.state is BlockState.ACTIVE:
-            sm: StreamingMultiprocessor = block.sm
-            if sm.throttled:
-                sm.park(warp)
-                return
-            obs = self.obs
-            if obs is not None:
-                # Per-SM/warp stall attribution: the warp stalled on a
-                # fault at ``stall_start`` and resumes now.
-                now = self.engine.now
-                stalled = now - warp.stall_start
-                obs.tracer.complete(
-                    f"sm{sm.sm_id}",
-                    "warp stall",
-                    warp.stall_start,
-                    now,
-                    warp=warp.warp_id,
-                )
-                obs.metrics.counter("sm.stall_cycles", sm=sm.sm_id).inc(stalled)
-                obs.metrics.histogram("sm.warp_stall_cycles", 1000).record(stalled)
-            # Replay the faulted access: re-issue the current op.  The
-            # compute charged by _schedule_warp stands in for the fault
-            # replay overhead.
-            self._schedule_warp_impl(warp, 0)
-            return
-        warp.state = WarpState.SUSPENDED
-        if block.state is BlockState.INACTIVE and block.sm is not None:
-            block.sm.on_block_ready(block)
-
     def _wake_warps(self, page: int, now: int, waiters) -> None:
-        """Batched page-arrival fan-out: one call wakes every waiter.
+        """Page-arrival fan-out: one call wakes every waiter of ``page``.
 
-        Same per-warp logic as :meth:`_wake_warp`, with the obs guard,
-        clock read, and method lookups hoisted out of the loop.  Per-warp
-        *order* is load-bearing and must match the unbatched path: a
-        wake's side effects (block activation, context-switch decisions
-        reading co-waiters' states) are observable to later waiters, so
-        each waiter is notified and woken before the next is notified.
+        Per-warp *order* is load-bearing: a wake's side effects (block
+        activation, context-switch decisions reading co-waiters' states)
+        are observable to later waiters, so each waiter is notified and
+        fully woken before the next is notified.
         """
         obs = self.obs
         an = self._an
         schedule_warp = self._schedule_warp
-        for warp in waiters:
-            if not warp.page_arrived(page, now):
-                continue
-            block = warp.block
-            if an is not None:
-                # Decompose the just-finished stall interval in *every*
-                # wake branch (active, suspended, inactive) so the bucket
-                # totals tile stalled_cycles exactly.
-                sm0 = block.sm
-                an.record_stall(
-                    sm0.sm_id if sm0 is not None else an.attr.num_sms,
-                    warp.stall_start,
-                    now,
-                )
-                warp.replay_pending = True
-            if block.state is BlockState.ACTIVE:
-                sm: StreamingMultiprocessor = block.sm
-                if sm.throttled:
-                    sm.park(warp)
-                    continue
-                if obs is not None:
-                    stalled = now - warp.stall_start
-                    obs.tracer.complete(
-                        f"sm{sm.sm_id}",
-                        "warp stall",
-                        warp.stall_start,
-                        now,
-                        warp=warp.warp_id,
-                    )
-                    obs.metrics.counter("sm.stall_cycles", sm=sm.sm_id).inc(
-                        stalled
-                    )
-                    obs.metrics.histogram("sm.warp_stall_cycles", 1000).record(
-                        stalled
-                    )
-                schedule_warp(warp, 0)
-                continue
-            warp.state = WarpState.SUSPENDED
-            if block.state is BlockState.INACTIVE and block.sm is not None:
-                block.sm.on_block_ready(block)
-
-    def _wake_warps_soa(self, page: int, now: int, waiters) -> None:
-        """SoA twin of :meth:`_wake_warps` with ``page_arrived`` inlined.
-
-        Preserves the same load-bearing per-warp order: each waiter is
-        notified and fully woken before the next is notified.
-        """
-        obs = self.obs
-        an = self._an
-        schedule_warp = self._schedule_warp_soa
         for warp in waiters:
             store = warp.store
             i = warp.index
@@ -1276,14 +1016,16 @@ class GpuUvmSimulator:
             if remaining:
                 continue
             state = store.state
-            if state[i] != SOA_STALLED:
+            if state[i] != STALLED:
                 continue
             stall_start = store.stall_start[i]
             store.stalled_cycles[i] += now - stall_start
-            state[i] = SOA_READY
+            state[i] = READY
             block = warp.block
             if an is not None:
-                # Same every-branch decomposition as the object path.
+                # Decompose the just-finished stall interval in *every*
+                # wake branch (active, suspended, inactive) so the bucket
+                # totals tile stalled_cycles exactly.
                 sm0 = block.sm
                 an.record_stall(
                     sm0.sm_id if sm0 is not None else an.attr.num_sms,
@@ -1313,7 +1055,7 @@ class GpuUvmSimulator:
                     )
                 schedule_warp(warp, 0)
                 continue
-            state[i] = SOA_SUSPENDED
+            state[i] = SUSPENDED
             if block.state is BlockState.INACTIVE and block.sm is not None:
                 block.sm.on_block_ready(block)
 

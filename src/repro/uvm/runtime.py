@@ -35,8 +35,8 @@ from repro.uvm.transfer import PcieModel
 from repro.vm.page_table import PageTable
 
 
-def _noop_wake(warp) -> None:
-    """Default :attr:`UvmRuntime.wake_warp` (module-level: picklable)."""
+def _noop_wake(page: int, now: int, waiters) -> None:
+    """Default :attr:`UvmRuntime.wake_warps` (module-level: picklable)."""
 
 
 def _noop_evict(page: int) -> None:
@@ -87,16 +87,13 @@ class UvmRuntime:
         # persists across batches (a D2H transfer may outlive its batch).
         self._pending_frames: list[int] = []
 
-        #: Called with a warp whose last awaited page arrived.
-        self.wake_warp: Callable[..., None] = _noop_wake
-        #: Batched variant: called once per page arrival with ``(page,
-        #: now, waiters)`` and fans out to every same-cycle waiter in a
-        #: single call.  The implementation must preserve per-warp order —
-        #: notify each waiter, then wake it before notifying the next —
-        #: because a wake's side effects (block activation, context-switch
-        #: decisions) are observable to later waiters.  ``None`` falls
-        #: back to per-warp :attr:`wake_warp` calls.
-        self.wake_warps: Callable[..., None] | None = None
+        #: Called once per page arrival with ``(page, now, waiters)``; fans
+        #: out to every waiter of the page in a single call.  The
+        #: implementation must preserve per-warp order — notify each
+        #: waiter, then wake it before notifying the next — because a
+        #: wake's side effects (block activation, context-switch
+        #: decisions) are observable to later waiters.
+        self.wake_warps: Callable[..., None] = _noop_wake
         #: Called with each evicted page (cache/TLB invalidation hook).
         self.on_evict: Callable[[int], None] = _noop_evict
         #: Called when a batch completes (TO controller, ETC epochs).
@@ -503,14 +500,7 @@ class UvmRuntime:
             if an is not None:
                 # Context for the stall decomposition the wake performs.
                 an.arrival_frame_wait = self._frame_waits.get(page, 0)
-            wake_warps = self.wake_warps
-            if wake_warps is not None:
-                wake_warps(page, now, waiters)
-            else:
-                wake_warp = self.wake_warp
-                for warp in waiters:
-                    if warp.page_arrived(page, now):
-                        wake_warp(warp)
+            self.wake_warps(page, now, waiters)
         self._remaining_arrivals -= 1
         if self._remaining_arrivals == 0:
             self._end_batch()

@@ -75,8 +75,8 @@ class GpuMmu:
     ) -> tuple[bool, int, str]:
         """Continue a translation whose L1 probe already missed.
 
-        The SoA warp backend inlines the (overwhelmingly common) L1-hit
-        probe into its issue loop and falls back here for misses, so the
+        The simulator inlines the (overwhelmingly common) L1-hit probe
+        into its issue loop and falls back here for misses, so the
         cold path stays in one place and every counter/LRU update is
         shared with :meth:`translate`.  Returns a plain tuple — the hot
         caller unpacks it without building a :class:`TranslationResult`.

@@ -4,8 +4,9 @@ Locks the three contracts the analytics layer ships with:
 
 * **Attribution identity** — on every system preset, the three stall
   buckets (``fault_latency + eviction_wait + pcie_queue``) sum exactly to
-  the simulator's ``warp_stall_cycles``, and the full bucket breakdown is
-  bit-identical across the object and SoA warp backends.
+  the simulator's ``warp_stall_cycles``, and the full bucket breakdown
+  equals the one the object warp model recorded into the golden file
+  (``attribution_by_system``).
 * **Feature determinism** — the per-batch feature vectors for a pinned
   cell reproduce the golden file field-for-field (regenerate with
   ``PYTHONPATH=src python tests/test_analytics.py --regenerate`` only
@@ -36,7 +37,6 @@ GOLDEN_CELL = ("TO+UE", "BFS-TTC")
 def run_with_analytics(
     system: str,
     workload: str = "BFS-TTC",
-    backend: str = "soa",
     chaos: str | None = None,
     flight_events: int = 64,
 ):
@@ -49,36 +49,35 @@ def run_with_analytics(
     session = obs.Observability(
         "light", analytics=True, flight_events=flight_events
     )
-    sim = GpuUvmSimulator(wl, config, obs=session, backend=backend)
+    sim = GpuUvmSimulator(wl, config, obs=session)
     result = sim.run()
     return result, session.analytics.runs[-1]
 
 
 # ----------------------------------------------------------------------
-# Attribution identity, every preset x both backends
+# Attribution identity, every preset, against the recorded breakdown
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "system", [preset.name for preset in systems.ALL_SYSTEMS]
 )
 def test_stall_attribution_identity_and_backend_equivalence(system):
-    totals_by_backend = {}
-    for backend in ("object", "soa"):
-        result, run = run_with_analytics(system, backend=backend)
-        totals = run.attr.totals()
-        stall_sum = (
-            totals["fault_latency"]
-            + totals["eviction_wait"]
-            + totals["pcie_queue"]
-        )
-        # The locked identity: the three stall buckets tile the warp
-        # stalls exactly, and the independent per-wake accumulator agrees.
-        assert stall_sum == result.warp_stall_cycles == run.stall_total
-        assert all(totals[bucket] >= 0 for bucket in BUCKETS)
-        # Per-SM rows re-sum to the totals (no cycles lost in the rollup).
-        for bucket in BUCKETS:
-            assert sum(getattr(run.attr, bucket)) == totals[bucket]
-        totals_by_backend[backend] = totals
-    assert totals_by_backend["object"] == totals_by_backend["soa"]
+    result, run = run_with_analytics(system)
+    totals = run.attr.totals()
+    stall_sum = (
+        totals["fault_latency"]
+        + totals["eviction_wait"]
+        + totals["pcie_queue"]
+    )
+    # The locked identity: the three stall buckets tile the warp stalls
+    # exactly, and the independent per-wake accumulator agrees.
+    assert stall_sum == result.warp_stall_cycles == run.stall_total
+    assert all(totals[bucket] >= 0 for bucket in BUCKETS)
+    # Per-SM rows re-sum to the totals (no cycles lost in the rollup).
+    for bucket in BUCKETS:
+        assert sum(getattr(run.attr, bucket)) == totals[bucket]
+    # The breakdown the object warp model recorded, bucket for bucket.
+    recorded = json.loads(GOLDEN.read_text())["attribution_by_system"]
+    assert totals == recorded[system]
 
 
 def test_batches_and_analysis_consistent():
@@ -254,7 +253,12 @@ def test_profiler_top_n_folds_tail():
 if __name__ == "__main__":
     if "--regenerate" in sys.argv:
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN.write_text(json.dumps(golden_payload(), indent=1) + "\n")
+        payload = golden_payload()
+        payload["attribution_by_system"] = {
+            preset.name: run_with_analytics(preset.name)[1].attr.totals()
+            for preset in systems.ALL_SYSTEMS
+        }
+        GOLDEN.write_text(json.dumps(payload, indent=1) + "\n")
         print(f"wrote {GOLDEN}")
     else:
         sys.exit(pytest.main([__file__, "-v"]))

@@ -3,7 +3,7 @@
 The contract under test (see ``docs/robustness.md``): restoring a
 batch-boundary checkpoint and running to completion produces the *same*
 ``SimulationResult`` — every scalar, every batch record, every extra —
-as the uninterrupted run, for both warp backends and under chaos
+as the uninterrupted run, on both warp models and under chaos
 injection.  The property test lets Hypothesis pick the boundary; the
 negative tests cover truncated files, version skew, fingerprint skew,
 bad magic, and the quarantine policy.
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import GpuUvmSimulator, build_workload, systems
+from repro import build_workload, systems
 from repro.chaos.config import parse_chaos_spec
 from repro.checkpoint import (
     MAGIC,
@@ -31,6 +31,7 @@ from repro.checkpoint import (
     try_load,
 )
 from repro.errors import CheckpointError, SimulationError
+from tests.test_equivalence_golden import MODELS
 
 #: Every perturbation injector at once (``fail-batch`` is excluded: it
 #: exists to abort runs deliberately, so it has nothing to resume).
@@ -43,24 +44,24 @@ CHAOS_SPEC = (
 )
 
 
-def _build(backend: str, chaos: bool):
+def _build(model: str, chaos: bool):
     workload = build_workload("KCORE", scale="tiny", seed=0)
     config = systems.TO_UE.configure(workload, ratio=0.5)
     if chaos:
         config = replace(config, chaos=parse_chaos_spec(CHAOS_SPEC, seed=11))
-    return GpuUvmSimulator(workload, config, backend=backend)
+    return MODELS[model](workload, config)
 
 
-#: (backend, chaos) -> (reference result, list of per-batch checkpoints).
+#: (model, chaos) -> (reference result, list of per-batch checkpoints).
 #: Built lazily so each cell simulates exactly twice across the module.
 _CORPUS: dict = {}
 
 
-def _corpus(backend: str, chaos: bool):
-    key = (backend, chaos)
+def _corpus(model: str, chaos: bool):
+    key = (model, chaos)
     if key not in _CORPUS:
-        reference = _build(backend, chaos).run()
-        sim = _build(backend, chaos)
+        reference = _build(model, chaos).run()
+        sim = _build(model, chaos)
         snaps = []
         sim.engine.checkpoint_hook = lambda: snaps.append(sim.snapshot())
         checkpointed = sim.run()
@@ -76,9 +77,9 @@ def _corpus(backend: str, chaos: bool):
 # Bit-identical restore
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("chaos", [False, True], ids=["plain", "chaos"])
-@pytest.mark.parametrize("backend", ["object", "soa"])
-def test_mid_run_restore_is_bit_identical(backend: str, chaos: bool):
-    reference, snaps = _corpus(backend, chaos)
+@pytest.mark.parametrize("model", list(MODELS))
+def test_mid_run_restore_is_bit_identical(model: str, chaos: bool):
+    reference, snaps = _corpus(model, chaos)
     middle = snaps[len(snaps) // 2]
     resumed = middle.restore().resume()
     assert resumed == reference
@@ -89,12 +90,12 @@ def test_mid_run_restore_is_bit_identical(backend: str, chaos: bool):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(choice=st.integers(min_value=0), backend=st.sampled_from(["object", "soa"]))
-def test_property_any_boundary_restores_identically(choice: int, backend: str):
+@given(choice=st.integers(min_value=0))
+def test_property_any_boundary_restores_identically(choice: int):
     """Hypothesis picks the batch boundary (including the chaos corpus):
     restore + resume from *any* checkpoint must reproduce the reference
     bits — chaos RNG streams, warp state, and queues all included."""
-    reference, snaps = _corpus(backend, chaos=True)
+    reference, snaps = _corpus("soa", chaos=True)
     checkpoint = snaps[choice % len(snaps)]
     resumed = checkpoint.restore().resume()
     assert resumed == reference
@@ -133,14 +134,13 @@ def test_disk_round_trip(tmp_path):
 
 
 def test_checkpoint_meta_describes_run(tmp_path):
-    sim = _build("object", chaos=False)
+    sim = _build("soa", chaos=False)
     path = save_checkpoint(sim, tmp_path / "pre.ckpt")
     checkpoint = load_checkpoint(path)
     meta = checkpoint.meta
     assert meta["magic"] == MAGIC
     assert meta["schema"] == SCHEMA_VERSION
     assert meta["workload"] == "KCORE"
-    assert meta["backend"] == "object"
     assert meta["engine_now"] == 0
     assert "batches" in meta and "fingerprint" in meta
     assert "KCORE" in repr(checkpoint)

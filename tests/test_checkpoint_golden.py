@@ -4,7 +4,7 @@ Every cell of the equivalence corpus (``tests/golden/equivalence/``) is
 run once with in-memory checkpointing, interrupted at a mid-run batch
 boundary, restored, and resumed — and the resumed result must reproduce
 the golden file field-for-field (scalars, batch records, obs metrics),
-for both warp backends.  Combined with ``test_equivalence_golden`` (the
+on both warp models.  Combined with ``test_equivalence_golden`` (the
 uninterrupted lock) this proves restore-then-run ≡ uninterrupted-run
 across the whole corpus.
 
@@ -21,18 +21,18 @@ import json
 
 import pytest
 
-from repro import GpuUvmSimulator, build_workload, obs, systems
+from repro import build_workload, obs, systems
 
-from tests.test_equivalence_golden import CELLS, cell_path
+from tests.test_equivalence_golden import CELLS, MODELS, cell_path
 
 
-def _run_with_mid_checkpoint(system: str, workload: str, backend: str):
+def _run_with_mid_checkpoint(system: str, workload: str, model: str):
     """Run one golden cell, keeping one mid-run checkpoint (power-of-two
     retention), then restore it and resume to completion."""
     wl = build_workload(workload, scale="tiny", seed=0)
     config = systems.by_name(system).configure(wl, ratio=0.5)
     session = obs.Observability("light")
-    sim = GpuUvmSimulator(wl, config, obs=session, backend=backend)
+    sim = MODELS[model](wl, config, obs=session)
 
     kept = {"count": 0, "snapshot": None, "batches": None}
 
@@ -53,17 +53,17 @@ def _run_with_mid_checkpoint(system: str, workload: str, backend: str):
     return uninterrupted, resumed, restored, kept["batches"]
 
 
-@pytest.mark.parametrize("backend", ["object", "soa"])
+@pytest.mark.parametrize("model", list(MODELS))
 @pytest.mark.parametrize(("system", "workload"), CELLS)
 def test_restore_then_run_matches_golden(
-    system: str, workload: str, backend: str
+    system: str, workload: str, model: str
 ) -> None:
     golden = json.loads(cell_path(system, workload).read_text())
     uninterrupted, resumed, restored, at_batch = _run_with_mid_checkpoint(
-        system, workload, backend
+        system, workload, model
     )
     assert resumed == uninterrupted, (
-        f"{system}/{workload}/{backend}: resume from batch {at_batch} "
+        f"{system}/{workload}/{model}: resume from batch {at_batch} "
         "diverged from the uninterrupted run"
     )
 
@@ -71,12 +71,12 @@ def test_restore_then_run_matches_golden(
     batches = encoded.pop("batch_stats")["records"]
     for field, expected in golden["result"].items():
         assert encoded[field] == expected, (
-            f"{system}/{workload}/{backend}: resumed "
+            f"{system}/{workload}/{model}: resumed "
             f"SimulationResult.{field} diverged from golden: "
             f"{expected!r} vs {encoded[field]!r}"
         )
     assert batches == golden["batches"], (
-        f"{system}/{workload}/{backend}: resumed batch records diverged "
+        f"{system}/{workload}/{model}: resumed batch records diverged "
         "from golden"
     )
     # The restored simulator carries its own (unpickled) obs session; its
@@ -84,6 +84,6 @@ def test_restore_then_run_matches_golden(
     # accumulated before the checkpoint survive the round trip, counters
     # after it are produced by the resumed run.
     assert restored.obs.metrics.snapshot() == golden["metrics"], (
-        f"{system}/{workload}/{backend}: resumed obs metrics diverged "
+        f"{system}/{workload}/{model}: resumed obs metrics diverged "
         "from golden"
     )

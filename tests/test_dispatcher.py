@@ -5,14 +5,15 @@ from repro.gpu.context import ContextCostModel
 from repro.gpu.occupancy import KernelResources
 from repro.gpu.dispatcher import Dispatcher
 from repro.gpu.sm import StreamingMultiprocessor
-from repro.gpu.thread_block import BlockState, ThreadBlock
-from repro.gpu.warp import Warp, WarpOp, WarpState
+from repro.gpu.thread_block import BlockState
+from repro.gpu.warp import WarpOp, WarpState
 from repro.sim.engine import Engine
+from tests.warp_factory import make_block
 
 
 def make_blocks(n, warps=1):
     return [
-        ThreadBlock(i, [Warp(w, [WarpOp(8, (w * 4096,))]) for w in range(warps)])
+        make_block(i, [[WarpOp(8, (w * 4096,))] for w in range(warps)])
         for i in range(n)
     ]
 

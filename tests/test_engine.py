@@ -1,20 +1,20 @@
 """Unit tests for the discrete-event engine.
 
-Every contract test runs against both implementations — the production
-two-level :class:`Engine` and the reference :class:`HeapEngine` — via the
-``make_engine`` fixture; randomized cross-implementation equivalence
-lives in ``tests/test_properties_core.py``.  Engine-only tests below
-exercise the two-level scheduler's seams: the near/far horizon, far→
-bucket migration, the head slot, and draining-bucket appends.
+The contract tests take the engine class from the ``make_engine``
+fixture, whose id names the implementation under test (the binary-heap
+queue); randomized contract properties live in
+``tests/test_properties_core.py``.
 """
+
+import pickle
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Engine, HeapEngine
+from repro.sim.engine import Engine
 
 
-@pytest.fixture(params=[Engine, HeapEngine], ids=["two-level", "heap"])
+@pytest.fixture(params=[Engine], ids=["heap"])
 def make_engine(request):
     return request.param
 
@@ -212,19 +212,13 @@ def test_exception_in_callback_keeps_counters_exact(make_engine):
 
 
 # ----------------------------------------------------------------------
-# Two-level scheduler seams (Engine-specific)
+# Ordering scenarios
 # ----------------------------------------------------------------------
-def test_near_window_must_be_positive():
-    with pytest.raises(SimulationError):
-        Engine(near_window=0)
-    with pytest.raises(SimulationError):
-        Engine(near_window=-5)
-
-
 def test_far_events_fire_after_near_events():
-    engine = Engine(near_window=10)
+    """A far-future event scheduled first fires after a nearer one."""
+    engine = Engine()
     order = []
-    engine.schedule(5000, lambda: order.append("far"))  # beyond horizon
+    engine.schedule(5000, lambda: order.append("far"))
     engine.schedule(3, lambda: order.append("near"))
     engine.run()
     assert order == ["near", "far"]
@@ -232,14 +226,13 @@ def test_far_events_fire_after_near_events():
 
 
 def test_migrated_far_events_precede_later_same_cycle_appends():
-    """Far events land in their bucket in schedule order, ahead of near
-    events appended to the same cycle after the migration."""
-    engine = Engine(near_window=10)
+    """Events scheduled early for a cycle fire ahead of events scheduled
+    for the same cycle later on, whatever the clock was at each call."""
+    engine = Engine()
     order = []
-    engine.schedule_at(15, lambda: order.append("far-a"))  # far at t=0
+    engine.schedule_at(15, lambda: order.append("far-a"))  # scheduled at t=0
     engine.schedule_at(15, lambda: order.append("far-b"))
-    # Fires at t=6 (horizon then 16): by now 15 is near, so this lands
-    # *behind* the migrated far events in bucket 15.
+    # Scheduled at t=6, so it lands behind the two above.
     engine.schedule_at(
         6, lambda: engine.schedule_at(15, lambda: order.append("near-c"))
     )
@@ -248,6 +241,8 @@ def test_migrated_far_events_precede_later_same_cycle_appends():
 
 
 def test_schedule_into_draining_bucket_preserves_fifo():
+    """A same-cycle event scheduled while that cycle's events are firing
+    runs after the ones already queued for the cycle."""
     engine = Engine()
     order = []
 
@@ -262,7 +257,8 @@ def test_schedule_into_draining_bucket_preserves_fifo():
 
 
 def test_run_until_then_resume_across_migration():
-    engine = Engine(near_window=4)
+    """A run bounded by ``until`` and resumed fires everything in order."""
+    engine = Engine()
     fired = []
     for t in (2, 6, 20, 100):
         engine.schedule_at(t, lambda t=t: fired.append(t))
@@ -273,22 +269,10 @@ def test_run_until_then_resume_across_migration():
     assert fired == [2, 6, 20, 100]
 
 
-def test_pathological_near_window_one():
-    """Every event is 'far' with a one-cycle horizon; order still holds."""
-    engine = Engine(near_window=1)
-    order = []
-    for tag in ("a", "b", "c"):
-        engine.schedule(9, lambda t=tag: order.append(t))
-    engine.schedule(2, lambda: order.append("early"))
-    engine.run()
-    assert order == ["early", "a", "b", "c"]
-
-
 @pytest.mark.parametrize("stop", ["until", "max_events"])
 def test_schedule_after_bounded_stop_keeps_time_order(make_engine, stop):
-    """Regression (found by hypothesis): a bounded run can stop having
-    just activated a future bucket; an event scheduled afterwards at an
-    earlier time must still fire first, not behind the leftover bucket."""
+    """Regression (found by hypothesis): after a bounded stop, an event
+    scheduled at an earlier time than the leftovers still fires first."""
     engine = make_engine()
     order = []
     engine.schedule_at(5, lambda: order.append("early"))
@@ -304,11 +288,11 @@ def test_schedule_after_bounded_stop_keeps_time_order(make_engine, stop):
 
 
 def test_head_slot_demotion_keeps_order():
-    """Scheduling an earlier time after a later one (head demotion)."""
+    """Alternating later/earlier schedules fire by time, FIFO per cycle."""
     engine = Engine()
     order = []
-    engine.schedule(50, lambda: order.append("later"))   # takes the head slot
-    engine.schedule(10, lambda: order.append("earlier"))  # demotes it
+    engine.schedule(50, lambda: order.append("later"))
+    engine.schedule(10, lambda: order.append("earlier"))
     engine.schedule(50, lambda: order.append("later-2"))
     engine.schedule(10, lambda: order.append("earlier-2"))
     engine.run()
@@ -341,7 +325,7 @@ def test_state_snapshot_previews_next_events_in_order(make_engine):
 
 def test_state_snapshot_mixes_near_and_far(make_engine):
     engine = make_engine()
-    engine.schedule(100_000, _KindTagged())  # far (beyond any near window)
+    engine.schedule(100_000, _KindTagged())  # far future
     engine.schedule(3, _KindTagged())
     snapshot = engine.state_snapshot()
     assert [time for time, _ in snapshot["next_events"]] == [3, 100_000]
@@ -359,7 +343,7 @@ def test_state_snapshot_labels_plain_functions(make_engine):
 
 
 # ----------------------------------------------------------------------
-# Guarded loop selection (obs / watchdog hooks)
+# Run-loop hooks (obs / watchdog / checkpoint)
 # ----------------------------------------------------------------------
 class _TickCounter:
     def __init__(self):
@@ -387,3 +371,38 @@ def test_obs_full_counts_event_kinds(make_engine):
     engine.run()
     series = engine.obs.metrics.series("engine.events", "counter")
     assert sum(counter.value for counter in series) == 2
+
+
+def _checkpoint_hook():
+    pass
+
+
+def test_pickle_drops_hooks_and_unpickles_idle():
+    """The checkpoint contract: an engine pickled between events (here
+    from inside ``run()``) restores idle, with its queue and counters but
+    without the process-local watchdog and checkpoint hook."""
+    engine = Engine()
+    engine.watchdog = _TickCounter()
+    engine.checkpoint_hook = _checkpoint_hook
+    captured = []
+
+    def capture():
+        engine.checkpoint_due = True
+        captured.append(pickle.dumps(engine))
+
+    engine.schedule(1, capture)
+    engine.schedule(5, _KindTagged())
+    engine.run(max_events=1)
+
+    restored = pickle.loads(captured[0])
+    assert restored.lifecycle.state == "idle"
+    assert restored.watchdog is None
+    assert restored.checkpoint_hook is None
+    assert restored.checkpoint_due is False
+    assert (restored.now, restored.pending_events) == (1, 1)
+    assert restored.events_processed == 1
+    # The original keeps its hooks.
+    assert engine.watchdog is not None
+    assert engine.checkpoint_hook is _checkpoint_hook
+    restored.run()
+    assert restored.now == 5 and restored.pending_events == 0

@@ -126,7 +126,7 @@ class TestMachineSpec:
         )
 
     def test_warp_spec_matches_warp_state_enum(self):
-        """The SoA backend derives its state codes from the spec's state
+        """The warp store derives its state codes from the spec's state
         order — the enum and the declaration must agree exactly."""
         assert tuple(s.value for s in WarpState) == WARP_LIFECYCLE.states
 

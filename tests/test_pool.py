@@ -318,7 +318,7 @@ class TestCircuitBreaker:
         accumulate, so a hot key on a long-lived pool under sustained
         chaos (one crash per submission, every submission completing) is
         never quarantined."""
-        chaos = parse_chaos_spec("worker-kill:prob=0.5,after=1", seed=0)
+        chaos = parse_chaos_spec("worker-kill:prob=0.5,after=1", seed=5)
         spec = _spec().resolved()
         digest = common._spec_digest(spec)
         # The scenario this seed pins: the first attempt (stream 0) is

@@ -7,8 +7,7 @@ with *real* subprocesses (no mocks):
   outside the pool, once the cell's first checkpoint is on disk); the
   supervisor notices the death, restarts the slot, and resumes the cell
   from its last checkpoint in the fresh worker.  The final result is
-  bit-identical to an uninterrupted golden run — on **both** warp
-  backends (``soa`` and ``object``).
+  bit-identical to an uninterrupted golden run.
 * The ``worker-hang`` injector forces the full escalation chain
   (missed heartbeats → SIGTERM, blocked → SIGKILL) and still converges.
 * ``worker-slow`` stretches checkpoint boundaries without changing a
@@ -32,8 +31,6 @@ from repro.experiments import common
 from repro.pool import PoolConfig, SupervisedPool
 from repro.simulator import SimulationResult
 
-BACKENDS = ("soa", "object")
-
 
 @pytest.fixture()
 def harness(tmp_path):
@@ -47,9 +44,9 @@ def harness(tmp_path):
     common.clear_run_cache()
 
 
-def _spec(backend="soa", **kwargs):
+def _spec(**kwargs):
     return common.RunSpec(
-        "KCORE", preset=systems.BASELINE, scale="tiny", backend=backend, **kwargs
+        "KCORE", preset=systems.BASELINE, scale="tiny", **kwargs
     ).resolved()
 
 
@@ -68,16 +65,15 @@ def _fields(result):
     )
 
 
-def _golden(backend):
-    return common._simulate_spec(_spec(backend=backend))
+def _golden():
+    return common._simulate_spec(_spec())
 
 
 class TestHardKill:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sigkill_mid_cell_resumes_bit_identical(self, harness, backend):
+    def test_sigkill_mid_cell_resumes_bit_identical(self, harness):
         """The test itself SIGKILLs the worker subprocess mid-cell."""
-        golden = _golden(backend)
-        ckpt = harness / f"ckpt-{backend}"
+        golden = _golden()
+        ckpt = harness / "ckpt"
         # worker-slow stretches every batch boundary so the external
         # killer has a generous window between checkpoint writes.
         slow = parse_chaos_spec("worker-slow:prob=1,delay=0.03", seed=1)
@@ -110,13 +106,13 @@ class TestHardKill:
         with pool:
             thread = threading.Thread(target=assassin, daemon=True)
             thread.start()
-            (result,) = pool.run([_spec(backend=backend)])
+            (result,) = pool.run([_spec()])
             thread.join(timeout=30)
 
         assert killed["pid"] is not None, "the assassin never fired"
         assert isinstance(result, SimulationResult)
         assert _fields(result) == _fields(golden), (
-            f"resumed {backend} result diverged from the golden run"
+            "resumed result diverged from the golden run"
         )
         stats = pool.stats()
         assert stats["crashes"] >= 1, "the SIGKILL must register as a crash"
@@ -128,7 +124,7 @@ class TestHardKill:
 
     def test_chaos_kill_storm_converges(self, harness):
         """Deterministic kill chaos (p<1) always converges bit-identically."""
-        golden = _golden("soa")
+        golden = _golden()
         ckpt = harness / "storm"
         chaos = parse_chaos_spec("worker-kill:prob=0.6,after=1", seed=11)
         config = PoolConfig(
@@ -149,7 +145,7 @@ class TestHardKill:
 
 class TestEscalation:
     def test_hang_forces_sigkill_escalation(self, harness):
-        golden = _golden("soa")
+        golden = _golden()
         ckpt = harness / "hang"
         chaos = parse_chaos_spec("worker-hang:prob=0.8,after=3", seed=3)
         config = PoolConfig(
@@ -173,7 +169,7 @@ class TestEscalation:
         assert not list(ckpt.glob("*"))
 
     def test_deadline_kills_wedged_worker(self, harness):
-        golden = _golden("soa")
+        golden = _golden()
         ckpt = harness / "deadline"
         # Hang with heartbeats *still flowing* would defeat heartbeat
         # supervision; the hard per-cell deadline is the backstop.  The
@@ -199,7 +195,7 @@ class TestEscalation:
 
 class TestSlow:
     def test_worker_slow_changes_no_bits(self, harness):
-        golden = _golden("soa")
+        golden = _golden()
         chaos = parse_chaos_spec("worker-slow:prob=1,delay=0.01", seed=2)
         config = PoolConfig(
             workers=1,

@@ -9,21 +9,22 @@ import pathlib
 
 import pytest
 
-from repro import GpuUvmSimulator, build_workload, systems
+from repro import build_workload, systems
 from repro.obs import ComponentProfiler, Observability, profile_simulation
+from tests.test_equivalence_golden import MODELS
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 
-def build_sim(backend: str, obs=None):
+def build_sim(model: str = "soa", obs=None):
     wl = build_workload("KCORE", scale="tiny", seed=0)
     config = systems.BASELINE.configure(wl, ratio=0.5)
-    return GpuUvmSimulator(wl, config, obs=obs, backend=backend)
+    return MODELS[model](wl, config, obs=obs)
 
 
-@pytest.mark.parametrize("backend", ["object", "soa"])
-def test_attribution_accounts_for_hot_components(backend):
-    sim = build_sim(backend)
+@pytest.mark.parametrize("model", list(MODELS))
+def test_attribution_accounts_for_hot_components(model):
+    sim = build_sim(model)
     prof = ComponentProfiler().attach(sim)
     try:
         result = sim.run()
@@ -47,21 +48,29 @@ def test_attribution_accounts_for_hot_components(backend):
 
 
 def test_object_backend_attributes_translation_separately():
-    # On the object backend the MMU front-end is a wrapped call per page;
-    # the SoA backend inlines the L1 probe into warp.issue instead.
-    _, prof = profile_simulation(
+    # On the object model the MMU front-end is a wrapped call per page;
+    # the simulator's issue loop inlines the L1 probe and calls the miss
+    # path through a pre-bound reference, so translation time lands in
+    # warp.issue instead.
+    sim = build_sim("object")
+    prof = ComponentProfiler().attach(sim)
+    try:
+        sim.run()
+    finally:
+        prof.detach()
+    assert prof.attribution()["pt.translate"]["calls"] > 0
+    _, inlined = profile_simulation(
         build_workload("KCORE", scale="tiny", seed=0),
         systems.BASELINE.configure(
             build_workload("KCORE", scale="tiny", seed=0), ratio=0.5
         ),
-        backend="object",
     )
-    assert prof.attribution()["pt.translate"]["calls"] > 0
+    assert "pt.translate" not in inlined.attribution()
 
 
 def test_profiler_does_not_perturb_results():
-    baseline = build_sim("soa").run()
-    profiled_sim = build_sim("soa")
+    baseline = build_sim().run()
+    profiled_sim = build_sim()
     prof = ComponentProfiler().attach(profiled_sim)
     try:
         profiled = profiled_sim.run()
@@ -72,20 +81,20 @@ def test_profiler_does_not_perturb_results():
 
 
 def test_detach_restores_methods_and_callbacks():
-    sim = build_sim("soa")
+    sim = build_sim()
     original_wake = sim.runtime.wake_warps
     prof = ComponentProfiler().attach(sim)
     assert sim.runtime.wake_warps is not original_wake
     prof.detach()
     assert sim.runtime.wake_warps is original_wake
     assert "run" not in vars(sim)
-    assert "_execute_op_soa" not in vars(sim)
+    assert "_execute_op" not in vars(sim)
     # Idempotent.
     prof.detach()
 
 
 def test_double_attach_rejected():
-    sim = build_sim("soa")
+    sim = build_sim()
     prof = ComponentProfiler().attach(sim)
     try:
         with pytest.raises(RuntimeError):
@@ -95,7 +104,7 @@ def test_double_attach_rejected():
 
 
 def test_to_metrics_exports_gauges():
-    sim = build_sim("soa")
+    sim = build_sim()
     session = Observability("light")
     prof = ComponentProfiler().attach(sim)
     try:
@@ -128,5 +137,4 @@ def test_tprof_cli_smoke(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "warp.issue" in proc.stdout
     payload = json.loads(out.read_text())
-    assert payload["backend"] == "soa"
     assert payload["attribution"]["warp.issue"]["calls"] > 0

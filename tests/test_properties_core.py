@@ -2,12 +2,10 @@
 
 The engine section replays randomized event scripts — interleaved
 ``schedule`` / ``schedule_at`` / ``run(until=)`` / ``run(max_events=)`` /
-``step()`` calls with callbacks spawning children — through the two-level
-:class:`~repro.sim.Engine` and the reference
-:class:`~repro.sim.HeapEngine`, asserting identical traces across
-near-window widths down to the pathological ``1``.  This is the proof
-obligation behind the fast-path rework (with
-``tests/test_equivalence_golden.py`` locking full-simulation output).
+``step()`` calls with callbacks spawning children — through
+:class:`~repro.sim.Engine`, asserting the determinism contract on the
+full trace: nondecreasing time, FIFO within a cycle, nothing lost
+(``tests/test_equivalence_golden.py`` locks full-simulation output).
 """
 
 import itertools
@@ -18,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Engine, HeapEngine
+from repro.sim.engine import Engine
 from repro.sim.stats import Histogram
 from repro.uvm.fault_buffer import FaultBuffer, FaultEntry
 from repro.uvm.replacement import AccessLru, AgedLru
@@ -27,7 +25,7 @@ from repro.vm.page_table import PageTable
 from repro.vm.tlb import Tlb
 
 
-@pytest.mark.parametrize("engine_cls", [Engine, HeapEngine])
+@pytest.mark.parametrize("engine_cls", [Engine])
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1))
 def test_engine_fires_in_nondecreasing_time_order(engine_cls, delays):
     engine = engine_cls()
@@ -39,9 +37,8 @@ def test_engine_fires_in_nondecreasing_time_order(engine_cls, delays):
     assert len(fired) == len(delays)
 
 
-#: Delay palette: heavy same/near-cycle traffic plus a far-future tail
-#: beyond the default 4096-cycle near window, so scripts exercise the
-#: calendar buckets, the head slot, the far heap, and migration.
+#: Delay palette: heavy same/near-cycle traffic plus a far-future tail,
+#: so bounded runs stop both inside and ahead of dense stretches.
 DELAY_CHOICES = [0, 0, 1, 1, 2, 3, 7, 17, 64, 300, 1200, 5000, 20000]
 
 #: A script is a sequence of top-level driver operations.
@@ -63,22 +60,20 @@ SCRIPT_OPS = st.lists(
 #: Hard cap on events spawned per script replay.  Each fired event
 #: spawns ``randint(0, 2)`` children — mean exactly 1, a *critical*
 #: branching process whose total progeny is heavy-tailed — so without a
-#: cap an unlucky example runs for minutes.  The cap is keyed off the
-#: deterministic id counter, so both engine replays truncate the same
-#: spawn tree at the same node and traces stay comparable.
+#: cap an unlucky example runs for minutes.
 _SPAWN_CAP = 2000
 
 
-def _apply_script(engine, ops, spawn_seed: int) -> list:
-    """Apply a script to ``engine``; return the full observable trace.
+def _apply_script(engine, ops, spawn_seed: int) -> tuple[list, dict]:
+    """Apply a script to ``engine``; return its trace and schedule log.
 
-    All randomness derives from ``spawn_seed`` plus the firing event's
-    id — never from state shared between two engine replays — so two
-    equivalent engines see byte-identical decision streams and any
-    divergence surfaces as a trace mismatch.
+    The trace holds ``(id, fire time)`` per fired event plus a
+    ``("checkpoint", now, pending)`` entry after each driver op; the log
+    maps each event id to ``(due time, schedule order)``.
     """
     ids = itertools.count()
     trace: list = []
+    scheduled: dict = {}
 
     def spawn(eid: int):
         def fire():
@@ -89,6 +84,7 @@ def _apply_script(engine, ops, spawn_seed: int) -> list:
                 child = next(ids)
                 if child >= _SPAWN_CAP:
                     continue
+                scheduled[child] = (engine.now + delay, len(scheduled))
                 if rng.random() < 0.8:
                     engine.schedule(delay, spawn(child))
                 else:
@@ -99,7 +95,9 @@ def _apply_script(engine, ops, spawn_seed: int) -> list:
     for op, arg in ops:
         if op == "batch":
             for delay in arg:
-                engine.schedule(delay, spawn(next(ids)))
+                eid = next(ids)
+                scheduled[eid] = (engine.now + delay, len(scheduled))
+                engine.schedule(delay, spawn(eid))
         elif op == "until":
             engine.run(until=engine.now + arg)
         elif op == "max":
@@ -109,26 +107,29 @@ def _apply_script(engine, ops, spawn_seed: int) -> list:
                 engine.step()
         trace.append(("checkpoint", engine.now, engine.pending_events))
     engine.run()
-    return trace
+    return trace, scheduled
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    ops=SCRIPT_OPS,
-    spawn_seed=st.integers(min_value=0, max_value=2**20),
-    near_window=st.sampled_from([1, 3, 64, 4096, 100_000]),
-)
-def test_two_level_engine_replays_heap_trace(ops, spawn_seed, near_window):
-    reference = HeapEngine()
-    expected = _apply_script(reference, ops, spawn_seed)
-    optimized = Engine(near_window=near_window)
-    assert _apply_script(optimized, ops, spawn_seed) == expected
-    assert optimized.now == reference.now
-    assert optimized.events_processed == reference.events_processed
-    assert optimized.pending_events == reference.pending_events == 0
+@given(ops=SCRIPT_OPS, spawn_seed=st.integers(min_value=0, max_value=2**20))
+def test_engine_replays_scripts_in_contract_order(ops, spawn_seed):
+    engine = Engine()
+    trace, scheduled = _apply_script(engine, ops, spawn_seed)
+    fired = [entry for entry in trace if entry[0] != "checkpoint"]
+    # Every event fires exactly once, at its due time.
+    assert sorted(eid for eid, _ in fired) == sorted(scheduled)
+    assert all(now == scheduled[eid][0] for eid, now in fired)
+    # Nondecreasing time, FIFO by schedule order within a cycle.
+    keys = [scheduled[eid] for eid, _ in fired]
+    assert keys == sorted(keys)
+    # The clock never runs backwards across bounded runs and steps.
+    clock = [entry[1] for entry in trace]
+    assert clock == sorted(clock)
+    assert engine.events_processed == len(fired)
+    assert engine.pending_events == 0
 
 
-@pytest.mark.parametrize("engine_cls", [Engine, HeapEngine])
+@pytest.mark.parametrize("engine_cls", [Engine])
 @given(st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=150))
 def test_fifo_within_cycle_matches_schedule_order(engine_cls, times):
     engine = engine_cls()
@@ -157,15 +158,21 @@ class _TaggedEvent:
     cut=st.integers(min_value=1, max_value=39),
 )
 def test_state_snapshots_agree_after_bounded_run(delays, cut):
-    """Both engines preview the same next events mid-run."""
-    snapshots = []
-    for engine_cls in (Engine, HeapEngine):
-        engine = engine_cls()
-        for i, delay in enumerate(delays):
-            engine.schedule(delay, _TaggedEvent(i))
-        engine.run(max_events=min(cut, len(delays) - 1))
-        snapshots.append(engine.state_snapshot())
-    assert snapshots[0] == snapshots[1]
+    """The mid-run preview names the next events the schedule predicts."""
+    engine = Engine()
+    for i, delay in enumerate(delays):
+        engine.schedule(delay, _TaggedEvent(i))
+    fired = min(cut, len(delays) - 1)
+    engine.run(max_events=fired)
+    # Firing order: by due time, schedule order within a cycle.
+    order = sorted(range(len(delays)), key=lambda i: (delays[i], i))
+    snapshot = engine.state_snapshot()
+    assert snapshot["engine_now"] == delays[order[fired - 1]]
+    assert snapshot["events_processed"] == fired
+    assert snapshot["pending_events"] == len(delays) - fired
+    assert snapshot["next_events"] == [
+        (delays[i], f"tagged.{i}") for i in order[fired : fired + 4]
+    ]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=500), min_size=1))

@@ -31,6 +31,12 @@ class FakeWarp:
         return False
 
 
+def wake_fake_warps(page, now, waiters):
+    """The runtime's wake callback: notify each waiter in order."""
+    for warp in waiters:
+        warp.page_arrived(page, now)
+
+
 def make_runtime(frames=None, eviction=None, fht=1000, interrupt=100,
                  per_page=0):
     engine = Engine()
@@ -54,6 +60,7 @@ def make_runtime(frames=None, eviction=None, fht=1000, interrupt=100,
         eviction or SerializedEviction(),
         NoPrefetcher(),
     )
+    runtime.wake_warps = wake_fake_warps
     return engine, runtime
 
 

@@ -103,24 +103,8 @@ class TestFastPathWiring:
     def test_batched_wake_hook_is_installed(self):
         workload = tiny_workload()
         config = systems.UNLIMITED.configure(workload, ratio=1.0)
-        sim = GpuUvmSimulator(workload, config)  # default backend: soa
-        assert sim.runtime.wake_warps == sim._wake_warps_soa
-        assert sim.runtime.wake_warp == sim._wake_warp
-        obj = GpuUvmSimulator(workload, config, backend="object")
-        assert obj.runtime.wake_warps == obj._wake_warps
-        assert obj.runtime.wake_warp == obj._wake_warp
-
-    def test_batched_wake_matches_per_warp_fallback(self):
-        """Disabling the batched hook (runtime falls back to per-warp
-        wake_warp calls) must not change simulated behaviour."""
-        workload = build_workload("KCORE", scale="tiny")
-        config = systems.TO_UE.configure(workload)
-        batched = GpuUvmSimulator(workload, config)
-        result_batched = batched.run()
-        unbatched = GpuUvmSimulator(workload, config)
-        unbatched.runtime.wake_warps = None
-        result_unbatched = unbatched.run()
-        assert result_batched == result_unbatched
+        sim = GpuUvmSimulator(workload, config)
+        assert sim.runtime.wake_warps == sim._wake_warps
 
 
 class TestOversubscribedExecution:

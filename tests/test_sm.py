@@ -7,14 +7,16 @@ from repro.gpu.config import GpuConfig
 from repro.gpu.context import ContextCostModel
 from repro.gpu.occupancy import KernelResources
 from repro.gpu.sm import StreamingMultiprocessor
-from repro.gpu.thread_block import BlockState, ThreadBlock
-from repro.gpu.warp import Warp, WarpOp, WarpState
+from repro.gpu.thread_block import BlockState
+from repro.gpu.warp import WarpOp, WarpState
 from repro.sim.engine import Engine
+from tests import warp_factory
 
 
 def make_block(block_id=0, num_warps=2):
-    warps = [Warp(i, [WarpOp(8, (i * 4096,))]) for i in range(num_warps)]
-    return ThreadBlock(block_id, warps)
+    return warp_factory.make_block(
+        block_id, [[WarpOp(8, (i * 4096,))] for i in range(num_warps)]
+    )
 
 
 def make_sm(active_limit=2, allow=lambda: True, forced=False):

@@ -1,8 +1,9 @@
-"""Cross-backend equivalence under chaos and invariant checking.
+"""Cross-model equivalence under chaos and invariant checking.
 
-The golden corpus (``tests/test_equivalence_golden.py``) locks both warp
-backends against recorded clean runs.  This suite locks them against
-*each other* on the harder paths the corpus doesn't cover: fault
+The golden corpus (``tests/test_equivalence_golden.py``) locks the
+simulator against recorded runs, chaos cells included.  This suite locks
+the struct-of-arrays simulator against the object warp model oracle
+(:mod:`tests.object_model`) live, on the same chaos cells: fault
 injection (dropped/duplicated faults, inflated latencies, DMA stalls,
 eviction contention) with batch-boundary invariant checking armed — the
 ``--invariants`` robustness mode.  Every observable must match:
@@ -12,61 +13,17 @@ the obs metric snapshot.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from repro import GpuUvmSimulator, build_workload, obs, systems
-from repro.chaos.config import parse_chaos_spec
-
-#: Subset of the golden cells: batching + eviction churn (BFS-TTC), the
-#: degenerate small-batch path (KCORE), with and without the paper's
-#: mechanisms, plus the forced-oversubscription switch storm.
-CELLS = [
-    ("BASELINE", "BFS-TTC"),
-    ("TO+UE", "BFS-TTC"),
-    ("UE", "KCORE"),
-    ("ETC", "BFS-TTC"),
-    ("FORCED-OVERSUB", "KCORE"),
-]
-
-#: Every fault-path injector at once, deterministic seed.  dup-fault
-#: exercises the chaos-dup occupancy accounting; drop-fault the replay
-#: re-raise path; the rest perturb latencies the two backends must agree
-#: on cycle-for-cycle.
-CHAOS_SPEC = (
-    "dup-fault:prob=0.2;drop-fault:prob=0.05;"
-    "fault-latency:prob=0.3,mult=2,add=100;"
-    "dma-stall:prob=0.1;evict-contend:prob=0.2"
-)
+from tests.test_equivalence_golden import CHAOS_CELLS, run_cell
 
 
-def run_cell(system: str, workload: str, backend: str) -> dict:
-    wl = build_workload(workload, scale="tiny", seed=0)
-    config = systems.by_name(system).configure(
-        wl,
-        ratio=0.5,
-        chaos=parse_chaos_spec(CHAOS_SPEC, seed=7),
-        check_invariants=True,
-    )
-    session = obs.Observability("light")
-    sim = GpuUvmSimulator(wl, config, obs=session, backend=backend)
-    result = sim.run()
-    encoded = dataclasses.asdict(result)
-    batch_stats = encoded.pop("batch_stats")
-    return {
-        "result": encoded,
-        "batches": batch_stats["records"],
-        "metrics": session.metrics.snapshot(),
-    }
-
-
-@pytest.mark.parametrize(("system", "workload"), CELLS)
+@pytest.mark.parametrize(("system", "workload"), CHAOS_CELLS)
 def test_backends_agree_under_chaos_with_invariants(
     system: str, workload: str
 ) -> None:
-    reference = run_cell(system, workload, "object")
-    soa = run_cell(system, workload, "soa")
+    reference = run_cell(system, workload, "object", chaos=True)
+    soa = run_cell(system, workload, "soa", chaos=True)
 
     for field, expected in reference["result"].items():
         assert soa["result"][field] == expected, (
@@ -84,8 +41,9 @@ def test_backends_agree_under_chaos_with_invariants(
 
 def test_chaos_counters_present_and_nonzero() -> None:
     """The chosen spec must actually exercise the chaos fault paths —
-    otherwise the cross-backend assertions above prove nothing."""
-    cell = run_cell("BASELINE", "BFS-TTC", "soa")
+    otherwise the chaos assertions above and in the golden corpus prove
+    nothing."""
+    cell = run_cell("BASELINE", "BFS-TTC", "soa", chaos=True)
     extras = cell["result"]["extras"]
     assert extras["chaos.total_injections"] > 0
     assert extras["invariant_checks"] > 0

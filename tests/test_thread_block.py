@@ -1,12 +1,14 @@
 """Unit tests for the thread-block model."""
 
-from repro.gpu.thread_block import BlockState, ThreadBlock
-from repro.gpu.warp import Warp, WarpOp, WarpState
+from repro.gpu.thread_block import BlockState
+from repro.gpu.warp import WarpOp, WarpState
+from tests import warp_factory
 
 
 def make_block(num_warps=2):
-    warps = [Warp(i, [WarpOp(8, (i * 0x100,))]) for i in range(num_warps)]
-    return ThreadBlock(0, warps)
+    return warp_factory.make_block(
+        0, [[WarpOp(8, (i * 0x100,))] for i in range(num_warps)]
+    )
 
 
 def test_block_links_warps_back():

@@ -1,11 +1,12 @@
 """Unit tests for the warp model."""
 
-from repro.gpu.warp import Warp, WarpOp, WarpState
+from repro.gpu.warp import WarpOp, WarpState
+from tests import warp_factory
 
 
 def make_warp(ops=None):
     ops = ops if ops is not None else [WarpOp(8, (0x100,)), WarpOp(8, (0x200,))]
-    return Warp(0, ops)
+    return warp_factory.make_warp(ops)
 
 
 class TestWarpOp:

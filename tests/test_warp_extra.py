@@ -1,6 +1,7 @@
 """Additional warp-model coverage: stores, dependence, memoisation."""
 
-from repro.gpu.warp import Warp, WarpOp, WarpState
+from repro.gpu.warp import WarpOp, WarpState
+from tests.warp_factory import make_warp
 
 
 class TestStoreAddresses:
@@ -44,7 +45,7 @@ class TestMemoisation:
 
 class TestWarpStates:
     def test_suspend_resume_preserves_waiting_pages(self):
-        warp = Warp(0, [WarpOp(8, (0x1000,))])
+        warp = make_warp([WarpOp(8, (0x1000,))])
         warp.stall_on([5, 6], 0, 0)
         # A context switch does not disturb the fault wait.
         assert warp.state is WarpState.STALLED
@@ -52,7 +53,7 @@ class TestWarpStates:
         assert warp.waiting_pages == {6}
 
     def test_wake_in_suspended_state_returns_false(self):
-        warp = Warp(0, [WarpOp(8, (0x1000,))])
+        warp = make_warp([WarpOp(8, (0x1000,))])
         warp.stall_on([5], 0, 0)
         warp.state = WarpState.SUSPENDED  # block switched out after stall
         # page_arrived drains the wait but the warp is suspended, so the
@@ -61,7 +62,7 @@ class TestWarpStates:
         assert not warp.waiting_pages
 
     def test_finished_warp_reports_no_remaining_ops(self):
-        warp = Warp(0, [WarpOp(8, (0x1000,))])
+        warp = make_warp([WarpOp(8, (0x1000,))])
         warp.advance()
         assert warp.finished
         assert warp.remaining_ops == 0

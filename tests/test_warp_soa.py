@@ -1,30 +1,17 @@
-"""Unit tests for the struct-of-arrays warp backend.
+"""Unit tests for the struct-of-arrays warp store and its blocks.
 
-Mirrors the object-model contracts (``tests/test_warp.py``,
-``tests/test_thread_block.py``) on the SoA handles, plus the SoA-only
-invariants: precomputed per-op data, contiguous block slices, and the
-vectorized predicates agreeing with the scalar reference loops.
+Covers the store-level invariants the handle tests (``tests/test_warp.py``,
+``tests/test_thread_block.py``) do not: precomputed per-op data,
+contiguous block slices, store counters behind the handles, and the
+slice-scan block predicates against their specification.
 """
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.gpu.thread_block import ThreadBlock
-from repro.gpu.warp import Warp, WarpOp, WarpState
-from repro.gpu.warp_soa import SoAThreadBlock, SoAWarp, WarpStore
-
-PAGE_SHIFT = 12
-
-
-def identity_scale(cycles):
-    return cycles
-
-
-def make_store(op_lists, scale=identity_scale):
-    store = WarpStore(len(op_lists))
-    for i, ops in enumerate(op_lists):
-        store.add_warp(i, i, ops, PAGE_SHIFT, scale)
-    return store
+from repro.gpu.warp import WarpOp, WarpState
+from repro.gpu.warp_soa import SoAWarp
+from tests.warp_factory import PAGE_SHIFT, make_store
 
 
 def two_op_warp():
@@ -116,25 +103,54 @@ class TestSoAWarpLifecycle:
             assert warp.state is state
 
 
-def make_blocks(n_warps=4, ops_per_warp=2):
-    """Matched SoA and object blocks over identical traces."""
+def make_block(n_warps=4, ops_per_warp=2):
     op_lists = [
         [WarpOp(1, (4096 * (w + o),)) for o in range(ops_per_warp)]
         for w in range(n_warps)
     ]
-    store = make_store(op_lists)
-    soa_block = SoAThreadBlock(0, store.warps)
-    obj_warps = [Warp(i, ops) for i, ops in enumerate(op_lists)]
-    obj_block = ThreadBlock(0, obj_warps)
-    return soa_block, obj_block
+    return ThreadBlock(0, make_store(op_lists).warps)
 
 
-def set_states(soa_block, obj_block, states):
-    for warp, obj_warp, state in zip(
-        soa_block.warps, obj_block.warps, states
-    ):
+def set_states(block, states):
+    for warp, state in zip(block.warps, states):
         warp.state = state
-        obj_warp.state = state
+
+
+def predicate_spec(states, mem_wait):
+    """The block predicates, stated directly over per-warp states."""
+    runnable = (WarpState.READY, WarpState.RUNNING)
+    unfinished = [
+        (state, waiting)
+        for state, waiting in zip(states, mem_wait)
+        if state is not WarpState.FINISHED
+    ]
+    return {
+        # Every warp retired.
+        "finished": not unfinished,
+        # TO trigger: some warp stalled on a fault, none able to issue.
+        "fully_stalled": WarpState.STALLED in states
+        and not any(state in runnable for state in states),
+        # Virtual Thread trigger: every unfinished warp is fault-stalled
+        # or waiting on DRAM, and at least one such warp exists.
+        "fully_mem_stalled": bool(unfinished)
+        and all(
+            state is WarpState.STALLED or waiting
+            for state, waiting in unfinished
+        ),
+        # Activation is worthwhile: some warp could issue once switched in.
+        "ready_to_run": any(
+            state in (WarpState.READY, WarpState.SUSPENDED) for state in states
+        ),
+    }
+
+
+def predicates(block):
+    return {
+        "finished": block.finished,
+        "fully_stalled": block.fully_stalled(),
+        "fully_mem_stalled": block.fully_mem_stalled(),
+        "ready_to_run": block.ready_to_run(),
+    }
 
 
 PREDICATE_CASES = [
@@ -152,63 +168,62 @@ PREDICATE_CASES = [
 class TestSoAThreadBlockPredicates:
     @pytest.mark.parametrize("states", PREDICATE_CASES)
     def test_predicates_match_object_model(self, states):
-        soa_block, obj_block = make_blocks()
-        set_states(soa_block, obj_block, states)
-        assert soa_block.finished == obj_block.finished
-        assert soa_block.fully_stalled() == obj_block.fully_stalled()
-        assert soa_block.fully_mem_stalled() == obj_block.fully_mem_stalled()
-        assert soa_block.ready_to_run() == obj_block.ready_to_run()
+        block = make_block()
+        set_states(block, states)
+        assert predicates(block) == predicate_spec(states, [False] * 4)
+        for warp in block.warps:
+            warp.mem_wait = True
+        assert predicates(block) == predicate_spec(states, [True] * 4)
 
     def test_mem_wait_feeds_fully_mem_stalled(self):
-        soa_block, obj_block = make_blocks()
+        block = make_block()
         states = [
             WarpState.STALLED,
             WarpState.READY,
             WarpState.FINISHED,
             WarpState.STALLED,
         ]
-        set_states(soa_block, obj_block, states)
-        assert not soa_block.fully_mem_stalled()
-        soa_block.warps[1].mem_wait = True
-        obj_block.warps[1].mem_wait = True
-        assert soa_block.fully_mem_stalled() == obj_block.fully_mem_stalled()
-        assert soa_block.fully_mem_stalled()
+        set_states(block, states)
+        assert not block.fully_mem_stalled()
+        block.warps[1].mem_wait = True
+        assert block.fully_mem_stalled()
+        assert block.store.mem_wait == [False, True, False, False]
 
     def test_suspend_and_resume_round_trip(self):
-        soa_block, obj_block = make_blocks()
+        block = make_block()
         states = [
             WarpState.READY,
             WarpState.STALLED,
             WarpState.READY,
             WarpState.FINISHED,
         ]
-        set_states(soa_block, obj_block, states)
-        suspended = soa_block.suspend_runnable_warps()
-        expected = obj_block.suspend_runnable_warps()
-        assert [w.warp_id for w in suspended] == [w.warp_id for w in expected]
+        set_states(block, states)
+        suspended = block.suspend_runnable_warps()
+        assert [w.warp_id for w in suspended] == [0, 2]
         assert all(w.state is WarpState.SUSPENDED for w in suspended)
-        resumed = soa_block.resume_suspended_warps()
-        assert [w.warp_id for w in resumed] == [w.warp_id for w in suspended]
+        resumed = block.resume_suspended_warps()
+        assert [w.warp_id for w in resumed] == [0, 2]
         assert all(w.state is WarpState.READY for w in resumed)
+        assert [w.state for w in block.warps] == states
 
     def test_suspend_with_nothing_runnable_is_empty(self):
-        soa_block, _ = make_blocks()
-        for warp in soa_block.warps:
+        block = make_block()
+        for warp in block.warps:
             warp.state = WarpState.STALLED
-        assert soa_block.suspend_runnable_warps() == []
-        assert soa_block.resume_suspended_warps() == []
+        assert block.suspend_runnable_warps() == []
+        assert block.resume_suspended_warps() == []
 
     def test_contiguity_enforced(self):
         store = make_store([[WarpOp(1, (0,))] for _ in range(3)])
         with pytest.raises(ValueError):
-            SoAThreadBlock(0, [store.warps[0], store.warps[2]])
+            ThreadBlock(0, [store.warps[0], store.warps[2]])
 
     def test_block_slice_offsets(self):
         # Two blocks over one store: predicates must only see their slice.
         op_lists = [[WarpOp(1, (4096 * i,))] for i in range(4)]
         store = make_store(op_lists)
-        first = SoAThreadBlock(0, store.warps[:2])
-        second = SoAThreadBlock(1, store.warps[2:])
+        first = ThreadBlock(0, store.warps[:2])
+        second = ThreadBlock(1, store.warps[2:])
         for warp in first.warps:
             warp.state = WarpState.STALLED
         assert first.fully_stalled()
@@ -217,25 +232,16 @@ class TestSoAThreadBlockPredicates:
 
 
 class TestBackendConstruction:
-    def test_simulator_rejects_unknown_backend(self):
-        from repro import build_workload, systems
-        from repro.simulator import GpuUvmSimulator
-
-        wl = build_workload("KCORE", scale="tiny", seed=0)
-        config = systems.BASELINE.configure(wl, ratio=0.5)
-        with pytest.raises(ConfigError, match="backend"):
-            GpuUvmSimulator(wl, config, backend="vectorized")
-
     def test_soa_simulator_builds_soa_blocks(self):
         from repro import build_workload, systems
         from repro.simulator import GpuUvmSimulator
 
         wl = build_workload("KCORE", scale="tiny", seed=0)
         config = systems.BASELINE.configure(wl, ratio=0.5)
-        sim = GpuUvmSimulator(wl, config, backend="soa")
-        blocks = sim._build_blocks_soa(wl.kernels[0])
+        sim = GpuUvmSimulator(wl, config)
+        blocks = sim._build_blocks(wl.kernels[0])
         assert blocks, "expected at least one block"
-        assert all(isinstance(b, SoAThreadBlock) for b in blocks)
+        assert all(isinstance(b, ThreadBlock) for b in blocks)
         assert all(isinstance(w, SoAWarp) for b in blocks for w in b.warps)
         store = sim._warp_store
         assert store is blocks[0].store
