@@ -39,6 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from repro.experiments.common import RunPolicy  # noqa: E402
 from repro.serve.testing import running_server  # noqa: E402
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -103,7 +104,7 @@ def collect(quick: bool = False) -> dict:
 
     with tempfile.TemporaryDirectory(prefix="bench-serve-") as tmp:
         with running_server(
-            cache_dir=tmp, batch_window=0.01, queue_limit=256
+            policy=RunPolicy(cache_dir=tmp), batch_window=0.01, queue_limit=256
         ) as (server, client):
             start = time.perf_counter()
             cold_lat = _issue(client, mix, concurrency)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+from contextlib import nullcontext
 
 import pytest
 
@@ -33,11 +34,11 @@ _RESULT_CACHE: dict[tuple, object] = {}
 
 @pytest.fixture(scope="session", autouse=True)
 def _experiment_layer_config():
-    """Honour the REPRO_JOBS/REPRO_CACHE* environment for the session."""
-    jobs = os.environ.get("REPRO_BENCH_JOBS") or os.environ.get("REPRO_JOBS")
-    if jobs:
-        common.set_default_jobs(int(jobs))
-    yield
+    """``REPRO_BENCH_JOBS`` overrides the default policy's worker count
+    (itself ``REPRO_JOBS``) for the session."""
+    jobs = os.environ.get("REPRO_BENCH_JOBS")
+    with common.run_policy(jobs=int(jobs)) if jobs else nullcontext():
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ their results can be reused forever.  Two mechanisms exploit that:
   a content fingerprint of the ``repro`` package source, so results
   survive across CLI invocations and benchmark sessions and are
   invalidated the moment the simulator changes.  Disable with
-  ``REPRO_CACHE=0``, ``--no-cache``, or :func:`set_cache_enabled`.
+  ``REPRO_CACHE=0``, ``--no-cache``, or ``RunPolicy(cache_enabled=False)``.
 * **Supervised parallel fan-out** — :func:`run_cells` (and
   :func:`run_matrix` on top of it) dispatches cache-missing cells to a
   crash-isolated :class:`repro.pool.SupervisedPool`: heartbeats, SIGTERM
@@ -20,7 +20,13 @@ their results can be reused forever.  Two mechanisms exploit that:
   from its last batch boundary in a fresh worker).  Results are merged
   back by cell index, so a parallel run is bit-identical to the serial
   one.  Select workers with ``--jobs``, ``REPRO_JOBS``, or
-  :func:`set_default_jobs` (default: serial).
+  ``RunPolicy(jobs=N)`` (default: serial).
+
+How a sweep runs — cache, workers, chaos, timeouts, checkpoints,
+retries, failure handling, pool supervision — is one frozen
+:class:`RunPolicy`.  Entry points pass it explicitly (``policy=``) or
+scope it over a block with :func:`run_policy`; calls that pass none run
+under the default policy, built once from the environment.
 """
 
 from __future__ import annotations
@@ -33,14 +39,15 @@ import sys
 import threading
 import time as _time
 import warnings
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from repro.chaos.config import ChaosConfig, split_process_chaos
+from repro.chaos.config import PROCESS_KINDS, ChaosConfig, split_process_chaos
 from repro.errors import (
     CellFailure,
+    ConfigError,
     PoolBrokenError,
     ReproError,
     SimulationStalledError,
@@ -187,22 +194,30 @@ class RunSpec:
     #: with (and stays bit-identical to) a chaos-free one.
     pool_chaos: ChaosConfig | None = None
 
+    def __post_init__(self) -> None:
+        if self.pool_chaos is not None:
+            foreign = [
+                s.kind for s in self.pool_chaos.injectors
+                if s.kind not in PROCESS_KINDS
+            ]
+            if foreign:
+                raise ConfigError(
+                    "pool chaos accepts process-level kinds only",
+                    rejected=foreign, accepted=sorted(PROCESS_KINDS),
+                )
+
     def resolved(self) -> "RunSpec":
         """Canonicalise so equal runs always produce equal cache keys:
         upper-case the workload name (the registry is case-insensitive),
-        fill the scale-calibrated default ratio, apply the module-wide
-        chaos/invariants/timeout defaults (:func:`set_default_chaos`,
-        :func:`set_default_invariants`, :func:`set_cell_timeout`), and
-        split process-level chaos kinds out of ``chaos`` into
-        ``pool_chaos`` so they can never contaminate ``SimConfig`` or a
-        cache key."""
+        fill the scale-calibrated default ratio, and split process-level
+        chaos kinds out of ``chaos`` into ``pool_chaos`` so they can never
+        contaminate ``SimConfig`` or a cache key.  Policy defaults are not
+        applied here (see :meth:`RunPolicy.apply`)."""
         spec = self
         if spec.workload != spec.workload.upper():
             spec = replace(spec, workload=spec.workload.upper())
         if spec.ratio is None and spec.config is None:
             spec = replace(spec, ratio=half_ratio(spec.scale))
-        if spec.chaos is None and _DEFAULT_CHAOS is not None:
-            spec = replace(spec, chaos=_DEFAULT_CHAOS)
         if spec.chaos is not None:
             sim_chaos, process_chaos = split_process_chaos(spec.chaos)
             if process_chaos is not None:
@@ -215,19 +230,6 @@ class RunSpec:
                         else process_chaos
                     ),
                 )
-        if spec.pool_chaos is None and _POOL_CHAOS is not None:
-            spec = replace(spec, pool_chaos=_POOL_CHAOS)
-        if _DEFAULT_INVARIANTS and not spec.check_invariants:
-            spec = replace(spec, check_invariants=True)
-        if spec.wall_budget_seconds is None and _CELL_TIMEOUT is not None:
-            spec = replace(spec, wall_budget_seconds=_CELL_TIMEOUT)
-        if spec.checkpoint_dir is None and _CHECKPOINT_DIR is not None:
-            spec = replace(
-                spec,
-                checkpoint_dir=_CHECKPOINT_DIR,
-                checkpoint_every=_CHECKPOINT_EVERY,
-                resume=_CHECKPOINT_RESUME,
-            )
         return spec
 
 
@@ -262,34 +264,8 @@ def _memo_key(spec: RunSpec) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Persistent on-disk cache
+# Run policy
 # ----------------------------------------------------------------------
-_CACHE_ENABLED = os.environ.get("REPRO_CACHE", "1") != "0"
-_CACHE_DIR: pathlib.Path | None = None
-_DEFAULT_JOBS = max(1, int(os.environ.get("REPRO_JOBS", "1") or "1"))
-_PROGRESS = False
-
-# ---- Robustness policy (see docs/robustness.md) ----------------------
-#: Chaos plan applied to every cell whose spec doesn't carry its own.
-_DEFAULT_CHAOS: ChaosConfig | None = None
-#: Invariant checking applied to every cell by default.
-_DEFAULT_INVARIANTS = False
-#: Per-cell wall-clock budget in seconds (None: unbounded).
-_CELL_TIMEOUT: float | None = None
-#: Checkpoint policy applied to every cell whose spec doesn't carry its
-#: own (see :func:`set_checkpoint_policy`).
-_CHECKPOINT_DIR: str | None = None
-_CHECKPOINT_EVERY = 1
-_CHECKPOINT_RESUME = False
-#: How many times a cell is re-run after a *transient* failure, and the
-#: base of the exponential backoff between attempts.
-_MAX_RETRIES = 1
-_RETRY_BACKOFF = 0.25
-#: What to do with a cell that keeps failing: "raise" aborts the sweep
-#: (legacy behaviour); "keep-going" records a CellFailure in its slot so
-#: the sweep completes with partial data.
-_ON_ERROR = "raise"
-
 #: Errors worth retrying: infrastructure hiccups, not simulator states.
 #: A deterministic simulation error would simply reproduce, so
 #: :class:`~repro.errors.ReproError` is deliberately absent.  So is
@@ -301,176 +277,213 @@ _ON_ERROR = "raise"
 #: affected cells.
 _TRANSIENT_ERRORS: tuple[type[BaseException], ...] = (OSError,)
 
-# ---- Supervised pool policy (see docs/robustness.md) -----------------
-#: Process-level chaos applied to every cell whose spec doesn't carry
-#: its own (``worker-kill`` / ``worker-hang`` / ``worker-slow``).
-_POOL_CHAOS: ChaosConfig | None = None
-#: Heartbeat interval for pool workers (seconds).
-_POOL_HEARTBEAT = 0.25
-#: Hard per-cell wall deadline enforced by the pool supervisor
-#: (``None``: rely on the in-simulation watchdog only).
-_WORKER_DEADLINE: float | None = None
-#: Crashes on one memo key before the pool's circuit breaker quarantines
-#: it as a :class:`~repro.errors.PoisonCellError`.
-_BREAKER_THRESHOLD = 5
-#: Worker-process-local hook called with each freshly built/restored
-#: simulator (after checkpoints are enabled): the mount point for
-#: process-level chaos (:mod:`repro.pool.worker`).  Never set in the
-#: parent process.
-_CELL_HOOK: Callable | None = None
-
-#: Structured failures collected while ``_ON_ERROR == "keep-going"``.
-FAILURES: list[CellFailure] = []
-
-#: Per-process counters for observability (see :func:`cache_stats`).
-CACHE_STATS = {"memory_hits": 0, "disk_hits": 0, "misses": 0, "evictions": 0}
-
-# ---- Cache quota / LRU eviction (see docs/serving.md) ----------------
-#: Size budget for the persistent cache directory in bytes; ``None``
-#: leaves the cache unbounded (the historical behaviour).
-_CACHE_QUOTA_BYTES: int | None = None
-_env_quota = os.environ.get("REPRO_CACHE_QUOTA_MB")
-if _env_quota:
-    _CACHE_QUOTA_BYTES = max(1, int(float(_env_quota) * 1024 * 1024))
-#: Cache files that must never be evicted while pinned (in-flight server
-#: entries), as ``{file name: pin count}``; guarded by ``_PIN_LOCK``
-#: because the serving layer pins from the event loop while eviction
-#: runs on a worker thread.
-_PINNED_PATHS: dict[str, int] = {}
-_PIN_LOCK = threading.Lock()
+_ON_ERROR_POLICIES = ("raise", "keep-going")
 
 
-def set_cache_enabled(enabled: bool) -> None:
-    """Globally enable/disable the persistent on-disk run cache."""
-    global _CACHE_ENABLED
-    _CACHE_ENABLED = enabled
+@dataclass(frozen=True)
+class RunPolicy:
+    """How cells run: cache, workers, robustness, pool supervision.
+
+    Frozen and validated at construction (:class:`~repro.errors.ConfigError`),
+    so a policy that exists is a policy that works.  It is applied to each
+    cell in the calling process (:meth:`apply`): workers receive fully
+    specified :class:`RunSpec` values and never read a policy themselves.
+    See docs/robustness.md for what each knob does.
+    """
+
+    #: Persistent run-cache directory, whether to read/write it, and an
+    #: optional size budget in bytes (least recently used entries are
+    #: evicted past it; pinned entries never are).
+    cache_dir: str = ".repro-cache"
+    cache_enabled: bool = True
+    cache_quota_bytes: int | None = None
+    #: Worker processes for cache-missing cells (1: serial in-process).
+    jobs: int = 1
+    #: Per-cell progress lines on stderr.
+    progress: bool = False
+    #: Chaos plan for every cell that carries none.  Simulation-level
+    #: kinds reach ``SimConfig``; process-level kinds (``worker-*``)
+    #: reach the supervised pool only and never enter a cache key.
+    chaos: ChaosConfig | None = None
+    #: Batch-boundary invariant checks in every cell.
+    invariants: bool = False
+    #: Wall-clock budget per cell in seconds (``None``: unbounded).
+    cell_timeout: float | None = None
+    #: Checkpoint every cell into ``checkpoint_dir`` every
+    #: ``checkpoint_every`` batches; with ``resume``, a cell whose
+    #: checkpoint already exists continues from it.
+    checkpoint_dir: str | None = None
+    checkpoint_every: int = 1
+    resume: bool = False
+    #: Re-runs after a transient failure, with exponential backoff
+    #: starting at ``retry_backoff`` seconds.
+    retries: int = 1
+    retry_backoff: float = 0.25
+    #: ``"raise"`` aborts on the first persistent cell failure;
+    #: ``"keep-going"`` puts a :class:`~repro.errors.CellFailure` in the
+    #: failed cell's result slot and completes the sweep.
+    on_error: str = "raise"
+    #: Supervised pool: worker heartbeat (``None`` disables heartbeat
+    #: supervision), hard per-cell deadline, and the crashes on one memo
+    #: key before the circuit breaker quarantines it.
+    pool_heartbeat: float | None = 0.25
+    worker_deadline: float | None = None
+    breaker_threshold: int = 5
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cache_dir", os.fspath(self.cache_dir))
+        if self.checkpoint_dir is not None:
+            object.__setattr__(
+                self, "checkpoint_dir", os.fspath(self.checkpoint_dir)
+            )
+        if self.cache_quota_bytes is not None and self.cache_quota_bytes <= 0:
+            raise ConfigError(
+                "cache quota must be positive", quota=self.cache_quota_bytes
+            )
+        if self.jobs < 1:
+            raise ConfigError("jobs must be at least 1", jobs=self.jobs)
+        if self.cell_timeout is not None and self.cell_timeout <= 0:
+            raise ConfigError(
+                "cell timeout must be positive", timeout=self.cell_timeout
+            )
+        if self.checkpoint_every < 1:
+            raise ConfigError(
+                "checkpoint interval must be positive",
+                every=self.checkpoint_every,
+            )
+        if self.resume and self.checkpoint_dir is None:
+            raise ConfigError("resume requires a checkpoint directory")
+        if self.retries < 0:
+            raise ConfigError(
+                "retries must be non-negative", retries=self.retries
+            )
+        if self.retry_backoff < 0:
+            raise ConfigError("retry backoff must be non-negative")
+        if self.on_error not in _ON_ERROR_POLICIES:
+            raise ConfigError(
+                f"unknown on-error policy {self.on_error!r}",
+                accepted=list(_ON_ERROR_POLICIES),
+            )
+        if self.pool_heartbeat is not None and self.pool_heartbeat <= 0:
+            raise ConfigError("pool heartbeat must be positive")
+        if self.worker_deadline is not None and self.worker_deadline <= 0:
+            raise ConfigError(
+                "worker deadline must be positive",
+                deadline=self.worker_deadline,
+            )
+        if self.breaker_threshold < 1:
+            raise ConfigError(
+                "breaker threshold must be at least 1",
+                threshold=self.breaker_threshold,
+            )
+
+    @classmethod
+    def from_env(cls) -> "RunPolicy":
+        """The defaults, adjusted by ``REPRO_CACHE``, ``REPRO_CACHE_DIR``,
+        ``REPRO_CACHE_QUOTA_MB`` and ``REPRO_JOBS`` — the only place the
+        experiment layer reads the environment."""
+        env = os.environ
+        quota_mb = env.get("REPRO_CACHE_QUOTA_MB")
+        quota = max(1, int(float(quota_mb) * 1024 * 1024)) if quota_mb else None
+        return cls(
+            cache_dir=env.get("REPRO_CACHE_DIR") or ".repro-cache",
+            cache_enabled=env.get("REPRO_CACHE", "1") != "0",
+            cache_quota_bytes=quota,
+            jobs=max(1, int(env.get("REPRO_JOBS", "1") or "1")),
+        )
+
+    def apply(self, spec: RunSpec) -> RunSpec:
+        """``spec`` canonicalised (:meth:`RunSpec.resolved`) with this
+        policy's defaults filled into whatever the cell leaves unset:
+        chaos (simulation and process kinds separately), invariants,
+        wall budget, and checkpointing.  Idempotent."""
+        spec = spec.resolved()
+        changes: dict = {}
+        if self.chaos is not None:
+            sim_chaos, process_chaos = split_process_chaos(self.chaos)
+            if spec.chaos is None and sim_chaos is not None:
+                changes["chaos"] = sim_chaos
+            if spec.pool_chaos is None and process_chaos is not None:
+                changes["pool_chaos"] = process_chaos
+        if self.invariants and not spec.check_invariants:
+            changes["check_invariants"] = True
+        if spec.wall_budget_seconds is None and self.cell_timeout is not None:
+            changes["wall_budget_seconds"] = self.cell_timeout
+        if spec.checkpoint_dir is None and self.checkpoint_dir is not None:
+            changes.update(
+                checkpoint_dir=self.checkpoint_dir,
+                checkpoint_every=self.checkpoint_every,
+                resume=self.resume,
+            )
+        return replace(spec, **changes) if changes else spec
+
+    def pool_config(self, workers: int):
+        """The :class:`repro.pool.PoolConfig` for a pool under this policy."""
+        from repro.pool import PoolConfig
+
+        return PoolConfig(
+            workers=workers,
+            heartbeat=self.pool_heartbeat,
+            cell_deadline=self.worker_deadline,
+            breaker_threshold=self.breaker_threshold,
+        )
+
+
+#: The policy of calls that pass none: built from the environment at
+#: import, replaced for the duration of a :func:`run_policy` block.
+_DEFAULT_POLICY = RunPolicy.from_env()
+#: Keep-going failures of calls run under a :func:`run_policy` scope's
+#: policy (``None`` outside any scope: nothing is collected).
+_FAILURES: list[CellFailure] | None = None
+
+
+def default_policy() -> RunPolicy:
+    """The policy in effect for calls that pass none."""
+    return _DEFAULT_POLICY
+
+
+@contextmanager
+def run_policy(
+    policy: RunPolicy | None = None, **changes
+) -> Iterator[list[CellFailure]]:
+    """Make ``policy`` (default: the current one), with ``changes``
+    applied, the default for the block; the previous default is restored
+    on exit.  Yields the list that collects the structured failures of
+    keep-going calls made under it (also drained by :func:`drain_failures`)::
+
+        with common.run_policy(jobs=4, on_error="keep-going") as failures:
+            fig11_speedup.run(scale="small")
+    """
+    global _DEFAULT_POLICY, _FAILURES
+    scoped = replace(policy or _DEFAULT_POLICY, **changes)
+    saved = _DEFAULT_POLICY, _FAILURES
+    _DEFAULT_POLICY, _FAILURES = scoped, []
+    try:
+        yield _FAILURES
+    finally:
+        _DEFAULT_POLICY, _FAILURES = saved
 
 
 def set_cache_dir(path: str | pathlib.Path | None) -> None:
-    """Override the cache directory (``None`` restores the default)."""
-    global _CACHE_DIR
-    _CACHE_DIR = pathlib.Path(path) if path is not None else None
+    """Point the default policy's run cache at ``path`` (``None``: the
+    environment's default)."""
+    global _DEFAULT_POLICY
+    if path is None:
+        path = RunPolicy.from_env().cache_dir
+    _DEFAULT_POLICY = replace(_DEFAULT_POLICY, cache_dir=path)
 
 
-def set_default_jobs(jobs: int) -> None:
-    """Default worker count for :func:`run_cells` / :func:`run_matrix`."""
-    global _DEFAULT_JOBS
-    _DEFAULT_JOBS = max(1, int(jobs))
-
-
-def set_progress(enabled: bool) -> None:
-    """Toggle per-cell progress lines on stderr during fan-outs."""
-    global _PROGRESS
-    _PROGRESS = enabled
-
-
-def set_default_chaos(chaos: ChaosConfig | None) -> None:
-    """Apply ``chaos`` to every subsequent cell (``None`` disables).
-
-    The config may freely mix simulation-level and process-level kinds:
-    :meth:`RunSpec.resolved` splits them, so ``worker-kill`` and friends
-    reach the supervised pool while the rest reaches ``SimConfig``.
-    """
-    global _DEFAULT_CHAOS
-    _DEFAULT_CHAOS = chaos
-
-
-def set_pool_chaos(chaos: ChaosConfig | None) -> None:
-    """Process-level chaos for every subsequent pooled cell.
-
-    Unlike :func:`set_default_chaos` this never touches cache keys or
-    ``SimConfig`` — it feeds :func:`repro.chaos.process.plan_worker_chaos`
-    in the supervised pool.
-    """
-    global _POOL_CHAOS
-    _POOL_CHAOS = chaos
-
-
-def set_pool_policy(
-    heartbeat: float | None = None,
-    deadline: float | None = None,
-    breaker_threshold: int | None = None,
-) -> None:
-    """Tune the supervised pool built by :func:`run_cells`.
-
-    Arguments left ``None`` keep their current values, except
-    ``deadline`` which is an absolute setting (pass ``0`` to clear it).
-    """
-    global _POOL_HEARTBEAT, _WORKER_DEADLINE, _BREAKER_THRESHOLD
-    if heartbeat is not None:
-        if heartbeat <= 0:
-            raise ValueError("heartbeat must be positive")
-        _POOL_HEARTBEAT = float(heartbeat)
-    if deadline is not None:
-        _WORKER_DEADLINE = float(deadline) if deadline > 0 else None
-    if breaker_threshold is not None:
-        if breaker_threshold < 1:
-            raise ValueError("breaker threshold must be at least 1")
-        _BREAKER_THRESHOLD = int(breaker_threshold)
+#: Worker-process-local hook called with each freshly built/restored
+#: simulator (after checkpoints are enabled): the mount point for
+#: process-level chaos (:mod:`repro.pool.worker`) and for profilers.
+#: Not policy — it never crosses a process boundary.
+_CELL_HOOK: Callable | None = None
 
 
 def set_cell_hook(hook: Callable | None) -> None:
-    """Install the worker-process simulator hook (pool internals)."""
+    """Install the simulator hook of this process (pool internals)."""
     global _CELL_HOOK
     _CELL_HOOK = hook
-
-
-def set_default_invariants(enabled: bool) -> None:
-    """Run invariant checks in every subsequent cell."""
-    global _DEFAULT_INVARIANTS
-    _DEFAULT_INVARIANTS = bool(enabled)
-
-
-def set_cell_timeout(seconds: float | None) -> None:
-    """Wall-clock budget per cell (``None``: unbounded)."""
-    global _CELL_TIMEOUT
-    if seconds is not None and seconds <= 0:
-        raise ValueError("cell timeout must be positive (or None)")
-    _CELL_TIMEOUT = seconds
-
-
-def set_checkpoint_policy(
-    directory: str | pathlib.Path | None,
-    every: int = 1,
-    resume: bool = False,
-) -> None:
-    """Checkpoint every cell into ``directory`` every ``every`` batches.
-
-    With ``resume``, a cell whose checkpoint file already exists continues
-    from it instead of starting over — the mechanism behind resumable
-    sweeps (a killed/stalled sweep rerun with ``--resume`` picks up every
-    in-flight cell from its last batch boundary).  ``None`` disables
-    checkpointing entirely.
-    """
-    global _CHECKPOINT_DIR, _CHECKPOINT_EVERY, _CHECKPOINT_RESUME
-    if directory is None:
-        _CHECKPOINT_DIR, _CHECKPOINT_EVERY, _CHECKPOINT_RESUME = None, 1, False
-        return
-    if every <= 0:
-        raise ValueError("checkpoint interval must be positive")
-    _CHECKPOINT_DIR = str(directory)
-    _CHECKPOINT_EVERY = int(every)
-    _CHECKPOINT_RESUME = bool(resume)
-
-
-def set_retry_policy(retries: int, backoff: float = 0.25) -> None:
-    """Retry transiently failing cells ``retries`` times with exponential
-    backoff starting at ``backoff`` seconds."""
-    global _MAX_RETRIES, _RETRY_BACKOFF
-    if retries < 0:
-        raise ValueError("retries must be non-negative")
-    _MAX_RETRIES = int(retries)
-    _RETRY_BACKOFF = max(0.0, float(backoff))
-
-
-def set_on_error(policy: str) -> None:
-    """``"raise"`` aborts a sweep on the first persistent cell failure;
-    ``"keep-going"`` records a :class:`~repro.errors.CellFailure` in the
-    failed cell's result slot and completes the sweep."""
-    global _ON_ERROR
-    if policy not in ("raise", "keep-going"):
-        raise ValueError(f"unknown on-error policy {policy!r}")
-    _ON_ERROR = policy
 
 
 def is_failure(result) -> bool:
@@ -479,42 +492,39 @@ def is_failure(result) -> bool:
 
 
 def drain_failures() -> list[CellFailure]:
-    """Return and clear the failures collected under ``keep-going``."""
-    failures = list(FAILURES)
-    FAILURES.clear()
+    """Return and clear the failures collected by the current
+    :func:`run_policy` scope (empty outside any scope)."""
+    if _FAILURES is None:
+        return []
+    failures = list(_FAILURES)
+    _FAILURES.clear()
     return failures
 
 
-def set_cache_quota(max_bytes: int | None) -> None:
-    """Bound the persistent cache directory to ``max_bytes`` of entries.
+# ----------------------------------------------------------------------
+# Persistent on-disk cache
+# ----------------------------------------------------------------------
+#: Per-process counters for observability (see :func:`cache_stats`).
+CACHE_STATS = {"memory_hits": 0, "disk_hits": 0, "misses": 0, "evictions": 0}
 
-    When a store pushes the directory past the quota, the least recently
-    *used* entries are evicted first (disk hits refresh an entry's mtime,
-    so recency tracks reads, not just writes).  Pinned entries
-    (:func:`pin_cache_entry` — the serving layer's in-flight results) are
-    never evicted.  ``None`` restores the historical unbounded behaviour.
-    """
-    global _CACHE_QUOTA_BYTES
-    if max_bytes is not None and max_bytes <= 0:
-        raise ValueError("cache quota must be positive (or None)")
-    _CACHE_QUOTA_BYTES = max_bytes
-
-
-def cache_quota() -> int | None:
-    """The active cache size budget in bytes (``None``: unbounded)."""
-    return _CACHE_QUOTA_BYTES
+#: Cache files that must never be evicted while pinned (in-flight server
+#: entries), as ``{file name: pin count}``; guarded by ``_PIN_LOCK``
+#: because the serving layer pins from the event loop while eviction
+#: runs on a worker thread.
+_PINNED_PATHS: dict[str, int] = {}
+_PIN_LOCK = threading.Lock()
 
 
 def pin_cache_entry(key: tuple) -> None:
     """Protect ``key``'s cache file from quota eviction (refcounted)."""
-    name = _cache_path(key).name
+    name = _cache_name(key)
     with _PIN_LOCK:
         _PINNED_PATHS[name] = _PINNED_PATHS.get(name, 0) + 1
 
 
 def unpin_cache_entry(key: tuple) -> None:
     """Drop one pin from ``key``'s cache file (missing pins are ignored)."""
-    name = _cache_path(key).name
+    name = _cache_name(key)
     with _PIN_LOCK:
         count = _PINNED_PATHS.get(name, 0) - 1
         if count > 0:
@@ -529,17 +539,20 @@ def pinned_cache_entries() -> int:
         return len(_PINNED_PATHS)
 
 
-def enforce_cache_quota() -> int:
+def enforce_cache_quota(policy: RunPolicy | None = None) -> int:
     """Evict least-recently-used ``*.pkl`` entries beyond the quota.
 
-    Returns the number of files removed.  Runs automatically after every
-    store; exposed for operators (and the serving layer) to trigger a
+    Disk hits refresh an entry's mtime, so recency tracks reads, not just
+    writes.  Returns the number of files removed.  Runs automatically
+    after every store; exposed for operators (and the CLIs) to trigger a
     sweep after lowering the quota.  Pinned entries are skipped even when
     that leaves the directory over budget.
     """
-    if _CACHE_QUOTA_BYTES is None:
+    policy = policy or _DEFAULT_POLICY
+    quota = policy.cache_quota_bytes
+    if quota is None:
         return 0
-    directory = cache_dir()
+    directory = cache_dir(policy)
     if not directory.is_dir():
         return 0
     entries = []
@@ -551,13 +564,13 @@ def enforce_cache_quota() -> int:
             continue
         entries.append((stat.st_mtime, stat.st_size, path))
         total += stat.st_size
-    if total <= _CACHE_QUOTA_BYTES:
+    if total <= quota:
         return 0
     with _PIN_LOCK:
         pinned = set(_PINNED_PATHS)
     evicted = 0
     for _, size, path in sorted(entries, key=lambda e: (e[0], e[2].name)):
-        if total <= _CACHE_QUOTA_BYTES:
+        if total <= quota:
             break
         if path.name in pinned:
             continue
@@ -577,12 +590,9 @@ def enforce_cache_quota() -> int:
     return evicted
 
 
-def cache_dir() -> pathlib.Path:
-    """The active persistent-cache directory (not necessarily created)."""
-    if _CACHE_DIR is not None:
-        return _CACHE_DIR
-    env = os.environ.get("REPRO_CACHE_DIR")
-    return pathlib.Path(env) if env else pathlib.Path(".repro-cache")
+def cache_dir(policy: RunPolicy | None = None) -> pathlib.Path:
+    """The policy's persistent-cache directory (not necessarily created)."""
+    return pathlib.Path((policy or _DEFAULT_POLICY).cache_dir)
 
 
 def cache_stats() -> dict[str, int]:
@@ -619,9 +629,9 @@ def _cache_version() -> str:
     return f"{__version__}/{_code_fingerprint()}"
 
 
-def _cache_path(key: tuple) -> pathlib.Path:
+def _cache_name(key: tuple) -> str:
     blob = repr((_cache_version(), key)).encode()
-    return cache_dir() / f"{hashlib.sha256(blob).hexdigest()[:40]}.pkl"
+    return f"{hashlib.sha256(blob).hexdigest()[:40]}.pkl"
 
 
 def _quarantine(path: pathlib.Path) -> None:
@@ -642,8 +652,8 @@ def _quarantine(path: pathlib.Path) -> None:
     )
 
 
-def _disk_load(key: tuple) -> SimulationResult | None:
-    path = _cache_path(key)
+def _disk_load(key: tuple, policy: RunPolicy) -> SimulationResult | None:
+    path = cache_dir(policy) / _cache_name(key)
     try:
         fh = open(path, "rb")
     except OSError:
@@ -665,8 +675,10 @@ def _disk_load(key: tuple) -> SimulationResult | None:
     return result
 
 
-def _disk_store(key: tuple, result: SimulationResult) -> None:
-    path = _cache_path(key)
+def _disk_store(
+    key: tuple, result: SimulationResult, policy: RunPolicy
+) -> None:
+    path = cache_dir(policy) / _cache_name(key)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -675,13 +687,13 @@ def _disk_store(key: tuple, result: SimulationResult) -> None:
         os.replace(tmp, path)  # atomic: concurrent writers can't corrupt
     except OSError:
         return  # caching is best-effort; an unwritable dir must not fail runs
-    enforce_cache_quota()
+    enforce_cache_quota(policy)
 
 
-def clear_persistent_cache() -> int:
-    """Delete every entry in the active cache directory; return the count."""
+def clear_persistent_cache(policy: RunPolicy | None = None) -> int:
+    """Delete every entry in the policy's cache directory; return the count."""
     removed = 0
-    directory = cache_dir()
+    directory = cache_dir(policy)
     if directory.is_dir():
         for pattern in ("*.pkl", "*.pkl.corrupt"):
             for path in directory.glob(pattern):
@@ -712,14 +724,16 @@ def _count_cache(outcome: str) -> None:
         obs.metrics.counter("experiments.cache", outcome=outcome).inc()
 
 
-def _cache_get(key: tuple, use_cache: bool) -> SimulationResult | None:
+def _cache_get(
+    key: tuple, use_cache: bool, policy: RunPolicy
+) -> SimulationResult | None:
     if not use_cache:
         return None
     if key in _RUN_CACHE:
         _count_cache("memory_hits")
         return _RUN_CACHE[key]
-    if _CACHE_ENABLED:
-        result = _disk_load(key)
+    if policy.cache_enabled:
+        result = _disk_load(key, policy)
         if result is not None:
             _count_cache("disk_hits")
             _RUN_CACHE[key] = result
@@ -727,16 +741,18 @@ def _cache_get(key: tuple, use_cache: bool) -> SimulationResult | None:
     return None
 
 
-def _cache_put(key: tuple, result: SimulationResult, use_cache: bool) -> None:
+def _cache_put(
+    key: tuple, result: SimulationResult, use_cache: bool, policy: RunPolicy
+) -> None:
     if not use_cache:
         return
     _RUN_CACHE[key] = result
-    if _CACHE_ENABLED:
-        _disk_store(key, result)
+    if policy.cache_enabled:
+        _disk_store(key, result, policy)
 
 
 def probe_cache(
-    spec: RunSpec, use_cache: bool = True
+    spec: RunSpec, use_cache: bool = True, policy: RunPolicy | None = None
 ) -> SimulationResult | None:
     """Look ``spec`` up in the memo + disk cache without running anything.
 
@@ -744,7 +760,8 @@ def probe_cache(
     immediately (no admission, no batching); a miss returns ``None`` and
     counts nothing — the eventual :func:`run_cells` dispatch records it.
     """
-    return _cache_get(_memo_key(spec.resolved()), use_cache)
+    policy = policy or _DEFAULT_POLICY
+    return _cache_get(_memo_key(policy.apply(spec)), use_cache, policy)
 
 
 # ----------------------------------------------------------------------
@@ -864,14 +881,13 @@ def _record_failure(
     spec: RunSpec,
     exc: BaseException,
     attempts: int,
-    on_error: str | None = None,
+    policy: RunPolicy,
 ) -> CellFailure:
     """Convert a persistently failing cell into a structured record.
 
-    Under the default ``raise`` policy the record is *raised* (chained to
-    the original error) so a sweep still aborts loudly; under
-    ``keep-going`` it is appended to :data:`FAILURES` and returned to sit
-    in the cell's result slot."""
+    Under the ``raise`` policy the record is *raised* (chained to the
+    original error) so a sweep still aborts loudly; under ``keep-going``
+    it is returned to sit in the cell's result slot."""
     failure = CellFailure(
         str(exc) or type(exc).__name__,
         workload=spec.workload,
@@ -887,12 +903,12 @@ def _record_failure(
     # resume the cell by hand even after the retry budget ran out.
     failure.flight_recorder = getattr(exc, "flight_recorder", None)
     failure.checkpoint_path = getattr(exc, "checkpoint_path", None)
-    return _deliver_failure(failure, on_error, cause=exc)
+    return _deliver_failure(failure, policy, cause=exc)
 
 
 def _deliver_failure(
     failure: CellFailure,
-    on_error: str | None,
+    policy: RunPolicy,
     cause: BaseException | None = None,
 ) -> CellFailure:
     """Apply the on-error policy to a structured failure record.
@@ -900,19 +916,14 @@ def _deliver_failure(
     Shared by :func:`_record_failure` (failures built here from raw
     exceptions) and the pool path (failures built by the supervisor —
     poison cells — that arrive pre-structured)."""
-    if (on_error or _ON_ERROR) != "keep-going":
+    if policy.on_error != "keep-going":
         raise failure from cause
-    if on_error is None:
-        # Only the module-wide policy accumulates into FAILURES (drained
-        # by the CLI's sweep report); per-call keep-going callers (the
-        # serving layer) receive failures in their result slots instead.
-        FAILURES.append(failure)
     obs = _obs_current()
     if obs is not None:
         obs.metrics.counter(
             "experiments.cell_failures", error=failure.error_type
         ).inc()
-    if _PROGRESS:
+    if policy.progress:
         sys.stderr.write(f"\n  [cell failed] {failure.summary()}\n")
         sys.stderr.flush()
     return failure
@@ -931,10 +942,10 @@ def _resumable_stall(exc: BaseException | None, spec: RunSpec) -> bool:
 
 def _run_one(
     spec: RunSpec,
+    policy: RunPolicy,
     prior: BaseException | None = None,
-    on_error: str | None = None,
 ) -> SimulationResult | CellFailure:
-    """Run one cell under the retry/failure policy.
+    """Run one cell under the policy's retry/failure rules.
 
     ``prior`` is an error the cell already produced elsewhere (a worker
     process): it counts as the first attempt, so the bounded-retry budget
@@ -943,9 +954,7 @@ def _run_one(
     simulator errors fail immediately (re-running would reproduce them) —
     except a checkpointed stall, which retries *resuming* from the
     checkpoint; anything outside the taxonomy propagates — it is a bug,
-    not a cell failure.  ``on_error`` overrides the module-wide policy
-    for this call (the serving layer runs keep-going batches without
-    touching the CLI's global state).
+    not a cell failure.
     """
     attempts = 0
     last = prior
@@ -955,10 +964,10 @@ def _run_one(
             spec = replace(spec, resume=True)
     while last is None or (
         (isinstance(last, _TRANSIENT_ERRORS) or _resumable_stall(last, spec))
-        and attempts <= _MAX_RETRIES
+        and attempts <= policy.retries
     ):
-        if last is not None and _RETRY_BACKOFF:
-            _time.sleep(_RETRY_BACKOFF * (2 ** (attempts - 1)))
+        if last is not None and policy.retry_backoff:
+            _time.sleep(policy.retry_backoff * (2 ** (attempts - 1)))
         attempts += 1
         try:
             return _simulate_spec(spec)
@@ -969,18 +978,23 @@ def _run_one(
             last = exc
             if _resumable_stall(exc, spec) and not spec.resume:
                 spec = replace(spec, resume=True)
-    return _record_failure(spec, last, attempts, on_error)
+    return _record_failure(spec, last, attempts, policy)
 
 
 def run_cells(
     cells: Sequence[RunSpec],
-    jobs: int | None = None,
     use_cache: bool = True,
     label: str = "cells",
     on_error: str | None = None,
     pool=None,
+    policy: RunPolicy | None = None,
 ) -> list[SimulationResult]:
     """Run every cell, in parallel for cache misses; results keep order.
+
+    ``policy`` (default: the current :func:`run_policy` scope's) is
+    applied to every cell here, in the calling process: cache, workers,
+    chaos, invariants, timeouts, checkpoints, retries, and on-error.
+    ``on_error`` overrides the policy's on-error rule for this call.
 
     The fan-out is transparent: each missing cell runs exactly the
     simulation the serial path would (same parameters, same seeds, fresh
@@ -992,26 +1006,27 @@ def run_cells(
     escalation, restart with backoff, checkpoint-based handoff of
     interrupted cells, per-key circuit breaker).  Pass ``pool`` to run
     on a caller-owned long-lived pool (the serving layer); otherwise an
-    ephemeral pool is built for the call whenever ``jobs > 1`` leaves
-    more than one cache miss.  If the pool itself breaks
+    ephemeral pool is built for the call whenever ``policy.jobs > 1``
+    leaves more than one cache miss.  If the pool itself breaks
     (:class:`~repro.errors.PoolBrokenError`), it is rebuilt once and
     only the affected cells are resubmitted — surviving results are
     kept and no per-cell retry budget is burned.
 
-    Failing cells follow the retry/on-error policy (:func:`set_retry_policy`,
-    :func:`set_on_error`): under ``keep-going`` a persistently failing
-    cell's slot holds a :class:`~repro.errors.CellFailure` instead of a
-    result, and the sweep completes with partial data.  ``on_error``
-    overrides the module-wide policy for this call only — the serving
-    layer's batched entry point, which must keep going without mutating
-    the CLI's globals.
+    Under ``keep-going`` a persistently failing cell's slot holds a
+    :class:`~repro.errors.CellFailure` instead of a result, and the sweep
+    completes with partial data.  Calls that pass no ``policy`` also
+    report those failures to the enclosing :func:`run_policy` scope.
     """
-    cells = [cell.resolved() for cell in cells]
+    scoped = policy is None
+    policy = _DEFAULT_POLICY if scoped else policy
+    if on_error is not None:
+        policy = replace(policy, on_error=on_error)
+    cells = [policy.apply(cell) for cell in cells]
     keys = [_memo_key(cell) for cell in cells]
     results: list[SimulationResult | None] = [None] * len(cells)
     pending: list[int] = []
     for i, key in enumerate(keys):
-        hit = _cache_get(key, use_cache)
+        hit = _cache_get(key, use_cache, policy)
         if hit is not None:
             results[i] = hit
         else:
@@ -1023,12 +1038,13 @@ def run_cells(
             len(pending)
         )
 
-    jobs = _DEFAULT_JOBS if jobs is None else max(1, int(jobs))
+    jobs = policy.jobs
     started = _time.monotonic()
     done = 0
 
     def report(final: bool = False) -> None:
-        if not _PROGRESS:
+        # A single cell (run_system, run_config) has no progress to show.
+        if not policy.progress or len(cells) < 2:
             return
         elapsed = _time.monotonic() - started
         end = "\n" if final else "\r"
@@ -1053,15 +1069,10 @@ def run_cells(
         own_pool = None
         active = pool
         if active is None:
-            from repro.pool import PoolConfig, SupervisedPool
+            from repro.pool import SupervisedPool
 
             own_pool = SupervisedPool(
-                PoolConfig(
-                    workers=min(jobs, len(pending)),
-                    heartbeat=_POOL_HEARTBEAT,
-                    cell_deadline=_WORKER_DEADLINE,
-                    breaker_threshold=_BREAKER_THRESHOLD,
-                )
+                policy.pool_config(workers=min(jobs, len(pending)))
             )
             active = own_pool
 
@@ -1093,14 +1104,12 @@ def run_cells(
                     elif isinstance(outcome, CellFailure):
                         # Pre-structured by the supervisor (poison cells):
                         # deliver under this call's on-error policy.
-                        results[i] = _deliver_failure(outcome, on_error)
+                        results[i] = _deliver_failure(outcome, policy)
                     else:
                         # The cell itself raised in its worker: the
                         # worker's attempt counts as the first, and any
                         # retry budget left runs here in the parent.
-                        results[i] = _run_one(
-                            cells[i], prior=outcome, on_error=on_error
-                        )
+                        results[i] = _run_one(cells[i], policy, prior=outcome)
         finally:
             if own_pool is not None:
                 own_pool.close()
@@ -1110,9 +1119,9 @@ def run_cells(
                 with obs.tracer.wall_span(
                     "experiments", _cell_label(cells[i]), group=label
                 ):
-                    results[i] = _run_one(cells[i], on_error=on_error)
+                    results[i] = _run_one(cells[i], policy)
             else:
-                results[i] = _run_one(cells[i], on_error=on_error)
+                results[i] = _run_one(cells[i], policy)
             done += 1
             report()
     if cells:
@@ -1120,7 +1129,9 @@ def run_cells(
 
     for i in pending:
         if isinstance(results[i], SimulationResult):
-            _cache_put(keys[i], results[i], use_cache)
+            _cache_put(keys[i], results[i], use_cache, policy)
+    if scoped and _FAILURES is not None:
+        _FAILURES.extend(r for r in results if isinstance(r, CellFailure))
     return results  # type: ignore[return-value]
 
 
@@ -1133,6 +1144,7 @@ def run_system(
     max_events: int = MAX_EVENTS,
     seed: int = 0,
     use_cache: bool = True,
+    policy: RunPolicy | None = None,
 ) -> SimulationResult:
     """Build (or reuse) a workload and run it under ``preset``."""
     name = workload if isinstance(workload, str) else workload.name
@@ -1144,16 +1156,8 @@ def run_system(
         fault_handling_cycles=fault_handling_cycles,
         seed=seed,
         max_events=max_events,
-    ).resolved()
-    key = _memo_key(spec)
-    hit = _cache_get(key, use_cache)
-    if hit is not None:
-        return hit
-    _count_cache("misses")
-    result = _run_one(spec)
-    if isinstance(result, SimulationResult):
-        _cache_put(key, result, use_cache)
-    return result
+    )
+    return run_cells([spec], use_cache=use_cache, policy=policy)[0]
 
 
 def run_config(
@@ -1163,6 +1167,7 @@ def run_config(
     seed: int = 0,
     max_events: int = MAX_EVENTS,
     use_cache: bool = True,
+    policy: RunPolicy | None = None,
 ) -> SimulationResult:
     """Run an explicit :class:`SimConfig` (ablations) through the cache.
 
@@ -1176,16 +1181,8 @@ def run_config(
         scale=scale,
         seed=seed,
         max_events=max_events,
-    ).resolved()
-    key = _memo_key(spec)
-    hit = _cache_get(key, use_cache)
-    if hit is not None:
-        return hit
-    _count_cache("misses")
-    result = _run_one(spec)
-    if isinstance(result, SimulationResult):
-        _cache_put(key, result, use_cache)
-    return result
+    )
+    return run_cells([spec], use_cache=use_cache, policy=policy)[0]
 
 
 def run_matrix(
@@ -1193,14 +1190,14 @@ def run_matrix(
     workloads: Sequence[str],
     scale: str,
     ratio: float | None = None,
-    jobs: int | None = None,
     label: str | None = None,
+    policy: RunPolicy | None = None,
     **kwargs,
 ) -> dict[tuple[str, str], SimulationResult]:
     """Run every (workload, preset) pair; keys are (workload, preset.name).
 
-    Cells missing from the cache fan out across ``jobs`` worker processes
-    (default: :func:`set_default_jobs` / ``REPRO_JOBS``, i.e. serial).
+    Cells missing from the cache fan out across ``policy.jobs`` worker
+    processes (default policy: ``REPRO_JOBS``, i.e. serial).
     """
     use_cache = kwargs.pop("use_cache", True)
     cells = [
@@ -1216,9 +1213,9 @@ def run_matrix(
     ]
     results = run_cells(
         cells,
-        jobs=jobs,
         use_cache=use_cache,
         label=label or "matrix",
+        policy=policy,
     )
     return {
         (cell.workload, cell.preset.name): result

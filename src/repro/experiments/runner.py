@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 from repro import obs as obs_mod
 from repro.chaos import parse_chaos_spec
@@ -98,6 +99,36 @@ def _dump_failures(directory: str, experiment: str, failures) -> None:
         + "\n"
     )
     print(f"  failure snapshot: {path}")
+
+
+def _policy_from_args(args: argparse.Namespace) -> common.RunPolicy:
+    """The run policy the flags describe, over the environment's
+    defaults; raises :class:`~repro.errors.ReproError` for bad values."""
+    changes: dict = dict(
+        progress=not args.no_progress and sys.stderr.isatty(),
+        invariants=args.invariants,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_every=args.checkpoint_every,
+        resume=args.resume,
+    )
+    optional = dict(
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        cell_timeout=args.cell_timeout,
+        retries=args.retries,
+        worker_deadline=args.worker_deadline,
+        breaker_threshold=args.breaker_threshold,
+    )
+    changes.update((k, v) for k, v in optional.items() if v is not None)
+    if args.no_cache:
+        changes["cache_enabled"] = False
+    if args.cache_quota_mb is not None:
+        changes["cache_quota_bytes"] = int(args.cache_quota_mb * 1024 * 1024)
+    if args.chaos is not None:
+        changes["chaos"] = parse_chaos_spec(args.chaos, seed=args.chaos_seed)
+    if args.keep_going or args.failure_dir is not None:
+        changes["on_error"] = "keep-going"
+    return replace(common.default_policy(), **changes)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -335,49 +366,12 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")
 
-    if args.jobs is not None:
-        common.set_default_jobs(args.jobs)
-    if args.no_cache:
-        common.set_cache_enabled(False)
-    if args.cache_dir:
-        common.set_cache_dir(args.cache_dir)
+    try:
+        policy = _policy_from_args(args)
+    except ReproError as exc:
+        parser.error(str(exc))
     if args.cache_quota_mb is not None:
-        common.set_cache_quota(int(args.cache_quota_mb * 1024 * 1024))
-        common.enforce_cache_quota()
-    common.set_progress(not args.no_progress and sys.stderr.isatty())
-
-    if args.chaos is not None:
-        try:
-            common.set_default_chaos(
-                parse_chaos_spec(args.chaos, seed=args.chaos_seed)
-            )
-        except ReproError as exc:
-            parser.error(str(exc))
-    if args.invariants:
-        common.set_default_invariants(True)
-    if args.cell_timeout is not None:
-        common.set_cell_timeout(args.cell_timeout)
-    if args.retries is not None:
-        common.set_retry_policy(args.retries)
-    if args.worker_deadline is not None or args.breaker_threshold is not None:
-        common.set_pool_policy(
-            deadline=args.worker_deadline,
-            breaker_threshold=args.breaker_threshold,
-        )
-    if args.resume and not args.checkpoint_dir:
-        parser.error("--resume requires --checkpoint-dir")
-    if args.checkpoint_dir:
-        try:
-            common.set_checkpoint_policy(
-                args.checkpoint_dir,
-                every=args.checkpoint_every,
-                resume=args.resume,
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-    keep_going = args.keep_going or args.failure_dir is not None
-    if keep_going:
-        common.set_on_error("keep-going")
+        common.enforce_cache_quota(policy)
 
     analytics = bool(args.analytics_out or args.features_out)
     obs_mode = args.obs
@@ -404,54 +398,60 @@ def main(argv: list[str] | None = None) -> int:
 
     exit_code = 0
     try:
-        for name in names:
-            runner = (
-                EXPERIMENTS[name].run if name in EXPERIMENTS else ABLATIONS[name]
-            )
-            before = common.cache_stats()
-            start = time.time()
-            if obs is not None:
-                with obs.tracer.wall_span("experiments", name, scale=args.scale):
-                    result = runner(scale=args.scale)
-            else:
-                result = runner(scale=args.scale)
-            elapsed = time.time() - start
-            after = common.cache_stats()
-            print(result.format_table())
-            if args.output:
-                import pathlib
-
-                out_dir = pathlib.Path(args.output)
-                out_dir.mkdir(parents=True, exist_ok=True)
-                (out_dir / f"{result.experiment}.txt").write_text(
-                    result.format_table() + "\n"
+        with common.run_policy(policy):
+            for name in names:
+                runner = (
+                    EXPERIMENTS[name].run
+                    if name in EXPERIMENTS
+                    else ABLATIONS[name]
                 )
-            if args.chart:
-                from repro.experiments.charts import horizontal_bars
+                before = common.cache_stats()
+                start = time.time()
+                if obs is not None:
+                    with obs.tracer.wall_span(
+                        "experiments", name, scale=args.scale
+                    ):
+                        result = runner(scale=args.scale)
+                else:
+                    result = runner(scale=args.scale)
+                elapsed = time.time() - start
+                after = common.cache_stats()
+                print(result.format_table())
+                if args.output:
+                    import pathlib
 
+                    out_dir = pathlib.Path(args.output)
+                    out_dir.mkdir(parents=True, exist_ok=True)
+                    (out_dir / f"{result.experiment}.txt").write_text(
+                        result.format_table() + "\n"
+                    )
+                if args.chart:
+                    from repro.experiments.charts import horizontal_bars
+
+                    print()
+                    print(horizontal_bars(result))
+                ran = after["misses"] - before["misses"]
+                hits = (
+                    after["memory_hits"]
+                    + after["disk_hits"]
+                    - before["memory_hits"]
+                    - before["disk_hits"]
+                )
+                disk = after["disk_hits"] - before["disk_hits"]
+                failures = common.drain_failures()
+                if failures:
+                    print(f"[{name}: {len(failures)} cell(s) FAILED]")
+                    for failure in failures:
+                        print(f"  - {failure.summary()}")
+                    if args.failure_dir:
+                        _dump_failures(args.failure_dir, name, failures)
+                    exit_code = 1
+                print(
+                    f"[{name} completed in {elapsed:.1f}s at "
+                    f"scale={args.scale} — {ran} cells run, {hits} cache "
+                    f"hits ({disk} from disk)]"
+                )
                 print()
-                print(horizontal_bars(result))
-            ran = after["misses"] - before["misses"]
-            hits = (
-                after["memory_hits"]
-                + after["disk_hits"]
-                - before["memory_hits"]
-                - before["disk_hits"]
-            )
-            disk = after["disk_hits"] - before["disk_hits"]
-            failures = common.drain_failures()
-            if failures:
-                print(f"[{name}: {len(failures)} cell(s) FAILED]")
-                for failure in failures:
-                    print(f"  - {failure.summary()}")
-                if args.failure_dir:
-                    _dump_failures(args.failure_dir, name, failures)
-                exit_code = 1
-            print(
-                f"[{name} completed in {elapsed:.1f}s at scale={args.scale} — "
-                f"{ran} cells run, {hits} cache hits ({disk} from disk)]"
-            )
-            print()
         if obs is not None:
             if args.trace_out:
                 path = obs_mod.write_chrome_trace(obs.tracer, args.trace_out)

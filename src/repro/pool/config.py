@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.chaos.config import PROCESS_KINDS, ChaosConfig
 from repro.errors import ConfigError
 
 
@@ -14,7 +13,10 @@ class PoolConfig:
 
     The defaults favour production sweeps (generous grace periods, a
     breaker that tolerates a few unlucky crashes); the supervision tests
-    shrink the time constants to keep chaos suites fast.
+    shrink the time constants to keep chaos suites fast.  What a cell
+    computes — including its checkpoint directory and process-level
+    chaos — rides in the cell's own
+    :class:`~repro.experiments.common.RunSpec`.
     """
 
     #: Worker processes to keep alive.
@@ -47,14 +49,6 @@ class PoolConfig:
     #: Consecutive failed spawn/ready cycles per slot before the pool
     #: declares itself broken (:class:`~repro.errors.PoolBrokenError`).
     spawn_fail_limit: int = 5
-    #: Checkpoint policy injected into cells that do not carry their own:
-    #: crash handoff resumes from these files.  ``None`` leaves cells
-    #: checkpoint-free (a crashed cell then restarts from scratch).
-    checkpoint_dir: str | None = None
-    checkpoint_every: int = 1
-    #: Process-level chaos applied to cells that do not carry their own
-    #: ``pool_chaos`` (kinds must be in ``PROCESS_KINDS``).
-    chaos: ChaosConfig | None = None
     #: Supervision loop granularity in seconds.
     tick: float = 0.05
 
@@ -78,17 +72,5 @@ class PoolConfig:
             raise ConfigError("breaker threshold must be at least 1")
         if self.spawn_fail_limit < 1:
             raise ConfigError("spawn fail limit must be at least 1")
-        if self.checkpoint_every <= 0:
-            raise ConfigError("checkpoint interval must be positive")
         if self.tick <= 0:
             raise ConfigError("tick must be positive")
-        if self.chaos is not None:
-            foreign = [
-                s.kind for s in self.chaos.injectors
-                if s.kind not in PROCESS_KINDS
-            ]
-            if foreign:
-                raise ConfigError(
-                    "pool chaos accepts process-level kinds only",
-                    rejected=foreign, accepted=sorted(PROCESS_KINDS),
-                )

@@ -360,7 +360,8 @@ class SupervisedPool:
     # The run loop
     # ------------------------------------------------------------------
     def run(self, specs, on_done=None) -> list:
-        """Execute ``specs`` (already ``resolved()``); returns outcomes.
+        """Execute ``specs`` (policy already applied: see
+        :meth:`~repro.experiments.common.RunPolicy.apply`); returns outcomes.
 
         Each outcome slot holds a :class:`~repro.simulator.SimulationResult`,
         a :class:`~repro.errors.PoisonCellError` /
@@ -375,11 +376,9 @@ class SupervisedPool:
             if not self._started:
                 self.start()
             tasks = [
-                _Task(i, self._prepare(spec), "")
+                _Task(i, spec, _common._spec_digest(spec))
                 for i, spec in enumerate(specs)
             ]
-            for task in tasks:
-                task.digest = _common._spec_digest(task.spec)
             queue: deque[_Task] = deque(tasks)
             inflight: dict[int, _Task] = {}
             pending = len(tasks)
@@ -466,20 +465,6 @@ class SupervisedPool:
                     sweep_stale_tmp_files(directory)
             return [task.outcome for task in tasks]
 
-    def _prepare(self, spec):
-        """Inject the pool's checkpoint policy into bare cells: the crash
-        handoff needs somewhere to resume from."""
-        if (
-            spec.checkpoint_dir is None
-            and self.config.checkpoint_dir is not None
-        ):
-            spec = replace(
-                spec,
-                checkpoint_dir=self.config.checkpoint_dir,
-                checkpoint_every=self.config.checkpoint_every,
-            )
-        return spec
-
     def _assign(self, queue, inflight, finish, now: float) -> None:
         if not queue:
             return
@@ -500,10 +485,9 @@ class SupervisedPool:
                 break
             if task is None:
                 return
-            chaos = task.spec.pool_chaos
-            if chaos is None:
-                chaos = self.config.chaos
-            plan = plan_worker_chaos(chaos, task.digest, task.attempts)
+            plan = plan_worker_chaos(
+                task.spec.pool_chaos, task.digest, task.attempts
+            )
             task_id = self._next_task_id
             self._next_task_id += 1
             try:

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
+from repro.errors import ConfigError
+from repro.experiments import common
 from repro.serve.server import ServeConfig, main_loop
 
 
@@ -35,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes per batch (run_cells jobs)",
+        help="supervised worker processes that execute cells",
     )
     parser.add_argument(
         "--queue-limit",
@@ -103,12 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write {host, port, pid} JSON here once listening",
     )
     parser.add_argument(
-        "--no-supervise",
-        action="store_true",
-        help="run batches on the server thread instead of the "
-        "crash-isolated supervised worker pool",
-    )
-    parser.add_argument(
         "--worker-heartbeat",
         type=float,
         default=0.25,
@@ -149,55 +146,64 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ServeConfig:
-    quota = None
-    if args.cache_quota_mb is not None:
-        quota = int(args.cache_quota_mb * 1024 * 1024)
-    pool_chaos = None
+    """The server configuration the flags describe; raises
+    :class:`~repro.errors.ConfigError` for invalid values."""
+    chaos = None
     if args.pool_chaos:
         from repro.chaos import PROCESS_KINDS, parse_chaos_spec
 
-        pool_chaos = parse_chaos_spec(
-            args.pool_chaos, seed=args.pool_chaos_seed
-        )
+        chaos = parse_chaos_spec(args.pool_chaos, seed=args.pool_chaos_seed)
         foreign = [
-            s.kind
-            for s in pool_chaos.injectors
-            if s.kind not in PROCESS_KINDS
+            s.kind for s in chaos.injectors if s.kind not in PROCESS_KINDS
         ]
         if foreign:
-            raise SystemExit(
-                f"repro-serve: --pool-chaos accepts process-level kinds "
-                f"only (got {foreign}; use --chaos in run requests for "
+            raise ConfigError(
+                f"--pool-chaos accepts process-level kinds only (got "
+                f"{foreign}; use --chaos in run requests for "
                 f"simulation-level injectors)"
             )
+    changes = {}
+    if args.cache_dir is not None:
+        changes["cache_dir"] = args.cache_dir
+    if args.cache_quota_mb is not None:
+        changes["cache_quota_bytes"] = int(args.cache_quota_mb * 1024 * 1024)
+    if args.no_cache:
+        changes["cache_enabled"] = False
+    policy = replace(
+        common.default_policy(),
+        jobs=args.jobs,
+        chaos=chaos,
+        cell_timeout=args.cell_timeout,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_every=args.checkpoint_every,
+        resume=args.checkpoint_dir is not None,
+        pool_heartbeat=args.worker_heartbeat or None,
+        worker_deadline=args.worker_deadline,
+        breaker_threshold=args.breaker_threshold,
+        **changes,
+    )
     return ServeConfig(
         host=args.host,
         port=args.port,
-        jobs=args.jobs,
+        policy=policy,
         queue_limit=args.queue_limit,
         batch_window=args.batch_window,
         batch_max=args.batch_max,
         max_body=args.max_body,
-        cell_timeout=args.cell_timeout,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        cache_dir=args.cache_dir,
-        cache_quota_bytes=quota,
-        no_cache=args.no_cache,
         drain_grace=args.drain_grace,
         ready_file=args.ready_file,
         announce=not args.quiet,
-        supervised=not args.no_supervise,
-        worker_heartbeat=args.worker_heartbeat or None,
-        worker_deadline=args.worker_deadline,
-        breaker_threshold=args.breaker_threshold,
-        pool_chaos=pool_chaos,
     )
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return main_loop(config_from_args(args))
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = config_from_args(args)
+    except ConfigError as exc:
+        parser.error(str(exc))
+    return main_loop(config)
 
 
 if __name__ == "__main__":

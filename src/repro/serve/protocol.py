@@ -30,7 +30,12 @@ from typing import Any, Mapping
 
 from repro import systems
 from repro.errors import CellFailure, ProtocolError, ServeError
-from repro.experiments.common import MAX_EVENTS, RunSpec
+from repro.experiments.common import (
+    MAX_EVENTS,
+    RunPolicy,
+    RunSpec,
+    default_policy,
+)
 from repro.simulator import SimulationResult
 from repro.workloads.registry import SCALES, workload_names
 
@@ -148,36 +153,35 @@ def _type_names(types: tuple[type, ...]) -> str:
 
 
 def spec_from_request(
-    fields: Mapping[str, Any],
-    cell_timeout: float | None = None,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int = 1,
+    fields: Mapping[str, Any], policy: RunPolicy | None = None
 ) -> RunSpec:
-    """Build the resolved :class:`RunSpec` for a validated request.
+    """Build the :class:`RunSpec` for a validated request under the
+    server's ``policy`` (default: the process default; applied, see
+    :meth:`RunPolicy.apply`).
 
-    ``cell_timeout``/``checkpoint_dir`` are the *server's* defaults: a
-    request ``timeout`` tightens (never loosens) the server budget, and
-    checkpointing rides on PR 7's machinery — a stalled cell checkpoints
-    and a re-request resumes it (``resume=True`` whenever a checkpoint
-    directory is configured).
+    A request ``timeout`` tightens (never loosens) the policy's cell
+    timeout.  With a policy checkpoint directory (and ``resume``), a
+    stalled cell checkpoints and a re-request resumes it.
     """
+    policy = policy or default_policy()
     budgets = [
-        b for b in (fields.get("timeout"), cell_timeout) if b is not None
+        b
+        for b in (fields.get("timeout"), policy.cell_timeout)
+        if b is not None
     ]
     wall = min(budgets) if budgets else None
-    return RunSpec(
-        workload=fields["workload"],
-        preset=systems.by_name(fields["preset"]),
-        scale=fields["scale"],
-        ratio=fields["ratio"],
-        fault_handling_cycles=fields["fault_handling_cycles"],
-        seed=fields["seed"],
-        max_events=fields["max_events"],
-        wall_budget_seconds=wall,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-        resume=checkpoint_dir is not None,
-    ).resolved()
+    return policy.apply(
+        RunSpec(
+            workload=fields["workload"],
+            preset=systems.by_name(fields["preset"]),
+            scale=fields["scale"],
+            ratio=fields["ratio"],
+            fault_handling_cycles=fields["fault_handling_cycles"],
+            seed=fields["seed"],
+            max_events=fields["max_events"],
+            wall_budget_seconds=wall,
+        )
+    )
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ Request lifecycle (see ``docs/serving.md`` for the ops view)::
       └─ dedupe (in-flight map by memo key)→ ride the existing future
       └─ admission (bounded backlog)       → 429 + Retry-After when full
       └─ batcher (collect up to batch_window / batch_max)
-      └─ run_cells on a worker thread      → supervised worker pool
+      └─ run_cells on the batch thread     → supervised worker pool
                                              (crash isolation, restarts,
                                              checkpoint handoff) plus the
                                              existing retry machinery
@@ -37,7 +37,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import (
     CellFailure,
@@ -59,8 +59,13 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0: pick an ephemeral port (see ReproServer.port)
-    #: Worker processes handed to ``run_cells`` per batch (1 = in-process).
-    jobs: int = 1
+    #: How this server runs cells: run cache (``cache_enabled=False``
+    #: bypasses it entirely), pool size (``jobs``: worker processes, at
+    #: least one), supervision, the server-side per-cell wall budget
+    #: (requests can only tighten it), checkpointing (stalled cells
+    #: checkpoint and resume here on re-request), and process-level
+    #: chaos.  Default: the process default policy at construction.
+    policy: common.RunPolicy = field(default_factory=common.default_policy)
     #: Maximum admitted-but-unfinished requests before 429.
     queue_limit: int = 64
     #: How long the batcher waits to coalesce concurrent requests.
@@ -69,15 +74,6 @@ class ServeConfig:
     batch_max: int = 16
     #: Request body size limit (bytes).
     max_body: int = 1 << 20
-    #: Server-side wall budget per cell; requests can only tighten it.
-    cell_timeout: float | None = None
-    #: Checkpoint directory: stalled cells checkpoint and resume here.
-    checkpoint_dir: str | None = None
-    checkpoint_every: int = 1
-    #: Run-cache location/quota for this server (None: leave globals).
-    cache_dir: str | None = None
-    cache_quota_bytes: int | None = None
-    no_cache: bool = False
     #: Grace period for the in-flight batch to finish during drain.
     drain_grace: float = 30.0
     #: Heartbeat cadence for streaming responses.
@@ -86,21 +82,6 @@ class ServeConfig:
     ready_file: str | None = None
     #: Print a "listening" line on stdout when ready.
     announce: bool = False
-    #: Execute batches on a long-lived supervised worker pool
-    #: (:mod:`repro.pool`): cells run crash-isolated in subprocesses with
-    #: heartbeats, restart-with-backoff, and checkpoint-based handoff of
-    #: interrupted cells.  Off: cells run on the batch thread itself.
-    supervised: bool = True
-    #: Heartbeat cadence for pool workers (None disables supervision
-    #: heartbeats; see :class:`repro.pool.PoolConfig`).
-    worker_heartbeat: float | None = 0.25
-    #: Hard per-cell wall deadline enforced by the supervisor.
-    worker_deadline: float | None = None
-    #: Crashes on one memo key before it is quarantined as poisoned.
-    breaker_threshold: int = 5
-    #: Process-level chaos for the pool (tests/CI), a parsed
-    #: :class:`~repro.chaos.ChaosConfig` of ``worker-*`` kinds only.
-    pool_chaos: object | None = None
 
 
 class _Ticket:
@@ -141,6 +122,7 @@ class ReproServer:
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
+        self.policy = self.config.policy
         self.metrics = ServeMetrics()
         self.port: int | None = None
         self.started_at = time.monotonic()
@@ -155,7 +137,7 @@ class ReproServer:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-batch"
         )
-        self._pool = None  # SupervisedPool when config.supervised
+        self._pool = None  # the SupervisedPool, built by _main
         self._ema_cell_seconds = 0.25
         self._evictions_seen = 0
 
@@ -198,25 +180,12 @@ class ReproServer:
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue()
         self._shutdown_event = asyncio.Event()
-        self._apply_cache_settings()
-        if self.config.supervised:
-            # Built after the cache redirect so forked workers inherit
-            # the server's cache settings, and before the listener so a
-            # broken pool config fails startup loudly.
-            from repro.pool import PoolConfig, SupervisedPool
+        from repro.pool import SupervisedPool
 
-            self._pool = SupervisedPool(
-                PoolConfig(
-                    workers=max(1, self.config.jobs),
-                    heartbeat=self.config.worker_heartbeat,
-                    cell_deadline=self.config.worker_deadline,
-                    breaker_threshold=self.config.breaker_threshold,
-                    checkpoint_dir=self.config.checkpoint_dir,
-                    checkpoint_every=self.config.checkpoint_every,
-                    chaos=self.config.pool_chaos,
-                )
-            )
-            self._pool.start()
+        # Started before the listener so a pool that cannot spawn fails
+        # startup loudly.
+        self._pool = SupervisedPool(self.policy.pool_config(self.policy.jobs))
+        self._pool.start()
         server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -236,15 +205,6 @@ class ReproServer:
             self._executor.shutdown(wait=False)
             if self._pool is not None:
                 self._pool.close()
-
-    def _apply_cache_settings(self) -> None:
-        if self.config.cache_dir is not None:
-            common.set_cache_dir(self.config.cache_dir)
-            # The in-process memo may hold entries from before the
-            # redirect; drop it so memory state matches the directory.
-            common.clear_run_cache()
-        if self.config.cache_quota_bytes is not None:
-            common.set_cache_quota(self.config.cache_quota_bytes)
 
     def _install_signal_handlers(self) -> None:
         if threading.current_thread() is not threading.main_thread():
@@ -316,12 +276,7 @@ class ReproServer:
         """
         if self._draining:
             raise ServerShutdownError("server is draining; request refused")
-        spec = spec_from_request(
-            fields,
-            cell_timeout=self.config.cell_timeout,
-            checkpoint_dir=self.config.checkpoint_dir,
-            checkpoint_every=self.config.checkpoint_every,
-        )
+        spec = spec_from_request(fields, self.policy)
         key = common._memo_key(spec)
 
         existing = self._inflight.get(key)
@@ -329,9 +284,9 @@ class ReproServer:
             self.metrics.dedupe_hit()
             return existing, None, True
 
-        use_cache = not (self.config.no_cache or fields["no_cache"])
+        use_cache = self.policy.cache_enabled and not fields["no_cache"]
         if use_cache:
-            hit = common.probe_cache(spec)
+            hit = common.probe_cache(spec, policy=self.policy)
             if hit is not None:
                 self.metrics.cache_hit()
                 return None, hit, False
@@ -360,19 +315,14 @@ class ReproServer:
         return ticket, None, False
 
     def _retry_after(self) -> int:
+        # Degraded capacity (crashed workers mid-respawn) stretches the
+        # estimate: half the fleet alive means double the wait.
         estimate = self._backlog * self._ema_cell_seconds
-        if self._pool is not None:
-            # Degraded capacity (crashed workers mid-respawn) stretches
-            # the estimate: half the fleet alive means double the wait.
-            target = max(1, self.config.jobs)
-            alive = self._pool.workers_alive()
-            estimate *= target / max(alive, 0.5)
+        estimate *= self.policy.jobs / max(self._pool.workers_alive(), 0.5)
         return max(1, int(round(estimate)))
 
-    def pool_health(self) -> dict | None:
-        """Supervision summary for ``/v1/healthz`` (None: unsupervised)."""
-        if self._pool is None:
-            return None
+    def pool_health(self) -> dict:
+        """Supervision summary for ``/v1/healthz``."""
         snap = self._pool.stats()
         return {
             "workers_alive": snap["workers"]["alive"],
@@ -487,11 +437,11 @@ class ReproServer:
                 continue
             results = common.run_cells(
                 [batch[i].spec for i in indices],
-                jobs=self.config.jobs,
                 use_cache=use_cache,
                 label="serve",
                 on_error="keep-going",
                 pool=self._pool,
+                policy=self.policy,
             )
             for i, result in zip(indices, results):
                 outcomes[i] = result
@@ -528,17 +478,16 @@ class ReproServer:
             "backlog": self._backlog,
             "draining": self._draining,
             "uptime_s": time.monotonic() - self.started_at,
-            "pool": self._pool.stats() if self._pool is not None else None,
+            "pool": self._pool.stats(),
             "config": {
-                "jobs": self.config.jobs,
+                "jobs": self.policy.jobs,
                 "queue_limit": self.config.queue_limit,
                 "batch_window": self.config.batch_window,
                 "batch_max": self.config.batch_max,
-                "cache_quota_bytes": self.config.cache_quota_bytes,
-                "cell_timeout": self.config.cell_timeout,
-                "checkpoint_dir": self.config.checkpoint_dir,
-                "supervised": self.config.supervised,
-                "breaker_threshold": self.config.breaker_threshold,
+                "cache_quota_bytes": self.policy.cache_quota_bytes,
+                "cell_timeout": self.policy.cell_timeout,
+                "checkpoint_dir": self.policy.checkpoint_dir,
+                "breaker_threshold": self.policy.breaker_threshold,
             },
         }
 

@@ -2,9 +2,10 @@
 
 :func:`running_server` boots a :class:`~repro.serve.server.ReproServer`
 on a daemon thread, waits for the listener, yields ``(server, client)``,
-and on exit drains the server and *restores every run-cache global it
-touched* — cache dir, quota, enabled flag, stats, memo — so serve tests
-compose with the rest of the suite in any order.
+and on exit drains the server and restores the run cache's shared
+process state — stats and memo — so serve tests compose with the rest
+of the suite in any order.  Cache directory and quota are the server's
+own :class:`~repro.experiments.common.RunPolicy` and need no restoring.
 """
 
 from __future__ import annotations
@@ -21,18 +22,12 @@ from repro.serve.server import ReproServer, ServeConfig
 
 @contextmanager
 def _cache_state_guard() -> Iterator[None]:
-    """Snapshot/restore the run-cache globals a server may mutate."""
-    saved_dir = common._CACHE_DIR
-    saved_enabled = common._CACHE_ENABLED
-    saved_quota = common.cache_quota()
+    """Snapshot/restore the run-cache state every server shares."""
     saved_stats = common.cache_stats()
     saved_memo = dict(common._RUN_CACHE)
     try:
         yield
     finally:
-        common._CACHE_DIR = saved_dir
-        common._CACHE_ENABLED = saved_enabled
-        common.set_cache_quota(saved_quota)
         common.CACHE_STATS.update(saved_stats)
         common._RUN_CACHE.clear()
         common._RUN_CACHE.update(saved_memo)
@@ -49,7 +44,8 @@ def running_server(
 
     Keyword ``overrides`` patch individual :class:`ServeConfig` fields::
 
-        with running_server(cache_dir=str(tmp_path), batch_window=0.05) as (
+        policy = common.RunPolicy(cache_dir=str(tmp_path))
+        with running_server(policy=policy, batch_window=0.05) as (
             server,
             client,
         ):

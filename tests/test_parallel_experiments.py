@@ -16,11 +16,10 @@ PRESETS = (systems.BASELINE, systems.TO)
 def isolated_cache(tmp_path):
     common.clear_run_cache()
     common.reset_cache_stats()
-    common.set_cache_dir(tmp_path / "a")
-    common.set_cache_enabled(True)
-    yield tmp_path
-    common.set_cache_dir(None)
+    with common.run_policy(common.RunPolicy(cache_dir=tmp_path / "a")):
+        yield tmp_path
     common.clear_run_cache()
+
 
 
 def _result_fields(result):
@@ -40,13 +39,14 @@ def _result_fields(result):
 
 class TestParallelEquality:
     def test_parallel_matrix_matches_serial(self, isolated_cache):
-        serial = common.run_matrix(PRESETS, WORKLOADS, scale="tiny", jobs=1)
+        serial = common.run_matrix(PRESETS, WORKLOADS, scale="tiny")
 
         # Fresh memo and a fresh cache dir: the parallel run recomputes
         # every cell in worker processes.
         common.clear_run_cache()
         common.set_cache_dir(isolated_cache / "b")
-        parallel = common.run_matrix(PRESETS, WORKLOADS, scale="tiny", jobs=2)
+        with common.run_policy(jobs=2):
+            parallel = common.run_matrix(PRESETS, WORKLOADS, scale="tiny")
 
         assert serial.keys() == parallel.keys()
         for key in serial:
@@ -60,24 +60,23 @@ class TestParallelEquality:
             for name in WORKLOADS
             for preset in PRESETS
         ]
-        results = common.run_cells(cells, jobs=2)
+        with common.run_policy(jobs=2):
+            results = common.run_cells(cells)
         assert [r.workload for r in results] == [c.workload for c in cells]
 
     def test_parallel_populates_shared_cache(self, isolated_cache):
-        common.run_matrix(PRESETS, ["KCORE"], scale="tiny", jobs=2)
+        with common.run_policy(jobs=2):
+            common.run_matrix(PRESETS, ["KCORE"], scale="tiny")
         first_misses = common.cache_stats()["misses"]
         assert first_misses == len(PRESETS)
         # A serial lookup of the same cells is now free.
-        common.run_matrix(PRESETS, ["KCORE"], scale="tiny", jobs=1)
+        common.run_matrix(PRESETS, ["KCORE"], scale="tiny")
         assert common.cache_stats()["misses"] == first_misses
 
     def test_default_jobs_setting(self, isolated_cache):
-        common.set_default_jobs(2)
-        try:
+        with common.run_policy(jobs=2):
             results = common.run_matrix(PRESETS, ["KCORE"], scale="tiny")
-            assert len(results) == len(PRESETS)
-        finally:
-            common.set_default_jobs(1)
+        assert len(results) == len(PRESETS)
 
     def test_matrix_kwargs_reach_cells(self, isolated_cache):
         runs = common.run_matrix(
@@ -85,7 +84,7 @@ class TestParallelEquality:
             ("KCORE",),
             scale="tiny",
             fault_handling_cycles=40_000,
-            jobs=2,
+            policy=dataclasses.replace(common.default_policy(), jobs=2),
         )
         direct = common.run_system(
             systems.BASELINE,

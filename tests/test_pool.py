@@ -4,8 +4,8 @@ Process-level recovery (real ``kill -9``, hang escalation, bit-identical
 resume) lives in ``test_pool_recovery.py``; the pool-backed server in
 ``test_pool_serve.py``.  This module covers the deterministic plumbing:
 
-* :class:`~repro.pool.PoolConfig` validation (including the rule that
-  pool chaos accepts process-level kinds only).
+* :class:`~repro.pool.PoolConfig` validation, and the rule that a
+  cell's pool chaos accepts process-level kinds only.
 * Chaos routing: ``worker-*`` kinds split out of a mixed ``--chaos``
   spec before it can touch the cache key, and per-attempt plans are
   deterministic in (seed, key digest, attempt).
@@ -50,21 +50,11 @@ pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptio
 
 @pytest.fixture()
 def harness(tmp_path):
-    """Isolated cache + pristine pool/retry policy, restored after."""
+    """Isolated cache + pristine run policy for the test's duration."""
     common.clear_run_cache()
     common.reset_cache_stats()
-    common.set_cache_dir(tmp_path / "cache")
-    common.set_cache_enabled(True)
-    common.drain_failures()
-    yield tmp_path
-    common.set_cache_dir(None)
-    common.set_cache_enabled(True)
-    common.set_on_error("raise")
-    common.set_retry_policy(1)
-    common.set_default_chaos(None)
-    common.set_pool_chaos(None)
-    common.set_pool_policy(heartbeat=0.25, deadline=0, breaker_threshold=5)
-    common.drain_failures()
+    with common.run_policy(common.RunPolicy(cache_dir=tmp_path / "cache")):
+        yield tmp_path
     common.clear_run_cache()
 
 
@@ -102,7 +92,7 @@ class TestPoolConfig:
             dict(backoff_base=0.5, backoff_cap=0.1),
             dict(breaker_threshold=0),
             dict(spawn_fail_limit=0),
-            dict(checkpoint_every=0),
+            dict(term_grace=-1),
             dict(tick=0),
         ],
     )
@@ -113,7 +103,7 @@ class TestPoolConfig:
     def test_simulation_chaos_kinds_rejected(self):
         sim_chaos = parse_chaos_spec("dma-stall:prob=0.5", seed=1)
         with pytest.raises(ConfigError, match="process-level"):
-            PoolConfig(chaos=sim_chaos)
+            _spec(pool_chaos=sim_chaos)
 
     def test_heartbeat_none_disables_supervision(self):
         config = PoolConfig(heartbeat=None)
@@ -252,19 +242,14 @@ class TestSupervisedPool:
     def test_pool_injects_checkpoint_policy(self, harness, tmp_path):
         ckpt = tmp_path / "pool-ckpt"
         chaos = parse_chaos_spec("worker-kill:prob=1,after=1", seed=3)
-        config = PoolConfig(
-            workers=1,
-            checkpoint_dir=str(ckpt),
-            chaos=chaos,
-            breaker_threshold=100,
-            **FAST_POOL,
-        )
+        policy = common.RunPolicy(checkpoint_dir=ckpt, chaos=chaos)
+        config = PoolConfig(workers=1, breaker_threshold=100, **FAST_POOL)
         golden = common._simulate_spec(_spec().resolved())
         with SupervisedPool(config) as pool:
-            (result,) = pool.run([_spec().resolved()])
+            (result,) = pool.run([policy.apply(_spec())])
         assert _fields(result) == _fields(golden)
         assert pool.stats()["resumes"] > 0, (
-            "a bare spec must pick up the pool's checkpoint policy"
+            "a bare spec must pick up the policy's checkpoint directory"
         )
         assert not list(ckpt.glob("*")), "no checkpoint litter on success"
 
@@ -284,14 +269,9 @@ class TestCircuitBreaker:
     def test_repeated_crashes_quarantine_the_key(self, harness, tmp_path):
         ckpt = tmp_path / "ckpt"
         chaos = parse_chaos_spec("worker-kill:prob=1,after=1", seed=5)
-        config = PoolConfig(
-            workers=1,
-            checkpoint_dir=str(ckpt),
-            chaos=chaos,
-            breaker_threshold=2,
-            **FAST_POOL,
-        )
-        spec = _spec().resolved()
+        config = PoolConfig(workers=1, breaker_threshold=2, **FAST_POOL)
+        policy = common.RunPolicy(checkpoint_dir=ckpt, chaos=chaos)
+        spec = policy.apply(_spec())
         with SupervisedPool(config) as pool:
             (outcome,) = pool.run([spec])
             assert isinstance(outcome, PoisonCellError)
@@ -319,20 +299,17 @@ class TestCircuitBreaker:
         chaos (one crash per submission, every submission completing) is
         never quarantined."""
         chaos = parse_chaos_spec("worker-kill:prob=0.5,after=1", seed=5)
-        spec = _spec().resolved()
+        policy = common.RunPolicy(
+            checkpoint_dir=tmp_path / "ckpt", chaos=chaos
+        )
+        spec = policy.apply(_spec())
         digest = common._spec_digest(spec)
         # The scenario this seed pins: the first attempt (stream 0) is
         # killed, the retry is spared — every submission crashes exactly
         # once, then completes.
         assert plan_worker_chaos(chaos, digest, 0) == {"kill_at": 1}
         assert plan_worker_chaos(chaos, digest, 1) is None
-        config = PoolConfig(
-            workers=1,
-            checkpoint_dir=str(tmp_path / "ckpt"),
-            chaos=chaos,
-            breaker_threshold=2,
-            **FAST_POOL,
-        )
+        config = PoolConfig(workers=1, breaker_threshold=2, **FAST_POOL)
         with SupervisedPool(config) as pool:
             for _ in range(3):
                 (outcome,) = pool.run([spec])
@@ -344,20 +321,20 @@ class TestCircuitBreaker:
 
     def test_poison_cell_respects_on_error_policy(self, harness, tmp_path):
         chaos = parse_chaos_spec("worker-kill:prob=1,after=1", seed=5)
-        config = PoolConfig(
-            workers=1,
-            checkpoint_dir=str(tmp_path / "ckpt"),
-            chaos=chaos,
-            breaker_threshold=1,
-            **FAST_POOL,
+        config = PoolConfig(workers=1, breaker_threshold=1, **FAST_POOL)
+        policy = common.RunPolicy(
+            checkpoint_dir=tmp_path / "ckpt", chaos=chaos
         )
         spec = _spec()
         with SupervisedPool(config) as pool:
             with pytest.raises(CellFailure):
-                common.run_cells([spec], use_cache=False, pool=pool)
+                common.run_cells(
+                    [spec], use_cache=False, pool=pool, policy=policy
+                )
         with SupervisedPool(config) as pool:
             (slot,) = common.run_cells(
-                [spec], use_cache=False, pool=pool, on_error="keep-going"
+                [spec], use_cache=False, pool=pool, policy=policy,
+                on_error="keep-going",
             )
             assert isinstance(slot, PoisonCellError)
 
@@ -481,7 +458,7 @@ class TestBrokenPoolPath:
 
         monkeypatch.setattr(common, "_simulate_spec", _oom)
         (failure,) = common.run_cells(
-            [_spec()], jobs=1, use_cache=False, on_error="keep-going"
+            [_spec()], use_cache=False, on_error="keep-going"
         )
         assert isinstance(failure, CellFailure)
         assert failure.error_type == "MemoryError"
@@ -498,7 +475,7 @@ class TestBrokenPoolPath:
             return real(spec)
 
         monkeypatch.setattr(common, "_simulate_spec", _flaky)
-        (result,) = common.run_cells([_spec()], jobs=1, use_cache=False)
+        (result,) = common.run_cells([_spec()], use_cache=False)
         assert isinstance(result, SimulationResult)
         assert calls["n"] == 2
 

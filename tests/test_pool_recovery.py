@@ -36,11 +36,10 @@ from repro.simulator import SimulationResult
 def harness(tmp_path):
     common.clear_run_cache()
     common.reset_cache_stats()
-    common.set_cache_dir(tmp_path / "cache")
-    common.set_cache_enabled(False)
-    yield tmp_path
-    common.set_cache_dir(None)
-    common.set_cache_enabled(True)
+    with common.run_policy(
+        common.RunPolicy(cache_dir=tmp_path / "cache", cache_enabled=False)
+    ):
+        yield tmp_path
     common.clear_run_cache()
 
 
@@ -82,8 +81,6 @@ class TestHardKill:
             heartbeat=0.05,
             term_grace=0.2,
             backoff_base=0.01,
-            checkpoint_dir=str(ckpt),
-            chaos=slow,
             breaker_threshold=100,
         )
         pool = SupervisedPool(config)
@@ -106,7 +103,9 @@ class TestHardKill:
         with pool:
             thread = threading.Thread(target=assassin, daemon=True)
             thread.start()
-            (result,) = pool.run([_spec()])
+            (result,) = pool.run(
+                [_spec(checkpoint_dir=str(ckpt), pool_chaos=slow)]
+            )
             thread.join(timeout=30)
 
         assert killed["pid"] is not None, "the assassin never fired"
@@ -132,12 +131,12 @@ class TestHardKill:
             heartbeat=0.05,
             term_grace=0.2,
             backoff_base=0.01,
-            checkpoint_dir=str(ckpt),
-            chaos=chaos,
             breaker_threshold=100,
         )
         with SupervisedPool(config) as pool:
-            (result,) = pool.run([_spec()])
+            (result,) = pool.run(
+                [_spec(checkpoint_dir=str(ckpt), pool_chaos=chaos)]
+            )
         assert _fields(result) == _fields(golden)
         assert pool.stats()["crashes"] >= 1
         assert not list(ckpt.glob("*"))
@@ -154,12 +153,12 @@ class TestEscalation:
             miss_budget=4.0,
             term_grace=0.2,
             backoff_base=0.01,
-            checkpoint_dir=str(ckpt),
-            chaos=chaos,
             breaker_threshold=100,
         )
         with SupervisedPool(config) as pool:
-            (result,) = pool.run([_spec()])
+            (result,) = pool.run(
+                [_spec(checkpoint_dir=str(ckpt), pool_chaos=chaos)]
+            )
         assert _fields(result) == _fields(golden)
         stats = pool.stats()
         assert stats["heartbeat_misses"] >= 1, "hang must be seen as silence"
@@ -182,12 +181,12 @@ class TestEscalation:
             cell_deadline=1.0,
             term_grace=0.1,
             backoff_base=0.01,
-            checkpoint_dir=str(ckpt),
-            chaos=chaos,
             breaker_threshold=100,
         )
         with SupervisedPool(config) as pool:
-            (result,) = pool.run([_spec()])
+            (result,) = pool.run(
+                [_spec(checkpoint_dir=str(ckpt), pool_chaos=chaos)]
+            )
         assert _fields(result) == _fields(golden)
         assert pool.stats()["deadline_kills"] >= 1
         assert not list(ckpt.glob("*"))
@@ -201,11 +200,11 @@ class TestSlow:
             workers=1,
             heartbeat=0.05,
             backoff_base=0.01,
-            checkpoint_dir=str(harness / "slow"),
-            chaos=chaos,
         )
         with SupervisedPool(config) as pool:
-            (result,) = pool.run([_spec()])
+            (result,) = pool.run(
+                [_spec(checkpoint_dir=str(harness / "slow"), pool_chaos=chaos)]
+            )
         assert _fields(result) == _fields(golden)
         assert pool.stats()["crashes"] == 0
 
@@ -220,10 +219,9 @@ class TestSlow:
             miss_budget=8.0,  # 0.4s of silence = hung; delays are 50ms
             term_grace=0.2,
             backoff_base=0.01,
-            chaos=chaos,
         )
         with SupervisedPool(config) as pool:
-            (result,) = pool.run([_spec()])
+            (result,) = pool.run([_spec(pool_chaos=chaos)])
         assert isinstance(result, SimulationResult)
         assert pool.stats()["heartbeat_misses"] == 0
         assert pool.stats()["sigkills"] == 0
@@ -239,7 +237,7 @@ class TestRunCellsKillIntegration:
             for w in ("KCORE", "PR")
             for p in (systems.BASELINE, systems.TO)
         ]
-        golden = common.run_cells(cells, jobs=1, use_cache=False)
+        golden = common.run_cells(cells, use_cache=False)
 
         chaos = parse_chaos_spec("worker-kill:prob=0.5,after=1", seed=21)
         ckpt = harness / "sweep"
@@ -251,10 +249,7 @@ class TestRunCellsKillIntegration:
         # silence) and a high breaker threshold: on a loaded machine a
         # tight miss budget can spuriously escalate slow-but-alive
         # workers, and this test pins bit-identity, not the breaker.
-        common.set_pool_policy(breaker_threshold=100)
-        try:
-            out = common.run_cells(chaotic, jobs=2, use_cache=False)
-        finally:
-            common.set_pool_policy(breaker_threshold=5)
+        with common.run_policy(jobs=2, breaker_threshold=100):
+            out = common.run_cells(chaotic, use_cache=False)
         assert [_fields(r) for r in out] == [_fields(r) for r in golden]
         assert not list(ckpt.glob("*")), "chaotic sweep left orphans"

@@ -9,7 +9,6 @@
 * A key that crashes repeatedly is quarantined: the client receives a
   structured ``cell_failed`` envelope (HTTP 500) naming the poison-cell
   error, and the key shows up in the health report.
-* ``supervised=False`` still serves (the pre-pool in-thread path).
 * Degraded capacity stretches ``Retry-After``.
 """
 
@@ -18,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos import parse_chaos_spec
+from repro.experiments.common import RunPolicy
 from repro.serve.testing import running_server
 
 FAST = {"workload": "KCORE", "scale": "tiny", "seed": 0}
@@ -29,17 +29,20 @@ CHAOS_SEED = 56
 
 
 def _pool_kwargs(tmp_path, chaos_spec=None, seed=CHAOS_SEED, **overrides):
-    kwargs = dict(
-        cache_dir=str(tmp_path / "cache"),
-        checkpoint_dir=str(tmp_path / "ckpt"),
-        announce=False,
+    policy = RunPolicy(
+        cache_dir=tmp_path / "cache",
+        checkpoint_dir=tmp_path / "ckpt",
+        resume=True,
         jobs=2,
-        worker_heartbeat=0.05,
+        pool_heartbeat=0.05,
+        chaos=(
+            parse_chaos_spec(chaos_spec, seed=seed)
+            if chaos_spec is not None
+            else None
+        ),
+        **overrides,
     )
-    if chaos_spec is not None:
-        kwargs["pool_chaos"] = parse_chaos_spec(chaos_spec, seed=seed)
-    kwargs.update(overrides)
-    return kwargs
+    return dict(policy=policy, announce=False)
 
 
 class TestCrashVisibility:
@@ -49,10 +52,8 @@ class TestCrashVisibility:
         ) as (server, client):
             golden = None
             with running_server(
-                cache_dir=str(tmp_path / "golden-cache"),
+                policy=RunPolicy(cache_dir=tmp_path / "golden-cache"),
                 announce=False,
-                supervised=True,
-                jobs=1,
             ) as (_, golden_client):
                 golden = golden_client.run(**FAST).json()["result"]
 
@@ -123,19 +124,6 @@ class TestPoisonCell:
             assert stats["pool"]["poisoned"] == 1
             assert len(stats["pool"]["quarantined_keys"]) == 1
             assert client.healthz()["workers"]["quarantined_keys"] == 1
-
-
-class TestUnsupervised:
-    def test_no_supervise_path_still_serves(self, tmp_path):
-        with running_server(
-            cache_dir=str(tmp_path / "cache"),
-            announce=False,
-            supervised=False,
-        ) as (server, client):
-            response = client.run(**FAST)
-            assert response.status == 200
-            assert client.stats()["pool"] is None
-            assert client.healthz()["workers"] is None
 
 
 class TestDegradedCapacity:

@@ -4,10 +4,12 @@ serving layer)."""
 
 import dataclasses
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro import systems
+from repro.errors import ConfigError
 from repro.experiments import common
 
 
@@ -16,11 +18,8 @@ def cache(tmp_path, monkeypatch):
     """Isolate the persistent cache in a temp dir with clean state."""
     common.clear_run_cache()
     common.reset_cache_stats()
-    common.set_cache_dir(tmp_path)
-    common.set_cache_enabled(True)
-    yield tmp_path
-    common.set_cache_dir(None)
-    common.set_cache_enabled(True)
+    with common.run_policy(common.RunPolicy(cache_dir=tmp_path)):
+        yield tmp_path
     common.clear_run_cache()
 
 
@@ -70,11 +69,11 @@ class TestPersistentCache:
         assert common.cache_stats()["memory_hits"] == 0
 
     def test_cache_disabled_globally(self, cache):
-        common.set_cache_enabled(False)
-        _run()
-        assert not list(cache.glob("*.pkl"))
-        # The in-process memo still works with the disk layer off.
-        assert _run() is not None
+        with common.run_policy(cache_enabled=False):
+            _run()
+            assert not list(cache.glob("*.pkl"))
+            # The in-process memo still works with the disk layer off.
+            assert _run() is not None
         assert common.cache_stats()["memory_hits"] == 1
 
     def test_clear_persistent_cache(self, cache):
@@ -156,10 +155,14 @@ class TestCacheKey:
 
 @pytest.fixture()
 def quota_cache(cache):
-    """The isolated cache dir plus guaranteed quota/pin cleanup."""
+    """The isolated cache dir plus guaranteed pin cleanup."""
     yield cache
-    common.set_cache_quota(None)
     common._PINNED_PATHS.clear()
+
+
+def _quota(max_bytes):
+    """The isolated cache's policy bounded to ``max_bytes``."""
+    return replace(common.default_policy(), cache_quota_bytes=max_bytes)
 
 
 def _spec(seed=0):
@@ -172,7 +175,7 @@ def _fill(quota_cache, seeds):
     """Run one cell per seed; return {seed: cache file} oldest-first."""
     files = {}
     for age, seed in enumerate(seeds):
-        common.run_cells([_spec(seed)], jobs=1)
+        common.run_cells([_spec(seed)])
         (new,) = [p for p in quota_cache.glob("*.pkl") if p not in files.values()]
         files[seed] = new
         # Deterministic LRU order regardless of filesystem timestamp
@@ -184,12 +187,12 @@ def _fill(quota_cache, seeds):
 
 class TestCacheQuota:
     def test_quota_validation(self):
-        with pytest.raises(ValueError):
-            common.set_cache_quota(0)
-        with pytest.raises(ValueError):
-            common.set_cache_quota(-1)
-        common.set_cache_quota(None)  # unbounded is fine
-        assert common.cache_quota() is None
+        with pytest.raises(ConfigError):
+            common.RunPolicy(cache_quota_bytes=0)
+        with pytest.raises(ConfigError):
+            common.RunPolicy(cache_quota_bytes=-1)
+        # Unbounded is fine, and the default.
+        assert common.RunPolicy().cache_quota_bytes is None
 
     def test_unbounded_by_default_evicts_nothing(self, quota_cache):
         _fill(quota_cache, [0, 1, 2])
@@ -199,8 +202,7 @@ class TestCacheQuota:
     def test_lru_eviction_drops_oldest_first(self, quota_cache):
         files = _fill(quota_cache, [0, 1, 2])
         one_entry = max(p.stat().st_size for p in files.values())
-        common.set_cache_quota(one_entry)
-        evicted = common.enforce_cache_quota()
+        evicted = common.enforce_cache_quota(_quota(one_entry))
         assert evicted == 2
         survivors = set(quota_cache.glob("*.pkl"))
         assert survivors == {files[2]}, "newest entry must survive"
@@ -210,17 +212,18 @@ class TestCacheQuota:
         files = _fill(quota_cache, [0, 1])
         # A disk hit on the *older* entry must mark it recently used.
         common.clear_run_cache()
-        common.run_cells([_spec(0)], jobs=1)
+        common.run_cells([_spec(0)])
         assert common.cache_stats()["disk_hits"] == 1
         assert files[0].stat().st_mtime > files[1].stat().st_mtime
-        common.set_cache_quota(max(p.stat().st_size for p in files.values()))
-        common.enforce_cache_quota()
+        common.enforce_cache_quota(
+            _quota(max(p.stat().st_size for p in files.values()))
+        )
         assert set(quota_cache.glob("*.pkl")) == {files[0]}
 
     def test_store_enforces_quota_automatically(self, quota_cache):
         files = _fill(quota_cache, [0])
-        common.set_cache_quota(files[0].stat().st_size)
-        common.run_cells([_spec(1)], jobs=1)  # store pushes past the quota
+        policy = _quota(files[0].stat().st_size)
+        common.run_cells([_spec(1)], policy=policy)  # store pushes past it
         remaining = list(quota_cache.glob("*.pkl"))
         assert len(remaining) == 1
         assert common.cache_stats()["evictions"] >= 1
@@ -230,15 +233,14 @@ class TestCacheQuota:
         key = common._memo_key(_spec(0))
         common.pin_cache_entry(key)
         try:
-            common.set_cache_quota(1)  # nothing fits
-            common.enforce_cache_quota()
+            common.enforce_cache_quota(_quota(1))  # nothing fits
             survivors = set(quota_cache.glob("*.pkl"))
             assert files[0] in survivors, "pinned entry was evicted"
             assert files[1] not in survivors
         finally:
             common.unpin_cache_entry(key)
         assert common.pinned_cache_entries() == 0
-        common.enforce_cache_quota()
+        common.enforce_cache_quota(_quota(1))
         assert not list(quota_cache.glob("*.pkl"))
 
     def test_pins_are_refcounted(self, quota_cache):
@@ -262,7 +264,7 @@ class TestProbeCache:
         assert stats["memory_hits"] == 0
 
     def test_memory_and_disk_probe_hits(self, cache):
-        common.run_cells([_spec()], jobs=1)
+        common.run_cells([_spec()])
         hit = common.probe_cache(_spec())
         assert hit is not None
         assert common.cache_stats()["memory_hits"] == 1
@@ -271,5 +273,5 @@ class TestProbeCache:
         assert common.cache_stats()["disk_hits"] == 1
 
     def test_probe_respects_use_cache(self, cache):
-        common.run_cells([_spec()], jobs=1)
+        common.run_cells([_spec()])
         assert common.probe_cache(_spec(), use_cache=False) is None

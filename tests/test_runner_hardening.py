@@ -4,7 +4,12 @@ import pytest
 
 from repro import systems
 from repro.chaos.config import parse_chaos_spec
-from repro.errors import CellFailure, SimulationError, SimulationStalledError
+from repro.errors import (
+    CellFailure,
+    ConfigError,
+    SimulationError,
+    SimulationStalledError,
+)
 from repro.experiments import common
 
 FAILING_CHAOS = parse_chaos_spec("fail-batch:batch=0", seed=0)
@@ -15,18 +20,8 @@ def harness(tmp_path):
     """Isolated cache plus pristine failure/retry policy, restored after."""
     common.clear_run_cache()
     common.reset_cache_stats()
-    common.set_cache_dir(tmp_path)
-    common.set_cache_enabled(True)
-    common.drain_failures()
-    yield tmp_path
-    common.set_cache_dir(None)
-    common.set_cache_enabled(True)
-    common.set_on_error("raise")
-    common.set_retry_policy(1)
-    common.set_cell_timeout(None)
-    common.set_default_chaos(None)
-    common.set_default_invariants(False)
-    common.drain_failures()
+    with common.run_policy(common.RunPolicy(cache_dir=tmp_path)):
+        yield tmp_path
     common.clear_run_cache()
 
 
@@ -78,9 +73,9 @@ class TestQuarantine:
 
 class TestOnErrorPolicy:
     def test_raise_policy_aborts_with_structured_failure(self, harness):
-        common.set_default_chaos(FAILING_CHAOS)
-        with pytest.raises(CellFailure) as excinfo:
-            common.run_system(systems.BASELINE, "BFS-TTC", scale="tiny")
+        with common.run_policy(chaos=FAILING_CHAOS):
+            with pytest.raises(CellFailure) as excinfo:
+                common.run_system(systems.BASELINE, "BFS-TTC", scale="tiny")
         failure = excinfo.value
         assert failure.workload == "BFS-TTC"
         assert failure.system == "BASELINE"
@@ -88,30 +83,30 @@ class TestOnErrorPolicy:
         assert failure.__cause__ is not None  # chained to the original
 
     def test_keep_going_serial_sweep_completes(self, harness):
-        common.set_on_error("keep-going")
-        results = common.run_cells(specs(False, True, False), jobs=1)
+        with common.run_policy(on_error="keep-going"):
+            results = common.run_cells(specs(False, True, False))
+            failures = common.drain_failures()
+            assert common.drain_failures() == []  # drained exactly once
         assert [common.is_failure(r) for r in results] == [False, True, False]
-        failures = common.drain_failures()
         assert len(failures) == 1
         assert failures[0].system == "UE"
-        assert common.drain_failures() == []  # drained exactly once
 
     def test_keep_going_parallel_sweep_completes(self, harness):
-        common.set_on_error("keep-going")
-        results = common.run_cells(specs(True, False, False), jobs=2)
+        with common.run_policy(on_error="keep-going", jobs=2):
+            results = common.run_cells(specs(True, False, False))
+            assert len(common.drain_failures()) == 1
         assert [common.is_failure(r) for r in results] == [True, False, False]
-        assert len(common.drain_failures()) == 1
 
     def test_failed_cells_are_never_cached(self, harness):
-        common.set_on_error("keep-going")
-        results = common.run_cells(specs(False, True, False), jobs=1)
+        with common.run_policy(on_error="keep-going"):
+            results = common.run_cells(specs(False, True, False))
         successes = sum(not common.is_failure(r) for r in results)
         assert len(list(harness.glob("*.pkl"))) == successes
 
     def test_failure_record_serializes(self, harness):
-        common.set_on_error("keep-going")
-        common.run_cells(specs(True), jobs=1)
-        (failure,) = common.drain_failures()
+        with common.run_policy(on_error="keep-going") as failures:
+            common.run_cells(specs(True))
+        (failure,) = failures
         record = failure.to_dict()
         assert record["workload"] == "BFS-TTC"
         assert record["error_type"] == "InjectionError"
@@ -131,8 +126,8 @@ class TestRetryPolicy:
             return real(spec)
 
         monkeypatch.setattr(common, "_simulate_spec", flaky)
-        common.set_retry_policy(2, backoff=0.0)
-        result = common.run_system(systems.BASELINE, "KCORE", scale="tiny")
+        with common.run_policy(retries=2, retry_backoff=0.0):
+            result = common.run_system(systems.BASELINE, "KCORE", scale="tiny")
         assert result.exec_cycles > 0
         assert len(calls) == 2
 
@@ -144,9 +139,10 @@ class TestRetryPolicy:
             raise SimulationError("same bits, same crash")
 
         monkeypatch.setattr(common, "_simulate_spec", broken)
-        common.set_retry_policy(5, backoff=0.0)
-        common.set_on_error("keep-going")
-        result = common.run_system(systems.BASELINE, "KCORE", scale="tiny")
+        with common.run_policy(
+            retries=5, retry_backoff=0.0, on_error="keep-going"
+        ):
+            result = common.run_system(systems.BASELINE, "KCORE", scale="tiny")
         assert common.is_failure(result)
         assert len(calls) == 1, "re-running a deterministic failure is waste"
 
@@ -158,9 +154,10 @@ class TestRetryPolicy:
             raise OSError("the disk is on fire")
 
         monkeypatch.setattr(common, "_simulate_spec", always_flaky)
-        common.set_retry_policy(2, backoff=0.0)
-        common.set_on_error("keep-going")
-        result = common.run_system(systems.BASELINE, "KCORE", scale="tiny")
+        with common.run_policy(
+            retries=2, retry_backoff=0.0, on_error="keep-going"
+        ):
+            result = common.run_system(systems.BASELINE, "KCORE", scale="tiny")
         assert common.is_failure(result)
         assert result.error_type == "OSError"
         assert len(calls) == 3  # first attempt + 2 retries
@@ -170,55 +167,54 @@ class TestRetryPolicy:
             raise ValueError("a bug, not a cell failure")
 
         monkeypatch.setattr(common, "_simulate_spec", buggy)
-        common.set_on_error("keep-going")
-        with pytest.raises(ValueError):
-            common.run_system(systems.BASELINE, "KCORE", scale="tiny")
+        with common.run_policy(on_error="keep-going"):
+            with pytest.raises(ValueError):
+                common.run_system(systems.BASELINE, "KCORE", scale="tiny")
 
 
 class TestCellTimeout:
     # ratio=0.5 keeps the cell above the watchdog's 8192-event sampling
     # interval; a shorter run finishes before the deadline is ever read.
     def test_timeout_becomes_structured_failure(self, harness):
-        common.set_cell_timeout(1e-9)
-        common.set_on_error("keep-going")
-        result = common.run_system(
-            systems.BASELINE, "BFS-TTC", scale="tiny", ratio=0.5
-        )
+        with common.run_policy(cell_timeout=1e-9, on_error="keep-going"):
+            result = common.run_system(
+                systems.BASELINE, "BFS-TTC", scale="tiny", ratio=0.5
+            )
         assert common.is_failure(result)
         assert result.error_type == "SimulationStalledError"
 
     def test_timeout_raises_under_default_policy(self, harness):
-        common.set_cell_timeout(1e-9)
-        with pytest.raises(CellFailure) as excinfo:
-            common.run_system(
-                systems.BASELINE, "BFS-TTC", scale="tiny", ratio=0.5
-            )
+        with common.run_policy(cell_timeout=1e-9):
+            with pytest.raises(CellFailure) as excinfo:
+                common.run_system(
+                    systems.BASELINE, "BFS-TTC", scale="tiny", ratio=0.5
+                )
         assert isinstance(excinfo.value.__cause__, SimulationStalledError)
 
 
 class TestPolicyDefaults:
     def test_resolved_fills_policy_defaults(self, harness):
         chaos = parse_chaos_spec("drop-fault:prob=0.1", seed=5)
-        common.set_default_chaos(chaos)
-        common.set_default_invariants(True)
-        common.set_cell_timeout(30.0)
-        spec = common.RunSpec("KCORE", preset=systems.BASELINE).resolved()
+        policy = common.RunPolicy(
+            chaos=chaos, invariants=True, cell_timeout=30.0
+        )
+        spec = policy.apply(common.RunSpec("KCORE", preset=systems.BASELINE))
         assert spec.chaos == chaos
         assert spec.check_invariants is True
         assert spec.wall_budget_seconds == 30.0
 
     def test_explicit_spec_beats_defaults(self, harness):
-        common.set_default_chaos(FAILING_CHAOS)
+        policy = common.RunPolicy(chaos=FAILING_CHAOS)
         other = parse_chaos_spec("dup-fault:prob=0.2", seed=1)
-        spec = common.RunSpec(
-            "KCORE", preset=systems.BASELINE, chaos=other
-        ).resolved()
+        spec = policy.apply(
+            common.RunSpec("KCORE", preset=systems.BASELINE, chaos=other)
+        )
         assert spec.chaos == other
 
     def test_setter_validation(self):
-        with pytest.raises(ValueError):
-            common.set_cell_timeout(0)
-        with pytest.raises(ValueError):
-            common.set_retry_policy(-1)
-        with pytest.raises(ValueError):
-            common.set_on_error("shrug")
+        with pytest.raises(ConfigError):
+            common.RunPolicy(cell_timeout=0)
+        with pytest.raises(ConfigError):
+            common.RunPolicy(retries=-1)
+        with pytest.raises(ConfigError):
+            common.RunPolicy(on_error="shrug")

@@ -30,6 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import common
+from repro.experiments.common import RunPolicy
 from repro.serve.protocol import (
     dump_result_json,
     result_payload,
@@ -61,12 +62,11 @@ def oracle(tmp_path_factory):
     cache = tmp_path_factory.mktemp("oracle-cache")
     payloads = {}
     with _cache_state_guard():
-        common.set_cache_dir(cache)
-        common.set_cache_enabled(True)
+        policy = RunPolicy(cache_dir=cache)
         common.clear_run_cache()
         for request in POOL:
             spec = spec_from_request(validate_run_request(dict(request)))
-            (result,) = common.run_cells([spec], jobs=1)
+            (result,) = common.run_cells([spec], policy=policy)
             payloads[_pool_key(request)] = result_payload(result)
     return payloads
 
@@ -108,7 +108,7 @@ class TestDedupe:
     ):
         n = 6
         with running_server(
-            cache_dir=str(tmp_path), batch_window=0.3
+            policy=RunPolicy(cache_dir=tmp_path), batch_window=0.3
         ) as (server, client):
             baseline = client.stats()["run_cache"]
             responses = _fan_out(client, [dict(POOL[0])] * n)
@@ -127,7 +127,9 @@ class TestDedupe:
             assert stats["server"]["dedupe_hits"] == finished["deduped"]
 
     def test_no_cache_requests_recompute_but_match(self, tmp_path, oracle):
-        with running_server(cache_dir=str(tmp_path)) as (_server, client):
+        with running_server(
+            policy=RunPolicy(cache_dir=tmp_path)
+        ) as (_server, client):
             first = client.run(**POOL[0], no_cache=True)
             second = client.run(**POOL[0], no_cache=True)
             assert first.json()["cached"] is False
@@ -141,7 +143,7 @@ class TestDedupe:
 class TestBatching:
     def test_distinct_requests_coalesce_into_batches(self, tmp_path, oracle):
         with running_server(
-            cache_dir=str(tmp_path), batch_window=0.5
+            policy=RunPolicy(cache_dir=tmp_path), batch_window=0.5
         ) as (_server, client):
             responses = _fan_out(
                 client, [dict(r) for r in POOL], stagger=0.05
@@ -158,7 +160,7 @@ class TestBatching:
     def test_batched_results_keep_request_identity(self, tmp_path, oracle):
         """Order independence: each response carries *its* cell's result."""
         with running_server(
-            cache_dir=str(tmp_path), batch_window=0.4
+            policy=RunPolicy(cache_dir=tmp_path), batch_window=0.4
         ) as (_server, client):
             shuffled = [POOL[2], POOL[0], POOL[3], POOL[1]]
             responses = _fan_out(client, [dict(r) for r in shuffled])
@@ -172,7 +174,7 @@ class TestBackpressure:
     def test_saturated_server_answers_429_with_retry_after(self, tmp_path):
         slow = {"workload": "BFS-TWC", "scale": "small", "seed": 0}
         with running_server(
-            cache_dir=str(tmp_path),
+            policy=RunPolicy(cache_dir=tmp_path),
             queue_limit=1,
             batch_window=0.0,
             batch_max=1,
@@ -195,7 +197,7 @@ class TestBackpressure:
     def test_rejected_request_succeeds_on_retry(self, tmp_path):
         slow = {"workload": "BFS-TWC", "scale": "small", "seed": 0}
         with running_server(
-            cache_dir=str(tmp_path),
+            policy=RunPolicy(cache_dir=tmp_path),
             queue_limit=1,
             batch_window=0.0,
             batch_max=1,
@@ -217,7 +219,7 @@ class TestDisconnect:
     ):
         request = dict(POOL[3])
         with running_server(
-            cache_dir=str(tmp_path), batch_window=0.6
+            policy=RunPolicy(cache_dir=tmp_path), batch_window=0.6
         ) as (server, client):
             # Hand-rolled streaming request, abandoned after the first
             # event lands.
@@ -255,7 +257,7 @@ class TestDisconnect:
 def interleaving_server(tmp_path_factory):
     cache = tmp_path_factory.mktemp("interleave-cache")
     with running_server(
-        cache_dir=str(cache), batch_window=0.05
+        policy=RunPolicy(cache_dir=cache), batch_window=0.05
     ) as (server, client):
         yield server, client
 
@@ -330,7 +332,7 @@ class TestCliBitIdentity:
         cli_bytes = out.read_text()
 
         with running_server(
-            cache_dir=str(tmp_path / "serve-cache")
+            policy=RunPolicy(cache_dir=tmp_path / "serve-cache")
         ) as (_server, client):
             response = client.run(
                 workload="KCORE", scale="tiny", ratio=ratio, seed=0
@@ -348,7 +350,7 @@ class TestCliBitIdentity:
             )
         )
         with _cache_state_guard():
-            common.set_cache_dir(tmp_path / "oracle2")
+            policy = RunPolicy(cache_dir=tmp_path / "oracle2")
             common.clear_run_cache()
-            (result,) = common.run_cells([spec], jobs=1)
+            (result,) = common.run_cells([spec], policy=policy)
         assert dump_result_json(result) == cli_bytes

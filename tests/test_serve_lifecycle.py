@@ -29,6 +29,7 @@ import pytest
 
 from repro.errors import ServerShutdownError
 from repro.experiments import common
+from repro.experiments.common import RunPolicy
 from repro.serve.client import ServeClient
 from repro.serve.protocol import (
     result_payload,
@@ -64,11 +65,10 @@ def slow_oracle(tmp_path_factory):
     """The uninterrupted result for the slow cell, computed server-free."""
     cache = tmp_path_factory.mktemp("lifecycle-oracle")
     with _cache_state_guard():
-        common.set_cache_dir(cache)
-        common.set_cache_enabled(True)
+        policy = RunPolicy(cache_dir=cache)
         common.clear_run_cache()
         spec = spec_from_request(validate_run_request(dict(SLOW)))
-        (result,) = common.run_cells([spec], jobs=1)
+        (result,) = common.run_cells([spec], policy=policy)
     return result_payload(result)
 
 
@@ -78,8 +78,9 @@ class TestDrain:
     ):
         ckpt = tmp_path / "ckpt"
         with running_server(
-            cache_dir=str(tmp_path / "cache"),
-            checkpoint_dir=str(ckpt),
+            policy=RunPolicy(
+                cache_dir=tmp_path / "cache", checkpoint_dir=ckpt, resume=True
+            ),
             batch_window=0.0,
             batch_max=1,
             drain_on_exit=False,
@@ -116,7 +117,7 @@ class TestDrain:
 
     def test_submit_refuses_while_draining(self, tmp_path):
         with running_server(
-            cache_dir=str(tmp_path),
+            policy=RunPolicy(cache_dir=tmp_path),
             batch_window=0.0,
             batch_max=1,
             drain_on_exit=False,
@@ -136,7 +137,7 @@ class TestDrain:
 
     def test_idle_server_drains_immediately(self, tmp_path):
         with running_server(
-            cache_dir=str(tmp_path), drain_on_exit=False
+            policy=RunPolicy(cache_dir=tmp_path), drain_on_exit=False
         ) as (server, client):
             assert client.healthz()["healthy"] is True
             started = time.monotonic()
@@ -147,7 +148,9 @@ class TestDrain:
 class TestRestartWarm:
     def test_second_server_over_same_cache_answers_warm(self, tmp_path):
         cache = str(tmp_path / "shared-cache")
-        with running_server(cache_dir=cache) as (_server, client):
+        with running_server(
+            policy=RunPolicy(cache_dir=cache)
+        ) as (_server, client):
             cold = client.run(**FAST)
             assert cold.status == 200
             assert cold.json()["cached"] is False
@@ -155,7 +158,9 @@ class TestRestartWarm:
         # New server instance, same cache directory: the entry comes
         # back from disk (the in-process memo was restored/cleared by
         # the fixture guard between the two servers).
-        with running_server(cache_dir=cache) as (_server, client):
+        with running_server(
+            policy=RunPolicy(cache_dir=cache)
+        ) as (_server, client):
             baseline = client.stats()["run_cache"]
             warm = client.run(**FAST)
             assert warm.status == 200
@@ -175,8 +180,9 @@ class TestStallCheckpointResume:
         result and the checkpoint is discarded on completion."""
         ckpt = tmp_path / "ckpt"
         with running_server(
-            cache_dir=str(tmp_path / "cache"),
-            checkpoint_dir=str(ckpt),
+            policy=RunPolicy(
+                cache_dir=tmp_path / "cache", checkpoint_dir=ckpt, resume=True
+            ),
         ) as (_server, client):
             final = None
             saw_failure = False
@@ -207,18 +213,18 @@ class TestQuotaPinning:
         the quota mid-batch must not evict its own batchmates."""
         probe_dir = tmp_path / "probe"
         with _cache_state_guard():
-            common.set_cache_dir(probe_dir)
-            common.set_cache_enabled(True)
+            policy = RunPolicy(cache_dir=probe_dir)
             common.clear_run_cache()
             spec = spec_from_request(validate_run_request(dict(FAST)))
-            common.run_cells([spec], jobs=1)
+            common.run_cells([spec], policy=policy)
             (entry,) = probe_dir.glob("*.pkl")
             entry_size = entry.stat().st_size
 
         cache = tmp_path / "cache"
         with running_server(
-            cache_dir=str(cache),
-            cache_quota_bytes=int(entry_size * 1.5),
+            policy=RunPolicy(
+                cache_dir=cache, cache_quota_bytes=int(entry_size * 1.5)
+            ),
             batch_window=0.4,
         ) as (server, client):
             # Two same-sized cells in one batch: the second store trips

@@ -24,6 +24,7 @@ from repro.errors import (
     ServerSaturatedError,
     ServerShutdownError,
 )
+from repro.experiments.common import RunPolicy
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     error_envelope,
@@ -139,7 +140,9 @@ def wire_payload() -> dict:
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        with running_server(cache_dir=tmp) as (_server, client):
+        with running_server(
+            policy=RunPolicy(cache_dir=tmp)
+        ) as (_server, client):
             for name, case in sorted(WIRE_CASES.items()):
                 status, envelope = _send(client, case)
                 out[name] = {"status": status, "envelope": envelope}
@@ -175,7 +178,7 @@ def golden() -> dict:
 @pytest.fixture(scope="module")
 def live_server(tmp_path_factory):
     cache = tmp_path_factory.mktemp("serve-cache")
-    with running_server(cache_dir=str(cache)) as (server, client):
+    with running_server(policy=RunPolicy(cache_dir=cache)) as (server, client):
         yield server, client
 
 
