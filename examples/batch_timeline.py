@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
 """Visualise the batch processing mechanism (the paper's Figure 2).
 
-Attaches a timeline tracer to a simulation and renders the first few
-fault batches as ASCII lanes: the GPU-runtime fault-handling window,
-the migration stream, eviction starts and page arrivals.  Run it twice —
-baseline vs. TO+UE — and watch the batches get bigger and fewer while the
-eviction marks slide out of the migration stream.
+Runs a simulation under a full observability session and renders the
+first few fault batches from its batch records as ASCII lanes: the
+GPU-runtime fault-handling window, the migration stream, and — from the
+session's trace instants — eviction starts and page arrivals.  Run it
+twice — baseline vs. TO+UE — and watch the batches get bigger and fewer
+while the eviction marks slide out of the migration stream.
 
     python examples/batch_timeline.py --workload BFS-TWC
 """
 
 import argparse
 
-from repro import GpuUvmSimulator, build_workload, systems, workload_names
-from repro.sim.timeline import Timeline, render_batches, summarize
+from repro import GpuUvmSimulator, build_workload, obs, systems, workload_names
 from repro.workloads.registry import SCALES
 
 
@@ -31,16 +31,21 @@ def main() -> None:
     ratio = SCALES[args.scale].half_memory_ratio
 
     for preset in (systems.BASELINE, systems.TO_UE):
-        timeline = Timeline()
+        session = obs.Observability("full")
         config = preset.configure(workload, ratio=ratio)
-        result = GpuUvmSimulator(workload, config, timeline=timeline).run()
+        result = GpuUvmSimulator(workload, config, obs=session).run()
         print(f"=== {preset.name} ({args.workload}) ===")
-        print(render_batches(timeline, max_batches=args.batches))
-        counts = summarize(timeline)
         print(
-            f"totals: {counts.get('batch_begin', 0)} batches, "
-            f"{counts.get('page_arrival', 0)} migrations, "
-            f"{counts.get('evict_start', 0)} evictions, "
+            obs.render_batches(
+                result.batch_stats.records,
+                tracer=session.tracer,
+                max_batches=args.batches,
+            )
+        )
+        print(
+            f"totals: {result.batch_stats.num_batches} batches, "
+            f"{result.migrated_pages} migrations, "
+            f"{result.evicted_pages} evictions, "
             f"exec {result.exec_cycles:,} cycles"
         )
         print()

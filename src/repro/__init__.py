@@ -18,7 +18,6 @@ Public API
 from repro import obs, systems
 from repro.obs import Observability
 from repro.gpu.config import EtcConfig, GpuConfig, SimConfig, ToConfig, UvmConfig
-from repro.sim.timeline import Timeline
 from repro.simulator import GpuUvmSimulator, SimulationResult, simulate
 from repro.workloads.registry import SCALES, build_workload, workload_names
 
@@ -28,7 +27,6 @@ __all__ = [
     "obs",
     "Observability",
     "systems",
-    "Timeline",
     "EtcConfig",
     "GpuConfig",
     "SimConfig",

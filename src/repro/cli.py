@@ -37,7 +37,6 @@ from repro import obs as obs_mod
 from repro import systems
 from repro.chaos import parse_chaos_spec
 from repro.errors import ReproError
-from repro.sim.timeline import Timeline, render_batches
 from repro.simulator import GpuUvmSimulator
 from repro.workloads.registry import SCALES, build_workload, workload_names
 
@@ -122,7 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--timeline",
         action="store_true",
-        help="print the ASCII Figure-2 batch timeline",
+        help=(
+            "print the ASCII Figure-2 batch timeline; its ! eviction and "
+            "* arrival markers need --obs light (evictions) or full (both; "
+            "the default)"
+        ),
     )
     parser.add_argument(
         "--analytics",
@@ -276,7 +279,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.obs != "off"
         else None
     )
-    timeline = Timeline() if args.timeline else None
 
     checkpoint_file = None
     if args.checkpoint_dir:
@@ -296,14 +298,13 @@ def main(argv: list[str] | None = None) -> int:
             # The restored simulator carries its original instrumentation
             # (pickled with it); report from that, not this invocation's.
             obs = sim.obs
-            timeline = sim.timeline
             print(
                 f"resuming {checkpoint_file} "
                 f"(cycle {sim.engine.now:,}, "
                 f"batch {sim.runtime.batch_stats.num_batches})"
             )
     if sim is None:
-        sim = GpuUvmSimulator(workload, config, timeline=timeline, obs=obs)
+        sim = GpuUvmSimulator(workload, config, obs=obs)
     if checkpoint_file is not None:
         sim.enable_checkpoints(
             args.checkpoint_dir,
@@ -363,9 +364,14 @@ def main(argv: list[str] | None = None) -> int:
             "  chaos: "
             + ", ".join(f"{kind}={count}" for kind, count in injected.items())
         )
-    if timeline is not None:
+    if args.timeline:
         print()
-        print(render_batches(timeline))
+        print(
+            obs_mod.render_batches(
+                result.batch_stats.records,
+                tracer=obs.tracer if obs is not None else None,
+            )
+        )
     if obs is not None:
         if args.report:
             print()

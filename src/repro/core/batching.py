@@ -6,6 +6,8 @@ Terminology (Section 2.2, Figure 2):
   processing to the beginning of the first page transfer.
 * **Batch processing time** — from the beginning of a batch's processing
   to the migration of the last page.
+* **Migration time** — the rest of the batch: from the first page
+  transfer to the migration of the last page.
 * **Batch size** — the number of page faults handled together; Figures 13
   and 16 report it in bytes (sum of all pages in the batch).
 """
@@ -52,6 +54,11 @@ class BatchRecord:
         return self.end_time - self.begin_time
 
     @property
+    def migration_time(self) -> int:
+        """Migration phase (cycles): first migration to the last page."""
+        return self.processing_time - self.fault_handling_time
+
+    @property
     def per_page_time(self) -> float:
         """Fault handling time per page: processing time / pages."""
         pages = self.migrated_pages
@@ -80,28 +87,14 @@ class BatchStats:
         return sum(r.migrated_pages for r in self.records)
 
     @property
-    def total_demand_pages(self) -> int:
-        return sum(r.demand_pages for r in self.records)
-
-    @property
     def total_prefetched_pages(self) -> int:
         return sum(r.prefetched_pages for r in self.records)
-
-    @property
-    def total_evicted_pages(self) -> int:
-        return sum(r.evicted_pages for r in self.records)
 
     @property
     def mean_batch_pages(self) -> float:
         if not self.records:
             return 0.0
         return self.total_migrated_pages / len(self.records)
-
-    @property
-    def mean_batch_bytes(self) -> float:
-        if not self.records:
-            return 0.0
-        return sum(r.batch_bytes for r in self.records) / len(self.records)
 
     @property
     def mean_processing_time(self) -> float:

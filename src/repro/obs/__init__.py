@@ -69,7 +69,7 @@ from repro.obs.metrics import (
     MetricRegistry,
 )
 from repro.obs.profile import ComponentProfiler, profile_simulation
-from repro.obs.report import render_report
+from repro.obs.report import render_batches, render_report
 from repro.obs.serve import ServeMetrics
 from repro.obs.tracer import TraceEvent, Tracer
 
@@ -212,6 +212,7 @@ __all__ = [
     "metrics_dict",
     "write_metrics_json",
     "write_metrics_csv",
+    "render_batches",
     "render_report",
     "BUCKETS",
     "FEATURE_FIELDS",

@@ -4,12 +4,14 @@ The tracer answers *where* simulated time goes (spans on tracks); this
 module answers *why* a cell is slow at the granularity the paper argues
 in — the fault-handling batch.  Four cooperating pieces:
 
-* :class:`BatchObservation` — one structured record per batch: lifecycle
-  phase timings (drain -> preprocess -> migrate -> replay), page/dup/
-  prefetch/eviction counts, oversubscription degree, and the queue depths
-  seen at batch begin.  Emitted by the UVM runtime with inputs from the
-  eviction planner (:class:`~repro.uvm.eviction.EvictionPlan`), the
-  prefetcher, and the fault buffer.
+* :class:`BatchObservation` — one per batch, extending the runtime's
+  always-on :class:`~repro.core.batching.BatchRecord` (shared, not
+  copied: index, boundary times, page counts) with what only analytics
+  measures: stale/dup entries, eviction-plan timings, oversubscription
+  degree, and the queue depths seen at batch begin.  Emitted by the UVM
+  runtime with inputs from the eviction planner
+  (:class:`~repro.uvm.eviction.EvictionPlan`), the prefetcher, and the
+  fault buffer.
 * :class:`CycleAttribution` — per-warp cycle accounting split into
   ``compute / fault_latency / eviction_wait / pcie_queue / replay``
   buckets, charged from the simulator's issue and wake loops, rolled up
@@ -39,6 +41,7 @@ import pathlib
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.core.batching import BatchRecord
 from repro.errors import ConfigError
 
 #: Attribution buckets, in reporting order.  ``compute`` and ``replay``
@@ -94,28 +97,22 @@ FEATURE_FIELDS = (
 class BatchObservation:
     """One fault-handling batch, observed across its whole lifecycle.
 
-    Begin-time fields are filled by the runtime when the batch opens
-    (post-preprocess, plan in hand); ``end_time``/``replayed_entries``/
-    ``overflow_faults`` are finalized at batch end.
+    ``record`` is the runtime's own :class:`BatchRecord` for the batch
+    (index, boundary times, entry and page counts); the fields here are
+    the values only analytics measures.  Begin-time fields are filled by
+    the runtime when the batch opens (post-preprocess, plan in hand);
+    ``replayed_entries``/``overflow_faults`` are finalized at batch end.
     """
 
-    index: int
-    begin_time: int
-    #: Raw fault-buffer entries drained into this batch.
-    entries: int
-    #: Unique non-stale pages (the batch's demand migrations).
-    demand_pages: int
+    record: BatchRecord
     #: Entries dropped because their page was already resident.
     stale_entries: int
     #: Entries beyond the first per page (multiple warps faulting).
     dup_entries: int
-    prefetched_pages: int
-    #: Demand + prefetched pages actually migrated.
-    migrated_pages: int
-    evicted_pages: int
-    #: Planned GPU runtime fault-handling time (preprocess window).
+    #: Planned GPU runtime fault-handling time (preprocess window);
+    #: ``record.fault_handling_time`` is the realised begin-to-first-
+    #: migration window, which the eviction plan can move.
     fault_handling_cycles: int
-    first_migration_time: int
     #: Total cycles migrations waited on eviction-freed frames.
     frame_wait_cycles: int
     eviction_busy_cycles: int
@@ -136,23 +133,9 @@ class BatchObservation:
     prefetch_regions: int
     overflow_at_begin: int
     # -- finalized at batch end ----------------------------------------
-    end_time: int = 0
     replayed_entries: int = 0
     #: Fault-buffer overflows that happened while this batch was open.
     overflow_faults: int = 0
-
-    @property
-    def processing_cycles(self) -> int:
-        return self.end_time - self.begin_time
-
-    @property
-    def preprocess_cycles(self) -> int:
-        """Batch begin to first migration: ISR + runtime fault handling."""
-        return self.first_migration_time - self.begin_time
-
-    @property
-    def migration_cycles(self) -> int:
-        return self.end_time - self.first_migration_time
 
 
 class CycleAttribution:
@@ -259,7 +242,7 @@ class RunAnalytics:
             attr.fault_latency[sm_id] += d
             self.stall_total += d
             return
-        fault = min(now, batch.first_migration_time) - start
+        fault = min(now, batch.record.first_migration_time) - start
         if fault < 0:
             fault = 0
         elif fault > d:
@@ -275,33 +258,34 @@ class RunAnalytics:
     # ------------------------------------------------------------------
     # Batch lifecycle (runtime callbacks, batch-boundary frequency)
     # ------------------------------------------------------------------
-    def begin_batch(self, **fields) -> BatchObservation:
-        batch = BatchObservation(**fields)
+    def begin_batch(self, record: BatchRecord, **fields) -> BatchObservation:
+        batch = BatchObservation(record, **fields)
         self.open_batch = batch
         self.flight.record(
             "batch_begin",
-            batch.begin_time,
-            batch=batch.index,
-            entries=batch.entries,
-            pages=batch.migrated_pages,
-            evicted=batch.evicted_pages,
+            record.begin_time,
+            batch=record.index,
+            entries=record.fault_entries,
+            pages=record.migrated_pages,
+            evicted=record.evicted_pages,
         )
         return batch
 
-    def end_batch(self, end_time: int, replayed: int, overflow_now: int) -> None:
+    def end_batch(self, replayed: int, overflow_now: int) -> None:
+        """Finalize the open batch; its record's ``end_time`` is set."""
         batch = self.open_batch
         if batch is None:
             return
-        batch.end_time = end_time
         batch.replayed_entries = replayed
         batch.overflow_faults = overflow_now - batch.overflow_at_begin
         self.open_batch = None
         self.batches.append(batch)
+        record = batch.record
         self.flight.record(
             "batch_end",
-            end_time,
-            batch=batch.index,
-            processing=batch.processing_cycles,
+            record.end_time,
+            batch=record.index,
+            processing=record.processing_time,
             replayed=replayed,
         )
 
@@ -326,7 +310,9 @@ class RunAnalytics:
             "now": now,
             "batches_completed": len(self.batches),
             "open_batch": (
-                self.open_batch.index if self.open_batch is not None else None
+                self.open_batch.record.index
+                if self.open_batch is not None
+                else None
             ),
             "recent_batches": [feature_row(self, b) for b in recent],
             "events": self.flight.snapshot(),
@@ -358,22 +344,23 @@ class AnalyticsSession:
 # ----------------------------------------------------------------------
 def feature_row(run: RunAnalytics, batch: BatchObservation) -> dict:
     """One stable feature vector (``FEATURE_FIELDS`` order) per batch."""
+    record = batch.record
     return {
         "workload": run.workload,
-        "batch": batch.index,
-        "begin": batch.begin_time,
-        "end": batch.end_time,
-        "processing_cycles": batch.processing_cycles,
+        "batch": record.index,
+        "begin": record.begin_time,
+        "end": record.end_time,
+        "processing_cycles": record.processing_time,
         "fault_handling_cycles": batch.fault_handling_cycles,
-        "preprocess_cycles": batch.preprocess_cycles,
-        "migration_cycles": batch.migration_cycles,
-        "entries": batch.entries,
+        "preprocess_cycles": record.fault_handling_time,
+        "migration_cycles": record.migration_time,
+        "entries": record.fault_entries,
         "stale_entries": batch.stale_entries,
         "dup_entries": batch.dup_entries,
-        "demand_pages": batch.demand_pages,
-        "prefetched_pages": batch.prefetched_pages,
-        "migrated_pages": batch.migrated_pages,
-        "evicted_pages": batch.evicted_pages,
+        "demand_pages": record.demand_pages,
+        "prefetched_pages": record.prefetched_pages,
+        "migrated_pages": record.migrated_pages,
+        "evicted_pages": record.evicted_pages,
         "frame_wait_cycles": batch.frame_wait_cycles,
         "eviction_busy_cycles": batch.eviction_busy_cycles,
         "eviction_window_cycles": batch.eviction_window_cycles,
@@ -445,22 +432,23 @@ def _outlier(run: RunAnalytics) -> dict | None:
     batches = run.batches
     if not batches:
         return None
-    processing = [b.processing_cycles for b in batches]
-    worst = max(batches, key=lambda b: b.processing_cycles)
+    processing = [b.record.processing_time for b in batches]
+    worst = max(batches, key=lambda b: b.record.processing_time)
+    record = worst.record
     median = _percentile(processing, 50)
     p99 = _percentile(processing, 99)
-    proc = worst.processing_cycles or 1
-    if worst.evicted_pages and worst.frame_wait_cycles >= 0.25 * proc:
+    proc = record.processing_time or 1
+    if record.evicted_pages and worst.frame_wait_cycles >= 0.25 * proc:
         cause = (
             "eviction serialized against H2D "
             f"(frame waits {worst.frame_wait_cycles / proc:.0%} of the batch)"
         )
-    elif worst.preprocess_cycles > worst.migration_cycles:
+    elif record.fault_handling_time > record.migration_time:
         cause = (
             "fault-handling preprocess dominated "
-            f"({worst.entries} entries over {worst.demand_pages} pages)"
+            f"({record.fault_entries} entries over {record.demand_pages} pages)"
         )
-    elif worst.evicted_pages and worst.eviction_occupancy < 0.5:
+    elif record.evicted_pages and worst.eviction_occupancy < 0.5:
         cause = (
             "D2H eviction pipeline under-occupied "
             f"({worst.eviction_occupancy:.0%} busy)"
@@ -468,14 +456,14 @@ def _outlier(run: RunAnalytics) -> dict | None:
     else:
         cause = (
             "H2D migration streaming bound "
-            f"({worst.migrated_pages} pages in one window)"
+            f"({record.migrated_pages} pages in one window)"
         )
     return {
-        "batch": worst.index,
-        "processing_cycles": worst.processing_cycles,
+        "batch": record.index,
+        "processing_cycles": record.processing_time,
         "median_processing_cycles": median,
         "p99_processing_cycles": p99,
-        "ratio_to_median": round(worst.processing_cycles / max(1, median), 3),
+        "ratio_to_median": round(record.processing_time / max(1, median), 3),
         "cause": cause,
     }
 
@@ -493,8 +481,8 @@ def analyze_run(run: RunAnalytics, system: str | None = None) -> dict:
     )
     batches = run.batches
     phases = {
-        "preprocess_cycles": sum(b.preprocess_cycles for b in batches),
-        "migration_cycles": sum(b.migration_cycles for b in batches),
+        "preprocess_cycles": sum(b.record.fault_handling_time for b in batches),
+        "migration_cycles": sum(b.record.migration_time for b in batches),
         "frame_wait_cycles": sum(b.frame_wait_cycles for b in batches),
         "eviction_busy_cycles": sum(b.eviction_busy_cycles for b in batches),
         "replayed_entries": sum(b.replayed_entries for b in batches),

@@ -1,13 +1,22 @@
-"""Human-readable text summary of one observability session.
+"""Human-readable text views of one run and its observability session.
 
 ``render_report`` digests the tracer (per-track span counts and busy
 time) and the metric registry (counters, gauges, histogram tails) into an
 aligned text block — the quick look you print after a run when you don't
 want to open the full trace in Perfetto.
+
+``render_batches`` draws an ASCII version of the paper's Figure 2 from a
+run's batch records: one lane per batch with the fault-handling window
+and the migration stream, plus eviction and arrival markers taken from
+the tracer when one recorded the run.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from typing import Sequence
+
+from repro.core.batching import BatchRecord
 from repro.obs.metrics import MetricRegistry
 from repro.obs.tracer import Tracer
 
@@ -116,4 +125,69 @@ def render_report(tracer: Tracer, registry: MetricRegistry) -> str:
     lines.append("metrics")
     lines.append("-------")
     lines.extend(_metric_table(registry))
+    return "\n".join(lines)
+
+
+def _instant_times(tracer: Tracer | None, track: str, name: str) -> list[int]:
+    if tracer is None:
+        return []
+    return sorted(
+        e.ts
+        for e in tracer.events
+        if e.ph == "i" and e.track == track and e.name == name
+    )
+
+
+def render_batches(
+    records: Sequence[BatchRecord],
+    tracer: Tracer | None = None,
+    max_batches: int = 8,
+    width: int = 72,
+) -> str:
+    """ASCII rendering of the first ``max_batches`` completed batches.
+
+    ``#`` marks the GPU-runtime fault-handling window (``begin_time`` to
+    ``first_migration_time``), ``=`` the migration stream (to
+    ``end_time``).  With the run's ``tracer`` attached, ``!`` marks
+    eviction starts (obs ``light`` and ``full``) and ``*`` page arrivals
+    (``full`` only).  One lane per batch, a shared time axis in cycles.
+    The tracer should hold a single run's simulation events.
+    """
+    records = records[:max_batches]
+    if not records:
+        return "(no batches recorded)"
+    t0 = records[0].begin_time
+    t1 = max(r.end_time for r in records)
+    span = max(1, t1 - t0)
+
+    def column(time: int) -> int:
+        return min(width - 1, max(0, (time - t0) * (width - 1) // span))
+
+    lines = [
+        f"batch timeline: {t0} .. {t1} cycles "
+        f"(# fault handling, = migration, ! eviction, * arrival)"
+    ]
+    markers = (
+        ("!", _instant_times(tracer, "eviction", "evict")),
+        ("*", _instant_times(tracer, "uvm", "page arrival")),
+    )
+    for record in records:
+        begin = record.begin_time
+        fht_end = record.first_migration_time
+        end = record.end_time
+        lane = [" "] * width
+        for c in range(column(begin), column(fht_end) + 1):
+            lane[c] = "#"
+        for c in range(column(fht_end), column(end) + 1):
+            if lane[c] == " ":
+                lane[c] = "="
+        for mark, times in markers:
+            for time in times[bisect_left(times, begin) : bisect_right(times, end)]:
+                lane[column(time)] = mark
+        lines.append(f"B{record.index:<3d} |{''.join(lane)}|")
+    if tracer is not None and tracer.dropped:
+        lines.append(
+            f"({tracer.dropped:,} trace events dropped beyond the ring; "
+            "markers may be missing)"
+        )
     return "\n".join(lines)

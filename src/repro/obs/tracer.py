@@ -15,10 +15,9 @@ Two time domains coexist:
   microseconds since the tracer was created — used by the experiment
   harness for per-cell spans.
 
-Storage is a bounded ring analogous to :class:`repro.sim.timeline.Timeline`:
-once ``max_events`` events are held, further events are counted in
-``dropped`` instead of growing the buffer, so tracing can never blow up a
-long simulation.
+Storage is a bounded ring: once ``max_events`` events are held, further
+events are counted in ``dropped`` instead of growing the buffer, so
+tracing can never blow up a long simulation.
 """
 
 from __future__ import annotations

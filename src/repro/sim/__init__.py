@@ -7,13 +7,10 @@ the paper's Table 1 configuration).
 
 from repro.sim.engine import Engine
 from repro.sim.stats import Counter, Histogram, StatsCollector
-from repro.sim.timeline import Timeline, render_batches
 
 __all__ = [
     "Engine",
     "Counter",
     "Histogram",
     "StatsCollector",
-    "Timeline",
-    "render_batches",
 ]

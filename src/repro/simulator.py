@@ -174,12 +174,10 @@ class GpuUvmSimulator:
         self,
         workload: Workload,
         config: SimConfig,
-        timeline=None,
         obs=None,
     ) -> None:
         self.workload = workload
         self.config = config
-        self.timeline = timeline
         #: The :class:`repro.obs.Observability` session instrumenting this
         #: run: the one passed explicitly, else the globally installed one
         #: (``repro.obs.configure``/``session``), else None — fully off.
@@ -225,7 +223,6 @@ class GpuUvmSimulator:
         )
         self.runtime.wake_warps = self._wake_warps
         self.runtime.on_evict = self._on_evict
-        self.runtime.timeline = timeline
         self.runtime.obs = self.obs
         self.runtime.fault_buffer.obs = self.obs
         self.pcie.attach_obs(self.obs)

@@ -98,9 +98,6 @@ class UvmRuntime:
         self.on_evict: Callable[[int], None] = _noop_evict
         #: Called when a batch completes (TO controller, ETC epochs).
         self.on_batch_end: Callable[[BatchRecord], None] = _noop_batch_end
-        #: Optional :class:`repro.sim.timeline.Timeline` receiving batch
-        #: lifecycle events for Figure-2-style rendering.
-        self.timeline = None
         #: Optional :class:`repro.obs.Observability` session (batch
         #: lifecycle spans, fault→arrival latency histograms, eviction
         #: markers).  None keeps the fault/migration path un-instrumented.
@@ -112,8 +109,9 @@ class UvmRuntime:
         #: at batch boundaries; None costs one pointer test per batch.
         self.invariants = None
         #: Optional :class:`repro.obs.analytics.RunAnalytics` receiving
-        #: one BatchObservation per batch plus per-arrival frame-wait
-        #: context; None keeps the batch path un-instrumented.
+        #: one BatchObservation per batch (extending its BatchRecord)
+        #: plus per-arrival frame-wait context; None keeps the batch path
+        #: un-instrumented.
         self.analytics = None
         #: Per-page eviction frame wait of the open batch's migrations
         #: (analytics only; empty otherwise).
@@ -284,17 +282,10 @@ class UvmRuntime:
                 frame_waits += [0] * (len(all_pages) - len(frame_waits))
             self._frame_waits = dict(zip(all_pages, frame_waits))
             an.begin_batch(
-                index=record.index,
-                begin_time=now,
-                entries=n_entries,
-                demand_pages=len(pages),
+                record,
                 stale_entries=self.stale_entries_dropped - stale_before,
                 dup_entries=n_entries - len({e.page for e in entries}),
-                prefetched_pages=len(prefetched),
-                migrated_pages=len(all_pages),
-                evicted_pages=len(plan.evictions),
                 fault_handling_cycles=fht,
-                first_migration_time=record.first_migration_time,
                 frame_wait_cycles=sum(frame_waits),
                 eviction_busy_cycles=plan.eviction_busy_cycles(),
                 eviction_window_cycles=plan.eviction_window_cycles(),
@@ -327,13 +318,6 @@ class UvmRuntime:
             schedule_at(start, partial(evict_one, victim))
             schedule_at(finish, self._release_frame)
 
-        if self.timeline is not None:
-            self.timeline.record(now, "batch_begin", value=record.index)
-            self.timeline.record(
-                record.first_migration_time,
-                "first_migration",
-                value=record.index,
-            )
         obs = self.obs
         if obs is not None:
             metrics = obs.metrics
@@ -437,10 +421,6 @@ class UvmRuntime:
         self.memory.evict(victim, self.engine.now)
         self._pending_frames.append(frame)
         self.on_evict(victim)
-        if self.timeline is not None:
-            self.timeline.record(
-                self.engine.now, "evict_start", detail=f"{victim:#x}"
-            )
         obs = self.obs
         if obs is not None:
             obs.metrics.counter("uvm.evictions").inc()
@@ -483,8 +463,6 @@ class UvmRuntime:
             return
         frame = self.memory.allocate(page, now)
         self.page_table.map(page, frame)
-        if self.timeline is not None:
-            self.timeline.record(now, "page_arrival", detail=f"{page:#x}")
         obs = self.obs
         if obs is not None:
             fault_time = self._fault_times.pop(page, None)
@@ -525,8 +503,6 @@ class UvmRuntime:
         record.end_time = self.engine.now
         self.batch_stats.add(record)
         self._current = None
-        if self.timeline is not None:
-            self.timeline.record(self.engine.now, "batch_end", value=record.index)
         obs = self.obs
         if obs is not None:
             obs.metrics.histogram("uvm.batch_cycles", 1000).record(
@@ -547,7 +523,6 @@ class UvmRuntime:
         an = self.analytics
         if an is not None:
             an.end_batch(
-                self.engine.now,
                 replayed=replayed,
                 overflow_now=self.fault_buffer.overflow_faults,
             )

@@ -82,14 +82,18 @@ def test_stall_attribution_identity_and_backend_equivalence(system):
 
 def test_batches_and_analysis_consistent():
     result, run = run_with_analytics("TO+UE")
-    assert len(run.batches) == len(result.batch_stats.records)
+    records = result.batch_stats.records
+    assert len(run.batches) == len(records)
     assert run.open_batch is None
-    for batch in run.batches:
-        assert batch.end_time >= batch.begin_time
-        assert batch.preprocess_cycles >= 0
-        assert batch.migration_cycles >= 0
-        assert batch.migrated_pages >= batch.demand_pages
-        assert batch.entries >= batch.demand_pages
+    for i, batch in enumerate(run.batches):
+        # One ledger: analytics extends the runtime's record, never copies.
+        assert batch.record is records[i]
+    for record in records:
+        assert record.end_time >= record.begin_time
+        assert record.fault_handling_time >= 0
+        assert record.migration_time >= 0
+        assert record.migrated_pages >= record.demand_pages
+        assert record.fault_entries >= record.demand_pages
     cell = obs.analyze_run(run, system="TO+UE")
     assert cell["stall_identity_ok"]
     assert cell["dominant_cause"] in BUCKETS

@@ -154,7 +154,7 @@ class TestRingBuffer:
             tr.instant("t", f"e{i}", i)
         assert len(tr) == 3
         assert tr.dropped == 7
-        # Oldest events are kept (drop-newest), matching Timeline.
+        # Oldest events are kept (drop-newest).
         assert [e.name for e in tr.events] == ["e0", "e1", "e2"]
 
     def test_dropped_events_do_not_register_tracks(self):

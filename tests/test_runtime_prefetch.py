@@ -79,28 +79,23 @@ def test_prefetch_respects_valid_pages():
 
 
 def test_ue_preemptive_eviction_inside_fht_window():
-    from repro.sim.timeline import Timeline
-
     engine, runtime = make_runtime(frames=2, eviction=UnobtrusiveEviction())
-    timeline = Timeline()
-    runtime.timeline = timeline
+    evict_times = []
+    runtime.on_evict = lambda page: evict_times.append(engine.now)
     for page in (100, 101):
         runtime.raise_fault(page, None)
     engine.run()
     for page in (102, 103):
         runtime.raise_fault(page, None)
     engine.run()
-    batch = timeline.of_kind("batch_begin")[-1]
-    first_migration = timeline.of_kind("first_migration")[-1]
-    evicts = [
-        e for e in timeline.of_kind("evict_start") if e.time >= batch.time
-    ]
+    batch = runtime.batch_stats.records[-1]
+    evicts = [t for t in evict_times if t >= batch.begin_time]
     # The preemptive eviction starts right at batch begin and its transfer
     # fits within the fault handling window.
-    assert evicts[0].time == batch.time
+    assert evicts[0] == batch.begin_time
     assert (
-        evicts[0].time + runtime.pcie.d2h_cycles_per_page
-        <= first_migration.time
+        evicts[0] + runtime.pcie.d2h_cycles_per_page
+        <= batch.first_migration_time
     )
 
 
