@@ -10,10 +10,11 @@ of the paper's µs-scale effects.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from itertools import cycle, islice, repeat
 
 from repro.errors import ConfigError
-from repro.gpu.config import LINE_SIZE, GpuConfig
+from repro.gpu.config import LINE_SHIFT, LINE_SIZE, GpuConfig
 
 
 class Cache:
@@ -48,11 +49,26 @@ class Cache:
         return False
 
     def invalidate_page(self, page: int, page_shift: int) -> None:
-        """Drop every line belonging to ``page`` (page was evicted)."""
-        lines_per_page = 1 << (page_shift - LINE_SIZE.bit_length() + 1)
-        first = page << (page_shift - 7)
-        for line in range(first, first + lines_per_page):
-            self._sets[line % self.num_sets].pop(line, None)
+        """Drop every line belonging to ``page`` (page was evicted).
+
+        One C-level pass pops each of the page's lines from its set: line
+        ``first + i`` lives in set ``(first + i) % num_sets``, so the sets
+        are consecutive from ``start``, wrapping round when the page has
+        more lines than the cache has sets.
+        """
+        shift = page_shift - LINE_SHIFT
+        n = 1 << shift
+        first = page << shift
+        sets = self._sets
+        start = first % self.num_sets
+        if start + n <= self.num_sets:
+            owners = sets[start:start + n]
+        else:
+            owners = islice(cycle(sets), start, start + n)
+        deque(
+            map(OrderedDict.pop, owners, range(first, first + n), repeat(None, n)),
+            0,
+        )
 
     @property
     def hit_rate(self) -> float:

@@ -34,6 +34,8 @@ WARP_SIZE = 32
 
 #: Cache line size in bytes used for the data-cache model.
 LINE_SIZE = 128
+#: log2(LINE_SIZE): line number = byte address >> LINE_SHIFT.
+LINE_SHIFT = LINE_SIZE.bit_length() - 1
 
 
 @dataclass(frozen=True)

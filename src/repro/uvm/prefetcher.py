@@ -42,6 +42,7 @@ class NoPrefetcher:
         faulted: Iterable[int],
         resident: AbstractSet[int],
         valid: Optional[AbstractSet[int]],
+        limit: Optional[int] = None,
     ) -> list[int]:
         return []
 
@@ -58,7 +59,6 @@ class TreePrefetcher:
             raise ConfigError("prefetch threshold must be in (0, 1]")
         self.pages_per_region = pages_per_region
         self.threshold = threshold
-        self.prefetched_pages = 0
         #: Regions examined by the most recent expand call (analytics).
         self.last_regions = 0
 
@@ -67,24 +67,28 @@ class TreePrefetcher:
         faulted: Iterable[int],
         resident: AbstractSet[int],
         valid: Optional[AbstractSet[int]],
+        limit: Optional[int] = None,
     ) -> list[int]:
         """Return extra pages to migrate alongside the faulted ones.
 
         ``resident`` is a live set-like view of the resident pages (the
         runtime passes the page table's frame-key view); ``valid`` is the
         allocation-backed page set, or ``None`` when every page within a
-        faulted region is prefetchable.
+        faulted region is prefetchable.  ``limit`` keeps the lowest
+        ``limit`` pages (``None``: all); at 0 no tree is walked, which is
+        every batch that finds device memory full.
         """
         faulted_set = set(faulted)
-        extra: set[int] = set()
         regions = {p - p % self.pages_per_region for p in faulted_set}
         self.last_regions = len(regions)
+        if limit == 0:
+            return []
+        extra: set[int] = set()
         for region_base in regions:
             extra.update(
                 self._expand_region(region_base, faulted_set, resident, valid)
             )
-        self.prefetched_pages += len(extra)
-        return sorted(extra)
+        return sorted(extra)[:limit]
 
     def _expand_region(
         self,

@@ -232,15 +232,17 @@ class UvmRuntime:
         )
         self._current = record
 
-        prefetched = self.prefetcher.expand(
-            pages, self.page_table.resident_view(), self.valid_pages
-        )
         # Prefetching is opportunistic: it must never *force* evictions
         # (the driver only expands within free space).  Demand pages keep
         # priority for the available frames.
-        if not self.memory.unlimited:
-            headroom = max(0, self.memory.free_frames - len(pages))
-            prefetched = prefetched[:headroom]
+        headroom = (
+            None
+            if self.memory.unlimited
+            else max(0, self.memory.free_frames - len(pages))
+        )
+        prefetched = self.prefetcher.expand(
+            pages, self.page_table.resident_view(), self.valid_pages, headroom
+        )
         record.prefetched_pages = len(prefetched)
         all_pages = sorted(set(pages) | set(prefetched))
 

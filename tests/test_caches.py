@@ -1,10 +1,22 @@
 """Unit tests for the data-cache hierarchy."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.gpu.caches import Cache, CacheHierarchy
-from repro.gpu.config import GpuConfig
+from repro.gpu.config import LINE_SHIFT, LINE_SIZE, GpuConfig
+
+
+def invalidate_page_loop(cache: Cache, page: int, page_shift: int) -> None:
+    """Reference shootdown: pop the page's lines one at a time."""
+    lines_per_page = 1 << (page_shift - LINE_SHIFT)
+    first = page << (page_shift - LINE_SHIFT)
+    for line in range(first, first + lines_per_page):
+        cache._sets[line % cache.num_sets].pop(line, None)
 
 
 class TestCache:
@@ -29,11 +41,14 @@ class TestCache:
     def test_invalidate_page_drops_lines(self):
         cache = Cache("c", 64 * 1024, 4)
         page_shift = 12  # 4 KB page = 32 lines
-        first_line = 1 << (page_shift - 7)
+        first_line = 1 << (page_shift - LINE_SHIFT)
         cache.access(first_line)
         cache.access(first_line + 5)
         cache.invalidate_page(1, page_shift)
         assert not cache.access(first_line)
+
+    def test_line_shift_matches_line_size(self):
+        assert 1 << LINE_SHIFT == LINE_SIZE
 
     def test_hit_rate(self):
         cache = Cache("c", 1024, 2)
@@ -73,7 +88,42 @@ class TestHierarchy:
     def test_invalidate_page_hits_all_levels(self, hierarchy):
         gpu = GpuConfig()
         page_shift = 12
-        line = 1 << (page_shift - 7)
+        line = 1 << (page_shift - LINE_SHIFT)
         hierarchy.access(line, 0)
         hierarchy.invalidate_page(1, page_shift)
         assert hierarchy.access(line, 0) == gpu.memory_latency_cycles
+
+
+#: (sets, ways): the sweeps' L1 (16 KB, 4-way) and L2 (2 MB, 16-way), plus
+#: a set count that is not a power of two, where a page's lines start
+#: mid-array and wrap round.
+GEOMETRIES = [(32, 4), (1024, 16), (24, 2)]
+
+#: 4 KB pages (32 lines, tiny scale) and 16 KB pages (128 lines, small
+#: scale: more lines per page than the L1 has sets).
+PAGE_SHIFTS = [12, 14]
+
+
+@pytest.mark.parametrize("page_shift", PAGE_SHIFTS)
+@pytest.mark.parametrize(("sets", "ways"), GEOMETRIES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_invalidate_page_matches_per_line_loop(sets, ways, page_shift, data):
+    """The one-pass shootdown leaves every set holding the same keys in
+    the same LRU order as popping the page's lines one at a time."""
+    cache = Cache("c", sets * ways * LINE_SIZE, ways)
+    lines_per_page = 1 << (page_shift - LINE_SHIFT)
+    pages = 6
+    accesses = data.draw(
+        st.lists(
+            st.integers(0, pages * lines_per_page - 1),
+            max_size=400,
+        )
+    )
+    for line in accesses:
+        cache.access(line)
+    oracle = copy.deepcopy(cache)
+    for page in data.draw(st.lists(st.integers(0, pages), max_size=4)):
+        cache.invalidate_page(page, page_shift)
+        invalidate_page_loop(oracle, page, page_shift)
+        assert [list(s) for s in cache._sets] == [list(s) for s in oracle._sets]

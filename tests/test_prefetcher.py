@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import GpuUvmSimulator, build_workload, systems
 from repro.errors import ConfigError
 from repro.gpu.config import UvmConfig
 from repro.uvm.prefetcher import NoPrefetcher, TreePrefetcher, make_prefetcher
@@ -13,6 +14,7 @@ ALL_VALID = None  # no allocation restriction
 class TestNoPrefetcher:
     def test_returns_nothing(self):
         assert NoPrefetcher().expand([1, 2, 3], NONE_RESIDENT, ALL_VALID) == []
+        assert NoPrefetcher().expand([1], NONE_RESIDENT, ALL_VALID, limit=4) == []
 
 
 class TestTreePrefetcher:
@@ -68,9 +70,25 @@ class TestTreePrefetcher:
         assert extra == [3, 7]
 
     def test_prefetched_pages_counter(self):
+        # The run's prefetch count is the sum of what each batch kept
+        # after the runtime's free-frame cut, on a cell where memory is
+        # full on most batches.
+        wl = build_workload("BFS-TTC", scale="tiny", seed=0)
+        config = systems.by_name("TO+UE").configure(wl, ratio=0.5)
+        result = GpuUvmSimulator(wl, config).run()
+        records = result.batch_stats.records
+        assert result.prefetched_pages > 0
+        assert result.prefetched_pages == sum(r.prefetched_pages for r in records)
+
+    def test_limit_keeps_lowest_pages(self):
+        pf = TreePrefetcher(16, 0.5)
+        extra = pf.expand(list(range(9)), NONE_RESIDENT, ALL_VALID, limit=3)
+        assert extra == [9, 10, 11]
+
+    def test_zero_limit_skips_the_tree_but_counts_regions(self):
         pf = TreePrefetcher(4, 0.5)
-        pf.expand([0, 1, 2], NONE_RESIDENT, ALL_VALID)
-        assert pf.prefetched_pages == 1
+        assert pf.expand([0, 1, 2, 8], NONE_RESIDENT, ALL_VALID, limit=0) == []
+        assert pf.last_regions == 2
 
     def test_dense_faults_fill_region(self):
         pf = TreePrefetcher(16, 0.5)

@@ -1,14 +1,16 @@
 """Runtime behaviour around prefetching and capacity pressure."""
 
+from repro import GpuUvmSimulator, build_workload, systems
 from repro.gpu.config import UvmConfig
 from repro.sim.engine import Engine
 from repro.uvm.eviction import SerializedEviction, UnobtrusiveEviction
 from repro.uvm.memory_manager import GpuMemoryManager
-from repro.uvm.prefetcher import make_prefetcher
+from repro.uvm.prefetcher import TreePrefetcher, make_prefetcher
 from repro.uvm.replacement import AgedLru
 from repro.uvm.runtime import UvmRuntime
 from repro.uvm.transfer import PcieModel
 from repro.vm.page_table import PageTable
+from tests.test_equivalence_golden import assert_matches_golden, run_cell
 
 
 def make_runtime(frames, *, region_pages=8, eviction=None, valid=None):
@@ -106,3 +108,58 @@ def test_batch_demand_counts_exclude_prefetch():
     engine.run()
     record = runtime.batch_stats.records[0]
     assert record.migrated_pages == record.demand_pages + record.prefetched_pages
+
+
+def _spy_on_tree_walks(monkeypatch):
+    """Record the free-frame headroom of every batch that expands, and of
+    every ``TreePrefetcher._expand_region`` entry, read off the runtime."""
+    runtimes, batches, walks = [], [], []
+
+    def headroom():
+        runtime = runtimes[-1]
+        if runtime.memory.unlimited:
+            return None
+        return runtime.memory.free_frames - runtime._current.demand_pages
+
+    init = UvmRuntime.__init__
+
+    def spy_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        runtimes.append(self)
+
+    expand = TreePrefetcher.expand
+
+    def spy_expand(self, *args, **kwargs):
+        batches.append(headroom())
+        return expand(self, *args, **kwargs)
+
+    expand_region = TreePrefetcher._expand_region
+
+    def spy_expand_region(self, *args, **kwargs):
+        walks.append(headroom())
+        return expand_region(self, *args, **kwargs)
+
+    monkeypatch.setattr(UvmRuntime, "__init__", spy_init)
+    monkeypatch.setattr(TreePrefetcher, "expand", spy_expand)
+    monkeypatch.setattr(TreePrefetcher, "_expand_region", spy_expand_region)
+    return batches, walks
+
+
+def test_zero_headroom_batches_skip_the_tree_walk(monkeypatch):
+    batches, walks = _spy_on_tree_walks(monkeypatch)
+    cell = run_cell("TO+UE", "BFS-TTC", "soa")
+    # Full memory on most batches, and none of them walked a tree ...
+    assert sum(h <= 0 for h in batches) > len(batches) // 2
+    assert walks and all(h > 0 for h in walks)
+    # ... with the run still bit-identical to the recorded corpus.
+    assert_matches_golden("TO+UE", "BFS-TTC", cell)
+
+
+def test_memory_to_spare_still_prefetches(monkeypatch):
+    batches, walks = _spy_on_tree_walks(monkeypatch)
+    wl = build_workload("BFS-TTC", scale="tiny", seed=0)
+    config = systems.by_name("TO+UE").configure(wl, ratio=1.5)
+    result = GpuUvmSimulator(wl, config).run()
+    # Ratio >= 1 leaves memory unlimited: every batch walks its trees.
+    assert walks and all(h is None for h in batches + walks)
+    assert result.prefetched_pages > 0
