@@ -11,7 +11,7 @@ provenance (both commits, nproc, Python, NumPy).
 Usage (``base`` is e.g. a ``git archive`` of the parent commit)::
 
     python3 scripts/bench_ab.py --base ../parent --head . \\
-        --workloads oversub adequate checkpointed --pairs 10 --seed 11 \\
+        --workloads oversub adequate checkpointed serve --pairs 10 --seed 11 \\
         --out BENCH_perf.json
 """
 
@@ -34,6 +34,10 @@ LEDGER = (
     "uvm.batches",
     "gpu.issue.calls",
     "uvm.premature_eviction_rate",
+    "checkpoint.writes",
+    "checkpoint.mb",
+    "checkpoint.write_ms.p50",
+    "checkpoint.restore_ms.p50",
     "host.calibration_ms",
 )
 

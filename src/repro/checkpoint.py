@@ -5,13 +5,19 @@ A checkpoint is one pickled envelope::
     {"meta": {...}, "payload": <pickled GpuUvmSimulator bytes>}
 
 The *meta* dict is small and self-describing (magic string, schema
-version, workload, engine clock, source fingerprint); the
-*payload* is the entire simulator object graph — engine queues, page
-tables, memory manager, fault buffer, DMA/PCIe channels, warp store,
-chaos RNG streams, obs/analytics counters, lifecycle
-machines.  Keeping the payload as opaque bytes inside the envelope means
-a reader can validate the meta (schema, fingerprint) *before* paying for
-— or crashing on — the full unpickle.
+version, workload, registry key and shape, engine clock, source
+fingerprint); the *payload* is the simulator's state — engine queues,
+page tables, memory manager, fault buffer, DMA/PCIe channels, warp
+scheduler arrays, chaos RNG streams, obs/analytics counters, lifecycle
+machines — but not its input.  A workload the registry built pickles by
+reference to its ``(NAME, scale, seed)`` key, and the warp store's
+read-only trace columns by reference to that workload's kernel, so
+restore fetches the trace from the registry memo (one deterministic
+workload build in a fresh process) instead of unpickling it.  A
+hand-built workload has no key and rides in the payload by value.
+Keeping the payload as opaque bytes inside the envelope means a reader
+can validate the meta (schema, fingerprint) *before* paying for — or
+crashing on — the full unpickle.
 
 Guarantees and failure handling (see ``docs/robustness.md``):
 
@@ -24,7 +30,10 @@ Guarantees and failure handling (see ``docs/robustness.md``):
   forever.
 * **Version skew is an error, not a quarantine** — a checkpoint written
   by a different schema or source tree is intact, just unusable here;
-  it is left in place (a matching reader may still want it).
+  it is left in place (a matching reader may still want it).  The same
+  holds when the workload rebuilt from the recorded registry key does
+  not have the recorded shape (a foreign tree loaded with
+  ``check_fingerprint=False``).
 * **Restore is bit-exact** — ``restore_checkpoint(...).resume()`` must
   produce the same ``SimulationResult`` as the uninterrupted run (the
   golden-corpus checkpoint suite enforces this, with and without
@@ -38,7 +47,7 @@ import pickle
 import warnings
 from pathlib import Path
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, WorkloadError
 
 __all__ = [
     "MAGIC",
@@ -55,7 +64,7 @@ MAGIC = "repro-checkpoint"
 #: compatibility is governed by the source fingerprint instead — any
 #: code change invalidates old payloads, which is exactly the contract
 #: the bit-identical resume guarantee needs.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _source_fingerprint() -> str:
@@ -91,11 +100,14 @@ class SimCheckpoint:
                 workload=sim.workload.name,
                 error=repr(exc),
             ) from exc
+        workload = sim.workload
         meta = {
             "magic": MAGIC,
             "schema": SCHEMA_VERSION,
             "fingerprint": _source_fingerprint(),
-            "workload": sim.workload.name,
+            "workload": workload.name,
+            "registry_key": workload.registry_key,
+            "shape": workload.shape,
             "engine_now": sim.engine.now,
             "events_processed": sim.engine.events_processed,
             "batches": sim.runtime.batch_stats.num_batches,
@@ -103,7 +115,28 @@ class SimCheckpoint:
         return cls(meta, payload)
 
     def restore(self):
-        """Rebuild the simulator; it resumes via ``sim.resume()``."""
+        """Rebuild the simulator; it resumes via ``sim.resume()``.
+
+        A registry workload is fetched (or rebuilt) first and must have
+        the recorded shape: the payload refers to its trace.
+        """
+        key = self.meta.get("registry_key")
+        if key is not None:
+            from repro.workloads.registry import build_workload
+
+            try:
+                shape = build_workload(*key).shape
+            except WorkloadError as exc:
+                raise CheckpointError(
+                    "checkpoint names an unknown workload",
+                    registry_key=key,
+                    error=repr(exc),
+                ) from exc
+            if shape != self.meta.get("shape"):
+                raise CheckpointError(
+                    "rebuilt workload does not match the checkpoint",
+                    registry_key=key,
+                )
         try:
             return pickle.loads(self.payload)
         except Exception as exc:

@@ -767,12 +767,6 @@ def probe_cache(
 # ----------------------------------------------------------------------
 # Cell execution
 # ----------------------------------------------------------------------
-@lru_cache(maxsize=64)
-def _workload_cached(name: str, scale: str, seed: int) -> Workload:
-    """Per-process workload memo (traces are immutable, sharing is safe)."""
-    return build_workload(name, scale=scale, seed=seed)
-
-
 def _cell_label(spec: RunSpec) -> str:
     """Human-readable cell identity for harness spans."""
     system = spec.preset.name if spec.preset is not None else "config"
@@ -839,7 +833,7 @@ def _simulate_spec(spec: RunSpec) -> SimulationResult:
                 )
                 _discard_checkpoint(checkpoint_file)
                 return result
-    workload = _workload_cached(spec.workload, spec.scale, spec.seed)
+    workload = build_workload(spec.workload, spec.scale, spec.seed)
     if spec.config is not None:
         config = spec.config
         if spec.chaos is not None or spec.check_invariants:

@@ -10,9 +10,10 @@ warp of a kernel launch:
   ``stalled_cycles``, ``resume_latency``, ``mem_wait`` — parallel
   arrays indexed by a global warp index;
 * per-op derived data (page tuples, line tuples, store-page tuples,
-  time-scaled compute cycles) precomputed once per kernel launch — and
-  shared across launches of the same trace via the simulator's derived
-  cache — so replays never re-derive them;
+  time-scaled compute cycles) precomputed once per kernel trace and
+  cached on it (:func:`kernel_derived`), so replays never re-derive
+  them — and checkpoints refer to these read-only columns instead of
+  carrying them;
 * blocks own contiguous index ranges, so every block-level predicate is
   a short early-exit scan over the block's ``[lo, hi)`` slice
   (:class:`~repro.gpu.thread_block.ThreadBlock`).
@@ -69,8 +70,8 @@ def derive_ops(
     tuples-of-tuples index-aligned with ``ops``.  ``compute_scale`` maps
     raw compute cycles to scheduled cycles (the simulator's time-scale
     hook), applied once here instead of per executed op.  The result is
-    immutable and safe to share across simulator instances (the
-    simulator caches it per kernel trace).
+    immutable and safe to share across simulator instances
+    (:func:`kernel_derived` caches it per kernel trace).
     """
     return (
         tuple(op.pages(page_shift) for op in ops),
@@ -78,6 +79,45 @@ def derive_ops(
         tuple(op.store_pages(page_shift) for op in ops),
         tuple(compute_scale(op.compute_cycles) for op in ops),
     )
+
+
+def kernel_derived(kernel, page_shift: int, time_scale: float) -> list[tuple]:
+    """Per-warp :func:`derive_ops` tuples for ``kernel``, in warp-index
+    order, cached on the trace.
+
+    The cache key covers everything the derivation reads: the page
+    shift and the time scale (raw compute cycles become
+    ``max(1, round(cycles * time_scale))`` scheduled cycles).  Entries
+    are immutable tuples shared across simulator instances; the cache
+    lives on the kernel object, so it dies with the trace, and
+    :class:`~repro.workloads.trace.KernelTrace` leaves it out of its
+    pickled state.
+    """
+    key = (page_shift, time_scale)
+    cache = getattr(kernel, "_derived_cache", None)
+    if cache is None:
+        cache = {}
+        object.__setattr__(kernel, "_derived_cache", cache)
+    derived = cache.get(key)
+    if derived is None:
+
+        def scale(cycles: int) -> int:
+            if time_scale == 1.0:
+                return cycles
+            return max(1, round(cycles * time_scale))
+
+        derived = [
+            derive_ops(ops, page_shift, scale)
+            for block_trace in kernel.blocks
+            for ops in block_trace.warp_ops
+        ]
+        cache[key] = derived
+    return derived
+
+
+#: Read-only per-warp columns copied from the kernel trace; a store that
+#: knows its ``source`` pickles them by reference (see ``__getstate__``).
+_TRACE_COLUMNS = ("ops", "op_pages", "op_lines", "op_store_pages", "op_compute")
 
 
 class WarpStore:
@@ -102,6 +142,7 @@ class WarpStore:
         "warps",
         "ops",
         "validator",
+        "source",
     )
 
     def __init__(self, n: int) -> None:
@@ -119,8 +160,7 @@ class WarpStore:
         self.replay_pending = [False] * n
         self.n_ops = [0] * n
         # Ragged per-warp data, indexed by the same warp index: tuples
-        # per op, precomputed once at launch (or fetched from the
-        # simulator's per-kernel derived cache).
+        # per op, derived once per kernel trace (see ``load_kernel``).
         self.op_pages: list[tuple[tuple[int, ...], ...]] = [()] * n
         self.op_lines: list[tuple[tuple[int, ...], ...]] = [()] * n
         self.op_store_pages: list[tuple[tuple[int, ...], ...]] = [()] * n
@@ -136,6 +176,50 @@ class WarpStore:
         #: handle paths; the inlined array loops stay untouched and are
         #: covered transitively by the golden corpus).
         self.validator = None
+        #: ``(workload, kernel_index, page_shift, time_scale)`` once
+        #: :meth:`load_kernel` filled the trace columns; None for stores
+        #: built warp by warp, which pickle every column by value.
+        self.source = None
+
+    def load_kernel(
+        self, workload, kernel_index: int, page_shift: int, time_scale: float
+    ) -> None:
+        """Fill the trace columns for every warp of ``workload``'s kernel
+        ``kernel_index`` (warp indices in block order) and remember the
+        source, so a pickled store refers to the trace instead of
+        carrying it."""
+        self.source = (workload, kernel_index, page_shift, time_scale)
+        kernel = workload.kernels[kernel_index]
+        derived = kernel_derived(kernel, page_shift, time_scale)
+        self.ops = [ops for block in kernel.blocks for ops in block.warp_ops]
+        self.op_pages = [d[0] for d in derived]
+        self.op_lines = [d[1] for d in derived]
+        self.op_store_pages = [d[2] for d in derived]
+        self.op_compute = [d[3] for d in derived]
+
+    def __getstate__(self) -> dict:
+        state = {name: getattr(self, name) for name in self.__slots__}
+        if self.source is not None:
+            for name in _TRACE_COLUMNS:
+                del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        if self.source is not None:
+            self.load_kernel(*self.source)
+
+    def add_handle(self, index: int, warp_id: int) -> "SoAWarp":
+        """Return the handle for warp ``index`` of a :meth:`load_kernel`
+        store (a warp with no ops starts finished)."""
+        n_ops = len(self.ops[index])
+        self.n_ops[index] = n_ops
+        if not n_ops:
+            self.state[index] = FINISHED
+        warp = SoAWarp(self, index, warp_id)
+        self.warps.append(warp)
+        return warp
 
     def add_warp(
         self,
@@ -147,31 +231,14 @@ class WarpStore:
     ) -> "SoAWarp":
         """Install one warp's trace at ``index`` and return its handle,
         deriving the per-op data here (see :func:`derive_ops`)."""
-        return self.add_warp_derived(
-            index, warp_id, ops, derive_ops(ops, page_shift, compute_scale)
-        )
-
-    def add_warp_derived(
-        self,
-        index: int,
-        warp_id: int,
-        ops: Sequence[WarpOp],
-        derived: tuple,
-    ) -> "SoAWarp":
-        """Install one warp's trace with precomputed derived data."""
         self.ops[index] = ops
-        self.n_ops[index] = len(ops)
         (
             self.op_pages[index],
             self.op_lines[index],
             self.op_store_pages[index],
             self.op_compute[index],
-        ) = derived
-        if not ops:
-            self.state[index] = FINISHED
-        warp = SoAWarp(self, index, warp_id)
-        self.warps.append(warp)
-        return warp
+        ) = derive_ops(ops, page_shift, compute_scale)
+        return self.add_handle(index, warp_id)
 
 
 class SoAWarp:
@@ -332,6 +399,7 @@ __all__ = [
     "WarpStore",
     "SoAWarp",
     "derive_ops",
+    "kernel_derived",
     "READY",
     "RUNNING",
     "STALLED",

@@ -49,7 +49,6 @@ from repro.gpu.warp_soa import (
     SUSPENDED,
     SoAWarp,
     WarpStore,
-    derive_ops,
 )
 from repro.invariants import InvariantChecker, Watchdog
 from repro.lifecycle import WARP_LIFECYCLE, TransitionValidator
@@ -644,24 +643,29 @@ class GpuUvmSimulator:
         Warp indices are assigned in dispatch order, so each block's warps
         occupy a contiguous index range (what the block predicates scan).
         Per-op derived data (pages, lines, store pages, time-scaled
-        compute) is precomputed once *per kernel trace* and cached on the
-        trace object: traces are immutable, so repeated simulations of
-        the same workload (sweeps, benchmark repetitions) reuse the
-        tuples instead of re-deriving them every launch.
+        compute) comes from the trace's derived cache
+        (:func:`~repro.gpu.warp_soa.kernel_derived`): traces are
+        immutable, so repeated simulations of the same workload (sweeps,
+        benchmark repetitions, checkpoint restores) reuse the tuples
+        instead of re-deriving them every launch.
         """
         total = sum(len(bt.warp_ops) for bt in kernel.blocks)
         store = WarpStore(total)
         store.validator = self._warp_validator
+        # ``_start_next_kernel`` has already advanced past this kernel.
+        store.load_kernel(
+            self.workload,
+            self._kernel_index - 1,
+            self.page_shift,
+            self.config.time_scale,
+        )
         self._warp_store = store
         blocks: list[ThreadBlock] = []
-        derived = self._kernel_derived(kernel)
         index = 0
         for block_trace in kernel.blocks:
             warps = []
-            for warp_id, ops in enumerate(block_trace.warp_ops):
-                warp = store.add_warp_derived(
-                    index, warp_id, ops, derived[index]
-                )
+            for warp_id in range(len(block_trace.warp_ops)):
+                warp = store.add_handle(index, warp_id)
                 warp.exec_event = _ExecuteOpEvent(self, warp)
                 warp.complete_event = _WarpCompletedEvent(self, warp)
                 warps.append(warp)
@@ -670,31 +674,6 @@ class GpuUvmSimulator:
                 continue  # nothing to execute
             blocks.append(ThreadBlock(len(blocks), warps))
         return blocks
-
-    def _kernel_derived(self, kernel) -> list[tuple]:
-        """Per-warp derived tuples for ``kernel``, cached on the trace.
-
-        The cache key covers everything the derivation reads: the page
-        shift and the time scale.  Entries are immutable tuples shared
-        across simulator instances; the cache lives on the kernel object
-        itself, so it dies with the trace.
-        """
-        key = (self.page_shift, self.config.time_scale)
-        cache = getattr(kernel, "_derived_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(kernel, "_derived_cache", cache)
-        derived = cache.get(key)
-        if derived is None:
-            page_shift = self.page_shift
-            scale = self._scale_compute
-            derived = [
-                derive_ops(ops, page_shift, scale)
-                for block_trace in kernel.blocks
-                for ops in block_trace.warp_ops
-            ]
-            cache[key] = derived
-        return derived
 
     def _extra_blocks_allowed(self) -> int:
         if self.config.forced_oversubscription:
@@ -734,14 +713,6 @@ class GpuUvmSimulator:
     # ------------------------------------------------------------------
     # Warp execution
     # ------------------------------------------------------------------
-    def _scale_compute(self, cycles: int) -> int:
-        """Scheduled cycles for ``cycles`` of raw compute under the
-        config's time scale (applied once per op at kernel build)."""
-        scale = self.config.time_scale
-        if scale == 1.0:
-            return cycles
-        return max(1, round(cycles * scale))
-
     def _schedule_warp(self, warp: SoAWarp, extra_delay: int) -> None:
         """Schedule the warp's current op to issue after its compute time
         (pre-scaled at kernel build)."""

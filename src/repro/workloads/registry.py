@@ -105,30 +105,39 @@ def _cached_graph(scale_name: str, seed: int) -> CsrGraph:
     return SCALES[scale_name].graph(seed)
 
 
-@lru_cache(maxsize=64)
 def build_workload(name: str, scale: str = "tiny", seed: int = 0) -> Workload:
     """Build (and memoize) a workload by name.
 
     Traces are immutable, so sharing one built workload across simulator
-    runs is safe — the simulator instantiates fresh warps per run.
+    runs is safe — the simulator instantiates fresh warps per run.  The
+    memo is keyed on the canonical ``(NAME, scale, seed)``, however the
+    call is spelled, so one trace exists per workload; the key is
+    recorded on the workload, which then pickles by reference to it.
     """
+    return _build_canonical(name.upper(), scale, seed)
+
+
+@lru_cache(maxsize=64)
+def _build_canonical(name: str, scale: str, seed: int) -> Workload:
     if scale not in SCALES:
         raise WorkloadError(f"unknown scale {scale!r}; choose from {sorted(SCALES)}")
-    upper = name.upper()
     preset = SCALES[scale]
-    if upper in IRREGULAR_WORKLOADS:
+    if name in IRREGULAR_WORKLOADS:
         graph = _cached_graph(scale, seed)
-        workload = IRREGULAR_WORKLOADS[upper](graph, page_size=preset.page_size)
-        workload.num_sms_hint = preset.num_sms
-        return workload
-    if upper in REGULAR_SPECS:
+        workload = IRREGULAR_WORKLOADS[name](graph, page_size=preset.page_size)
+    elif name in REGULAR_SPECS:
         blocks = {"tiny": 32, "small": 128, "medium": 256, "paper": 1024}[scale]
-        workload = build_regular(
-            upper, num_blocks=blocks, page_size=preset.page_size
+        workload = build_regular(name, num_blocks=blocks, page_size=preset.page_size)
+    else:
+        raise WorkloadError(
+            f"unknown workload {name!r}; irregular: {sorted(IRREGULAR_WORKLOADS)}, "
+            f"regular: {sorted(REGULAR_SPECS)}"
         )
-        workload.num_sms_hint = preset.num_sms
-        return workload
-    raise WorkloadError(
-        f"unknown workload {name!r}; irregular: {sorted(IRREGULAR_WORKLOADS)}, "
-        f"regular: {sorted(REGULAR_SPECS)}"
-    )
+    workload.num_sms_hint = preset.num_sms
+    workload.registry_key = (name, scale, seed)
+    return workload
+
+
+#: The memo's controls, on the public entry point.
+build_workload.cache_clear = _build_canonical.cache_clear
+build_workload.cache_info = _build_canonical.cache_info

@@ -10,7 +10,9 @@ behaviour is the algorithm's own.
 
 from __future__ import annotations
 
+import copyreg
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from repro.errors import WorkloadError
@@ -63,11 +65,23 @@ class KernelTrace:
     def num_ops(self) -> int:
         return sum(block.num_ops for block in self.blocks)
 
+    @property
+    def num_warps(self) -> int:
+        return sum(block.num_warps for block in self.blocks)
+
     def pages(self, page_shift: int) -> set[int]:
         pages: set[int] = set()
         for block in self.blocks:
             pages.update(block.pages(page_shift))
         return pages
+
+    def __getstate__(self) -> dict:
+        """Pickle the trace, not the process-local per-op derived cache
+        (:func:`~repro.gpu.warp_soa.kernel_derived`): the bytes must not
+        depend on which time scales this process has simulated."""
+        state = self.__dict__.copy()
+        state.pop("_derived_cache", None)
+        return state
 
 
 @dataclass
@@ -78,6 +92,12 @@ class Workload:
     scaled-down GPU (few blocks on a 16-SM GPU would leave most SMs idle
     and give Thread Oversubscription nothing to dispatch); system presets
     honour it when building a :class:`~repro.gpu.config.SimConfig`.
+
+    A workload the registry built carries its canonical
+    ``registry_key`` and pickles *by reference*: unpickling fetches it
+    back from the registry memo (rebuilding it deterministically in a
+    fresh process), so checkpoints carry simulation state, not the
+    trace.  Hand-built workloads pickle by value.
     """
 
     name: str
@@ -85,6 +105,11 @@ class Workload:
     kernels: list[KernelTrace]
     irregular: bool = True
     num_sms_hint: int | None = None
+    #: ``(NAME, scale, seed)`` when built by
+    #: :func:`~repro.workloads.registry.build_workload`.
+    registry_key: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.kernels:
@@ -101,6 +126,21 @@ class Workload:
     @property
     def num_ops(self) -> int:
         return sum(kernel.num_ops for kernel in self.kernels)
+
+    @cached_property
+    def shape(self) -> tuple[tuple[int, int], ...]:
+        """Cheap structural signature: ``(warps, ops)`` per kernel.
+        Checkpoints record it to guard the rebuilt trace."""
+        return tuple((kernel.num_warps, kernel.num_ops) for kernel in self.kernels)
+
+    def __reduce__(self):
+        if self.registry_key is not None:
+            from repro.workloads.registry import build_workload
+
+            return (build_workload, self.registry_key)
+        state = self.__dict__.copy()
+        state.pop("shape", None)
+        return (copyreg.__newobj__, (type(self),), state)
 
     def touched_pages(self) -> set[int]:
         shift = self.address_space.page_shift

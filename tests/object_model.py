@@ -277,6 +277,14 @@ class ObjectModelSimulator(GpuUvmSimulator):
             blocks.append(ObjectThreadBlock(len(blocks), warps))
         return blocks
 
+    def _scale_compute(self, cycles: int) -> int:
+        """Scheduled cycles for ``cycles`` of raw compute under the
+        config's time scale (the SoA model pre-scales at kernel build)."""
+        scale = self.config.time_scale
+        if scale == 1.0:
+            return cycles
+        return max(1, round(cycles * scale))
+
     def _schedule_warp(self, warp: Warp, extra_delay: int) -> None:
         """Schedule the warp's current op to issue after its compute time."""
         if warp.finished:
