@@ -158,9 +158,12 @@ class TestRegistry:
             workload_names("weird")
 
     def test_build_workload_cached(self):
+        """One memo entry per workload, however the call is spelled."""
         a = build_workload("KCORE", scale="tiny")
-        b = build_workload("KCORE", scale="tiny")
-        assert a is b
+        assert build_workload("KCORE", scale="tiny") is a
+        assert build_workload("KCORE", "tiny", 0) is a
+        assert build_workload("kcore", scale="tiny", seed=0) is a
+        assert a.registry_key == ("KCORE", "tiny", 0)
 
     def test_scale_sets_page_size_and_hint(self):
         workload = build_workload("KCORE", scale="tiny")
