@@ -27,8 +27,8 @@ import sys
 from repro import obs as obs_mod
 from repro import systems
 from repro.errors import ReproError
-from repro.simulator import GpuUvmSimulator
-from repro.workloads.registry import SCALES, build_workload, workload_names
+from repro.experiments import common
+from repro.workloads.registry import SCALES, workload_names
 
 DEFAULT_CELLS = ("BASELINE:BFS-TTC", "TO_UE:BFS-TTC")
 
@@ -112,22 +112,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_cells(args) -> tuple[dict, list]:
+def analyze_cells(args) -> tuple[dict, list]:
     """Run each cell under its own analytics session; return (report, runs)."""
     cell_records = []
     runs = []
     for token in args.cells:
         system_name, workload_name = parse_cell(token)
-        workload = build_workload(
-            workload_name, scale=args.scale, seed=args.seed
-        )
-        preset = systems.by_name(system_name)
-        kwargs = {} if args.ratio is None else {"ratio": args.ratio}
-        config = preset.configure(workload, **kwargs)
+        spec = common.RunSpec(
+            workload_name,
+            preset=systems.by_name(system_name),
+            scale=args.scale,
+            ratio=args.ratio,
+            seed=args.seed,
+        ).resolved()
         ob = obs_mod.Observability(
             "light", analytics=True, flight_events=args.flight_events
         )
-        result = GpuUvmSimulator(workload, config, obs=ob).run()
+        previous = obs_mod.install(ob)
+        try:
+            result = common._simulate_spec(spec)
+        finally:
+            obs_mod.install(previous)
         run = ob.analytics.runs[-1]
         cell = obs_mod.analyze_run(run, system=system_name)
         cell["scale"] = args.scale
@@ -155,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        report, runs = run_cells(args)
+        report, runs = analyze_cells(args)
     except (KeyError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -31,14 +31,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from repro import obs as obs_mod
 from repro import systems
-from repro.chaos import parse_chaos_spec
 from repro.errors import ReproError
-from repro.simulator import GpuUvmSimulator
-from repro.workloads.registry import SCALES, build_workload, workload_names
+from repro.experiments import common
+from repro.workloads.registry import SCALES, workload_names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,15 +69,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "GPU memory as a fraction of the workload footprint "
-            "(default: the scale's calibrated 50%% oversubscription)"
+            "(default: the scale's calibrated 50%% oversubscription, "
+            "the ratio repro-experiments and repro-serve use)"
         ),
     )
     parser.add_argument("--seed", type=int, default=0, help="workload seed")
     parser.add_argument(
         "--max-events",
         type=int,
-        default=None,
-        help="abort the run after this many engine events",
+        default=common.MAX_EVENTS,
+        help="abort the run after this many engine events "
+        "(default: %(default)s)",
     )
     parser.add_argument(
         "--obs",
@@ -156,66 +156,15 @@ def build_parser() -> argparse.ArgumentParser:
             "+ engine events) to PATH (implies --analytics)"
         ),
     )
-    parser.add_argument(
-        "--chaos",
-        metavar="SPEC",
-        default=None,
-        help=(
-            "fault-injection spec, e.g. "
-            "'dma-stall:prob=0.2;drop-fault:prob=0.05' "
-            "(see repro.chaos for the grammar and injector kinds)"
-        ),
-    )
-    parser.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="seed for the chaos RNG streams (default: 0)",
-    )
-    parser.add_argument(
-        "--invariants",
-        action="store_true",
-        help=(
-            "validate memory/page-table consistency at batch boundaries "
-            "and quiescence (repro.invariants)"
-        ),
-    )
-    parser.add_argument(
-        "--wall-budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "abort with a stall diagnosis if the run exceeds this wall "
-            "time (with --checkpoint-dir the aborted run checkpoints "
-            "first, so --resume can continue it)"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help=(
-            "write resumable whole-simulation checkpoints into DIR at "
-            "batch boundaries and on watchdog stalls (repro.checkpoint)"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1,
-        metavar="N",
-        help="checkpoint every N completed batches (default: 1)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "continue from the checkpoint a previous invocation left in "
-            "--checkpoint-dir (falls back to a fresh run if the file is "
-            "missing or unusable)"
-        ),
+    common.add_policy_arguments(
+        parser,
+        "chaos",
+        "chaos_seed",
+        "invariants",
+        "cell_timeout",
+        "checkpoint_dir",
+        "checkpoint_every",
+        "resume",
     )
     parser.add_argument(
         "--result-out",
@@ -225,23 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _checkpoint_basename(args: argparse.Namespace) -> str:
-    """Stable per-invocation checkpoint name: the same (workload, scale,
-    system, seed) resumes its own file and nothing else's."""
-    return (
-        f"{args.workload.upper()}-{args.scale}-{args.system.upper()}"
-        f"-s{args.seed}"
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if args.checkpoint_every <= 0:
-        parser.error("--checkpoint-every must be positive")
-    if args.resume and not args.checkpoint_dir:
-        parser.error("--resume requires --checkpoint-dir")
 
     analytics = bool(
         args.analytics
@@ -259,16 +194,24 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     try:
-        workload = build_workload(args.workload, scale=args.scale, seed=args.seed)
-        preset = systems.by_name(args.system)
-        kwargs = {} if args.ratio is None else {"ratio": args.ratio}
-        if args.chaos is not None:
-            kwargs["chaos"] = parse_chaos_spec(args.chaos, seed=args.chaos_seed)
-        config = preset.configure(
-            workload, check_invariants=args.invariants, **kwargs
+        policy = common.RunPolicy.from_args(args, common.RunPolicy())
+        spec = policy.apply(
+            common.RunSpec(
+                args.workload,
+                preset=systems.by_name(args.system),
+                scale=args.scale,
+                ratio=args.ratio,
+                seed=args.seed,
+                max_events=args.max_events,
+            )
         )
     except (KeyError, ReproError) as exc:
         parser.error(str(exc).strip('"'))
+    if spec.pool_chaos is not None:
+        parser.error(
+            "process-level chaos kinds (worker-*) act on pool workers; "
+            "this CLI runs its cell in process"
+        )
 
     obs = (
         obs_mod.Observability(
@@ -279,71 +222,54 @@ def main(argv: list[str] | None = None) -> int:
         if args.obs != "off"
         else None
     )
-
-    checkpoint_file = None
-    if args.checkpoint_dir:
-        checkpoint_file = (
-            Path(args.checkpoint_dir) / f"{_checkpoint_basename(args)}.ckpt"
-        )
-
-    sim = None
-    resumed = False
-    if args.resume and checkpoint_file is not None and checkpoint_file.exists():
-        from repro.checkpoint import try_load
-
-        checkpoint = try_load(checkpoint_file)
-        if checkpoint is not None:
-            sim = checkpoint.restore()
-            resumed = True
+    previous_obs = obs_mod.install(obs)
+    try:
+        try:
+            sim, resumed = common.open_cell(spec)
+        except ReproError as exc:
+            parser.error(str(exc))
+        if resumed:
             # The restored simulator carries its original instrumentation
             # (pickled with it); report from that, not this invocation's.
             obs = sim.obs
+            checkpoint_file = common._checkpoint_file(spec)
             print(
                 f"resuming {checkpoint_file} "
                 f"(cycle {sim.engine.now:,}, "
                 f"batch {sim.runtime.batch_stats.num_batches})"
             )
-    if sim is None:
-        sim = GpuUvmSimulator(workload, config, obs=obs)
-    if checkpoint_file is not None:
-        sim.enable_checkpoints(
-            args.checkpoint_dir,
-            every=args.checkpoint_every,
-            basename=checkpoint_file.stem,
-        )
-
-    try:
-        if resumed:
-            result = sim.resume(
-                max_events=args.max_events,
-                wall_budget_seconds=args.wall_budget,
-            )
-        else:
-            result = sim.run(
-                max_events=args.max_events,
-                wall_budget_seconds=args.wall_budget,
-            )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        saved = getattr(exc, "checkpoint_path", None)
-        if saved:
-            print(
-                f"checkpoint: {saved} (rerun with --resume to continue)",
-                file=sys.stderr,
-            )
-        dump = getattr(exc, "flight_recorder", None)
-        if dump is not None and args.flight_out:
-            path = obs_mod.write_flight_dump(dump, args.flight_out)
-            print(f"flight recorder: {len(dump['events'])} events -> {path}")
-        return 1
-
-    if checkpoint_file is not None:
-        # The run completed: a leftover mid-run checkpoint must not be
-        # resumed by a later invocation.
+            if wants_obs_output and (
+                obs is None or (analytics and obs.analytics is None)
+            ):
+                cause = (
+                    "under --obs off" if obs is None else "without --analytics"
+                )
+                parser.error(
+                    f"{checkpoint_file} was written {cause}, so its resumed "
+                    "run cannot produce the requested --trace-out/"
+                    "--metrics-out/--report/--analytics output; drop those "
+                    "flags, or drop --resume to start fresh"
+                )
         try:
-            checkpoint_file.unlink()
-        except OSError:
-            pass
+            result = common.drive_cell(spec, sim, resumed)
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            saved = getattr(exc, "checkpoint_path", None)
+            if saved:
+                print(
+                    f"checkpoint: {saved} (rerun with --resume to continue)",
+                    file=sys.stderr,
+                )
+            dump = getattr(exc, "flight_recorder", None)
+            if dump is not None and args.flight_out:
+                path = obs_mod.write_flight_dump(dump, args.flight_out)
+                print(
+                    f"flight recorder: {len(dump['events'])} events -> {path}"
+                )
+            return 1
+    finally:
+        obs_mod.install(previous_obs)
+
     if args.result_out:
         # One serialiser shared with the serving layer keeps repro-serve
         # responses bit-identical to this file on the wire.
@@ -354,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"result: -> {args.result_out}")
 
     print(result.summary())
-    if config.chaos is not None:
+    if spec.chaos is not None:
         injected = {
             key[len("chaos.") :]: int(value)
             for key, value in sorted(result.extras.items())

@@ -31,6 +31,7 @@ under the default policy, built once from the environment.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import pathlib
@@ -44,7 +45,12 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
-from repro.chaos.config import PROCESS_KINDS, ChaosConfig, split_process_chaos
+from repro.chaos.config import (
+    PROCESS_KINDS,
+    ChaosConfig,
+    parse_chaos_spec,
+    split_process_chaos,
+)
 from repro.errors import (
     CellFailure,
     ConfigError,
@@ -392,6 +398,20 @@ class RunPolicy:
             jobs=max(1, int(env.get("REPRO_JOBS", "1") or "1")),
         )
 
+    @classmethod
+    def from_args(
+        cls, ns: argparse.Namespace, base: "RunPolicy | None" = None
+    ) -> "RunPolicy":
+        """``base`` (default: :func:`default_policy`) changed by every
+        :data:`POLICY_FLAGS` flag ``ns`` holds a value for; raises
+        :class:`~repro.errors.ReproError` for invalid values."""
+        changes: dict = {}
+        for dest, (_, _, change) in POLICY_FLAGS.items():
+            value = getattr(ns, dest, None)
+            if value is not None:
+                changes.update(change(value, ns))
+        return replace(base or default_policy(), **changes)
+
     def apply(self, spec: RunSpec) -> RunSpec:
         """``spec`` canonicalised (:meth:`RunSpec.resolved`) with this
         policy's defaults filled into whatever the cell leaves unset:
@@ -427,6 +447,196 @@ class RunPolicy:
             cell_deadline=self.worker_deadline,
             breaker_threshold=self.breaker_threshold,
         )
+
+
+def _pool_chaos(spec: str, seed: int | None) -> ChaosConfig:
+    chaos = parse_chaos_spec(spec, seed=seed or 0)
+    foreign = [s.kind for s in chaos.injectors if s.kind not in PROCESS_KINDS]
+    if foreign:
+        raise ConfigError(
+            f"--pool-chaos accepts process-level kinds only (got "
+            f"{foreign}; use --chaos in run requests for "
+            f"simulation-level injectors)"
+        )
+    return chaos
+
+
+def _flag(*options: str, change: Callable, **kwargs) -> tuple:
+    return options, kwargs, change
+
+
+#: Every run-policy flag, declared once and keyed by its ``dest``: option
+#: strings, ``add_argument`` keywords, and ``change(value, ns)``, the
+#: policy fields a parsed value sets (:meth:`RunPolicy.from_args`).
+#: Every flag defaults to ``None``, which changes nothing, so each CLI's
+#: defaults are the base policy it passes to ``from_args``.  CLIs pick
+#: the flags they expose with :func:`add_policy_arguments`.
+POLICY_FLAGS: dict[str, tuple] = {
+    "jobs": _flag(
+        "--jobs",
+        "-j",
+        type=int,
+        metavar="N",
+        help="worker processes for cache-missing cells (results are "
+        "bit-identical for any N)",
+        change=lambda v, ns: {"jobs": v},
+    ),
+    "no_cache": _flag(
+        "--no-cache",
+        action="store_true",
+        help="ignore and do not write the persistent run cache",
+        change=lambda v, ns: {"cache_enabled": False},
+    ),
+    "cache_dir": _flag(
+        "--cache-dir",
+        metavar="DIR",
+        help="persistent run-cache directory (default: $REPRO_CACHE_DIR "
+        "or .repro-cache)",
+        change=lambda v, ns: {"cache_dir": v},
+    ),
+    "cache_quota_mb": _flag(
+        "--cache-quota-mb",
+        type=float,
+        metavar="MB",
+        help="bound the persistent cache directory; least-recently-used "
+        "entries are evicted past this size (default: unbounded, or "
+        "$REPRO_CACHE_QUOTA_MB)",
+        change=lambda v, ns: {"cache_quota_bytes": int(v * 1024 * 1024)},
+    ),
+    "no_progress": _flag(
+        "--no-progress",
+        action="store_true",
+        help="suppress per-cell progress lines on stderr",
+        change=lambda v, ns: {"progress": False},
+    ),
+    "chaos": _flag(
+        "--chaos",
+        metavar="SPEC",
+        help="fault-injection spec, e.g. "
+        "'dma-stall:prob=0.2;drop-fault:prob=0.05' (see repro.chaos); "
+        "process-level kinds (worker-kill/-hang/-slow) act on supervised "
+        "pool workers, so only the pooled CLIs take them",
+        change=lambda v, ns: {
+            "chaos": parse_chaos_spec(v, seed=ns.chaos_seed or 0)
+        },
+    ),
+    "chaos_seed": _flag(
+        "--chaos-seed",
+        type=int,
+        metavar="N",
+        help="seed for the --chaos RNG streams (default: 0)",
+        change=lambda v, ns: {},
+    ),
+    "pool_chaos": _flag(
+        "--pool-chaos",
+        metavar="SPEC",
+        help="process-level chaos spec for the pool (worker-kill / "
+        "worker-hang / worker-slow), e.g. 'worker-kill:prob=0.2'",
+        change=lambda v, ns: {"chaos": _pool_chaos(v, ns.pool_chaos_seed)},
+    ),
+    "pool_chaos_seed": _flag(
+        "--pool-chaos-seed",
+        type=int,
+        metavar="N",
+        help="seed for --pool-chaos plans (default: 0)",
+        change=lambda v, ns: {},
+    ),
+    "invariants": _flag(
+        "--invariants",
+        action="store_true",
+        help="validate memory/page-table consistency at batch boundaries "
+        "and quiescence (repro.invariants)",
+        change=lambda v, ns: {"invariants": True},
+    ),
+    "cell_timeout": _flag(
+        "--cell-timeout",
+        "--wall-budget",
+        type=float,
+        metavar="SECONDS",
+        help="wall-clock budget per cell; a cell exceeding it stops with a "
+        "stall diagnosis (with --checkpoint-dir it checkpoints first, so "
+        "--resume can continue it)",
+        change=lambda v, ns: {"cell_timeout": v},
+    ),
+    "retries": _flag(
+        "--retries",
+        type=int,
+        metavar="N",
+        help="re-run transiently failing cells up to N times (default: 1); "
+        "with --checkpoint-dir, cells stalled by --cell-timeout retry by "
+        "*resuming* their checkpoint instead of starting over",
+        change=lambda v, ns: {"retries": v},
+    ),
+    "checkpoint_dir": _flag(
+        "--checkpoint-dir",
+        metavar="DIR",
+        help="write resumable whole-simulation checkpoints into DIR at "
+        "batch boundaries and on stalls (repro.checkpoint)",
+        change=lambda v, ns: {"checkpoint_dir": v},
+    ),
+    "checkpoint_every": _flag(
+        "--checkpoint-every",
+        type=int,
+        metavar="N",
+        help="checkpoint every N completed batches (default: 1)",
+        change=lambda v, ns: {"checkpoint_every": v},
+    ),
+    "resume": _flag(
+        "--resume",
+        action="store_true",
+        help="continue cells from the checkpoints a previous (killed or "
+        "stalled) invocation left in --checkpoint-dir; cells without a "
+        "usable checkpoint run fresh",
+        change=lambda v, ns: {"resume": True},
+    ),
+    "worker_heartbeat": _flag(
+        "--worker-heartbeat",
+        type=float,
+        metavar="SECONDS",
+        help="pool worker heartbeat cadence (default: 0.25; 0 disables "
+        "heartbeat supervision)",
+        change=lambda v, ns: {"pool_heartbeat": v or None},
+    ),
+    "worker_deadline": _flag(
+        "--worker-deadline",
+        type=float,
+        metavar="SECONDS",
+        help="hard per-cell wall deadline enforced by the pool supervisor "
+        "(catches workers too wedged to honour --cell-timeout)",
+        change=lambda v, ns: {"worker_deadline": v},
+    ),
+    "breaker_threshold": _flag(
+        "--breaker-threshold",
+        type=int,
+        metavar="N",
+        help="worker crashes on one cell before it is quarantined as a "
+        "poison cell instead of being retried (default: 5)",
+        change=lambda v, ns: {"breaker_threshold": v},
+    ),
+    "keep_going": _flag(
+        "--keep-going",
+        action="store_true",
+        help="complete a sweep even when cells fail: failed cells are "
+        "recorded as structured failures and their rows skipped",
+        change=lambda v, ns: {"on_error": "keep-going"},
+    ),
+    "failure_dir": _flag(
+        "--failure-dir",
+        metavar="DIR",
+        help="write a JSON snapshot of each failed cell to DIR (implies "
+        "--keep-going)",
+        change=lambda v, ns: {"on_error": "keep-going"},
+    ),
+}
+
+
+def add_policy_arguments(
+    parser: argparse.ArgumentParser, *dests: str
+) -> None:
+    """Declare the :data:`POLICY_FLAGS` named by ``dests`` on ``parser``."""
+    for dest in dests:
+        options, kwargs, _ = POLICY_FLAGS[dest]
+        parser.add_argument(*options, dest=dest, default=None, **kwargs)
 
 
 #: The policy of calls that pass none: built from the environment at
@@ -774,101 +984,104 @@ def _cell_label(spec: RunSpec) -> str:
 
 
 def _spec_digest(spec: RunSpec) -> str:
-    """Short stable digest of the memo key: names checkpoint files and
-    identifies the cell in the pool's circuit breaker and chaos plans."""
+    """Short stable digest of the memo key: identifies the cell in the
+    pool's circuit breaker and chaos plans."""
     return hashlib.sha256(repr(_memo_key(spec)).encode()).hexdigest()[:24]
 
 
 def _checkpoint_file(spec: RunSpec) -> pathlib.Path:
-    """The cell's stable checkpoint path: keyed by the memo key (which
-    excludes the checkpoint fields themselves), so the fresh run, the
-    stall handler, the pool's crash handoff, and every resume attempt
-    all agree on one file."""
-    digest = _spec_digest(spec)
+    """The cell's stable checkpoint path, so the fresh run, the stall
+    handler, the pool's crash handoff, and every resume attempt all
+    agree on one file.  Keyed by the memo key (which excludes the
+    checkpoint fields themselves) without ``max_events``: an event cap
+    only decides where one drive stops, not which states the run passes
+    through, so a capped leg and its uncapped resume share the file."""
+    digest = _spec_digest(replace(spec, max_events=None))
     return pathlib.Path(spec.checkpoint_dir) / f"{spec.workload}-{digest}.ckpt"
 
 
-def _discard_checkpoint(path: pathlib.Path) -> None:
-    """Remove a cell's checkpoint after it completes (best-effort): a
-    finished cell must never be resumed from a stale mid-run snapshot."""
-    try:
-        path.unlink()
-    except OSError:
-        pass
-
-
-def _simulate_spec(spec: RunSpec) -> SimulationResult:
-    """Execute one cell from scratch.  Runs in worker processes too, so it
-    must stay a module-level function of picklable arguments.
-
-    The wall-clock budget rides inside the simulation (an engine
-    watchdog), so per-cell timeouts work identically in the serial path
-    and in forked workers — no executor-level cancellation needed.
-
-    With a checkpoint directory set, the cell writes resumable snapshots
-    at batch boundaries (and when the watchdog stalls it); with
-    ``spec.resume``, an existing usable checkpoint short-circuits the
-    fresh build and the run continues from its last batch boundary —
-    bit-identical to the uninterrupted run.  Unusable checkpoints
-    (truncated, version-skewed) degrade to a fresh run with a warning."""
-    checkpoint_file: pathlib.Path | None = None
-    if spec.checkpoint_dir is not None:
-        checkpoint_file = _checkpoint_file(spec)
-        if spec.resume and checkpoint_file.exists():
-            from repro.checkpoint import try_load
-
-            checkpoint = try_load(checkpoint_file)
-            if checkpoint is not None:
-                sim = checkpoint.restore()
-                sim.enable_checkpoints(
-                    spec.checkpoint_dir,
-                    every=spec.checkpoint_every,
-                    basename=checkpoint_file.stem,
-                )
-                if _CELL_HOOK is not None:
-                    _CELL_HOOK(sim)
-                result = sim.resume(
-                    max_events=spec.max_events,
-                    wall_budget_seconds=spec.wall_budget_seconds,
-                )
-                _discard_checkpoint(checkpoint_file)
-                return result
+def cell_config(spec: RunSpec) -> tuple[Workload, SimConfig]:
+    """The workload and :class:`SimConfig` a resolved cell simulates."""
     workload = build_workload(spec.workload, spec.scale, spec.seed)
-    if spec.config is not None:
-        config = spec.config
-        if spec.chaos is not None or spec.check_invariants:
-            from dataclasses import replace as _replace
-
-            config = _replace(
-                config,
-                chaos=spec.chaos if spec.chaos is not None else config.chaos,
-                check_invariants=spec.check_invariants
-                or config.check_invariants,
-            )
-    else:
-        config = spec.preset.configure(
+    if spec.config is None:
+        return workload, spec.preset.configure(
             workload,
             ratio=spec.ratio,
             fault_handling_cycles=spec.fault_handling_cycles,
             chaos=spec.chaos,
             check_invariants=spec.check_invariants,
         )
-    sim = GpuUvmSimulator(workload, config)
-    if checkpoint_file is not None:
+    config = spec.config
+    if spec.chaos is not None or spec.check_invariants:
+        config = replace(
+            config,
+            chaos=spec.chaos if spec.chaos is not None else config.chaos,
+            check_invariants=spec.check_invariants or config.check_invariants,
+        )
+    return workload, config
+
+
+def open_cell(spec: RunSpec) -> tuple[GpuUvmSimulator, bool]:
+    """The simulator of a resolved cell, ready for :func:`drive_cell`;
+    returns ``(sim, resumed)``.
+
+    With ``spec.resume``, an existing usable checkpoint short-circuits
+    the fresh build: the restored simulator continues from its last
+    batch boundary, bit-identical to the uninterrupted run, and carries
+    the obs session it was checkpointed with.  Unusable checkpoints
+    (truncated, version-skewed) degrade to a fresh build with a warning.
+    A fresh build joins the installed obs session (:func:`repro.obs.install`).
+    With a checkpoint directory set, the cell writes resumable snapshots
+    at batch boundaries (and when the watchdog stalls it)."""
+    path = None if spec.checkpoint_dir is None else _checkpoint_file(spec)
+    sim = None
+    if path is not None and spec.resume and path.exists():
+        from repro.checkpoint import try_load
+
+        checkpoint = try_load(path)
+        if checkpoint is not None:
+            sim = checkpoint.restore()
+    resumed = sim is not None
+    if sim is None:
+        sim = GpuUvmSimulator(*cell_config(spec))
+    if path is not None:
         sim.enable_checkpoints(
             spec.checkpoint_dir,
             every=spec.checkpoint_every,
-            basename=checkpoint_file.stem,
+            basename=path.stem,
         )
     if _CELL_HOOK is not None:
         _CELL_HOOK(sim)
-    result = sim.run(
+    return sim, resumed
+
+
+def drive_cell(
+    spec: RunSpec, sim: GpuUvmSimulator, resumed: bool
+) -> SimulationResult:
+    """Run (or, when ``resumed``, resume) the simulator :func:`open_cell`
+    returned to completion, then discard the cell's checkpoint: a
+    finished cell must never be resumed from a stale mid-run snapshot."""
+    drive = sim.resume if resumed else sim.run
+    result = drive(
         max_events=spec.max_events,
         wall_budget_seconds=spec.wall_budget_seconds,
     )
-    if checkpoint_file is not None:
-        _discard_checkpoint(checkpoint_file)
+    if spec.checkpoint_dir is not None:
+        try:
+            _checkpoint_file(spec).unlink()
+        except OSError:
+            pass  # best-effort: already gone, or a read-only directory
     return result
+
+
+def _simulate_spec(spec: RunSpec) -> SimulationResult:
+    """Execute one resolved cell.  Runs in worker processes too, so it
+    must stay a module-level function of picklable arguments.
+
+    The wall-clock budget rides inside the simulation (an engine
+    watchdog), so per-cell timeouts work identically in the serial path
+    and in forked workers — no executor-level cancellation needed."""
+    return drive_cell(spec, *open_cell(spec))
 
 
 def _record_failure(

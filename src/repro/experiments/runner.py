@@ -12,7 +12,6 @@ import time
 from dataclasses import replace
 
 from repro import obs as obs_mod
-from repro.chaos import parse_chaos_spec
 from repro.errors import ReproError
 from repro.experiments import (
     ablations,
@@ -101,37 +100,7 @@ def _dump_failures(directory: str, experiment: str, failures) -> None:
     print(f"  failure snapshot: {path}")
 
 
-def _policy_from_args(args: argparse.Namespace) -> common.RunPolicy:
-    """The run policy the flags describe, over the environment's
-    defaults; raises :class:`~repro.errors.ReproError` for bad values."""
-    changes: dict = dict(
-        progress=not args.no_progress and sys.stderr.isatty(),
-        invariants=args.invariants,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-    )
-    optional = dict(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        cell_timeout=args.cell_timeout,
-        retries=args.retries,
-        worker_deadline=args.worker_deadline,
-        breaker_threshold=args.breaker_threshold,
-    )
-    changes.update((k, v) for k, v in optional.items() if v is not None)
-    if args.no_cache:
-        changes["cache_enabled"] = False
-    if args.cache_quota_mb is not None:
-        changes["cache_quota_bytes"] = int(args.cache_quota_mb * 1024 * 1024)
-    if args.chaos is not None:
-        changes["chaos"] = parse_chaos_spec(args.chaos, seed=args.chaos_seed)
-    if args.keep_going or args.failure_dir is not None:
-        changes["on_error"] = "keep-going"
-    return replace(common.default_policy(), **changes)
-
-
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description=(
@@ -165,45 +134,13 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         help="also write each rendered table to DIR/<experiment>.txt",
     )
-    parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker processes for independent simulation cells "
-            "(default: $REPRO_JOBS or serial; results are bit-identical "
-            "either way)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the persistent run cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="persistent run cache location (default: $REPRO_CACHE_DIR "
-        "or .repro-cache)",
-    )
-    parser.add_argument(
-        "--cache-quota-mb",
-        type=float,
-        metavar="MB",
-        default=None,
-        help=(
-            "bound the persistent cache directory; least-recently-used "
-            "entries are evicted past this size (default: unbounded, or "
-            "$REPRO_CACHE_QUOTA_MB)"
-        ),
-    )
-    parser.add_argument(
-        "--no-progress",
-        action="store_true",
-        help="suppress per-cell progress lines on stderr",
+    common.add_policy_arguments(
+        parser,
+        "jobs",
+        "no_cache",
+        "cache_dir",
+        "cache_quota_mb",
+        "no_progress",
     )
     parser.add_argument(
         "--obs",
@@ -255,108 +192,26 @@ def main(argv: list[str] | None = None) -> int:
             "caveats)"
         ),
     )
-    parser.add_argument(
-        "--chaos",
-        metavar="SPEC",
-        default=None,
-        help=(
-            "fault-injection spec applied to every cell, e.g. "
-            "'dma-stall:prob=0.2;drop-fault:prob=0.05' (see repro.chaos); "
-            "process-level kinds (worker-kill/-hang/-slow) act on the "
-            "supervised pool's workers instead of the simulation"
-        ),
+    common.add_policy_arguments(
+        parser,
+        "chaos",
+        "chaos_seed",
+        "invariants",
+        "cell_timeout",
+        "retries",
+        "checkpoint_dir",
+        "checkpoint_every",
+        "resume",
+        "worker_deadline",
+        "breaker_threshold",
+        "keep_going",
+        "failure_dir",
     )
-    parser.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="seed for the chaos RNG streams (default: 0)",
-    )
-    parser.add_argument(
-        "--invariants",
-        action="store_true",
-        help="validate runtime invariants at batch boundaries in every cell",
-    )
-    parser.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget per cell; a cell exceeding it fails with "
-        "a stall diagnosis instead of hanging the sweep",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "re-run transiently failing cells up to N times (default: 1); "
-            "with --checkpoint-dir, cells stalled by --cell-timeout retry "
-            "by *resuming* their checkpoint instead of starting over"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help=(
-            "write resumable whole-simulation checkpoints for every cell "
-            "into DIR at batch boundaries and on stalls (repro.checkpoint)"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1,
-        metavar="N",
-        help="checkpoint every N completed batches (default: 1)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "resume cells from checkpoints a previous (killed or stalled) "
-            "sweep left in --checkpoint-dir; cells without a usable "
-            "checkpoint run fresh"
-        ),
-    )
-    parser.add_argument(
-        "--worker-deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "hard per-cell wall deadline enforced by the pool supervisor "
-            "(catches workers too wedged to honour --cell-timeout)"
-        ),
-    )
-    parser.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker crashes on one cell before it is quarantined as a "
-            "poison cell instead of being retried (default: 5)"
-        ),
-    )
-    parser.add_argument(
-        "--keep-going",
-        action="store_true",
-        help=(
-            "complete a sweep even when cells fail: failed cells are "
-            "recorded as structured failures and their rows skipped"
-        ),
-    )
-    parser.add_argument(
-        "--failure-dir",
-        metavar="DIR",
-        default=None,
-        help="write a JSON snapshot of each failed cell to DIR "
-        "(implies --keep-going)",
-    )
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     names = expand_experiments(args.experiment)
@@ -367,7 +222,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")
 
     try:
-        policy = _policy_from_args(args)
+        policy = common.RunPolicy.from_args(
+            args,
+            replace(common.default_policy(), progress=sys.stderr.isatty()),
+        )
     except ReproError as exc:
         parser.error(str(exc))
     if args.cache_quota_mb is not None:
