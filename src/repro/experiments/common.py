@@ -12,6 +12,8 @@ their results can be reused forever.  Two mechanisms exploit that:
   survive across CLI invocations and benchmark sessions and are
   invalidated the moment the simulator changes.  Disable with
   ``REPRO_CACHE=0``, ``--no-cache``, or ``RunPolicy(cache_enabled=False)``.
+  Each directory has one in-process :class:`RunCache` (memo, counters,
+  pins), shared by every policy that names it.
 * **Supervised parallel fan-out** — :func:`run_cells` (and
   :func:`run_matrix` on top of it) dispatches cache-missing cells to a
   crash-isolated :class:`repro.pool.SupervisedPool`: heartbeats, SIGTERM
@@ -240,8 +242,8 @@ class RunSpec:
 
 
 def _memo_key(spec: RunSpec) -> tuple:
-    """In-process cache key (matches the legacy ``_RUN_CACHE`` key plus
-    ``max_events`` — a capped partial run must never satisfy a full one).
+    """Cache key of a resolved cell (``max_events`` included — a capped
+    partial run must never satisfy a full one).
     Checkpoint fields and ``pool_chaos`` are deliberately absent: resumed
     runs and runs under process-level chaos produce results identical to
     uninterrupted, chaos-free ones, so they share a cache entry."""
@@ -712,109 +714,8 @@ def drain_failures() -> list[CellFailure]:
 
 
 # ----------------------------------------------------------------------
-# Persistent on-disk cache
+# Run cache: one per cache directory
 # ----------------------------------------------------------------------
-#: Per-process counters for observability (see :func:`cache_stats`).
-CACHE_STATS = {"memory_hits": 0, "disk_hits": 0, "misses": 0, "evictions": 0}
-
-#: Cache files that must never be evicted while pinned (in-flight server
-#: entries), as ``{file name: pin count}``; guarded by ``_PIN_LOCK``
-#: because the serving layer pins from the event loop while eviction
-#: runs on a worker thread.
-_PINNED_PATHS: dict[str, int] = {}
-_PIN_LOCK = threading.Lock()
-
-
-def pin_cache_entry(key: tuple) -> None:
-    """Protect ``key``'s cache file from quota eviction (refcounted)."""
-    name = _cache_name(key)
-    with _PIN_LOCK:
-        _PINNED_PATHS[name] = _PINNED_PATHS.get(name, 0) + 1
-
-
-def unpin_cache_entry(key: tuple) -> None:
-    """Drop one pin from ``key``'s cache file (missing pins are ignored)."""
-    name = _cache_name(key)
-    with _PIN_LOCK:
-        count = _PINNED_PATHS.get(name, 0) - 1
-        if count > 0:
-            _PINNED_PATHS[name] = count
-        else:
-            _PINNED_PATHS.pop(name, None)
-
-
-def pinned_cache_entries() -> int:
-    """Number of currently pinned cache files (for stats/tests)."""
-    with _PIN_LOCK:
-        return len(_PINNED_PATHS)
-
-
-def enforce_cache_quota(policy: RunPolicy | None = None) -> int:
-    """Evict least-recently-used ``*.pkl`` entries beyond the quota.
-
-    Disk hits refresh an entry's mtime, so recency tracks reads, not just
-    writes.  Returns the number of files removed.  Runs automatically
-    after every store; exposed for operators (and the CLIs) to trigger a
-    sweep after lowering the quota.  Pinned entries are skipped even when
-    that leaves the directory over budget.
-    """
-    policy = policy or _DEFAULT_POLICY
-    quota = policy.cache_quota_bytes
-    if quota is None:
-        return 0
-    directory = cache_dir(policy)
-    if not directory.is_dir():
-        return 0
-    entries = []
-    total = 0
-    for path in directory.glob("*.pkl"):
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        entries.append((stat.st_mtime, stat.st_size, path))
-        total += stat.st_size
-    if total <= quota:
-        return 0
-    with _PIN_LOCK:
-        pinned = set(_PINNED_PATHS)
-    evicted = 0
-    for _, size, path in sorted(entries, key=lambda e: (e[0], e[2].name)):
-        if total <= quota:
-            break
-        if path.name in pinned:
-            continue
-        try:
-            path.unlink()
-        except OSError:
-            continue
-        total -= size
-        evicted += 1
-    if evicted:
-        CACHE_STATS["evictions"] += evicted
-        obs = _obs_current()
-        if obs is not None:
-            obs.metrics.counter(
-                "experiments.cache", outcome="evictions"
-            ).inc(evicted)
-    return evicted
-
-
-def cache_dir(policy: RunPolicy | None = None) -> pathlib.Path:
-    """The policy's persistent-cache directory (not necessarily created)."""
-    return pathlib.Path((policy or _DEFAULT_POLICY).cache_dir)
-
-
-def cache_stats() -> dict[str, int]:
-    """Snapshot of this process's cache counters."""
-    return dict(CACHE_STATS)
-
-
-def reset_cache_stats() -> None:
-    for key in CACHE_STATS:
-        CACHE_STATS[key] = 0
-
-
 @lru_cache(maxsize=1)
 def _code_fingerprint() -> str:
     """Content hash of the ``repro`` package source.
@@ -862,8 +763,15 @@ def _quarantine(path: pathlib.Path) -> None:
     )
 
 
-def _disk_load(key: tuple, policy: RunPolicy) -> SimulationResult | None:
-    path = cache_dir(policy) / _cache_name(key)
+def _touch(path: pathlib.Path) -> None:
+    """Refresh an entry's LRU recency: reads count as use."""
+    try:
+        os.utime(path)
+    except OSError:
+        pass
+
+
+def _disk_load(path: pathlib.Path, key: tuple) -> SimulationResult | None:
     try:
         fh = open(path, "rb")
     except OSError:
@@ -878,17 +786,13 @@ def _disk_load(key: tuple, policy: RunPolicy) -> SimulationResult | None:
         return None
     if stored_key != key or not isinstance(result, SimulationResult):
         return None
-    try:
-        os.utime(path)  # refresh LRU recency: reads count as use
-    except OSError:
-        pass
+    _touch(path)
     return result
 
 
 def _disk_store(
-    key: tuple, result: SimulationResult, policy: RunPolicy
+    path: pathlib.Path, key: tuple, result: SimulationResult
 ) -> None:
-    path = cache_dir(policy) / _cache_name(key)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -896,82 +800,192 @@ def _disk_store(
             pickle.dump((key, result), fh, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, path)  # atomic: concurrent writers can't corrupt
     except OSError:
-        return  # caching is best-effort; an unwritable dir must not fail runs
-    enforce_cache_quota(policy)
+        pass  # caching is best-effort; an unwritable dir must not fail runs
+
+
+class RunCache:
+    """The in-process state of one persistent run-cache directory.
+
+    ``memo`` holds completed results by cache key above the directory,
+    so repeated lookups return the *same* object and cost nothing; quota
+    eviction and :func:`clear_persistent_cache` drop an entry from both,
+    so a quota bounds the memo too.  ``stats`` counts this directory's
+    traffic.  Pins keep in-flight entries (the serving layer's) from
+    quota eviction, refcounted.  Counters and pins change under a lock:
+    the server probes and pins from its event loop while its batch
+    thread runs cells and evicts.  Every policy naming the directory
+    shares one instance (:func:`run_cache`), however often policies are
+    replaced.
+    """
+
+    def __init__(self, directory: pathlib.Path) -> None:
+        self.directory = directory
+        self.memo: dict[tuple, SimulationResult] = {}
+        self.stats = dict.fromkeys(
+            ("memory_hits", "disk_hits", "misses", "evictions"), 0
+        )
+        self._pins: dict[str, int] = {}
+        self._lock = threading.Lock()
+
+    def count(self, outcome: str, n: int = 1) -> None:
+        """Add ``n`` to one counter, mirrored into the obs registry."""
+        with self._lock:
+            self.stats[outcome] += n
+        obs = _obs_current()
+        if obs is not None:
+            obs.metrics.counter("experiments.cache", outcome=outcome).inc(n)
+
+    def get(self, key: tuple, policy: RunPolicy) -> SimulationResult | None:
+        """The memo's result for ``key``, else the directory's (when the
+        policy reads it); counts hits only."""
+        result = self.memo.get(key)
+        if result is not None:
+            if policy.cache_enabled and policy.cache_quota_bytes is not None:
+                # A use the LRU must see, or hot entries would age out.
+                _touch(self.directory / _cache_name(key))
+            self.count("memory_hits")
+        elif policy.cache_enabled:
+            result = _disk_load(self.directory / _cache_name(key), key)
+            if result is not None:
+                self.count("disk_hits")
+                self.memo[key] = result
+        return result
+
+    def put(
+        self, key: tuple, result: SimulationResult, policy: RunPolicy
+    ) -> None:
+        self.memo[key] = result
+        if policy.cache_enabled:
+            _disk_store(self.directory / _cache_name(key), key, result)
+            self.enforce_quota(policy.cache_quota_bytes)
+
+    def pin(self, key: tuple) -> None:
+        """Protect ``key``'s entry from quota eviction (refcounted)."""
+        name = _cache_name(key)
+        with self._lock:
+            self._pins[name] = self._pins.get(name, 0) + 1
+
+    def unpin(self, key: tuple) -> None:
+        """Drop one pin from ``key``'s entry (missing pins are ignored)."""
+        name = _cache_name(key)
+        with self._lock:
+            count = self._pins.pop(name, 0) - 1
+            if count > 0:
+                self._pins[name] = count
+
+    def pinned(self) -> int:
+        """Number of currently pinned entries."""
+        with self._lock:
+            return len(self._pins)
+
+    def enforce_quota(self, quota: int | None) -> int:
+        """Evict least-recently-used ``*.pkl`` entries beyond ``quota``
+        bytes, from the directory and the memo; returns the count.
+        Pinned entries are skipped even when that leaves the directory
+        over budget."""
+        if quota is None or not self.directory.is_dir():
+            return 0
+        entries = []
+        total = 0
+        for path in self.directory.glob("*.pkl"):
+            try:
+                stat = path.stat()
+            except OSError:
+                continue
+            entries.append((stat.st_mtime, stat.st_size, path))
+            total += stat.st_size
+        if total <= quota:
+            return 0
+        with self._lock:
+            pinned = set(self._pins)
+        evicted = set()
+        for _, size, path in sorted(entries, key=lambda e: (e[0], e[2].name)):
+            if total <= quota:
+                break
+            if path.name in pinned:
+                continue
+            try:
+                path.unlink()
+            except OSError:
+                continue
+            total -= size
+            evicted.add(path.name)
+        if evicted:
+            for key in list(self.memo):
+                if _cache_name(key) in evicted:
+                    self.memo.pop(key, None)
+            self.count("evictions", len(evicted))
+        return len(evicted)
+
+
+#: The one :class:`RunCache` of each cache directory, by absolute path.
+_CACHES: dict[str, RunCache] = {}
+
+
+def run_cache(policy: RunPolicy | None = None) -> RunCache:
+    """The :class:`RunCache` of the policy's directory (default: the
+    current policy's), found by absolute path."""
+    directory = os.path.abspath((policy or _DEFAULT_POLICY).cache_dir)
+    cache = _CACHES.get(directory)
+    if cache is None:
+        cache = _CACHES.setdefault(directory, RunCache(pathlib.Path(directory)))
+    return cache
+
+
+def cache_stats(policy: RunPolicy | None = None) -> dict[str, int]:
+    """Snapshot of the policy's cache counters (this process's traffic)."""
+    return dict(run_cache(policy).stats)
+
+
+def enforce_cache_quota(policy: RunPolicy | None = None) -> int:
+    """Apply the policy's quota to its cache (see
+    :meth:`RunCache.enforce_quota`); returns the number of entries
+    evicted.  Runs automatically after every store; exposed for
+    operators (and the CLIs) to trigger a sweep after lowering the quota.
+    Disk and memo hits refresh an entry's recency, so it tracks reads,
+    not just writes."""
+    policy = policy or _DEFAULT_POLICY
+    return run_cache(policy).enforce_quota(policy.cache_quota_bytes)
 
 
 def clear_persistent_cache(policy: RunPolicy | None = None) -> int:
-    """Delete every entry in the policy's cache directory; return the count."""
+    """Delete every entry in the policy's cache directory, and its memo;
+    return the number of files removed."""
+    cache = run_cache(policy)
     removed = 0
-    directory = cache_dir(policy)
-    if directory.is_dir():
+    if cache.directory.is_dir():
         for pattern in ("*.pkl", "*.pkl.corrupt"):
-            for path in directory.glob(pattern):
+            for path in cache.directory.glob(pattern):
                 try:
                     path.unlink()
                     removed += 1
                 except OSError:
                     pass
+    cache.memo.clear()
     return removed
 
 
-#: Completed runs for this process, keyed by the full run parameters.
-#: Layered above the disk cache so repeated lookups return the *same*
-#: object (and cost nothing) within a session.
-_RUN_CACHE: dict[tuple, SimulationResult] = {}
-
-
 def clear_run_cache() -> None:
-    """Drop the in-process memo (the persistent cache is untouched)."""
-    _RUN_CACHE.clear()
-
-
-def _count_cache(outcome: str) -> None:
-    """Mirror one cache outcome into CACHE_STATS and the obs registry."""
-    CACHE_STATS[outcome] += 1
-    obs = _obs_current()
-    if obs is not None:
-        obs.metrics.counter("experiments.cache", outcome=outcome).inc()
-
-
-def _cache_get(
-    key: tuple, use_cache: bool, policy: RunPolicy
-) -> SimulationResult | None:
-    if not use_cache:
-        return None
-    if key in _RUN_CACHE:
-        _count_cache("memory_hits")
-        return _RUN_CACHE[key]
-    if policy.cache_enabled:
-        result = _disk_load(key, policy)
-        if result is not None:
-            _count_cache("disk_hits")
-            _RUN_CACHE[key] = result
-            return result
-    return None
-
-
-def _cache_put(
-    key: tuple, result: SimulationResult, use_cache: bool, policy: RunPolicy
-) -> None:
-    if not use_cache:
-        return
-    _RUN_CACHE[key] = result
-    if policy.cache_enabled:
-        _disk_store(key, result, policy)
+    """Drop every directory's in-process memo (the persistent cache and
+    the counters are untouched)."""
+    for cache in list(_CACHES.values()):
+        cache.memo.clear()
 
 
 def probe_cache(
     spec: RunSpec, use_cache: bool = True, policy: RunPolicy | None = None
 ) -> SimulationResult | None:
-    """Look ``spec`` up in the memo + disk cache without running anything.
+    """Look ``spec`` up in the policy's memo + directory without running
+    anything.
 
     The serving layer's warm fast path: a hit is counted and returned
     immediately (no admission, no batching); a miss returns ``None`` and
     counts nothing — the eventual :func:`run_cells` dispatch records it.
     """
+    if not use_cache:
+        return None
     policy = policy or _DEFAULT_POLICY
-    return _cache_get(_memo_key(policy.apply(spec)), use_cache, policy)
+    return run_cache(policy).get(_memo_key(policy.apply(spec)), policy)
 
 
 # ----------------------------------------------------------------------
@@ -1230,20 +1244,18 @@ def run_cells(
         policy = replace(policy, on_error=on_error)
     cells = [policy.apply(cell) for cell in cells]
     keys = [_memo_key(cell) for cell in cells]
+    cache = run_cache(policy)
     results: list[SimulationResult | None] = [None] * len(cells)
     pending: list[int] = []
     for i, key in enumerate(keys):
-        hit = _cache_get(key, use_cache, policy)
+        hit = cache.get(key, policy) if use_cache else None
         if hit is not None:
             results[i] = hit
         else:
             pending.append(i)
-    CACHE_STATS["misses"] += len(pending)
+    if pending:
+        cache.count("misses", len(pending))
     obs = _obs_current()
-    if obs is not None and pending:
-        obs.metrics.counter("experiments.cache", outcome="misses").inc(
-            len(pending)
-        )
 
     jobs = policy.jobs
     started = _time.monotonic()
@@ -1335,8 +1347,8 @@ def run_cells(
         report(final=True)
 
     for i in pending:
-        if isinstance(results[i], SimulationResult):
-            _cache_put(keys[i], results[i], use_cache, policy)
+        if use_cache and isinstance(results[i], SimulationResult):
+            cache.put(keys[i], results[i], policy)
     if scoped and _FAILURES is not None:
         _FAILURES.extend(r for r in results if isinstance(r, CellFailure))
     return results  # type: ignore[return-value]

@@ -263,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
                     if name in EXPERIMENTS
                     else ABLATIONS[name]
                 )
-                before = common.cache_stats()
+                before = common.cache_stats(policy)
                 start = time.time()
                 if obs is not None:
                     with obs.tracer.wall_span(
@@ -273,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
                 else:
                     result = runner(scale=args.scale)
                 elapsed = time.time() - start
-                after = common.cache_stats()
+                after = common.cache_stats(policy)
                 print(result.format_table())
                 if args.output:
                     import pathlib

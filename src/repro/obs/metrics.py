@@ -1,15 +1,14 @@
 """Typed metric registry with label sets.
 
 The :class:`MetricRegistry` is the scalar half of the observability layer.
-It subsumes :class:`repro.sim.stats.StatsCollector` — the same counter and
-histogram primitives, extended with:
+It holds counters and histograms (:class:`repro.sim.stats.Histogram`
+buckets), plus:
 
 * **gauges** (last-set value plus observed min/max),
 * **label sets** — ``registry.counter("engine.events", kind="page_arrived")``
   keeps one time series per label combination,
 * tail-aware flattening — histograms export ``.min/.max/.p50/.p99``
-  alongside ``.count/.mean``,
-* merge support for absorbing an existing :class:`StatsCollector`.
+  alongside ``.count/.mean``.
 
 Metric objects are memoised by ``(type, name, labels)``: repeated lookups
 return the same object, so hot paths can cache the metric once and call
@@ -21,7 +20,6 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from repro.sim.stats import Histogram as _Histogram
-from repro.sim.stats import StatsCollector
 
 LabelKey = tuple[tuple[str, str], ...]
 
@@ -163,22 +161,6 @@ class MetricRegistry:
     def total(self, name: str) -> float:
         """Sum of a counter's value across all of its label sets."""
         return sum(m.value for m in self.series(name, "counter"))
-
-    # ------------------------------------------------------------------
-    # Interop with the legacy StatsCollector
-    # ------------------------------------------------------------------
-    def absorb(
-        self, collector: StatsCollector, prefix: str = "", **labels: Any
-    ) -> None:
-        """Fold a :class:`StatsCollector` into this registry."""
-        for name, c in collector.counters.items():
-            self.counter(f"{prefix}{name}", **labels).inc(c.value)
-        for name, value in collector.values.items():
-            self.gauge(f"{prefix}{name}", **labels).set(value)
-        for name, hist in collector.histograms.items():
-            self.histogram(
-                f"{prefix}{name}", hist.bucket_width, **labels
-            ).merge_from(hist)
 
     # ------------------------------------------------------------------
     # Export

@@ -3,11 +3,12 @@
 A thin, typed facade over :class:`~repro.obs.metrics.MetricRegistry`
 with exactly the series the ops runbook (``docs/serving.md``) names:
 admission queue depth, in-flight cells, dedupe hits, cache hit rate,
-batch sizes, request latency, rejections, and evictions.  The serving
-layer calls these from its event loop; everything is plain counter/gauge
-arithmetic, so no locks are needed beyond the registry's own dict ops.
+batch sizes, request latency and rejections.  The serving layer calls
+these from its event loop; everything is plain counter/gauge arithmetic,
+so no locks are needed beyond the registry's own dict ops.
 
-``snapshot()`` is the payload behind ``GET /v1/stats``.
+``snapshot()`` is the payload behind ``GET /v1/stats``; its eviction
+count is the server's run cache's.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ class ServeMetrics:
     def rejected(self, reason: str) -> None:
         self.registry.counter("serve.rejected", reason=reason).inc()
 
-    def evicted(self, count: int = 1) -> None:
-        if count:
-            self.registry.counter("serve.cache_evictions").inc(count)
-
     def stream_aborted(self) -> None:
         self.registry.counter("serve.streams_aborted").inc()
 
@@ -83,8 +80,9 @@ class ServeMetrics:
         total = hits + misses
         return hits / total if total else 0.0
 
-    def snapshot(self) -> dict:
-        """The ``GET /v1/stats`` payload: counters plus derived rates."""
+    def snapshot(self, evictions: int) -> dict:
+        """The ``GET /v1/stats`` payload: counters plus derived rates;
+        ``evictions`` is the server's run-cache count."""
         finished = {
             outcome: int(
                 self._counter_total(
@@ -107,7 +105,7 @@ class ServeMetrics:
                     self._counter_total("serve.cache", outcome="misses")
                 ),
                 "hit_rate": self.cache_hit_rate(),
-                "evictions": int(self._counter_total("serve.cache_evictions")),
+                "evictions": evictions,
             },
             "queue_depth": self._queue_depth.value,
             "inflight": self._inflight.value,

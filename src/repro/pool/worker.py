@@ -176,8 +176,13 @@ def worker_main(conn, worker_id: int, heartbeat: float | None) -> None:
     # Imported here (not at module top) so a spawn-context worker pays
     # the import inside the child, and so repro.experiments.common can
     # lazily import repro.pool without a cycle.
+    from repro import obs
     from repro.experiments import common
 
+    # A forked worker inherits the parent's obs session and cell hook.
+    # Cells here run on neither: what a cell needs arrives in its task.
+    obs.install(None)
+    common.set_cell_hook(None)
     runtime.send(("ready", os.getpid()))
     while True:
         try:

@@ -123,6 +123,7 @@ class ReproServer:
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
         self.policy = self.config.policy
+        self.cache = common.run_cache(self.policy)
         self.metrics = ServeMetrics()
         self.port: int | None = None
         self.started_at = time.monotonic()
@@ -139,7 +140,6 @@ class ReproServer:
         )
         self._pool = None  # the SupervisedPool, built by _main
         self._ema_cell_seconds = 0.25
-        self._evictions_seen = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -308,7 +308,7 @@ class ReproServer:
         )
         self._inflight[key] = ticket
         self._backlog += 1
-        common.pin_cache_entry(key)
+        self.cache.pin(key)
         self._queue.put_nowait(ticket)
         self.metrics.set_queue_depth(self._queue.qsize())
         self.metrics.set_inflight(len(self._inflight))
@@ -337,7 +337,7 @@ class ReproServer:
         if self._inflight.get(ticket.key) is ticket:
             del self._inflight[ticket.key]
         self._backlog -= 1
-        common.unpin_cache_entry(ticket.key)
+        self.cache.unpin(ticket.key)
         self.metrics.set_queue_depth(
             self._queue.qsize() if self._queue else 0
         )
@@ -414,9 +414,6 @@ class ReproServer:
         elapsed = time.monotonic() - started
         per_cell = max(elapsed / len(batch), 1e-3)
         self._ema_cell_seconds = 0.7 * self._ema_cell_seconds + 0.3 * per_cell
-        evictions = common.cache_stats()["evictions"]
-        self.metrics.evicted(evictions - self._evictions_seen)
-        self._evictions_seen = evictions
         for ticket, outcome in zip(batch, outcomes):
             self._settle_ticket(ticket, outcome)
 
@@ -471,10 +468,11 @@ class ReproServer:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """The ``GET /v1/stats`` payload."""
+        run_cache = dict(self.cache.stats)
         return {
-            "server": self.metrics.snapshot(),
-            "run_cache": common.cache_stats(),
-            "pinned_entries": common.pinned_cache_entries(),
+            "server": self.metrics.snapshot(evictions=run_cache["evictions"]),
+            "run_cache": run_cache,
+            "pinned_entries": self.cache.pinned(),
             "backlog": self._backlog,
             "draining": self._draining,
             "uptime_s": time.monotonic() - self.started_at,

@@ -2,10 +2,10 @@
 
 :func:`running_server` boots a :class:`~repro.serve.server.ReproServer`
 on a daemon thread, waits for the listener, yields ``(server, client)``,
-and on exit drains the server and restores the run cache's shared
-process state — stats and memo — so serve tests compose with the rest
-of the suite in any order.  Cache directory and quota are the server's
-own :class:`~repro.experiments.common.RunPolicy` and need no restoring.
+and on exit drains the server.  The server's run cache — directory,
+quota, memo and counters — is the one of its own
+:class:`~repro.experiments.common.RunPolicy`'s directory, so servers on
+distinct directories share nothing and need no restoring.
 """
 
 from __future__ import annotations
@@ -15,22 +15,8 @@ from contextlib import contextmanager
 from dataclasses import replace
 from typing import Iterator
 
-from repro.experiments import common
 from repro.serve.client import ServeClient
 from repro.serve.server import ReproServer, ServeConfig
-
-
-@contextmanager
-def _cache_state_guard() -> Iterator[None]:
-    """Snapshot/restore the run-cache state every server shares."""
-    saved_stats = common.cache_stats()
-    saved_memo = dict(common._RUN_CACHE)
-    try:
-        yield
-    finally:
-        common.CACHE_STATS.update(saved_stats)
-        common._RUN_CACHE.clear()
-        common._RUN_CACHE.update(saved_memo)
 
 
 @contextmanager
@@ -57,20 +43,19 @@ def running_server(
     base = config or ServeConfig()
     if overrides:
         base = replace(base, **overrides)
-    with _cache_state_guard():
-        server = ReproServer(base)
-        thread = threading.Thread(
-            target=server.run, name="repro-serve-test", daemon=True
-        )
-        thread.start()
-        port = server.wait_ready(timeout=30.0)
-        client = ServeClient(base.host, port)
-        try:
-            yield server, client
-        finally:
-            if drain_on_exit:
-                server.request_shutdown()
-            thread.join(timeout=30.0)
+    server = ReproServer(base)
+    thread = threading.Thread(
+        target=server.run, name="repro-serve-test", daemon=True
+    )
+    thread.start()
+    port = server.wait_ready(timeout=30.0)
+    client = ServeClient(base.host, port)
+    try:
+        yield server, client
+    finally:
+        if drain_on_exit:
+            server.request_shutdown()
+        thread.join(timeout=30.0)
 
 
 __all__ = ["running_server"]

@@ -6,11 +6,9 @@ the paper's Table 1 configuration).
 """
 
 from repro.sim.engine import Engine
-from repro.sim.stats import Counter, Histogram, StatsCollector
+from repro.sim.stats import Histogram
 
 __all__ = [
     "Engine",
-    "Counter",
     "Histogram",
-    "StatsCollector",
 ]

@@ -1,28 +1,8 @@
-"""Statistics primitives shared by all simulator components."""
+"""The fixed-width-bucket histogram behind the obs layer's histograms."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-
-class Counter:
-    """A named monotonically increasing counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value})"
 
 
 class Histogram:
@@ -88,43 +68,3 @@ class Histogram:
                 return min(max(value, self.min), self.max)
             seen += n
         return self.max
-
-
-@dataclass
-class StatsCollector:
-    """Bag of named counters/histograms with lazy creation."""
-
-    counters: dict[str, Counter] = field(default_factory=dict)
-    histograms: dict[str, Histogram] = field(default_factory=dict)
-    values: dict[str, float] = field(default_factory=dict)
-
-    def counter(self, name: str) -> Counter:
-        if name not in self.counters:
-            self.counters[name] = Counter(name)
-        return self.counters[name]
-
-    def histogram(self, name: str, bucket_width: float = 1.0) -> Histogram:
-        if name not in self.histograms:
-            self.histograms[name] = Histogram(name, bucket_width)
-        return self.histograms[name]
-
-    def set_value(self, name: str, value: float) -> None:
-        self.values[name] = value
-
-    def snapshot(self) -> dict[str, float]:
-        """Flatten all statistics into a plain dict (counters + values).
-
-        Histograms export their tails too — ``.min/.max/.p50/.p99`` beside
-        ``.count/.mean`` — so experiment JSON captures tail behaviour, not
-        just central tendency.
-        """
-        out: dict[str, float] = {n: c.value for n, c in self.counters.items()}
-        out.update(self.values)
-        for name, hist in self.histograms.items():
-            out[f"{name}.count"] = hist.count
-            out[f"{name}.mean"] = hist.mean
-            out[f"{name}.min"] = hist.min if hist.min is not None else 0.0
-            out[f"{name}.max"] = hist.max if hist.max is not None else 0.0
-            out[f"{name}.p50"] = hist.percentile(50)
-            out[f"{name}.p99"] = hist.percentile(99)
-        return out

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs.metrics import MetricRegistry
-from repro.sim.stats import StatsCollector
+from repro.sim.stats import Histogram
 
 
 class TestLabelSets:
@@ -70,7 +70,7 @@ class TestKinds:
 
     def test_histogram_merge_from(self):
         reg = MetricRegistry()
-        src = StatsCollector().histogram("lat", bucket_width=5)
+        src = Histogram("lat", 5)
         for v in (2, 7, 12):
             src.record(v)
         dst = reg.histogram("lat", bucket_width=10)
@@ -79,20 +79,6 @@ class TestKinds:
         assert dst.count == 4
         assert dst.min == 2
         assert dst.max == 33
-
-
-class TestAbsorb:
-    def test_absorb_stats_collector(self):
-        stats = StatsCollector()
-        stats.counter("faults").add(12)
-        stats.set_value("exec_cycles", 9000)
-        stats.histogram("batch_pages", bucket_width=8).record(17)
-        reg = MetricRegistry()
-        reg.absorb(stats, prefix="uvm.", workload="BC")
-        assert reg.counter("uvm.faults", workload="BC").value == 12
-        assert reg.gauge("uvm.exec_cycles", workload="BC").value == 9000
-        h = reg.histogram("uvm.batch_pages", 8, workload="BC")
-        assert h.count == 1
 
 
 class TestExportShapes:
@@ -146,7 +132,7 @@ class TestStatsPercentileFix:
     """Satellite: Histogram.percentile interpolation + clamping."""
 
     def test_top_percentile_is_true_max(self):
-        h = StatsCollector().histogram("h", bucket_width=1000)
+        h = Histogram("h", 1000)
         for v in (10, 20, 999):
             h.record(v)
         # Previously returned the bucket lower edge (0) for every quantile.
@@ -155,18 +141,18 @@ class TestStatsPercentileFix:
         assert h.percentile(0) >= 10
 
     def test_clamped_to_observed_range(self):
-        h = StatsCollector().histogram("h", bucket_width=100)
+        h = Histogram("h", 100)
         h.record(42)
         for q in (0, 50, 99, 100):
             assert h.percentile(q) == 42
 
     def test_interpolates_within_bucket(self):
-        h = StatsCollector().histogram("h", bucket_width=100)
+        h = Histogram("h", 100)
         for v in range(100):
             h.record(v)
         assert h.percentile(50) == pytest.approx(49, abs=1)
 
     def test_rejects_out_of_range(self):
-        h = StatsCollector().histogram("h")
+        h = Histogram("h", 1.0)
         with pytest.raises(ValueError):
             h.percentile(101)

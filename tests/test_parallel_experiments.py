@@ -14,11 +14,8 @@ PRESETS = (systems.BASELINE, systems.TO)
 
 @pytest.fixture()
 def isolated_cache(tmp_path):
-    common.clear_run_cache()
-    common.reset_cache_stats()
     with common.run_policy(common.RunPolicy(cache_dir=tmp_path / "a")):
         yield tmp_path
-    common.clear_run_cache()
 
 
 
@@ -41,9 +38,8 @@ class TestParallelEquality:
     def test_parallel_matrix_matches_serial(self, isolated_cache):
         serial = common.run_matrix(PRESETS, WORKLOADS, scale="tiny")
 
-        # Fresh memo and a fresh cache dir: the parallel run recomputes
+        # A fresh cache dir has a fresh memo: the parallel run recomputes
         # every cell in worker processes.
-        common.clear_run_cache()
         common.set_cache_dir(isolated_cache / "b")
         with common.run_policy(jobs=2):
             parallel = common.run_matrix(PRESETS, WORKLOADS, scale="tiny")

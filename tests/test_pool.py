@@ -22,6 +22,8 @@ resume) lives in ``test_pool_recovery.py``; the pool-backed server in
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import systems
@@ -51,11 +53,8 @@ pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptio
 @pytest.fixture()
 def harness(tmp_path):
     """Isolated cache + pristine run policy for the test's duration."""
-    common.clear_run_cache()
-    common.reset_cache_stats()
     with common.run_policy(common.RunPolicy(cache_dir=tmp_path / "cache")):
         yield tmp_path
-    common.clear_run_cache()
 
 
 def _spec(workload="KCORE", preset=systems.BASELINE, **kwargs):
@@ -252,6 +251,38 @@ class TestSupervisedPool:
             "a bare spec must pick up the policy's checkpoint directory"
         )
         assert not list(ckpt.glob("*")), "no checkpoint litter on success"
+
+    def test_workers_do_not_trace_into_the_parent_session(
+        self, harness, tmp_path
+    ):
+        """A forked worker must not run its cells on the copies of the
+        parent's obs session and cell hook it inherited: the stalled
+        cell's checkpoint would carry the session, and restore with it."""
+        from repro import obs
+        from repro.checkpoint import try_load
+
+        policy = replace(
+            common.default_policy(),
+            jobs=2,
+            cell_timeout=1e-9,
+            checkpoint_dir=tmp_path / "ckpt",
+            retries=0,
+            on_error="keep-going",
+        )
+        # ~10k events each: past the watchdog's first wall-clock sample.
+        specs = [_spec("BFS-TTC", ratio=0.5, seed=seed) for seed in (0, 1)]
+        hooked = tmp_path / "hooked"
+        common.set_cell_hook(lambda sim: hooked.touch())
+        try:
+            with obs.session("full"):
+                failures = common.run_cells(specs, policy=policy)
+        finally:
+            common.set_cell_hook(None)
+        assert not hooked.exists(), "worker ran the parent's cell hook"
+        for failure in failures:
+            assert failure.error_type == "SimulationStalledError"
+            sim = try_load(failure.checkpoint_path).restore()
+            assert sim.obs is None, "worker traced into an inherited session"
 
     def test_close_is_idempotent_and_run_after_close_raises(self, harness):
         pool = SupervisedPool(PoolConfig(workers=1, **FAST_POOL))

@@ -34,13 +34,10 @@ from repro.simulator import SimulationResult
 
 @pytest.fixture()
 def harness(tmp_path):
-    common.clear_run_cache()
-    common.reset_cache_stats()
     with common.run_policy(
         common.RunPolicy(cache_dir=tmp_path / "cache", cache_enabled=False)
     ):
         yield tmp_path
-    common.clear_run_cache()
 
 
 def _spec(**kwargs):

@@ -4,6 +4,8 @@ serving layer)."""
 
 import dataclasses
 import os
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -15,12 +17,10 @@ from repro.experiments import common
 
 @pytest.fixture()
 def cache(tmp_path, monkeypatch):
-    """Isolate the persistent cache in a temp dir with clean state."""
-    common.clear_run_cache()
-    common.reset_cache_stats()
+    """Isolate the persistent cache in a temp dir: its own memo,
+    counters and pins."""
     with common.run_policy(common.RunPolicy(cache_dir=tmp_path)):
         yield tmp_path
-    common.clear_run_cache()
 
 
 def _run(**kwargs):
@@ -153,13 +153,6 @@ class TestCacheKey:
         assert second.exec_cycles == first.exec_cycles
 
 
-@pytest.fixture()
-def quota_cache(cache):
-    """The isolated cache dir plus guaranteed pin cleanup."""
-    yield cache
-    common._PINNED_PATHS.clear()
-
-
 def _quota(max_bytes):
     """The isolated cache's policy bounded to ``max_bytes``."""
     return replace(common.default_policy(), cache_quota_bytes=max_bytes)
@@ -171,12 +164,12 @@ def _spec(seed=0):
     ).resolved()
 
 
-def _fill(quota_cache, seeds):
+def _fill(cache, seeds):
     """Run one cell per seed; return {seed: cache file} oldest-first."""
     files = {}
     for age, seed in enumerate(seeds):
         common.run_cells([_spec(seed)])
-        (new,) = [p for p in quota_cache.glob("*.pkl") if p not in files.values()]
+        (new,) = [p for p in cache.glob("*.pkl") if p not in files.values()]
         files[seed] = new
         # Deterministic LRU order regardless of filesystem timestamp
         # granularity: older seeds get strictly older mtimes.
@@ -194,22 +187,22 @@ class TestCacheQuota:
         # Unbounded is fine, and the default.
         assert common.RunPolicy().cache_quota_bytes is None
 
-    def test_unbounded_by_default_evicts_nothing(self, quota_cache):
-        _fill(quota_cache, [0, 1, 2])
+    def test_unbounded_by_default_evicts_nothing(self, cache):
+        _fill(cache, [0, 1, 2])
         assert common.enforce_cache_quota() == 0
-        assert len(list(quota_cache.glob("*.pkl"))) == 3
+        assert len(list(cache.glob("*.pkl"))) == 3
 
-    def test_lru_eviction_drops_oldest_first(self, quota_cache):
-        files = _fill(quota_cache, [0, 1, 2])
+    def test_lru_eviction_drops_oldest_first(self, cache):
+        files = _fill(cache, [0, 1, 2])
         one_entry = max(p.stat().st_size for p in files.values())
         evicted = common.enforce_cache_quota(_quota(one_entry))
         assert evicted == 2
-        survivors = set(quota_cache.glob("*.pkl"))
+        survivors = set(cache.glob("*.pkl"))
         assert survivors == {files[2]}, "newest entry must survive"
         assert common.cache_stats()["evictions"] == 2
 
-    def test_disk_read_refreshes_recency(self, quota_cache):
-        files = _fill(quota_cache, [0, 1])
+    def test_disk_read_refreshes_recency(self, cache):
+        files = _fill(cache, [0, 1])
         # A disk hit on the *older* entry must mark it recently used.
         common.clear_run_cache()
         common.run_cells([_spec(0)])
@@ -218,42 +211,53 @@ class TestCacheQuota:
         common.enforce_cache_quota(
             _quota(max(p.stat().st_size for p in files.values()))
         )
-        assert set(quota_cache.glob("*.pkl")) == {files[0]}
+        assert set(cache.glob("*.pkl")) == {files[0]}
 
-    def test_store_enforces_quota_automatically(self, quota_cache):
-        files = _fill(quota_cache, [0])
+    def test_memo_hit_refreshes_recency_under_a_quota(self, cache):
+        files = _fill(cache, [0, 1])
+        one_entry = max(p.stat().st_size for p in files.values())
+        # A memo hit on the older entry is a use the LRU must see, or
+        # the hottest entries would age out of the directory.
+        assert common.probe_cache(_spec(0), policy=_quota(2 * one_entry))
+        assert files[0].stat().st_mtime > files[1].stat().st_mtime
+        common.enforce_cache_quota(_quota(one_entry))
+        assert set(cache.glob("*.pkl")) == {files[0]}
+
+    def test_store_enforces_quota_automatically(self, cache):
+        files = _fill(cache, [0])
         policy = _quota(files[0].stat().st_size)
         common.run_cells([_spec(1)], policy=policy)  # store pushes past it
-        remaining = list(quota_cache.glob("*.pkl"))
+        remaining = list(cache.glob("*.pkl"))
         assert len(remaining) == 1
         assert common.cache_stats()["evictions"] >= 1
 
-    def test_pinned_entry_survives_eviction(self, quota_cache):
-        files = _fill(quota_cache, [0, 1])
+    def test_pinned_entry_survives_eviction(self, cache):
+        files = _fill(cache, [0, 1])
         key = common._memo_key(_spec(0))
-        common.pin_cache_entry(key)
+        common.run_cache().pin(key)
         try:
             common.enforce_cache_quota(_quota(1))  # nothing fits
-            survivors = set(quota_cache.glob("*.pkl"))
+            survivors = set(cache.glob("*.pkl"))
             assert files[0] in survivors, "pinned entry was evicted"
             assert files[1] not in survivors
         finally:
-            common.unpin_cache_entry(key)
-        assert common.pinned_cache_entries() == 0
+            common.run_cache().unpin(key)
+        assert common.run_cache().pinned() == 0
         common.enforce_cache_quota(_quota(1))
-        assert not list(quota_cache.glob("*.pkl"))
+        assert not list(cache.glob("*.pkl"))
 
-    def test_pins_are_refcounted(self, quota_cache):
+    def test_pins_are_refcounted(self, cache):
         key = common._memo_key(_spec(0))
-        common.pin_cache_entry(key)
-        common.pin_cache_entry(key)
-        assert common.pinned_cache_entries() == 1
-        common.unpin_cache_entry(key)
-        assert common.pinned_cache_entries() == 1, "one pin must remain"
-        common.unpin_cache_entry(key)
-        assert common.pinned_cache_entries() == 0
-        common.unpin_cache_entry(key)  # over-unpin is harmless
-        assert common.pinned_cache_entries() == 0
+        run_cache = common.run_cache()
+        run_cache.pin(key)
+        run_cache.pin(key)
+        assert run_cache.pinned() == 1
+        run_cache.unpin(key)
+        assert run_cache.pinned() == 1, "one pin must remain"
+        run_cache.unpin(key)
+        assert run_cache.pinned() == 0
+        run_cache.unpin(key)  # over-unpin is harmless
+        assert run_cache.pinned() == 0
 
 
 class TestProbeCache:
@@ -275,3 +279,59 @@ class TestProbeCache:
     def test_probe_respects_use_cache(self, cache):
         common.run_cells([_spec()])
         assert common.probe_cache(_spec(), use_cache=False) is None
+
+
+class TestPerDirectory:
+    def test_directories_share_no_memo_or_counters(self, cache):
+        a = replace(common.default_policy(), cache_dir=cache / "a")
+        b = replace(common.default_policy(), cache_dir=cache / "b")
+        common.run_cells([_spec()], policy=a)
+        assert common.probe_cache(_spec(), policy=a) is not None
+        assert common.probe_cache(_spec(), policy=b) is None
+        assert common.cache_stats(a) == dict(
+            memory_hits=1, disk_hits=0, misses=1, evictions=0
+        )
+        assert set(common.cache_stats(b).values()) == {0}
+
+    def test_quota_eviction_drops_the_memo_entry(self, cache):
+        policy = _quota(1)  # smaller than any entry
+        common.run_cells([_spec()], policy=policy)
+        assert not list(cache.glob("*.pkl")), "the store was not evicted"
+        assert common.probe_cache(_spec(), policy=policy) is None
+        assert common.cache_stats()["evictions"] == 1
+
+    def test_policies_on_one_directory_share_the_memo(self, cache, monkeypatch):
+        monkeypatch.chdir(cache)
+        relative = common.RunPolicy(cache_dir="runs")
+        absolute = common.RunPolicy(cache_dir=cache / "runs", retries=3)
+        (result,) = common.run_cells([_spec()], policy=relative)
+        assert common.probe_cache(_spec(), policy=absolute) is result
+        assert common.run_cache(relative) is common.run_cache(absolute)
+        assert common.cache_stats(absolute)["memory_hits"] == 1
+
+    def test_counters_and_pins_survive_thread_contention(self, cache):
+        """The server counts and pins from its event loop while its batch
+        thread counts and evicts: no update may be lost."""
+        run_cache = common.run_cache()
+        key = common._memo_key(_spec())
+        rounds, threads = 2000, 8
+
+        def hammer():
+            for _ in range(rounds):
+                run_cache.count("memory_hits")
+                run_cache.pin(key)
+                run_cache.unpin(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hammer) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert common.cache_stats()["memory_hits"] == rounds * threads
+        assert run_cache.pinned() == 0

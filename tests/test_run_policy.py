@@ -28,7 +28,7 @@ from repro.pool import PoolConfig, SupervisedPool
 from repro.serve import cli as serve_cli
 from repro.serve.client import ServeClient
 from repro.serve.server import ReproServer, ServeConfig
-from repro.serve.testing import _cache_state_guard, running_server
+from repro.serve.testing import running_server
 
 FAST = {"workload": "KCORE", "scale": "tiny", "seed": 7}
 
@@ -110,10 +110,8 @@ class TestCliUsageErrors:
 
 @pytest.fixture()
 def isolated(tmp_path):
-    with _cache_state_guard():
-        common.clear_run_cache()
-        with common.run_policy(RunPolicy(cache_dir=tmp_path / "default")):
-            yield tmp_path
+    with common.run_policy(RunPolicy(cache_dir=tmp_path / "default")):
+        yield tmp_path
 
 
 class TestScope:
@@ -179,6 +177,31 @@ class TestServerPolicy:
                 assert response.json()["cached"] is False
         assert len(list(a_dir.glob("*.pkl"))) == 1
         assert not list(b_dir.glob("*.pkl"))
+
+    def test_two_servers_keep_their_own_memo_and_counters(self, isolated):
+        """Each server's run cache is its directory's: A's result is no
+        hit for B, which computes and stores it itself, and each
+        ``/v1/stats`` counts only its own traffic."""
+        a_dir, b_dir = isolated / "a", isolated / "b"
+        with running_server(
+            policy=RunPolicy(cache_dir=a_dir), announce=False
+        ) as (_, a_client):
+            with running_server(
+                policy=RunPolicy(cache_dir=b_dir), announce=False
+            ) as (_, b_client):
+                assert a_client.run(**FAST).json()["cached"] is False
+                assert a_client.run(**FAST).json()["cached"] is True
+                response = b_client.run(**FAST)
+                assert response.status == 200
+                assert response.json()["cached"] is False, (
+                    "B answered from A's memo"
+                )
+                a_stats = a_client.stats()["run_cache"]
+                b_stats = b_client.stats()["run_cache"]
+        assert len(list(b_dir.glob("*.pkl"))) == 1
+        counts = dict(memory_hits=0, disk_hits=0, misses=1, evictions=0)
+        assert a_stats == dict(counts, memory_hits=1)
+        assert b_stats == counts
 
     def test_direct_server_leaves_default_policy_unchanged(self, isolated):
         before = common.default_policy()

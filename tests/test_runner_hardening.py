@@ -18,11 +18,8 @@ FAILING_CHAOS = parse_chaos_spec("fail-batch:batch=0", seed=0)
 @pytest.fixture()
 def harness(tmp_path):
     """Isolated cache plus pristine failure/retry policy, restored after."""
-    common.clear_run_cache()
-    common.reset_cache_stats()
     with common.run_policy(common.RunPolicy(cache_dir=tmp_path)):
         yield tmp_path
-    common.clear_run_cache()
 
 
 def specs(*chaos_slots):

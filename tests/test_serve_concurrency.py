@@ -37,7 +37,7 @@ from repro.serve.protocol import (
     spec_from_request,
     validate_run_request,
 )
-from repro.serve.testing import _cache_state_guard, running_server
+from repro.serve.testing import running_server
 
 #: Small request pool shared by the oracle and the randomised tests.
 POOL = [
@@ -61,13 +61,11 @@ def oracle(tmp_path_factory):
     """
     cache = tmp_path_factory.mktemp("oracle-cache")
     payloads = {}
-    with _cache_state_guard():
-        policy = RunPolicy(cache_dir=cache)
-        common.clear_run_cache()
-        for request in POOL:
-            spec = spec_from_request(validate_run_request(dict(request)))
-            (result,) = common.run_cells([spec], policy=policy)
-            payloads[_pool_key(request)] = result_payload(result)
+    policy = RunPolicy(cache_dir=cache)
+    for request in POOL:
+        spec = spec_from_request(validate_run_request(dict(request)))
+        (result,) = common.run_cells([spec], policy=policy)
+        payloads[_pool_key(request)] = result_payload(result)
     return payloads
 
 
@@ -349,8 +347,6 @@ class TestCliBitIdentity:
                 {"workload": "KCORE", "scale": "tiny", "ratio": ratio}
             )
         )
-        with _cache_state_guard():
-            policy = RunPolicy(cache_dir=tmp_path / "oracle2")
-            common.clear_run_cache()
-            (result,) = common.run_cells([spec], policy=policy)
+        policy = RunPolicy(cache_dir=tmp_path / "oracle2")
+        (result,) = common.run_cells([spec], policy=policy)
         assert dump_result_json(result) == cli_bytes

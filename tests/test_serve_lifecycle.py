@@ -36,7 +36,7 @@ from repro.serve.protocol import (
     spec_from_request,
     validate_run_request,
 )
-from repro.serve.testing import _cache_state_guard, running_server
+from repro.serve.testing import running_server
 
 SLOW = {"workload": "BFS-TWC", "scale": "small", "seed": 0}
 FAST = {"workload": "KCORE", "scale": "tiny", "seed": 0}
@@ -64,11 +64,9 @@ def _on_worker(client, batches: int = 1):
 def slow_oracle(tmp_path_factory):
     """The uninterrupted result for the slow cell, computed server-free."""
     cache = tmp_path_factory.mktemp("lifecycle-oracle")
-    with _cache_state_guard():
-        policy = RunPolicy(cache_dir=cache)
-        common.clear_run_cache()
-        spec = spec_from_request(validate_run_request(dict(SLOW)))
-        (result,) = common.run_cells([spec], policy=policy)
+    policy = RunPolicy(cache_dir=cache)
+    spec = spec_from_request(validate_run_request(dict(SLOW)))
+    (result,) = common.run_cells([spec], policy=policy)
     return result_payload(result)
 
 
@@ -156,8 +154,9 @@ class TestRestartWarm:
             assert cold.json()["cached"] is False
             cold_payload = cold.json()["result"]
         # New server instance, same cache directory: the entry comes
-        # back from disk (the in-process memo was restored/cleared by
-        # the fixture guard between the two servers).
+        # back from disk.  A restart is a new process, whose memo starts
+        # empty; in this one, the shared directory's memo is dropped.
+        common.clear_run_cache()
         with running_server(
             policy=RunPolicy(cache_dir=cache)
         ) as (_server, client):
@@ -212,13 +211,11 @@ class TestQuotaPinning:
         """Entries being computed/served stay pinned: a store that trips
         the quota mid-batch must not evict its own batchmates."""
         probe_dir = tmp_path / "probe"
-        with _cache_state_guard():
-            policy = RunPolicy(cache_dir=probe_dir)
-            common.clear_run_cache()
-            spec = spec_from_request(validate_run_request(dict(FAST)))
-            common.run_cells([spec], policy=policy)
-            (entry,) = probe_dir.glob("*.pkl")
-            entry_size = entry.stat().st_size
+        policy = RunPolicy(cache_dir=probe_dir)
+        spec = spec_from_request(validate_run_request(dict(FAST)))
+        common.run_cells([spec], policy=policy)
+        (entry,) = probe_dir.glob("*.pkl")
+        entry_size = entry.stat().st_size
 
         cache = tmp_path / "cache"
         with running_server(
@@ -254,7 +251,7 @@ class TestQuotaPinning:
                     break
                 time.sleep(0.05)
             assert len(list(cache.glob("*.pkl"))) <= 2
-            assert common.pinned_cache_entries() == 0
+            assert server.cache.pinned() == 0
 
 
 class TestSigterm:

@@ -1,24 +1,8 @@
-"""Unit tests for counters and histograms."""
+"""Unit tests for the bucketed histogram."""
 
 import pytest
 
-from repro.sim.stats import Counter, Histogram, StatsCollector
-
-
-class TestCounter:
-    def test_starts_at_zero(self):
-        assert Counter("x").value == 0
-
-    def test_add_default_one(self):
-        c = Counter("x")
-        c.add()
-        c.add()
-        assert c.value == 2
-
-    def test_add_amount(self):
-        c = Counter("x")
-        c.add(5)
-        assert int(c) == 5
+from repro.sim.stats import Histogram
 
 
 class TestHistogram:
@@ -81,20 +65,3 @@ class TestHistogram:
         assert h.mean == 0.0
         assert h.percentile(50) == 0.0
         assert h.fraction_in_bucket(0) == 0.0
-
-
-class TestStatsCollector:
-    def test_counter_lazily_created_and_cached(self):
-        s = StatsCollector()
-        assert s.counter("a") is s.counter("a")
-
-    def test_snapshot_flattens(self):
-        s = StatsCollector()
-        s.counter("faults").add(3)
-        s.set_value("rate", 0.5)
-        s.histogram("lat", 10).record(25)
-        snap = s.snapshot()
-        assert snap["faults"] == 3
-        assert snap["rate"] == 0.5
-        assert snap["lat.count"] == 1
-        assert snap["lat.mean"] == 25
