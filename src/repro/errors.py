@@ -184,10 +184,11 @@ class PoolBrokenError(PoolError):
     """The pool itself collapsed: workers could not be (re)spawned.
 
     Unlike :class:`WorkerCrashError` (one worker, one task), this marks
-    pool-wide infrastructure breakage.  :func:`repro.experiments.common.run_cells`
-    responds by rebuilding the pool once and resubmitting only the
-    affected cells — surviving results are kept, and no per-cell retry
-    budget is burned on what was never the cell's fault.
+    pool-wide infrastructure breakage.  The pool heals itself once, in
+    place, before it reports this: every slot's spawn-failure count is
+    reset and the fleet respawns, so the outstanding cells get a second
+    fleet.  Only if that fails too do they resolve to this error, which
+    is never retried per cell — it was never the cell's fault.
     """
 
 

@@ -17,12 +17,18 @@ their results can be reused forever.  Two mechanisms exploit that:
 * **Supervised parallel fan-out** — :func:`run_cells` (and
   :func:`run_matrix` on top of it) dispatches cache-missing cells to a
   crash-isolated :class:`repro.pool.SupervisedPool`: heartbeats, SIGTERM
-  → SIGKILL escalation for hung workers, restart with backoff, and
+  → SIGKILL escalation for hung workers, restart with backoff,
   checkpoint-based handoff of interrupted cells (a crashed cell resumes
-  from its last batch boundary in a fresh worker).  Results are merged
-  back by cell index, so a parallel run is bit-identical to the serial
-  one.  Select workers with ``--jobs``, ``REPRO_JOBS``, or
-  ``RunPolicy(jobs=N)`` (default: serial).
+  from its last batch boundary in a fresh worker), and one in-place heal
+  when no worker can be kept alive.  Results are merged back by cell
+  index, so a parallel run is bit-identical to the serial one.  Select
+  workers with ``--jobs``, ``REPRO_JOBS``, or ``RunPolicy(jobs=N)``
+  (default: serial).
+
+Every cache-missing cell, in a sweep or in ``repro-serve``, is dispatched
+by one function, :func:`submit_cell`: a future per cell, its result
+cached the moment it lands, and one retry rule (:func:`_after_error`)
+whether the cell runs in this process or on the pool.
 
 How a sweep runs — cache, workers, chaos, timeouts, checkpoints,
 retries, failure handling, pool supervision — is one frozen
@@ -42,6 +48,8 @@ import sys
 import threading
 import time as _time
 import warnings
+from collections import OrderedDict
+from concurrent.futures import Future
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -56,7 +64,6 @@ from repro.chaos.config import (
 from repro.errors import (
     CellFailure,
     ConfigError,
-    PoolBrokenError,
     ReproError,
     SimulationStalledError,
 )
@@ -274,17 +281,6 @@ def _memo_key(spec: RunSpec) -> tuple:
 # ----------------------------------------------------------------------
 # Run policy
 # ----------------------------------------------------------------------
-#: Errors worth retrying: infrastructure hiccups, not simulator states.
-#: A deterministic simulation error would simply reproduce, so
-#: :class:`~repro.errors.ReproError` is deliberately absent.  So is
-#: ``MemoryError``: a cell that exhausts memory will exhaust it again —
-#: it surfaces as a structured :class:`~repro.errors.CellFailure`
-#: instead of burning the retry budget.  Pool-wide breakage
-#: (:class:`~repro.errors.PoolBrokenError`) is likewise not retried per
-#: cell: :func:`run_cells` rebuilds the pool once and resubmits only the
-#: affected cells.
-_TRANSIENT_ERRORS: tuple[type[BaseException], ...] = (OSError,)
-
 _ON_ERROR_POLICIES = ("raise", "keep-going")
 
 
@@ -389,15 +385,27 @@ class RunPolicy:
     def from_env(cls) -> "RunPolicy":
         """The defaults, adjusted by ``REPRO_CACHE``, ``REPRO_CACHE_DIR``,
         ``REPRO_CACHE_QUOTA_MB`` and ``REPRO_JOBS`` — the only place the
-        experiment layer reads the environment."""
+        experiment layer reads the environment.  A value that is not a
+        positive number raises :class:`~repro.errors.ConfigError`
+        naming its variable."""
         env = os.environ
-        quota_mb = env.get("REPRO_CACHE_QUOTA_MB")
-        quota = max(1, int(float(quota_mb) * 1024 * 1024)) if quota_mb else None
+
+        def positive(name: str, parse: Callable):
+            raw = env.get(name)
+            try:
+                value = parse(raw) if raw else None
+            except ValueError:
+                value = 0
+            if value is not None and not 0 < value < float("inf"):
+                raise ConfigError(f"{name} must be a positive number", value=raw)
+            return value
+
+        quota_mb = positive("REPRO_CACHE_QUOTA_MB", float)
         return cls(
             cache_dir=env.get("REPRO_CACHE_DIR") or ".repro-cache",
             cache_enabled=env.get("REPRO_CACHE", "1") != "0",
-            cache_quota_bytes=quota,
-            jobs=max(1, int(env.get("REPRO_JOBS", "1") or "1")),
+            cache_quota_bytes=quota_mb and max(1, int(quota_mb * 1024 * 1024)),
+            jobs=positive("REPRO_JOBS", int) or 1,
         )
 
     @classmethod
@@ -641,9 +649,10 @@ def add_policy_arguments(
         parser.add_argument(*options, dest=dest, default=None, **kwargs)
 
 
-#: The policy of calls that pass none: built from the environment at
-#: import, replaced for the duration of a :func:`run_policy` block.
-_DEFAULT_POLICY = RunPolicy.from_env()
+#: The policy of calls that pass none: built from the environment on
+#: first use (so a CLI reports an invalid variable as a usage error),
+#: replaced for the duration of a :func:`run_policy` block.
+_DEFAULT_POLICY: RunPolicy | None = None
 #: Keep-going failures of calls run under a :func:`run_policy` scope's
 #: policy (``None`` outside any scope: nothing is collected).
 _FAILURES: list[CellFailure] | None = None
@@ -651,6 +660,9 @@ _FAILURES: list[CellFailure] | None = None
 
 def default_policy() -> RunPolicy:
     """The policy in effect for calls that pass none."""
+    global _DEFAULT_POLICY
+    if _DEFAULT_POLICY is None:
+        _DEFAULT_POLICY = RunPolicy.from_env()
     return _DEFAULT_POLICY
 
 
@@ -667,7 +679,7 @@ def run_policy(
             fig11_speedup.run(scale="small")
     """
     global _DEFAULT_POLICY, _FAILURES
-    scoped = replace(policy or _DEFAULT_POLICY, **changes)
+    scoped = replace(policy or default_policy(), **changes)
     saved = _DEFAULT_POLICY, _FAILURES
     _DEFAULT_POLICY, _FAILURES = scoped, []
     try:
@@ -682,7 +694,7 @@ def set_cache_dir(path: str | pathlib.Path | None) -> None:
     global _DEFAULT_POLICY
     if path is None:
         path = RunPolicy.from_env().cache_dir
-    _DEFAULT_POLICY = replace(_DEFAULT_POLICY, cache_dir=path)
+    _DEFAULT_POLICY = replace(default_policy(), cache_dir=path)
 
 
 #: Worker-process-local hook called with each freshly built/restored
@@ -803,24 +815,31 @@ def _disk_store(
         pass  # caching is best-effort; an unwritable dir must not fail runs
 
 
+#: Results a :class:`RunCache` memo keeps, least recently used first out
+#: (an evicted entry is then a disk hit).  Above every perfbench
+#: workload's cell count, so no benchmark round ever drops one.
+MEMO_ENTRIES = 1024
+
+
 class RunCache:
     """The in-process state of one persistent run-cache directory.
 
-    ``memo`` holds completed results by cache key above the directory,
-    so repeated lookups return the *same* object and cost nothing; quota
-    eviction and :func:`clear_persistent_cache` drop an entry from both,
-    so a quota bounds the memo too.  ``stats`` counts this directory's
+    ``memo`` holds the :data:`MEMO_ENTRIES` most recently used results
+    by cache key above the directory, so repeated lookups return the
+    *same* object and cost nothing; quota eviction and
+    :func:`clear_persistent_cache` drop an entry from both, so a quota
+    bounds the memo further.  ``stats`` counts this directory's
     traffic.  Pins keep in-flight entries (the serving layer's) from
-    quota eviction, refcounted.  Counters and pins change under a lock:
-    the server probes and pins from its event loop while its batch
-    thread runs cells and evicts.  Every policy naming the directory
-    shares one instance (:func:`run_cache`), however often policies are
-    replaced.
+    quota eviction, refcounted.  The memo, counters and pins change
+    under a lock: the server probes and pins from its event loop while
+    results land, are stored and evict on the pool's loop thread.
+    Every policy naming the directory shares one instance
+    (:func:`run_cache`), however often policies are replaced.
     """
 
     def __init__(self, directory: pathlib.Path) -> None:
         self.directory = directory
-        self.memo: dict[tuple, SimulationResult] = {}
+        self.memo: OrderedDict[tuple, SimulationResult] = OrderedDict()
         self.stats = dict.fromkeys(
             ("memory_hits", "disk_hits", "misses", "evictions"), 0
         )
@@ -838,7 +857,10 @@ class RunCache:
     def get(self, key: tuple, policy: RunPolicy) -> SimulationResult | None:
         """The memo's result for ``key``, else the directory's (when the
         policy reads it); counts hits only."""
-        result = self.memo.get(key)
+        with self._lock:
+            result = self.memo.get(key)
+            if result is not None:
+                self.memo.move_to_end(key)
         if result is not None:
             if policy.cache_enabled and policy.cache_quota_bytes is not None:
                 # A use the LRU must see, or hot entries would age out.
@@ -848,13 +870,20 @@ class RunCache:
             result = _disk_load(self.directory / _cache_name(key), key)
             if result is not None:
                 self.count("disk_hits")
-                self.memo[key] = result
+                self._remember(key, result)
         return result
+
+    def _remember(self, key: tuple, result: SimulationResult) -> None:
+        with self._lock:
+            self.memo[key] = result
+            self.memo.move_to_end(key)
+            while len(self.memo) > MEMO_ENTRIES:
+                self.memo.popitem(last=False)
 
     def put(
         self, key: tuple, result: SimulationResult, policy: RunPolicy
     ) -> None:
-        self.memo[key] = result
+        self._remember(key, result)
         if policy.cache_enabled:
             _disk_store(self.directory / _cache_name(key), key, result)
             self.enforce_quota(policy.cache_quota_bytes)
@@ -911,9 +940,10 @@ class RunCache:
             total -= size
             evicted.add(path.name)
         if evicted:
-            for key in list(self.memo):
-                if _cache_name(key) in evicted:
-                    self.memo.pop(key, None)
+            with self._lock:
+                for key in list(self.memo):
+                    if _cache_name(key) in evicted:
+                        del self.memo[key]
             self.count("evictions", len(evicted))
         return len(evicted)
 
@@ -925,7 +955,7 @@ _CACHES: dict[str, RunCache] = {}
 def run_cache(policy: RunPolicy | None = None) -> RunCache:
     """The :class:`RunCache` of the policy's directory (default: the
     current policy's), found by absolute path."""
-    directory = os.path.abspath((policy or _DEFAULT_POLICY).cache_dir)
+    directory = os.path.abspath((policy or default_policy()).cache_dir)
     cache = _CACHES.get(directory)
     if cache is None:
         cache = _CACHES.setdefault(directory, RunCache(pathlib.Path(directory)))
@@ -944,7 +974,7 @@ def enforce_cache_quota(policy: RunPolicy | None = None) -> int:
     operators (and the CLIs) to trigger a sweep after lowering the quota.
     Disk and memo hits refresh an entry's recency, so it tracks reads,
     not just writes."""
-    policy = policy or _DEFAULT_POLICY
+    policy = policy or default_policy()
     return run_cache(policy).enforce_quota(policy.cache_quota_bytes)
 
 
@@ -984,7 +1014,7 @@ def probe_cache(
     """
     if not use_cache:
         return None
-    policy = policy or _DEFAULT_POLICY
+    policy = policy or default_policy()
     return run_cache(policy).get(_memo_key(policy.apply(spec)), policy)
 
 
@@ -1098,47 +1128,51 @@ def _simulate_spec(spec: RunSpec) -> SimulationResult:
     return drive_cell(spec, *open_cell(spec))
 
 
-def _record_failure(
-    spec: RunSpec,
-    exc: BaseException,
-    attempts: int,
-    policy: RunPolicy,
-) -> CellFailure:
-    """Convert a persistently failing cell into a structured record.
+def _after_error(
+    spec: RunSpec, exc: BaseException, attempts: int, policy: RunPolicy
+) -> RunSpec | CellFailure:
+    """The one retry rule, for cells run in process and in the pool.
 
-    Under the ``raise`` policy the record is *raised* (chained to the
-    original error) so a sweep still aborts loudly; under ``keep-going``
-    it is returned to sit in the cell's result slot."""
-    failure = CellFailure(
-        str(exc) or type(exc).__name__,
-        workload=spec.workload,
-        system=spec.preset.name if spec.preset is not None else "config",
-        attempts=attempts,
-        error_type=type(exc).__qualname__,
-        scale=spec.scale,
+    ``exc`` ended attempt number ``attempts``.  Returns the spec to
+    retry with, or the cell's :class:`CellFailure` — *raised* (chained
+    to ``exc``) under the ``raise`` policy, so a sweep still aborts
+    loudly.  A transient ``OSError`` retries while the budget lasts, and
+    so does a watchdog stall that left a checkpoint: its retry *resumes*
+    the checkpoint, so each attempt makes forward progress even under a
+    tight budget.  Any other ``ReproError`` (a deterministic error would
+    simply reproduce) and ``MemoryError`` (a cell that exhausts memory
+    will exhaust it again) fail at once; failures the pool built
+    (poison cells) arrive structured.  Anything outside
+    that taxonomy propagates: it is a bug, not a cell failure.
+    """
+    if not isinstance(exc, (ReproError, MemoryError, OSError)):
+        raise exc
+    stalled = (
+        isinstance(exc, SimulationStalledError)
+        and spec.checkpoint_dir is not None
+        and getattr(exc, "checkpoint_path", None) is not None
     )
-    # The simulator attaches a flight-recorder dump (recent batches +
-    # engine events) to the exception when analytics is on; carry it so
-    # the runner's failure snapshot includes the forensics.  A stall that
-    # managed to checkpoint also names the file, so the operator can
-    # resume the cell by hand even after the retry budget ran out.
-    failure.flight_recorder = getattr(exc, "flight_recorder", None)
-    failure.checkpoint_path = getattr(exc, "checkpoint_path", None)
-    return _deliver_failure(failure, policy, cause=exc)
-
-
-def _deliver_failure(
-    failure: CellFailure,
-    policy: RunPolicy,
-    cause: BaseException | None = None,
-) -> CellFailure:
-    """Apply the on-error policy to a structured failure record.
-
-    Shared by :func:`_record_failure` (failures built here from raw
-    exceptions) and the pool path (failures built by the supervisor —
-    poison cells — that arrive pre-structured)."""
+    if attempts <= policy.retries and (stalled or isinstance(exc, OSError)):
+        return replace(spec, resume=True) if stalled else spec
+    failure = exc
+    if not isinstance(exc, CellFailure):
+        failure = CellFailure(
+            str(exc) or type(exc).__name__,
+            workload=spec.workload,
+            system=spec.preset.name if spec.preset is not None else "config",
+            attempts=attempts,
+            error_type=type(exc).__qualname__,
+            scale=spec.scale,
+        )
+        # The simulator attaches a flight-recorder dump (recent batches
+        # + engine events) to the exception when analytics is on; carry
+        # it so the runner's failure snapshot includes the forensics.  A
+        # stall that managed to checkpoint also names the file, so the
+        # operator can resume the cell by hand after the budget ran out.
+        failure.flight_recorder = getattr(exc, "flight_recorder", None)
+        failure.checkpoint_path = getattr(exc, "checkpoint_path", None)
     if policy.on_error != "keep-going":
-        raise failure from cause
+        raise failure from (None if failure is exc else exc)
     obs = _obs_current()
     if obs is not None:
         obs.metrics.counter(
@@ -1150,56 +1184,66 @@ def _deliver_failure(
     return failure
 
 
-def _resumable_stall(exc: BaseException | None, spec: RunSpec) -> bool:
-    """A watchdog stall that left a checkpoint behind is worth retrying:
-    the retry resumes from the checkpoint instead of starting over, so
-    each attempt makes forward progress even under a tight budget."""
-    return (
-        isinstance(exc, SimulationStalledError)
-        and spec.checkpoint_dir is not None
-        and getattr(exc, "checkpoint_path", None) is not None
-    )
-
-
-def _run_one(
+def submit_cell(
     spec: RunSpec,
     policy: RunPolicy,
-    prior: BaseException | None = None,
-) -> SimulationResult | CellFailure:
-    """Run one cell under the policy's retry/failure rules.
+    pool=None,
+    use_cache: bool = True,
+) -> Future:
+    """Dispatch one cache-missing cell (``policy`` already applied).
 
-    ``prior`` is an error the cell already produced elsewhere (a worker
-    process): it counts as the first attempt, so the bounded-retry budget
-    is shared between the parallel and serial paths.  Transient
-    infrastructure errors retry with exponential backoff; deterministic
-    simulator errors fail immediately (re-running would reproduce them) —
-    except a checkpointed stall, which retries *resuming* from the
-    checkpoint; anything outside the taxonomy propagates — it is a bug,
-    not a cell failure.
+    Returns a :class:`~concurrent.futures.Future` that resolves to the
+    cell's :class:`SimulationResult`, or, under ``keep-going``, to its
+    :class:`CellFailure` (under ``raise`` the future raises it; errors
+    outside the taxonomy propagate through it).  The result is stored in
+    the run cache (when ``use_cache``) the moment it lands.  With no
+    ``pool`` every attempt runs in this thread, and the future is done
+    on return; with one, every attempt — retries included — runs on the
+    pool, and retry backoff waits on a timer thread.
     """
-    attempts = 0
-    last = prior
-    if last is not None:
-        attempts = 1
-        if _resumable_stall(last, spec):
-            spec = replace(spec, resume=True)
-    while last is None or (
-        (isinstance(last, _TRANSIENT_ERRORS) or _resumable_stall(last, spec))
-        and attempts <= policy.retries
-    ):
-        if last is not None and policy.retry_backoff:
-            _time.sleep(policy.retry_backoff * (2 ** (attempts - 1)))
-        attempts += 1
+    cache = run_cache(policy)
+    key = _memo_key(spec)
+    cache.count("misses")
+    outcome: Future = Future()
+
+    def attempt(spec: RunSpec, attempts: int) -> None:
+        future: Future = Future()
         try:
-            return _simulate_spec(spec)
-        except (ReproError, MemoryError, *_TRANSIENT_ERRORS) as exc:
-            # MemoryError is caught (it becomes a structured CellFailure)
-            # but never retried: a cell that exhausts memory will simply
-            # exhaust it again.
-            last = exc
-            if _resumable_stall(exc, spec) and not spec.resume:
-                spec = replace(spec, resume=True)
-    return _record_failure(spec, last, attempts, policy)
+            if pool is None:
+                future.set_result(_simulate_spec(spec))
+            else:
+                future = pool.submit(spec)
+        except Exception as exc:
+            future.set_exception(exc)
+        future.add_done_callback(lambda f: landed(f, spec, attempts))
+
+    def landed(future: Future, spec: RunSpec, attempts: int) -> None:
+        try:
+            exc = future.exception()
+            if exc is None:
+                result = future.result()
+                if use_cache:
+                    cache.put(key, result, policy)
+                outcome.set_result(result)
+                return
+            retry = _after_error(spec, exc, attempts, policy)
+        except BaseException as err:
+            outcome.set_exception(err)
+            return
+        if isinstance(retry, CellFailure):
+            outcome.set_result(retry)
+            return
+        delay = policy.retry_backoff * 2 ** (attempts - 1)
+        if pool is None or not delay:
+            _time.sleep(delay)
+            attempt(retry, attempts + 1)
+        else:
+            timer = threading.Timer(delay, attempt, (retry, attempts + 1))
+            timer.daemon = True
+            timer.start()
+
+    attempt(spec, 1)
+    return outcome
 
 
 def run_cells(
@@ -1220,18 +1264,16 @@ def run_cells(
     The fan-out is transparent: each missing cell runs exactly the
     simulation the serial path would (same parameters, same seeds, fresh
     deterministic engine), and results are merged back by index — so
-    ``jobs=N`` output is bit-identical to ``jobs=1``.
+    ``jobs=N`` output is bit-identical to ``jobs=1``.  Every missing
+    cell goes through :func:`submit_cell`, so each result reaches the
+    run cache as soon as it lands.
 
-    Parallel cells execute in a crash-isolated
+    With ``policy.jobs > 1`` (or a caller-owned ``pool``), every attempt
+    of every missing cell runs in a crash-isolated
     :class:`repro.pool.SupervisedPool` (heartbeats, SIGTERM → SIGKILL
     escalation, restart with backoff, checkpoint-based handoff of
-    interrupted cells, per-key circuit breaker).  Pass ``pool`` to run
-    on a caller-owned long-lived pool (the serving layer); otherwise an
-    ephemeral pool is built for the call whenever ``policy.jobs > 1``
-    leaves more than one cache miss.  If the pool itself breaks
-    (:class:`~repro.errors.PoolBrokenError`), it is rebuilt once and
-    only the affected cells are resubmitted — surviving results are
-    kept and no per-cell retry budget is burned.
+    interrupted cells, per-key circuit breaker, an in-place heal when no
+    worker can be kept alive); otherwise the cells run here, one by one.
 
     Under ``keep-going`` a persistently failing cell's slot holds a
     :class:`~repro.errors.CellFailure` instead of a result, and the sweep
@@ -1239,25 +1281,20 @@ def run_cells(
     report those failures to the enclosing :func:`run_policy` scope.
     """
     scoped = policy is None
-    policy = _DEFAULT_POLICY if scoped else policy
+    policy = default_policy() if scoped else policy
     if on_error is not None:
         policy = replace(policy, on_error=on_error)
     cells = [policy.apply(cell) for cell in cells]
-    keys = [_memo_key(cell) for cell in cells]
     cache = run_cache(policy)
     results: list[SimulationResult | None] = [None] * len(cells)
     pending: list[int] = []
-    for i, key in enumerate(keys):
-        hit = cache.get(key, policy) if use_cache else None
+    for i, cell in enumerate(cells):
+        hit = cache.get(_memo_key(cell), policy) if use_cache else None
         if hit is not None:
             results[i] = hit
         else:
             pending.append(i)
-    if pending:
-        cache.count("misses", len(pending))
     obs = _obs_current()
-
-    jobs = policy.jobs
     started = _time.monotonic()
     done = 0
 
@@ -1274,81 +1311,52 @@ def run_cells(
         )
         sys.stderr.flush()
 
+    def on_landed(_: Future) -> None:
+        nonlocal done
+        done += 1
+        report()
+
     report()
-    if pool is not None or (jobs > 1 and len(pending) > 1):
+    if pending and (pool is not None or policy.jobs > 1):
         # Worker processes have no obs session of their own: the fan-out
         # is summarised as one harness span (per-cell sim tracing needs
         # the serial path).
-        if obs is not None:
-            fan_out = obs.tracer.wall_span(
-                "experiments", f"{label} fan-out", cells=len(pending), jobs=jobs
-            )
-        else:
-            fan_out = nullcontext()
+        fan_out = nullcontext() if obs is None else obs.tracer.wall_span(
+            "experiments", f"{label} fan-out", cells=len(pending),
+            jobs=policy.jobs,
+        )
         own_pool = None
-        active = pool
-        if active is None:
+        if pool is None:
             from repro.pool import SupervisedPool
 
-            own_pool = SupervisedPool(
-                policy.pool_config(workers=min(jobs, len(pending)))
+            pool = own_pool = SupervisedPool(
+                policy.pool_config(workers=min(policy.jobs, len(pending)))
             )
-            active = own_pool
-
-        def on_cell_done(index: int, outcome) -> None:
-            nonlocal done
-            done += 1
-            report()
-
         try:
             with fan_out:
-                specs = [cells[i] for i in pending]
-                outcomes = active.run(specs, on_done=on_cell_done)
-                broken = [
-                    k for k, outcome in enumerate(outcomes)
-                    if isinstance(outcome, PoolBrokenError)
+                futures = [
+                    submit_cell(cells[i], policy, pool, use_cache)
+                    for i in pending
                 ]
-                if broken:
-                    # Pool-wide breakage is not the cells' fault: rebuild
-                    # the fleet once and resubmit only the broken cells.
-                    active.rebuild()
-                    retried = active.run(
-                        [specs[k] for k in broken], on_done=None
-                    )
-                    for k, outcome in zip(broken, retried):
-                        outcomes[k] = outcome
-                for i, outcome in zip(pending, outcomes):
-                    if isinstance(outcome, SimulationResult):
-                        results[i] = outcome
-                    elif isinstance(outcome, CellFailure):
-                        # Pre-structured by the supervisor (poison cells):
-                        # deliver under this call's on-error policy.
-                        results[i] = _deliver_failure(outcome, policy)
-                    else:
-                        # The cell itself raised in its worker: the
-                        # worker's attempt counts as the first, and any
-                        # retry budget left runs here in the parent.
-                        results[i] = _run_one(cells[i], policy, prior=outcome)
+                for future in futures:
+                    future.add_done_callback(on_landed)
+                for i, future in zip(pending, futures):
+                    results[i] = future.result()
         finally:
             if own_pool is not None:
                 own_pool.close()
     else:
         for i in pending:
-            if obs is not None:
-                with obs.tracer.wall_span(
-                    "experiments", _cell_label(cells[i]), group=label
-                ):
-                    results[i] = _run_one(cells[i], policy)
-            else:
-                results[i] = _run_one(cells[i], policy)
-            done += 1
-            report()
+            span = nullcontext() if obs is None else obs.tracer.wall_span(
+                "experiments", _cell_label(cells[i]), group=label
+            )
+            with span:
+                future = submit_cell(cells[i], policy, None, use_cache)
+            results[i] = future.result()
+            on_landed(future)
     if cells:
         report(final=True)
 
-    for i in pending:
-        if use_cache and isinstance(results[i], SimulationResult):
-            cache.put(keys[i], results[i], policy)
     if scoped and _FAILURES is not None:
         _FAILURES.extend(r for r in results if isinstance(r, CellFailure))
     return results  # type: ignore[return-value]

@@ -2,9 +2,11 @@
 
 One :class:`SupervisedPool` owns N worker slots.  Each slot holds at
 most one live worker (process + pipe + a ``pool-worker`` lifecycle
-machine); the blocking :meth:`SupervisedPool.run` loop multiplexes over
-every worker pipe with :func:`multiprocessing.connection.wait` and, each
-tick:
+machine).  :meth:`SupervisedPool.submit` queues one cell and returns a
+:class:`~concurrent.futures.Future` for its outcome; one loop thread,
+owned by the pool, multiplexes over every worker pipe (and a wake-up
+socket, so a submission is picked up at once) with
+:func:`multiprocessing.connection.wait` and, each pass:
 
 1. **reaps** dead workers — draining any final messages first, so a
    result that raced the death is never lost, then converting an
@@ -27,10 +29,14 @@ is quarantined, its checkpoint set aside as ``*.ckpt.quarantine``, and
 its outcome (now and for every later submission) is a structured
 :class:`~repro.errors.PoisonCellError`.
 
-The pool is long-lived (the serving layer calls ``run`` per batch and
-keeps workers warm between batches) and thread-friendly: ``stats()`` /
-``workers_alive()`` may be read from another thread while a run is in
-flight.
+When no worker can be kept alive (every slot failed ``spawn_fail_limit``
+consecutive spawns) the pool heals itself once, in place: every slot's
+failure count is reset and the fleet respawns.  If that fails too, the
+outstanding cells resolve to :class:`~repro.errors.PoolBrokenError`.
+
+The pool is long-lived (the serving layer submits cells as they arrive
+and keeps workers warm between them) and thread-safe: ``submit`` /
+``stats()`` / ``workers_alive()`` may be called from any thread.
 """
 
 from __future__ import annotations
@@ -38,11 +44,14 @@ from __future__ import annotations
 import os
 import pathlib
 import signal
+import socket
 import threading
 import time
 import zlib
 from collections import deque
+from concurrent.futures import Future, as_completed
 from dataclasses import replace
+from itertools import chain
 from multiprocessing import connection, get_all_start_methods, get_context
 
 from repro.chaos.process import plan_worker_chaos
@@ -65,9 +74,10 @@ def sweep_stale_tmp_files(directory: str | os.PathLike) -> int:
     :func:`repro.checkpoint.save_checkpoint` writes atomically (tmp file
     + ``os.replace``), so a SIGKILL mid-write can only ever leave a tmp
     file behind — never a torn checkpoint.  The supervisor calls this
-    after each run settles (no worker is writing), which is what keeps
-    the kill-and-resume CI invariant (*zero orphans after a chaotic
-    sweep*) true even for hard-killed workers.  Returns the count.
+    when a cell settles and no other cell uses its directory (no worker
+    is writing there), which is what keeps the kill-and-resume CI
+    invariant (*zero orphans after a chaotic sweep*) true even for
+    hard-killed workers.  Returns the count.
     """
     removed = 0
     directory = pathlib.Path(directory)
@@ -82,18 +92,22 @@ def sweep_stale_tmp_files(directory: str | os.PathLike) -> int:
     return removed
 
 
+def _outcome(future: Future):
+    """A settled pool future's outcome: the result, or the exception."""
+    error = future.exception()
+    return future.result() if error is None else error
+
+
 class _Task:
     """One cell in flight through the pool."""
 
-    __slots__ = ("index", "spec", "digest", "attempts", "outcome", "done")
+    __slots__ = ("spec", "digest", "attempts", "future")
 
-    def __init__(self, index: int, spec, digest: str) -> None:
-        self.index = index
+    def __init__(self, spec, digest: str) -> None:
         self.spec = spec
         self.digest = digest
         self.attempts = 0  # crashes so far; also the chaos-plan stream id
-        self.outcome = None
-        self.done = False
+        self.future: Future = Future()
 
 
 class _Worker:
@@ -142,13 +156,25 @@ class SupervisedPool:
         else:  # pragma: no cover - non-POSIX fallback
             self._ctx = get_context()
         self._slots = [_Slot(i) for i in range(self.config.workers)]
-        self._run_lock = threading.RLock()
+        self._start_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._stop = threading.Event()
-        self._started = False
+        self._thread: threading.Thread | None = None
         self._closed = False
         self._broken = False
+        self._healed = False
         self._next_task_id = 0
+        #: Cells handed over by ``submit`` (any thread) to the loop.
+        self._submitted: deque[_Task] = deque()
+        #: Cells waiting for a worker (loop thread only).
+        self._queue: deque[_Task] = deque()
+        #: task id -> the cell a worker is running (loop thread only).
+        self._inflight: dict[int, _Task] = {}
+        # Written by submit/close to wake the loop; sockets, so forked
+        # workers close their copies with the other inherited sockets.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
         #: digest -> crash count (pool lifetime, feeds the breaker).
         self._crashes: dict[str, int] = {}
         #: digest -> the PoisonCellError quarantining that key.
@@ -171,10 +197,6 @@ class SupervisedPool:
     # ------------------------------------------------------------------
     # Introspection (safe from other threads)
     # ------------------------------------------------------------------
-    @property
-    def target_workers(self) -> int:
-        return self.config.workers
-
     def workers_alive(self) -> int:
         """Workers whose process is currently running."""
         return sum(
@@ -182,10 +204,6 @@ class SupervisedPool:
             for slot in self._slots
             if slot.worker is not None and slot.worker.process.is_alive()
         )
-
-    def quarantined_keys(self) -> list[str]:
-        with self._stats_lock:
-            return sorted(self._quarantine)
 
     def stats(self) -> dict:
         """JSON-safe snapshot for ``/v1/stats`` and sweep reports."""
@@ -208,19 +226,67 @@ class SupervisedPool:
             obs.metrics.counter("pool.events", kind=key).inc(amount)
 
     # ------------------------------------------------------------------
-    # Spawning / reaping
+    # Submission
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Spawn the fleet (idempotent; ``run`` calls it on first use)."""
-        with self._run_lock:
+        """Spawn the fleet and the loop thread (idempotent; ``submit``
+        calls it on first use)."""
+        with self._start_lock:
             if self._closed:
                 raise PoolError("pool is closed")
+            if self._thread is not None:
+                return
             now = time.monotonic()
             for slot in self._slots:
-                if slot.worker is None:
-                    self._spawn(slot, now)
-            self._started = True
+                self._spawn(slot, now)
+            self._thread = threading.Thread(
+                target=self._loop, name="repro-pool", daemon=True
+            )
+            self._thread.start()
 
+    def submit(self, spec) -> Future:
+        """Queue one cell (policy already applied: see
+        :meth:`~repro.experiments.common.RunPolicy.apply`).
+
+        The future resolves to the cell's
+        :class:`~repro.simulator.SimulationResult`, or raises what ended
+        it: a :class:`~repro.errors.PoisonCellError` /
+        :class:`~repro.errors.PoolBrokenError`, or the exception the cell
+        itself raised in its worker (the caller applies its own
+        retry/on-error policy to those).  Crashes never reach it: a
+        crashed cell resumes in a fresh worker.  Callbacks run on the
+        pool's loop thread.
+        """
+        task = _Task(spec, _common._spec_digest(spec))
+        self.start()
+        with self._start_lock:
+            if self._closed:
+                raise PoolError("pool is closed")
+            self._submitted.append(task)
+        self._wake()
+        return task.future
+
+    def run(self, specs, on_done=None) -> list:
+        """Submit ``specs`` and wait for all of them; returns their
+        outcomes in order (results, or the exceptions :meth:`submit`'s
+        futures raise).  ``on_done(index, outcome)`` is invoked once per
+        finished cell, in completion order, on the calling thread."""
+        futures = [self.submit(spec) for spec in specs]
+        index = {future: i for i, future in enumerate(futures)}
+        for future in as_completed(futures):
+            if on_done is not None:
+                on_done(index[future], _outcome(future))
+        return [_outcome(future) for future in futures]
+
+    def _wake(self) -> None:
+        try:
+            self._wake_w.send(b"\0")
+        except (BlockingIOError, OSError):
+            pass  # a full buffer already holds a pending wake-up
+
+    # ------------------------------------------------------------------
+    # Spawning / reaping
+    # ------------------------------------------------------------------
     def _spawn(self, slot: _Slot, now: float) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
@@ -264,8 +330,8 @@ class SupervisedPool:
         slot.next_spawn_at = now + (self._backoff(slot) if crashed else 0.0)
 
     def _respawn_due(self, now: float) -> None:
-        if self._closed or self._stop.is_set():
-            return
+        if self._broken and not (self._queue or self._inflight):
+            return  # nothing to run: a broken fleet waits for work
         for slot in self._slots:
             if slot.worker is None and now >= slot.next_spawn_at:
                 slot.restarts += 1
@@ -274,6 +340,27 @@ class SupervisedPool:
 
     def _live_workers(self) -> list[_Worker]:
         return [s.worker for s in self._slots if s.worker is not None]
+
+    def _check_broken(self) -> None:
+        """No worker alive and every slot out of spawn attempts: heal in
+        place once, then fail the outstanding cells."""
+        if self._live_workers() or any(
+            slot.consecutive < self.config.spawn_fail_limit
+            for slot in self._slots
+        ):
+            return
+        if not self._healed:
+            self._healed = True
+            self._count("rebuilds")
+            for slot in self._slots:
+                slot.consecutive = 0
+                slot.next_spawn_at = 0.0
+            return
+        self._broken = True
+        self._fail_outstanding(PoolBrokenError(
+            "no worker could be kept alive",
+            spawn_failures=[slot.consecutive for slot in self._slots],
+        ))
 
     # ------------------------------------------------------------------
     # Health / escalation
@@ -357,116 +444,81 @@ class SupervisedPool:
         return None
 
     # ------------------------------------------------------------------
-    # The run loop
+    # The loop thread
     # ------------------------------------------------------------------
-    def run(self, specs, on_done=None) -> list:
-        """Execute ``specs`` (policy already applied: see
-        :meth:`~repro.experiments.common.RunPolicy.apply`); returns outcomes.
-
-        Each outcome slot holds a :class:`~repro.simulator.SimulationResult`,
-        a :class:`~repro.errors.PoisonCellError` /
-        :class:`~repro.errors.PoolBrokenError`, or the exception the cell
-        itself raised in its worker (the caller applies its own
-        retry/on-error policy to those).  ``on_done`` is invoked once per
-        finished cell, in completion order, on the calling thread.
-        """
-        with self._run_lock:
-            if self._closed:
-                raise PoolError("pool is closed")
-            if not self._started:
-                self.start()
-            tasks = [
-                _Task(i, spec, _common._spec_digest(spec))
-                for i, spec in enumerate(specs)
-            ]
-            queue: deque[_Task] = deque(tasks)
-            inflight: dict[int, _Task] = {}
-            pending = len(tasks)
-
-            def finish(task: _Task, outcome, quarantine: bool = False) -> None:
-                nonlocal pending
-                task.outcome = outcome
-                task.done = True
-                pending -= 1
-                if isinstance(outcome, SimulationResult):
-                    self._count("completed")
-                    self._cleanup_task_files(task, quarantine=False)
-                    # Success closes the circuit: only *consecutive*
-                    # crashes (never interrupted by a completion) may
-                    # accumulate toward the breaker, or a long-lived
-                    # pool under sustained chaos would eventually
-                    # quarantine every frequently-requested key.
-                    with self._stats_lock:
-                        self._crashes.pop(task.digest, None)
+    def _loop(self) -> None:
+        while True:
+            while self._submitted:
+                self._queue.append(self._submitted.popleft())
+            if self._stop.is_set():  # close(): nothing is submitted now
+                self._fail_outstanding(
+                    PoolBrokenError("pool close requested with cells in flight")
+                )
+                return
+            now = time.monotonic()
+            self._reap(now)
+            self._respawn_due(now)
+            self._assign(now)
+            self._check_broken()
+            live = self._live_workers()
+            by_conn = {w.conn: w for w in live if not w.eof}
+            # Idle and fully staffed: sleep until a submission or a
+            # worker message; otherwise tick for backoffs and deadlines.
+            idle = not (self._queue or self._inflight) and all(
+                slot.worker is not None and slot.worker.machine.state == "idle"
+                for slot in self._slots
+            )
+            ready = connection.wait(
+                [self._wake_r, *by_conn],
+                timeout=None if idle else self.config.tick,
+            )
+            for conn in ready:
+                if conn is self._wake_r:
+                    self._wake_r.recv(4096)  # wake-ups carry no data
                 else:
-                    self._count("failed")
-                    if quarantine:
-                        path = self._cleanup_task_files(task, quarantine=True)
-                        if path is not None:
-                            outcome.checkpoint_path = path
-                if on_done is not None:
-                    on_done(task.index, outcome)
+                    self._drain_conn(by_conn[conn])
+            self._check_health(time.monotonic())
 
-            while pending:
-                if self._stop.is_set():
-                    stopped = PoolBrokenError(
-                        "pool close requested with cells in flight"
-                    )
-                    inflight.clear()
-                    for task in tasks:
-                        if not task.done:
-                            finish(task, stopped)
-                    break
-                now = time.monotonic()
-                self._reap(inflight, queue, finish, now)
-                self._respawn_due(now)
-                self._assign(queue, inflight, finish, now)
-                live = self._live_workers()
-                if not live:
-                    if all(
-                        slot.consecutive >= self.config.spawn_fail_limit
-                        for slot in self._slots
-                    ):
-                        self._broken = True
-                        broken = PoolBrokenError(
-                            "no worker could be kept alive",
-                            spawn_failures=[
-                                slot.consecutive for slot in self._slots
-                            ],
-                        )
-                        for task in tasks:
-                            if not task.done:
-                                finish(task, broken)
-                        break
-                    time.sleep(self.config.tick)
-                    continue
-                watchable = [w.conn for w in live if not w.eof]
-                if watchable:
-                    ready = connection.wait(
-                        watchable, timeout=self.config.tick
-                    )
-                    by_conn = {w.conn: w for w in live}
-                    for conn in ready:
-                        self._drain_conn(
-                            by_conn[conn], inflight, queue, finish
-                        )
-                else:
-                    time.sleep(self.config.tick)
-                self._check_health(time.monotonic())
+    def _fail_outstanding(self, error: PoolBrokenError) -> None:
+        tasks = [*self._queue, *self._inflight.values()]
+        self._queue.clear()
+        self._inflight.clear()
+        for task in tasks:
+            self._finish(task, error)
 
-            # The run has settled (no worker mid-write): clear any
-            # tmp litter hard kills left in the checkpoint directories.
-            if not self._stop.is_set():
-                for directory in {
-                    t.spec.checkpoint_dir
-                    for t in tasks
-                    if t.spec.checkpoint_dir is not None
-                }:
-                    sweep_stale_tmp_files(directory)
-            return [task.outcome for task in tasks]
+    def _finish(self, task: _Task, outcome, quarantine: bool = False) -> None:
+        if task.future.done():
+            return  # raced a crash handoff; the other copy won
+        if isinstance(outcome, SimulationResult):
+            self._count("completed")
+            self._cleanup_task_files(task, quarantine=False)
+            # Success closes the circuit: only *consecutive* crashes
+            # (never interrupted by a completion) may accumulate toward
+            # the breaker, or a long-lived pool under sustained chaos
+            # would eventually quarantine every frequently-requested key.
+            with self._stats_lock:
+                self._crashes.pop(task.digest, None)
+        else:
+            self._count("failed")
+            if quarantine:
+                path = self._cleanup_task_files(task, quarantine=True)
+                if path is not None:
+                    outcome.checkpoint_path = path
+        directory = task.spec.checkpoint_dir
+        if directory is not None and not self._stop.is_set() and all(
+            t.spec.checkpoint_dir != directory
+            for t in chain(self._queue, self._inflight.values())
+        ):
+            # No worker writes there now: clear any tmp litter hard
+            # kills left behind.
+            sweep_stale_tmp_files(directory)
+        if isinstance(outcome, BaseException):
+            task.future.set_exception(outcome)
+        else:
+            task.future.set_result(outcome)
 
-    def _assign(self, queue, inflight, finish, now: float) -> None:
-        if not queue:
+    def _assign(self, now: float) -> None:
+        if not self._queue:
             return
         idle = [
             w for w in self._live_workers()
@@ -474,12 +526,12 @@ class SupervisedPool:
         ]
         for worker in idle:
             task = None
-            while queue:
-                candidate = queue.popleft()
+            while self._queue:
+                candidate = self._queue.popleft()
                 poison = self._quarantine.get(candidate.digest)
                 if poison is not None:
                     # Tripped breaker: fail fast, never burn a worker.
-                    finish(candidate, poison, quarantine=False)
+                    self._finish(candidate, poison)
                     continue
                 task = candidate
                 break
@@ -497,51 +549,48 @@ class SupervisedPool:
                 # never ran, so no attempt is charged) and let the next
                 # reap handle the corpse.
                 worker.eof = True
-                queue.appendleft(task)
+                self._queue.appendleft(task)
                 continue
             worker.machine.fire("assign")
             worker.task = task
             worker.task_id = task_id
             worker.busy_since = now
             worker.last_hb = now
-            inflight[task_id] = task
+            self._inflight[task_id] = task
 
-    def _drain_conn(self, worker: _Worker, inflight, queue, finish) -> None:
+    def _drain_conn(self, worker: _Worker) -> None:
         try:
             while worker.conn.poll():
-                self._handle_message(
-                    worker, worker.conn.recv(), inflight, queue, finish
-                )
+                self._handle_message(worker, worker.conn.recv())
         except (EOFError, OSError):
             worker.eof = True
 
-    def _handle_message(self, worker, message, inflight, queue, finish) -> None:
+    def _handle_message(self, worker, message) -> None:
         tag = message[0]
         if tag == "ready":
             worker.machine.fire("ready")
             worker.slot.consecutive = 0
             worker.last_hb = time.monotonic()
+            self._broken = self._healed = False
         elif tag == "hb":
             worker.last_hb = time.monotonic()
         elif tag in ("result", "error"):
-            task = inflight.pop(message[1], None)
+            task = self._inflight.pop(message[1], None)
             worker.machine.fire("complete")
             worker.task = None
             worker.task_id = None
             worker.term_at = None
-            if task is None or task.done:
-                return  # raced a crash handoff; the other copy won
-            finish(task, message[2])
-        elif tag == "bye":
-            pass  # graceful exit acknowledgement; reap sees the death
+            if task is not None:
+                self._finish(task, message[2])
+        # "bye" (graceful exit) needs nothing: the reap sees the death.
 
-    def _reap(self, inflight, queue, finish, now: float) -> None:
+    def _reap(self, now: float) -> None:
         for worker in self._live_workers():
             if not worker.eof and worker.process.is_alive():
                 continue
             # Drain any messages that beat the death: a result that
             # raced a SIGKILL still counts (and must not resume).
-            self._drain_conn(worker, inflight, queue, finish)
+            self._drain_conn(worker)
             task = worker.task
             exitcode = worker.process.exitcode
             if worker.machine.state == "draining" and task is None:
@@ -551,12 +600,12 @@ class SupervisedPool:
             if worker.machine.state in _LIVE_STATES:
                 worker.machine.fire("crash")
             self._count("crashes")
-            if task is not None and not task.done:
-                inflight.pop(worker.task_id, None)
-                self._crashed_task(task, queue, finish, exitcode, worker)
+            if task is not None and not task.future.done():
+                self._inflight.pop(worker.task_id, None)
+                self._crashed_task(task, exitcode)
             self._retire(worker, crashed=True)
 
-    def _crashed_task(self, task, queue, finish, exitcode, worker) -> None:
+    def _crashed_task(self, task: _Task, exitcode) -> None:
         """A worker died with this cell attached: resume it or poison it."""
         with self._stats_lock:
             crashes = self._crashes.get(task.digest, 0) + 1
@@ -579,40 +628,18 @@ class SupervisedPool:
             with self._stats_lock:
                 self._quarantine[task.digest] = poison
             self._count("poisoned")
-            finish(task, poison, quarantine=True)
+            self._finish(task, poison, quarantine=True)
             return
         checkpoint = self._task_checkpoint(task)
         if checkpoint is not None:
             task.spec = replace(task.spec, resume=True)
             if checkpoint.exists():
                 self._count("resumes")
-        queue.appendleft(task)  # head of the line: it has waited longest
+        self._queue.appendleft(task)  # head of the line: it has waited longest
 
     # ------------------------------------------------------------------
-    # Rebuild / close
+    # Close
     # ------------------------------------------------------------------
-    def rebuild(self) -> None:
-        """Tear down every worker and respawn a fresh fleet.
-
-        The recovery path :func:`~repro.experiments.common.run_cells`
-        takes after a :class:`~repro.errors.PoolBrokenError`: surviving
-        results are kept, only the broken cells are resubmitted, and no
-        per-cell retry budget is burned on infrastructure failure.
-        Breaker state (quarantined keys) survives — a poison cell stays
-        poisoned across rebuilds.
-        """
-        with self._run_lock:
-            if self._closed:
-                raise PoolError("pool is closed")
-            self._kill_fleet()
-            for slot in self._slots:
-                slot.consecutive = 0
-                slot.next_spawn_at = 0.0
-            self._broken = False
-            self._count("rebuilds")
-            self._started = False
-            self.start()
-
     def _kill_fleet(self) -> None:
         for worker in self._live_workers():
             pid = worker.process.pid
@@ -635,35 +662,34 @@ class SupervisedPool:
     def close(self, timeout: float = 5.0) -> None:
         """Drain and stop the fleet (idempotent).
 
-        Workers idle at close exit gracefully via the ``exit`` message;
-        anything still alive after ``timeout`` is SIGKILLed.  A run in
-        flight on another thread is aborted first (its unfinished cells
-        resolve to :class:`~repro.errors.PoolBrokenError`).
+        Cells still queued or running resolve to
+        :class:`~repro.errors.PoolBrokenError` first.  Workers idle at
+        close then exit gracefully via the ``exit`` message; anything
+        still alive after ``timeout`` is SIGKILLed.
         """
+        with self._start_lock:
+            if self._closed:
+                return
+            self._closed = True
         self._stop.set()
-        with self._run_lock:
+        self._wake()
+        if self._thread is not None:
+            self._thread.join()
+        for worker in self._live_workers():
+            if worker.machine.state in _LIVE_STATES:
+                worker.machine.fire("drain")
             try:
-                if self._closed:
-                    return
-                self._closed = True
-                for worker in self._live_workers():
-                    if worker.machine.state in _LIVE_STATES:
-                        worker.machine.fire("drain")
-                    try:
-                        worker.conn.send(("exit",))
-                    except (OSError, ValueError):
-                        pass
-                deadline = time.monotonic() + timeout
-                while time.monotonic() < deadline:
-                    if all(
-                        not w.process.is_alive()
-                        for w in self._live_workers()
-                    ):
-                        break
-                    time.sleep(min(0.01, self.config.tick))
-                self._kill_fleet()
-            finally:
-                self._stop.clear()
+                worker.conn.send(("exit",))
+            except (OSError, ValueError):
+                pass
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            if all(not w.process.is_alive() for w in self._live_workers()):
+                break
+            time.sleep(min(0.01, self.config.tick))
+        self._kill_fleet()
+        self._wake_r.close()
+        self._wake_w.close()
 
     def __enter__(self) -> "SupervisedPool":
         self.start()

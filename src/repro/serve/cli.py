@@ -6,9 +6,10 @@ Examples::
     repro-serve --port 0 --ready-file /tmp/serve.json   # ephemeral port
     python -m repro.serve --checkpoint-dir .serve-ckpt --cell-timeout 30
 
-The process runs until SIGTERM/SIGINT, then drains: the in-flight batch
-finishes (or checkpoints, when a checkpoint directory is configured),
-queued requests get structured 503 envelopes, and the process exits 0.
+The process runs until SIGTERM/SIGINT, then drains: cells already
+dispatched to the pool finish (or checkpoint, when a checkpoint
+directory is configured), queued requests get structured 503 envelopes,
+and the process exits 0.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--drain-grace",
         type=float,
         default=30.0,
-        help="seconds the in-flight batch gets to finish on shutdown",
+        help="seconds dispatched cells get to finish on shutdown",
     )
     parser.add_argument(
         "--ready-file",

@@ -7,21 +7,25 @@ Request lifecycle (see ``docs/serving.md`` for the ops view)::
       └─ cache probe (common.probe_cache)  → immediate warm answer
       └─ dedupe (in-flight map by memo key)→ ride the existing future
       └─ admission (bounded backlog)       → 429 + Retry-After when full
-      └─ batcher (collect up to batch_window / batch_max)
-      └─ run_cells on the batch thread     → supervised worker pool
+      └─ batcher (once a worker is free, collect up to
+         batch_window / batch_max)
+      └─ common.submit_cell per cell       → supervised worker pool
                                              (crash isolation, restarts,
-                                             checkpoint handoff) plus the
-                                             existing retry machinery
-      └─ settle: futures resolve, cache entry unpinned, metrics updated
+                                             checkpoint handoff, retries)
+      └─ settle per cell as its future lands: ticket resolves, cache
+         entry unpinned, metrics updated
 
+There is no batch thread: each cell's future is awaited on the event
+loop (``asyncio.wrap_future``), so a batch never waits for the one
+before it, and a fast cell answers while a slow batchmate still runs.
 All bookkeeping (queue, dedupe map, backlog counter, metrics) is
-mutated only on the event loop thread; the only other thread is the
-single batch executor, which touches nothing but ``run_cells``.
+mutated only on the event loop thread; results land, and are cached,
+on the pool's loop thread.
 
 Graceful drain (SIGTERM/SIGINT or :meth:`ReproServer.request_shutdown`):
-new runs are refused with 503, the in-flight batch finishes — cells
-bounded by a wall budget checkpoint instead of being lost (PR 7) — and
-every request still queued resolves to a structured
+new runs are refused with 503, cells already dispatched to the pool
+finish — cells bounded by a wall budget checkpoint instead of being
+lost — and every request still queued resolves to a structured
 :class:`~repro.errors.ServerShutdownError` envelope.
 """
 
@@ -36,8 +40,7 @@ import signal
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import (
     CellFailure,
@@ -49,8 +52,6 @@ from repro.obs.serve import ServeMetrics
 from repro.serve import handlers
 from repro.serve.protocol import spec_from_request
 from repro.simulator import SimulationResult
-
-_STOP = object()  # batcher sentinel
 
 
 @dataclass
@@ -74,7 +75,7 @@ class ServeConfig:
     batch_max: int = 16
     #: Request body size limit (bytes).
     max_body: int = 1 << 20
-    #: Grace period for the in-flight batch to finish during drain.
+    #: Grace period for dispatched cells to finish during drain.
     drain_grace: float = 30.0
     #: Heartbeat cadence for streaming responses.
     heartbeat: float = 0.25
@@ -94,7 +95,7 @@ class _Ticket:
         "future",
         "subscribers",
         "use_cache",
-        "admitted_at",
+        "dispatched",
     )
 
     def __init__(self, spec, key, request_id, future, use_cache):
@@ -104,7 +105,7 @@ class _Ticket:
         self.future = future
         self.subscribers: list[asyncio.Queue] = []
         self.use_cache = use_cache
-        self.admitted_at = time.monotonic()
+        self.dispatched = False  # handed to the pool: a drain lets it finish
 
     def publish(self, event: dict) -> None:
         for queue in list(self.subscribers):
@@ -123,6 +124,8 @@ class ReproServer:
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
         self.policy = self.config.policy
+        #: One failing cell never fails its batchmates.
+        self._cell_policy = replace(self.policy, on_error="keep-going")
         self.cache = common.run_cache(self.policy)
         self.metrics = ServeMetrics()
         self.port: int | None = None
@@ -135,9 +138,9 @@ class ReproServer:
         self._inflight: dict[tuple, _Ticket] = {}
         self._queue: asyncio.Queue | None = None
         self._shutdown_event: asyncio.Event | None = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-batch"
-        )
+        #: One task per dispatched cell, awaiting its future.
+        self._running: set[asyncio.Task] = set()
+        self._batcher: asyncio.Task | None = None
         self._pool = None  # the SupervisedPool, built by _main
         self._ema_cell_seconds = 0.25
 
@@ -180,6 +183,7 @@ class ReproServer:
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue()
         self._shutdown_event = asyncio.Event()
+        self._batcher = asyncio.create_task(self._batch_loop())
         from repro.pool import SupervisedPool
 
         # Started before the listener so a pool that cannot spawn fails
@@ -191,18 +195,15 @@ class ReproServer:
         )
         self.port = server.sockets[0].getsockname()[1]
         self._install_signal_handlers()
-        batcher = asyncio.create_task(self._batch_loop())
         self._announce_ready()
         self._ready.set()
         try:
             await self._shutdown_event.wait()
             server.close()
             await server.wait_closed()
-            await self._drain(batcher)
+            await self._drain()
         finally:
-            if not batcher.done():
-                batcher.cancel()
-            self._executor.shutdown(wait=False)
+            self._batcher.cancel()
             if self._pool is not None:
                 self._pool.close()
 
@@ -239,27 +240,24 @@ class ReproServer:
             return
         self._draining = True
         self._shutdown_event.set()
-        self._queue.put_nowait(_STOP)
+        # Dispatch stops now; a batch it was collecting stays undispatched.
+        self._batcher.cancel()
 
-    async def _drain(self, batcher: asyncio.Task) -> None:
-        """Let the in-flight batch finish; refuse everything else."""
-        try:
-            await asyncio.wait_for(
-                asyncio.shield(batcher), timeout=self.config.drain_grace
+    async def _drain(self) -> None:
+        """Let dispatched cells finish; refuse everything else."""
+        self._refuse(
+            [t for t in self._inflight.values() if not t.dispatched],
+            "server shut down before the cell was executed",
+        )
+        if self._running:
+            await asyncio.wait(self._running, timeout=self.config.drain_grace)
+        self._refuse(list(self._inflight.values()), "drain grace period expired")
+
+    def _refuse(self, tickets: list[_Ticket], reason: str) -> None:
+        for ticket in tickets:
+            self._settle_ticket(
+                ticket, ServerShutdownError(reason, request_id=ticket.request_id)
             )
-        except asyncio.TimeoutError:
-            batcher.cancel()
-            self._fail_all_pending("drain grace period expired")
-        # Whatever the batcher left queued has been refused by now; any
-        # ticket that slipped past both is settled defensively.
-        self._fail_all_pending("server shut down")
-
-    def _fail_all_pending(self, reason: str) -> None:
-        for ticket in list(self._inflight.values()):
-            if not ticket.future.done():
-                self._settle_ticket(
-                    ticket, ServerShutdownError(reason, request_id=ticket.request_id)
-                )
 
     # ------------------------------------------------------------------
     # Admission / dedupe
@@ -315,10 +313,11 @@ class ReproServer:
         return ticket, None, False
 
     def _retry_after(self) -> int:
-        # Degraded capacity (crashed workers mid-respawn) stretches the
-        # estimate: half the fleet alive means double the wait.
+        # Live workers share the backlog, so degraded capacity (crashed
+        # workers mid-respawn) stretches the estimate: half the fleet
+        # alive means double the wait.
         estimate = self._backlog * self._ema_cell_seconds
-        estimate *= self.policy.jobs / max(self._pool.workers_alive(), 0.5)
+        estimate /= max(self._pool.workers_alive(), 0.5)
         return max(1, int(round(estimate)))
 
     def pool_health(self) -> dict:
@@ -334,6 +333,8 @@ class ReproServer:
 
     def _settle_ticket(self, ticket: _Ticket, outcome) -> None:
         """Resolve one ticket and release its admission slot (loop thread)."""
+        if ticket.future.done():
+            return  # already refused by a drain that outran its cell
         if self._inflight.get(ticket.key) is ticket:
             del self._inflight[ticket.key]
         self._backlog -= 1
@@ -342,8 +343,7 @@ class ReproServer:
             self._queue.qsize() if self._queue else 0
         )
         self.metrics.set_inflight(len(self._inflight))
-        if not ticket.future.done():
-            ticket.future.set_result(outcome)
+        ticket.future.set_result(outcome)
 
     # ------------------------------------------------------------------
     # Batcher
@@ -351,49 +351,27 @@ class ReproServer:
     async def _batch_loop(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            ticket = await self._queue.get()
-            if ticket is _STOP or self._draining:
-                self._refuse([] if ticket is _STOP else [ticket])
-                return
-            batch = [ticket]
+            # A batch waits for a free worker, never for the batch before.
+            while len(self._running) >= self.policy.jobs:
+                await asyncio.wait(
+                    self._running, return_when=asyncio.FIRST_COMPLETED
+                )
+            batch = [await self._queue.get()]
             deadline = loop.time() + self.config.batch_window
-            stopping = False
             while len(batch) < self.config.batch_max:
                 remaining = deadline - loop.time()
                 if remaining <= 0:
                     break
                 try:
-                    nxt = await asyncio.wait_for(self._queue.get(), remaining)
+                    batch.append(
+                        await asyncio.wait_for(self._queue.get(), remaining)
+                    )
                 except asyncio.TimeoutError:
                     break
-                if nxt is _STOP:
-                    stopping = True
-                    break
-                batch.append(nxt)
-            if stopping or self._draining:
-                # Collected but not executing: refused, per the drain
-                # contract — only cells already on the worker count as
-                # in-flight.
-                self._refuse(batch)
-                return
-            await self._execute_batch(batch)
+            self._dispatch(batch)
 
-    def _refuse(self, tickets: list[_Ticket]) -> None:
-        """Fail ``tickets`` plus everything still queued with 503s."""
-        while self._queue is not None and not self._queue.empty():
-            entry = self._queue.get_nowait()
-            if entry is not _STOP:
-                tickets.append(entry)
-        for ticket in tickets:
-            self._settle_ticket(
-                ticket,
-                ServerShutdownError(
-                    "server shut down before the cell was executed",
-                    request_id=ticket.request_id,
-                ),
-            )
-
-    async def _execute_batch(self, batch: list[_Ticket]) -> None:
+    def _dispatch(self, batch: list[_Ticket]) -> None:
+        """Submit every cell of ``batch`` to the pool; each settles alone."""
         self.metrics.observe_batch(len(batch))
         for ticket in batch:
             ticket.publish(
@@ -403,46 +381,26 @@ class ReproServer:
                     "batch_size": len(batch),
                 }
             )
-        started = time.monotonic()
-        loop = asyncio.get_running_loop()
-        try:
-            outcomes = await loop.run_in_executor(
-                self._executor, self._run_batch, batch
-            )
-        except Exception as exc:  # run_cells bug: fail the batch, not the server
-            outcomes = [exc] * len(batch)
-        elapsed = time.monotonic() - started
-        per_cell = max(elapsed / len(batch), 1e-3)
-        self._ema_cell_seconds = 0.7 * self._ema_cell_seconds + 0.3 * per_cell
-        for ticket, outcome in zip(batch, outcomes):
-            self._settle_ticket(ticket, outcome)
-
-    def _run_batch(self, batch: list[_Ticket]) -> list:
-        """Execute one batch on the worker thread via ``run_cells``.
-
-        Tickets are partitioned by their cache policy (a ``no_cache``
-        request must neither read nor write the shared store); each
-        partition rides one ``run_cells`` call with local keep-going
-        semantics so one failing cell never poisons its batchmates.
-        """
-        outcomes: list = [None] * len(batch)
-        for use_cache in (True, False):
-            indices = [
-                i for i, t in enumerate(batch) if t.use_cache is use_cache
-            ]
-            if not indices:
-                continue
-            results = common.run_cells(
-                [batch[i].spec for i in indices],
-                use_cache=use_cache,
-                label="serve",
-                on_error="keep-going",
+            ticket.dispatched = True
+            future = common.submit_cell(
+                ticket.spec,
+                self._cell_policy,
                 pool=self._pool,
-                policy=self.policy,
+                use_cache=ticket.use_cache,
             )
-            for i, result in zip(indices, results):
-                outcomes[i] = result
-        return outcomes
+            task = asyncio.ensure_future(self._await_cell(ticket, future))
+            self._running.add(task)
+            task.add_done_callback(self._running.discard)
+
+    async def _await_cell(self, ticket: _Ticket, future) -> None:
+        started = time.monotonic()
+        try:
+            outcome = await asyncio.wrap_future(future)
+        except Exception as exc:  # a dispatch bug fails the cell, not the server
+            outcome = exc
+        elapsed = max(time.monotonic() - started, 1e-3)
+        self._ema_cell_seconds = 0.7 * self._ema_cell_seconds + 0.3 * elapsed
+        self._settle_ticket(ticket, outcome)
 
     # ------------------------------------------------------------------
     # Connections

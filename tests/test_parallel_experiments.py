@@ -1,6 +1,14 @@
-"""Parallel fan-out correctness: jobs=N must be bit-identical to serial."""
+"""Parallel fan-out correctness: jobs=N must be bit-identical to serial,
+and a parallel sweep caches each result the moment it lands."""
 
 import dataclasses
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 
@@ -89,6 +97,67 @@ class TestParallelEquality:
             fault_handling_cycles=40_000,
         )
         assert runs[("KCORE", "BASELINE")].exec_cycles == direct.exec_cycles
+
+
+#: A ``jobs=2`` sweep whose PR cell never finishes: the sweep is still
+#: running when the test kills it.
+KILLED_SWEEP = """
+import time
+from repro import systems
+from repro.experiments import common
+
+real = common._simulate_spec
+
+def simulate(spec):
+    if spec.workload == "PR":
+        time.sleep(3600)
+    return real(spec)
+
+common._simulate_spec = simulate
+cells = [
+    common.RunSpec(w, preset=p, scale="tiny")
+    for w, p in (("PR", systems.BASELINE), ("KCORE", systems.BASELINE),
+                 ("KCORE", systems.TO), ("BFS-TWC", systems.BASELINE))
+]
+common.run_cells(cells, policy=common.RunPolicy(cache_dir={cache!r}, jobs=2))
+"""
+
+
+class TestKilledSweep:
+    def test_sigkilled_sweep_keeps_its_landed_cells(self, tmp_path):
+        """SIGKILL a ``jobs=2`` sweep once its first cell lands: every
+        cell that finished is already in the run cache, so re-running
+        the sweep serves them as disk hits."""
+        cache = tmp_path / "cache"
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", KILLED_SWEEP.format(cache=str(cache))],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            start_new_session=True,  # its pool workers die with it
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not list(cache.glob("*.pkl")):
+                assert proc.poll() is None, "the sweep died on its own"
+                assert time.monotonic() < deadline, "no cell ever landed"
+                time.sleep(0.01)
+        finally:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+        landed = len(list(cache.glob("*.pkl")))
+        assert 1 <= landed < 4
+
+        policy = common.RunPolicy(cache_dir=cache)
+        cells = [
+            common.RunSpec(w, preset=p, scale="tiny")
+            for w, p in (("PR", systems.BASELINE), ("KCORE", systems.BASELINE),
+                         ("KCORE", systems.TO), ("BFS-TWC", systems.BASELINE))
+        ]
+        results = common.run_cells(cells, policy=policy)
+        assert all(r.exec_cycles > 0 for r in results)
+        stats = common.cache_stats(policy)
+        assert stats["disk_hits"] == landed
+        assert stats["misses"] == 4 - landed
 
 
 class TestRunnerExpansion:

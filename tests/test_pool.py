@@ -13,15 +13,17 @@ resume) lives in ``test_pool_recovery.py``; the pool-backed server in
 * The per-key circuit breaker: repeated crashes quarantine the key as a
   structured :class:`~repro.errors.PoisonCellError` (checkpoint kept as
   ``.ckpt.quarantine`` for triage) and later submissions fail fast.
-* ``run_cells`` over a broken pool: surviving results are kept, only
-  broken cells are resubmitted to the rebuilt pool, and per-cell retry
-  budgets are not burned (the satellite fix for the old uniform
-  "everything transient" taxonomy).
+* A pool whose workers cannot be respawned heals itself once, in
+  place: ``run_cells`` keeps the cells that finished, the rest complete
+  on the healed fleet, and a pool that stays broken fails each cell
+  once without burning its retry budget.
 * ``MemoryError`` from a cell is a structured failure, never a retry.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 from dataclasses import replace
 
 import pytest
@@ -388,82 +390,97 @@ class TestCircuitBreaker:
 # ----------------------------------------------------------------------
 # Broken pool + taxonomy satellites
 # ----------------------------------------------------------------------
-class _FakeBrokenPool:
-    """A pool whose first ``run`` breaks some cells; healed by rebuild.
+HEALING_POOL = dict(
+    spawn_fail_limit=2,
+    heartbeat=0.05,
+    term_grace=0.2,
+    spawn_timeout=5.0,
+    backoff_base=0.001,
+    backoff_cap=0.01,
+)
 
-    Keyed by memo key so the post-rebuild resubmission (a subset of the
-    original specs, in original order) gets the right golden results.
-    """
 
-    def __init__(self, specs, good_results, break_indices):
-        self.lookup = {
-            common._memo_key(s): r for s, r in zip(specs, good_results)
-        }
-        self.break_indices = set(break_indices)
-        self.rebuilds = 0
-        self.calls = []
-
-    def run(self, specs, on_done=None):
-        self.calls.append(len(specs))
-        return [
-            PoolBrokenError("no worker could be kept alive")
-            if self.rebuilds == 0 and i in self.break_indices
-            else self.lookup[common._memo_key(spec)]
-            for i, spec in enumerate(specs)
-        ]
-
-    def rebuild(self):
-        self.rebuilds += 1
-
-    def close(self):
-        pass
+def _stillborn(conn, worker_id, heartbeat):
+    raise SystemExit(1)
 
 
 class TestBrokenPoolPath:
-    def test_run_cells_resubmits_only_broken_cells(self, harness):
+    def test_pool_heals_in_place_and_keeps_survivors(
+        self, harness, monkeypatch
+    ):
+        """The fleet dies mid-sweep and no worker can be respawned until
+        the pool heals itself in place: the finished cell is kept (it
+        never runs again), and the rest complete on the healed fleet."""
+        from repro.pool import supervisor as sup
+
         specs = [
             _spec(w, p).resolved()
             for w in ("KCORE", "PR")
             for p in (systems.BASELINE, systems.TO)
         ]
         golden = [common._simulate_spec(s) for s in specs]
-        fake = _FakeBrokenPool(specs, golden, break_indices=[1, 3])
-        results = common.run_cells(specs, use_cache=False, pool=fake)
-        assert fake.rebuilds == 1
-        assert fake.calls == [4, 2], (
-            "only the broken cells ride the rebuilt pool; survivors are kept"
-        )
+        real_main, real_simulate = sup.worker_main, common._simulate_spec
+        broken = harness / "broken"
+        starts = harness / "starts.log"
+        pool = SupervisedPool(PoolConfig(workers=1, **HEALING_POOL))
+
+        def main(conn, worker_id, heartbeat):
+            # A forked worker sees the pool as it was at fork time.
+            if broken.exists() and pool._stats["rebuilds"] == 0:
+                raise SystemExit(1)
+            real_main(conn, worker_id, heartbeat)
+
+        def simulate(spec):
+            index = [common._memo_key(s) for s in specs].index(
+                common._memo_key(spec)
+            )
+            with open(starts, "a") as fh:
+                fh.write(f"{index}\n")
+            if index == 1 and not broken.exists():
+                broken.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_simulate(spec)
+
+        monkeypatch.setattr(sup, "worker_main", main)
+        monkeypatch.setattr(common, "_simulate_spec", simulate)
+        with pool:
+            results = common.run_cells(specs, use_cache=False, pool=pool)
+            stats = pool.stats()
         assert [_fields(r) for r in results] == [_fields(r) for r in golden]
-
-    def test_truly_broken_pool_degrades_to_structured_failure(self, harness):
-        """A pool that stays broken after the rebuild must not burn the
-        per-cell retry budget: PoolBrokenError is not in the transient
-        taxonomy, so each cell degrades to one structured failure."""
-
-        class _Hopeless(_FakeBrokenPool):
-            def run(self, specs, on_done=None):
-                return [
-                    PoolBrokenError("no worker could be kept alive")
-                    for _ in specs
-                ]
-
-        specs = [_spec()]
-        results = common.run_cells(
-            specs, use_cache=False, pool=_Hopeless([], [], []),
-            on_error="keep-going",
+        assert stats["rebuilds"] == 1
+        assert stats["broken"] is False
+        assert stats["completed"] == 4
+        assert starts.read_text().split() == ["0", "1", "1", "2", "3"], (
+            "the survivor must not rerun; only the killed cell repeats"
         )
+
+    def test_pool_that_stays_broken_fails_each_cell_once(
+        self, harness, monkeypatch
+    ):
+        """A pool still broken after its heal must not burn the per-cell
+        retry budget: PoolBrokenError is not in the transient taxonomy,
+        so each cell degrades to one structured failure."""
+        from repro.pool import supervisor as sup
+
+        monkeypatch.setattr(sup, "worker_main", _stillborn)
+        with SupervisedPool(PoolConfig(workers=1, **HEALING_POOL)) as pool:
+            results = common.run_cells(
+                [_spec()], use_cache=False, pool=pool,
+                on_error="keep-going",
+                policy=common.RunPolicy(cache_dir=harness, retries=3),
+            )
+            stats = pool.stats()
         (failure,) = results
         assert isinstance(failure, CellFailure)
         assert failure.error_type == "PoolBrokenError"
         assert failure.attempts == 1, "pool breakage must not burn retries"
+        assert stats["rebuilds"] == 1, "the pool heals once before it breaks"
+        assert stats["broken"] is True
 
     def test_real_pool_breaks_when_workers_cannot_spawn(
         self, harness, monkeypatch
     ):
         from repro.pool import supervisor as sup
-
-        def _stillborn(conn, worker_id, heartbeat):
-            raise SystemExit(1)
 
         monkeypatch.setattr(sup, "worker_main", _stillborn)
         config = PoolConfig(

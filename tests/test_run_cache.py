@@ -300,6 +300,22 @@ class TestPerDirectory:
         assert common.probe_cache(_spec(), policy=policy) is None
         assert common.cache_stats()["evictions"] == 1
 
+    def test_memo_is_bounded_least_recently_used_first(self, cache, monkeypatch):
+        """Without a quota the memo still holds at most ``MEMO_ENTRIES``
+        results: the least recently used drops out, and is then served
+        from disk, not recomputed."""
+        monkeypatch.setattr(common, "MEMO_ENTRIES", 2)
+        common.run_cells([_spec(0), _spec(1)])
+        assert common.probe_cache(_spec(0)) is not None  # 0 is now fresher
+        common.run_cells([_spec(2)])
+        memo = common.run_cache().memo
+        assert list(memo) == [common._memo_key(_spec(s)) for s in (0, 2)]
+        (again,) = common.run_cells([_spec(1)])
+        stats = common.cache_stats()
+        assert stats["disk_hits"] == 1 and stats["misses"] == 3
+        assert again.exec_cycles > 0
+        assert len(memo) == 2
+
     def test_policies_on_one_directory_share_the_memo(self, cache, monkeypatch):
         monkeypatch.chdir(cache)
         relative = common.RunPolicy(cache_dir="runs")

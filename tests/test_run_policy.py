@@ -72,6 +72,26 @@ class TestValidation:
         assert policy.cache_quota_bytes == 2 * 1024 * 1024
         assert policy.jobs == 3
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("REPRO_JOBS", "-3"),
+            ("REPRO_JOBS", "0"),
+            ("REPRO_JOBS", "two"),
+            ("REPRO_CACHE_QUOTA_MB", "-5"),
+            ("REPRO_CACHE_QUOTA_MB", "0"),
+            ("REPRO_CACHE_QUOTA_MB", "nan"),
+            ("REPRO_CACHE_QUOTA_MB", "lots"),
+        ],
+    )
+    def test_from_env_rejects_invalid_values(self, monkeypatch, name, value):
+        """Like ``--cache-quota-mb -5``: an invalid variable is an error
+        naming it, never a clamped value (``-5`` MB was a 1-byte quota
+        that evicted every entry; ``-3`` jobs ran one)."""
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ConfigError, match=name):
+            RunPolicy.from_env()
+
 
 @pytest.fixture()
 def sleepless_serve(monkeypatch):
@@ -106,6 +126,22 @@ class TestCliUsageErrors:
             main(argv)
         assert excinfo.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "main, argv",
+        [(runner.main, ["table1"]), (serve_cli.main, [])],
+        ids=["runner", "serve"],
+    )
+    def test_invalid_environment_is_a_usage_error(
+        self, main, argv, monkeypatch, sleepless_serve, capsys
+    ):
+        monkeypatch.setenv("REPRO_JOBS", "-3")
+        monkeypatch.setattr(common, "_DEFAULT_POLICY", None)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "REPRO_JOBS" in capsys.readouterr().err
 
 
 @pytest.fixture()

@@ -1,5 +1,7 @@
 """Self-healing experiment runner: retries, keep-going, cache quarantine."""
 
+import os
+
 import pytest
 
 from repro import systems
@@ -159,14 +161,39 @@ class TestRetryPolicy:
         assert result.error_type == "OSError"
         assert len(calls) == 3  # first attempt + 2 retries
 
-    def test_unknown_exception_propagates(self, harness, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unknown_exception_propagates(self, harness, monkeypatch, jobs):
+        """Outside the failure taxonomy is a bug, on the pool path too:
+        it is never turned into a ``CellFailure`` slot."""
+
         def buggy(spec):
             raise ValueError("a bug, not a cell failure")
 
         monkeypatch.setattr(common, "_simulate_spec", buggy)
-        with common.run_policy(on_error="keep-going"):
+        with common.run_policy(on_error="keep-going", jobs=jobs):
             with pytest.raises(ValueError):
-                common.run_system(systems.BASELINE, "KCORE", scale="tiny")
+                common.run_cells(specs(False, False))
+
+    def test_pool_retry_runs_in_a_worker(self, harness, monkeypatch):
+        """Under ``jobs=2`` the retry after a transient error goes back
+        to the pool: no attempt runs in the parent process."""
+        real = common._simulate_spec
+        log = harness / "attempts.log"
+
+        def flaky(spec):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if len(log.read_text().split()) == 1:
+                raise OSError("spurious I/O hiccup")
+            return real(spec)
+
+        monkeypatch.setattr(common, "_simulate_spec", flaky)
+        with common.run_policy(jobs=2, retries=2, retry_backoff=0.01):
+            result = common.run_system(systems.BASELINE, "KCORE", scale="tiny")
+        assert result.exec_cycles > 0
+        pids = [int(pid) for pid in log.read_text().split()]
+        assert len(pids) == 2
+        assert os.getpid() not in pids, "a pool retry ran in the parent"
 
 
 class TestCellTimeout:

@@ -4,7 +4,8 @@ The acceptance properties locked here:
 
 * N concurrent *identical* requests execute the simulation exactly once
   (in-flight dedupe onto one shared future).
-* Concurrent *distinct* requests coalesce into batches.
+* Concurrent *distinct* requests coalesce into batches, yet each cell
+  answers as soon as it lands: a fast cell never waits for a slow one.
 * A full admission queue answers 429 with a Retry-After hint instead of
   queueing unboundedly.
 * A client disconnecting mid-stream never poisons the shared future its
@@ -166,6 +167,34 @@ class TestBatching:
                 payload = response.json()["result"]
                 assert payload["workload"] == request["workload"]
                 assert _canon(payload) == _canon(oracle[_pool_key(request)])
+
+
+class TestNoHeadOfLineBlocking:
+    def test_tiny_cell_answers_while_a_small_cell_runs(self, tmp_path):
+        """Each cell settles on its own: on a 2-worker server a tiny cell
+        sent while a small one runs takes the idle worker and answers
+        first, instead of waiting for the small cell's batch."""
+        small = {"workload": "BFS-TWC", "scale": "small", "seed": 0}
+        tiny = {"workload": "KCORE", "scale": "tiny", "seed": 3}
+        done = {}
+
+        def run(name, request):
+            response = client.run(**request)
+            done[name] = time.monotonic()
+            return response
+
+        with running_server(
+            policy=RunPolicy(cache_dir=tmp_path, jobs=2), batch_window=0.0
+        ) as (_server, client):
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                slow = pool.submit(run, "small", small)
+                assert _wait_until(lambda: _on_worker(client))
+                fast = pool.submit(run, "tiny", tiny)
+                assert fast.result(timeout=60).status == 200
+                assert slow.result(timeout=120).status == 200
+        assert done["tiny"] < done["small"], (
+            "the tiny cell waited for the small cell to finish"
+        )
 
 
 class TestBackpressure:
