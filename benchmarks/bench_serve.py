@@ -5,12 +5,16 @@ and measures three phases against it:
 
 * **cold** — a mix of distinct tiny cells issued concurrently; measures
   sustained request throughput while every cell actually simulates
-  (admission → batching → ``run_cells`` → settle).
+  (admission → dispatch → ``submit_cell`` → settle).
 * **warm** — the same mix again: every request is a cache hit served
   straight off the admission fast path.  The gated number is the
   client-observed p99 latency here (< 50 ms on the quick mix).
 * **dedupe burst** — N identical concurrent requests; verifies the
   flight executes once and reports the dedupe fan-in.
+
+A fourth phase, **head of line**, runs on its own 2-worker server: one
+small cell, then tiny cells sent while it runs.  They share the idle
+worker, so every tiny cell must answer before the small one.
 
 Usage::
 
@@ -19,10 +23,10 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_serve.py --quick --check BENCH_serve.json
 
 ``--check`` enforces the warm-cache p99 ceiling (``--p99-limit``,
-default 50 ms) and compares warm throughput against the committed
-baseline, exiting non-zero on regression beyond ``--tolerance`` — the
-CI serve perf gate (see ``.github/workflows/ci.yml`` and
-``docs/serving.md``).
+default 50 ms) and the head-of-line order, and compares warm throughput
+against the committed baseline, exiting non-zero on regression beyond
+``--tolerance`` — the CI serve perf gate (see ``.github/workflows/ci.yml``
+and ``docs/serving.md``).
 """
 
 from __future__ import annotations
@@ -95,6 +99,48 @@ def _phase(latencies: list[float], wall: float) -> dict:
     }
 
 
+def head_of_line(tiny_cells: int) -> dict:
+    """On a 2-worker server, send one small cell, then ``tiny_cells``
+    tiny cells once it is on a worker; returns when each answered (ms
+    after the small cell was sent)."""
+    small = {"workload": "BFS-TWC", "scale": "small", "seed": 0}
+    tiny = [
+        {"workload": "KCORE", "scale": "tiny", "seed": 100 + i}
+        for i in range(tiny_cells)
+    ]
+    done: dict[int, float] = {}
+
+    def timed(index: int, request: dict) -> int:
+        status = client.run(**request).status
+        done[index] = (time.perf_counter() - start) * 1000
+        return status
+
+    with tempfile.TemporaryDirectory(prefix="bench-serve-hol-") as tmp:
+        with running_server(policy=RunPolicy(cache_dir=tmp, jobs=2)) as (
+            _server,
+            client,
+        ):
+            with ThreadPoolExecutor(max_workers=1 + tiny_cells) as pool:
+                start = time.perf_counter()
+                slow = pool.submit(timed, -1, small)
+                deadline = time.monotonic() + 30
+                while client.stats()["server"]["batches"]["count"] < 1:
+                    assert time.monotonic() < deadline, "small cell never ran"
+                    time.sleep(0.005)
+                fast = [
+                    pool.submit(timed, i, request)
+                    for i, request in enumerate(tiny)
+                ]
+                statuses = [f.result() for f in fast] + [slow.result()]
+    assert all(s == 200 for s in statuses), f"non-200 in bench: {statuses}"
+    tiny_ms = [round(done[i], 3) for i in range(tiny_cells)]
+    return {
+        "small_ms": round(done[-1], 3),
+        "tiny_ms": tiny_ms,
+        "tiny_before_small": max(tiny_ms) < done[-1],
+    }
+
+
 def collect(quick: bool = False) -> dict:
     cells = 6 if quick else 12
     warm_rounds = 2 if quick else 4
@@ -104,7 +150,7 @@ def collect(quick: bool = False) -> dict:
 
     with tempfile.TemporaryDirectory(prefix="bench-serve-") as tmp:
         with running_server(
-            policy=RunPolicy(cache_dir=tmp), batch_window=0.01, queue_limit=256
+            policy=RunPolicy(cache_dir=tmp), queue_limit=256
         ) as (server, client):
             start = time.perf_counter()
             cold_lat = _issue(client, mix, concurrency)
@@ -137,6 +183,7 @@ def collect(quick: bool = False) -> dict:
             "fan_in": dedupe_n,
             "executions": burst_executions,
         },
+        "head_of_line": head_of_line(tiny_cells=2 if quick else 3),
         "server": {
             "cache_hit_rate": round(server_stats["cache"]["hit_rate"], 4),
             "dedupe_hits": server_stats["dedupe_hits"],
@@ -162,6 +209,12 @@ def check_against(
     if warm_p99 >= p99_limit:
         failures.append(
             f"warm-cache p99 {warm_p99:.1f} ms >= limit {p99_limit:.1f} ms"
+        )
+    hol = report["head_of_line"]
+    if not hol["tiny_before_small"]:
+        failures.append(
+            f"head-of-line blocking: tiny cells answered at {hol['tiny_ms']} ms, "
+            f"not all before the small cell at {hol['small_ms']} ms"
         )
     if baseline_path.exists():
         baseline = json.loads(baseline_path.read_text())

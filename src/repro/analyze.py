@@ -175,10 +175,7 @@ def main(argv: list[str] | None = None) -> int:
             fh.write("\n")
         print(f"report: {len(report['cells'])} cells -> {args.json}")
     if args.features:
-        if str(args.features).endswith(".csv"):
-            path = obs_mod.write_features_csv(runs, args.features)
-        else:
-            path = obs_mod.write_features_jsonl(runs, args.features)
+        path = obs_mod.write_features(runs, args.features)
         total = sum(len(run.batches) for run in runs)
         print(f"features: {total} batches -> {path}")
     return 0

@@ -313,10 +313,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"trace: {len(obs.tracer.events):,} events -> {path}{dropped}"
             )
         if args.metrics_out:
-            if str(args.metrics_out).endswith(".csv"):
-                path = obs_mod.write_metrics_csv(obs.metrics, args.metrics_out)
-            else:
-                path = obs_mod.write_metrics_json(obs.metrics, args.metrics_out)
+            path = obs_mod.write_metrics(obs.metrics, args.metrics_out)
             print(f"metrics: {len(obs.metrics)} series -> {path}")
         if obs.analytics is not None and obs.analytics.runs:
             runs = obs.analytics.runs
@@ -331,10 +328,7 @@ def main(argv: list[str] | None = None) -> int:
                     fh.write("\n")
                 print(f"analysis: -> {args.analytics_out}")
             if args.features_out:
-                if str(args.features_out).endswith(".csv"):
-                    path = obs_mod.write_features_csv(runs, args.features_out)
-                else:
-                    path = obs_mod.write_features_jsonl(runs, args.features_out)
+                path = obs_mod.write_features(runs, args.features_out)
                 total = sum(len(run.batches) for run in runs)
                 print(f"features: {total} batches -> {path}")
     return 0

@@ -997,9 +997,12 @@ def clear_persistent_cache(policy: RunPolicy | None = None) -> int:
 
 def clear_run_cache() -> None:
     """Drop every directory's in-process memo (the persistent cache and
-    the counters are untouched)."""
-    for cache in list(_CACHES.values()):
+    the counters are untouched), and forget the :class:`RunCache` of
+    each directory that no longer exists and holds no pins."""
+    for directory, cache in list(_CACHES.items()):
         cache.memo.clear()
+        if not cache.directory.is_dir() and not cache.pinned():
+            del _CACHES[directory]
 
 
 def probe_cache(

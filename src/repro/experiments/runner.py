@@ -324,14 +324,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"{path}{dropped}"
                 )
             if args.metrics_out:
-                if str(args.metrics_out).endswith(".csv"):
-                    path = obs_mod.write_metrics_csv(
-                        obs.metrics, args.metrics_out
-                    )
-                else:
-                    path = obs_mod.write_metrics_json(
-                        obs.metrics, args.metrics_out
-                    )
+                path = obs_mod.write_metrics(obs.metrics, args.metrics_out)
                 print(f"metrics: {len(obs.metrics)} series -> {path}")
             if obs.analytics is not None:
                 import json
@@ -349,14 +342,7 @@ def main(argv: list[str] | None = None) -> int:
                         f"{args.analytics_out}"
                     )
                 if args.features_out:
-                    if str(args.features_out).endswith(".csv"):
-                        path = obs_mod.write_features_csv(
-                            runs, args.features_out
-                        )
-                    else:
-                        path = obs_mod.write_features_jsonl(
-                            runs, args.features_out
-                        )
+                    path = obs_mod.write_features(runs, args.features_out)
                     total = sum(len(run.batches) for run in runs)
                     print(f"features: {total} batches -> {path}")
     finally:

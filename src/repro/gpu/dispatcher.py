@@ -40,7 +40,6 @@ class Dispatcher:
         self.extra_blocks_allowed = extra_blocks_allowed
         self.on_kernel_done = on_kernel_done
         self.unfinished = len(blocks)
-        self.dispatched = 0
 
     # ------------------------------------------------------------------
     def launch(self) -> None:
@@ -63,7 +62,6 @@ class Dispatcher:
     def _dispatch(self, sm: StreamingMultiprocessor, active: bool) -> None:
         block = self.pending.popleft()
         sm.dispatch(block, active)
-        self.dispatched += 1
 
     # ------------------------------------------------------------------
     def block_finished(self, block: ThreadBlock) -> None:

@@ -49,6 +49,7 @@ from repro.obs.analytics import (
     feature_rows,
     render_analysis,
     validate_report,
+    write_features,
     write_features_csv,
     write_features_jsonl,
     write_flight_dump,
@@ -59,6 +60,7 @@ from repro.obs.export import (
     metrics_dict,
     render_chrome_trace,
     write_chrome_trace,
+    write_metrics,
     write_metrics_csv,
     write_metrics_json,
 )
@@ -210,6 +212,7 @@ __all__ = [
     "render_chrome_trace",
     "write_chrome_trace",
     "metrics_dict",
+    "write_metrics",
     "write_metrics_json",
     "write_metrics_csv",
     "render_batches",
@@ -227,6 +230,7 @@ __all__ = [
     "validate_report",
     "feature_row",
     "feature_rows",
+    "write_features",
     "write_features_jsonl",
     "write_features_csv",
     "write_flight_dump",

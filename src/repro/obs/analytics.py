@@ -408,6 +408,14 @@ def write_features_csv(runs, path) -> str:
     return str(p)
 
 
+def write_features(runs, path) -> str:
+    """Write the feature rows as CSV when ``path`` ends in ``.csv``,
+    else as JSONL."""
+    if str(path).endswith(".csv"):
+        return write_features_csv(runs, path)
+    return write_features_jsonl(runs, path)
+
+
 def write_flight_dump(dump: dict, path) -> str:
     p = pathlib.Path(path)
     p.write_text(json.dumps(dump, indent=2, default=repr) + "\n")

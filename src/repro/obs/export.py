@@ -147,6 +147,16 @@ def write_metrics_json(
     return target
 
 
+def write_metrics(
+    registry: MetricRegistry, path: str | os.PathLike
+) -> pathlib.Path:
+    """Write ``registry`` as CSV when ``path`` ends in ``.csv``, else as
+    JSON."""
+    if str(path).endswith(".csv"):
+        return write_metrics_csv(registry, path)
+    return write_metrics_json(registry, path)
+
+
 def write_metrics_csv(
     registry: MetricRegistry, path: str | os.PathLike
 ) -> pathlib.Path:

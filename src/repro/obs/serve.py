@@ -3,9 +3,9 @@
 A thin, typed facade over :class:`~repro.obs.metrics.MetricRegistry`
 with exactly the series the ops runbook (``docs/serving.md``) names:
 admission queue depth, in-flight cells, dedupe hits, cache hit rate,
-batch sizes, request latency and rejections.  The serving layer calls
-these from its event loop; everything is plain counter/gauge arithmetic,
-so no locks are needed beyond the registry's own dict ops.
+dispatched cells, request latency and rejections.  The serving layer
+calls these from its event loop; everything is plain counter/gauge
+arithmetic, so no locks are needed beyond the registry's own dict ops.
 
 ``snapshot()`` is the payload behind ``GET /v1/stats``; its eviction
 count is the server's run cache's.
@@ -26,7 +26,7 @@ class ServeMetrics:
         self.registry = registry if registry is not None else MetricRegistry()
         self._queue_depth = self.registry.gauge("serve.queue_depth")
         self._inflight = self.registry.gauge("serve.inflight")
-        self._batch_size = self.registry.histogram("serve.batch_size")
+        self._dispatches = self.registry.counter("serve.dispatches")
         self._latency = self.registry.histogram(
             "serve.latency_ms", bucket_width=5.0
         )
@@ -65,8 +65,9 @@ class ServeMetrics:
     def set_inflight(self, count: int) -> None:
         self._inflight.set(count)
 
-    def observe_batch(self, size: int) -> None:
-        self._batch_size.record(size)
+    def cell_dispatched(self) -> None:
+        """One cell handed to the pool."""
+        self._dispatches.inc()
 
     # ------------------------------------------------------------------
     # Derived views
@@ -91,7 +92,7 @@ class ServeMetrics:
             )
             for outcome in OUTCOMES
         }
-        batch = self._batch_size
+        dispatches = int(self._dispatches.value)
         latency = self._latency
         return {
             "requests_received": int(
@@ -112,10 +113,11 @@ class ServeMetrics:
             "streams_aborted": int(
                 self._counter_total("serve.streams_aborted")
             ),
+            # Wire v1: each dispatch is a batch of one cell.
             "batches": {
-                "count": batch.count,
-                "mean_size": batch.mean,
-                "max_size": batch.max if batch.max is not None else 0,
+                "count": dispatches,
+                "mean_size": 1.0 if dispatches else 0.0,
+                "max_size": min(dispatches, 1),
             },
             "latency_ms": {
                 "count": latency.count,

@@ -1,11 +1,11 @@
-"""Simulation-as-a-service: an async batching server over the run cache.
+"""Simulation-as-a-service: an async server over the run cache.
 
 The package splits along protocol/mechanism lines:
 
 * :mod:`repro.serve.http` — minimal stdlib HTTP/1.1 framing.
 * :mod:`repro.serve.protocol` — request schema, response envelopes, and
   the result serialiser shared with ``repro-run`` (bit-identity).
-* :mod:`repro.serve.server` — admission, dedupe, batching, drain.
+* :mod:`repro.serve.server` — admission, dedupe, dispatch, drain.
 * :mod:`repro.serve.handlers` — route dispatch and event streams.
 * :mod:`repro.serve.client` — blocking client for tests/benchmarks.
 * :mod:`repro.serve.testing` — in-process server fixture helpers.

@@ -1,4 +1,4 @@
-"""``repro-serve`` — run the batching simulation server from the shell.
+"""``repro-serve`` — run the simulation server from the shell.
 
 Examples::
 
@@ -6,10 +6,10 @@ Examples::
     repro-serve --port 0 --ready-file /tmp/serve.json   # ephemeral port
     python -m repro.serve --checkpoint-dir .serve-ckpt --cell-timeout 30
 
-The process runs until SIGTERM/SIGINT, then drains: cells already
-dispatched to the pool finish (or checkpoint, when a checkpoint
-directory is configured), queued requests get structured 503 envelopes,
-and the process exits 0.
+The process runs until SIGTERM/SIGINT, then drains: cells already on
+the pool finish (or checkpoint, when a checkpoint directory is
+configured), requests still waiting for a worker get structured 503
+envelopes, and the process exits 0.
 """
 
 from __future__ import annotations
@@ -41,15 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="max admitted-but-unfinished requests before 429",
-    )
-    parser.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.01,
-        help="seconds the batcher waits to coalesce concurrent requests",
-    )
-    parser.add_argument(
-        "--batch-max", type=int, default=16, help="max cells per batch"
     )
     parser.add_argument(
         "--max-body",
@@ -105,8 +96,6 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
         # A server always resumes the checkpoints it keeps.
         policy=replace(policy, resume=policy.checkpoint_dir is not None),
         queue_limit=args.queue_limit,
-        batch_window=args.batch_window,
-        batch_max=args.batch_max,
         max_body=args.max_body,
         drain_grace=args.drain_grace,
         ready_file=args.ready_file,

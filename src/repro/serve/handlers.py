@@ -8,8 +8,8 @@ framing, bad JSON, schema violations, saturation, shutdown — surfaces
 as a structured JSON error envelope with the right HTTP status, never a
 dropped connection.  The only silent path is the reverse one: a client
 that disconnects mid-stream is detached from the shared ticket without
-touching its future, so batchmates and deduped subscribers are
-unaffected (locked by ``tests/test_serve_concurrency.py``).
+touching its future, so deduped subscribers are unaffected (locked by
+``tests/test_serve_concurrency.py``).
 """
 
 from __future__ import annotations
@@ -135,8 +135,9 @@ async def _handle_run(server, request: http.HttpRequest, writer) -> None:
     except ProtocolError:
         server.metrics.request_finished("rejected", _ms(started))
         raise
+    events = asyncio.Queue() if fields["stream"] else None
     try:
-        ticket, cached, deduped = server.submit(fields)
+        ticket, cached, deduped = server.submit(fields, events)
     except ServerSaturatedError:
         server.metrics.request_finished("rejected", _ms(started))
         raise
@@ -144,8 +145,10 @@ async def _handle_run(server, request: http.HttpRequest, writer) -> None:
         server.metrics.request_finished("shutdown", _ms(started))
         raise
 
-    if fields["stream"]:
-        await _stream_run(server, writer, ticket, cached, deduped, started)
+    if events is not None:
+        await _stream_run(
+            server, writer, ticket, cached, deduped, started, events
+        )
         return
 
     if cached is not None:
@@ -191,7 +194,9 @@ def _outcome_envelope(ticket, outcome, deduped: bool, started: float):
 # ----------------------------------------------------------------------
 # Streaming (chunked JSONL)
 # ----------------------------------------------------------------------
-async def _stream_run(server, writer, ticket, cached, deduped, started) -> None:
+async def _stream_run(
+    server, writer, ticket, cached, deduped, started, events
+) -> None:
     chunked = http.ChunkedWriter(writer)
     try:
         await chunked.open(200)
@@ -218,48 +223,48 @@ async def _stream_run(server, writer, ticket, cached, deduped, started) -> None:
             await chunked.close()
             server.metrics.request_finished("cached", _ms(started))
             return
-        label = await _stream_ticket(server, chunked, ticket, deduped, started)
+        label = await _stream_ticket(
+            server, chunked, ticket, deduped, started, events
+        )
         server.metrics.request_finished(label, _ms(started))
     except (ConnectionError, BrokenPipeError, OSError):
         server.metrics.stream_aborted()
         # The ticket (if any) keeps running for its other subscribers.
-
-
-async def _stream_ticket(server, chunked, ticket, deduped, started) -> str:
-    queue: asyncio.Queue = asyncio.Queue()
-    ticket.subscribers.append(queue)
-    try:
-        future = ticket.future
-        while not future.done():
-            getter = asyncio.ensure_future(queue.get())
-            try:
-                done, _pending = await asyncio.wait(
-                    {getter, future},
-                    timeout=server.config.heartbeat,
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if getter in done:
-                    await _send_event(chunked, getter.result())
-                    continue
-            finally:
-                if not getter.done():
-                    getter.cancel()
-                    with contextlib.suppress(asyncio.CancelledError):
-                        await getter
-            if not done:  # pure heartbeat tick
-                await _send_event(
-                    chunked,
-                    {
-                        "event": "running",
-                        "request_id": ticket.request_id,
-                        "waited_ms": _ms(started),
-                    },
-                )
-        while not queue.empty():  # flush events published before settling
-            await _send_event(chunked, queue.get_nowait())
     finally:
-        with contextlib.suppress(ValueError):
-            ticket.subscribers.remove(queue)
+        if ticket is not None:
+            with contextlib.suppress(ValueError):
+                ticket.subscribers.remove(events)
+
+
+async def _stream_ticket(server, chunked, ticket, deduped, started, queue) -> str:
+    future = ticket.future
+    while not future.done():
+        getter = asyncio.ensure_future(queue.get())
+        try:
+            done, _pending = await asyncio.wait(
+                {getter, future},
+                timeout=server.config.heartbeat,
+                return_when=asyncio.FIRST_COMPLETED,
+            )
+            if getter in done:
+                await _send_event(chunked, getter.result())
+                continue
+        finally:
+            if not getter.done():
+                getter.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await getter
+        if not done:  # pure heartbeat tick
+            await _send_event(
+                chunked,
+                {
+                    "event": "running",
+                    "request_id": ticket.request_id,
+                    "waited_ms": _ms(started),
+                },
+            )
+    while not queue.empty():  # flush events published before settling
+        await _send_event(chunked, queue.get_nowait())
 
     outcome = future.result()
     if isinstance(outcome, SimulationResult):

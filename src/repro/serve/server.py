@@ -1,4 +1,4 @@
-"""The asyncio simulation server: admission, dedupe, batching, drain.
+"""The asyncio simulation server: admission, dedupe, dispatch, drain.
 
 Request lifecycle (see ``docs/serving.md`` for the ops view)::
 
@@ -7,25 +7,25 @@ Request lifecycle (see ``docs/serving.md`` for the ops view)::
       └─ cache probe (common.probe_cache)  → immediate warm answer
       └─ dedupe (in-flight map by memo key)→ ride the existing future
       └─ admission (bounded backlog)       → 429 + Retry-After when full
-      └─ batcher (once a worker is free, collect up to
-         batch_window / batch_max)
-      └─ common.submit_cell per cell       → supervised worker pool
+      └─ dispatch (FIFO; as soon as one of the ``jobs`` workers is free)
+      └─ common.submit_cell                → supervised worker pool
                                              (crash isolation, restarts,
                                              checkpoint handoff, retries)
-      └─ settle per cell as its future lands: ticket resolves, cache
-         entry unpinned, metrics updated
+      └─ settle as the cell's future lands: ticket resolves, cache
+         entry unpinned, metrics updated, next waiting ticket dispatched
 
-There is no batch thread: each cell's future is awaited on the event
-loop (``asyncio.wrap_future``), so a batch never waits for the one
-before it, and a fast cell answers while a slow batchmate still runs.
-All bookkeeping (queue, dedupe map, backlog counter, metrics) is
+At most ``policy.jobs`` cells are ever on the pool: a ticket that finds
+no free worker waits in a FIFO, and each settled cell dispatches the
+next one.  Each cell's future is awaited on the event loop
+(``asyncio.wrap_future``), so a fast cell answers while a slow one
+still runs.  All bookkeeping (wait queue, dedupe map, metrics) is
 mutated only on the event loop thread; results land, and are cached,
 on the pool's loop thread.
 
 Graceful drain (SIGTERM/SIGINT or :meth:`ReproServer.request_shutdown`):
-new runs are refused with 503, cells already dispatched to the pool
-finish — cells bounded by a wall budget checkpoint instead of being
-lost — and every request still queued resolves to a structured
+new runs are refused with 503, cells already on the pool finish — cells
+bounded by a wall budget checkpoint instead of being lost — and every
+request still waiting for a worker resolves to a structured
 :class:`~repro.errors.ServerShutdownError` envelope.
 """
 
@@ -40,6 +40,7 @@ import signal
 import sys
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from repro.errors import (
@@ -69,10 +70,6 @@ class ServeConfig:
     policy: common.RunPolicy = field(default_factory=common.default_policy)
     #: Maximum admitted-but-unfinished requests before 429.
     queue_limit: int = 64
-    #: How long the batcher waits to coalesce concurrent requests.
-    batch_window: float = 0.01
-    #: Hard cap on cells per batch.
-    batch_max: int = 16
     #: Request body size limit (bytes).
     max_body: int = 1 << 20
     #: Grace period for dispatched cells to finish during drain.
@@ -88,15 +85,7 @@ class ServeConfig:
 class _Ticket:
     """One admitted in-flight cell shared by every deduped subscriber."""
 
-    __slots__ = (
-        "spec",
-        "key",
-        "request_id",
-        "future",
-        "subscribers",
-        "use_cache",
-        "dispatched",
-    )
+    __slots__ = ("spec", "key", "request_id", "future", "subscribers", "use_cache")
 
     def __init__(self, spec, key, request_id, future, use_cache):
         self.spec = spec
@@ -105,7 +94,6 @@ class _Ticket:
         self.future = future
         self.subscribers: list[asyncio.Queue] = []
         self.use_cache = use_cache
-        self.dispatched = False  # handed to the pool: a drain lets it finish
 
     def publish(self, event: dict) -> None:
         for queue in list(self.subscribers):
@@ -113,7 +101,7 @@ class _Ticket:
 
 
 class ReproServer:
-    """A long-lived batching simulation server over the run cache.
+    """A long-lived simulation server over the run cache.
 
     Start it blocking with :meth:`run` (the CLI) or on a background
     thread (tests/benchmarks: ``Thread(target=server.run)`` then
@@ -124,7 +112,7 @@ class ReproServer:
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
         self.policy = self.config.policy
-        #: One failing cell never fails its batchmates.
+        #: A failing cell answers its own request with an envelope.
         self._cell_policy = replace(self.policy, on_error="keep-going")
         self.cache = common.run_cache(self.policy)
         self.metrics = ServeMetrics()
@@ -134,13 +122,13 @@ class ReproServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._draining = False
         self._request_ids = itertools.count(1)
-        self._backlog = 0
+        #: Every admitted, unsettled ticket by memo key (the backlog).
         self._inflight: dict[tuple, _Ticket] = {}
-        self._queue: asyncio.Queue | None = None
+        #: Admitted tickets waiting for a free worker, oldest first.
+        self._waiting: deque[_Ticket] = deque()
         self._shutdown_event: asyncio.Event | None = None
-        #: One task per dispatched cell, awaiting its future.
+        #: One task per cell on the pool, awaiting its future.
         self._running: set[asyncio.Task] = set()
-        self._batcher: asyncio.Task | None = None
         self._pool = None  # the SupervisedPool, built by _main
         self._ema_cell_seconds = 0.25
 
@@ -177,13 +165,11 @@ class ReproServer:
 
     @property
     def backlog(self) -> int:
-        return self._backlog
+        return len(self._inflight)
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue()
         self._shutdown_event = asyncio.Event()
-        self._batcher = asyncio.create_task(self._batch_loop())
         from repro.pool import SupervisedPool
 
         # Started before the listener so a pool that cannot spawn fails
@@ -203,7 +189,6 @@ class ReproServer:
             await server.wait_closed()
             await self._drain()
         finally:
-            self._batcher.cancel()
             if self._pool is not None:
                 self._pool.close()
 
@@ -238,17 +223,13 @@ class ReproServer:
     def _begin_shutdown(self) -> None:
         if self._draining:
             return
-        self._draining = True
+        self._draining = True  # dispatch stops now
         self._shutdown_event.set()
-        # Dispatch stops now; a batch it was collecting stays undispatched.
-        self._batcher.cancel()
 
     async def _drain(self) -> None:
-        """Let dispatched cells finish; refuse everything else."""
-        self._refuse(
-            [t for t in self._inflight.values() if not t.dispatched],
-            "server shut down before the cell was executed",
-        )
+        """Let cells on the pool finish; refuse everything else."""
+        waiting, self._waiting = list(self._waiting), deque()
+        self._refuse(waiting, "server shut down before the cell was executed")
         if self._running:
             await asyncio.wait(self._running, timeout=self.config.drain_grace)
         self._refuse(list(self._inflight.values()), "drain grace period expired")
@@ -263,12 +244,14 @@ class ReproServer:
     # Admission / dedupe
     # ------------------------------------------------------------------
     def submit(
-        self, fields: dict
+        self, fields: dict, events: asyncio.Queue | None = None
     ) -> tuple[_Ticket | None, SimulationResult | None, bool]:
         """Admit one validated run request (event-loop thread only).
 
         Returns ``(ticket, cached_result, deduped)``: exactly one of
-        ``ticket``/``cached_result`` is set.  Raises
+        ``ticket``/``cached_result`` is set.  ``events`` (a streaming
+        request's queue) subscribes to the ticket before it can be
+        dispatched, so it sees the ``batched`` event.  Raises
         :class:`ServerShutdownError` while draining and
         :class:`ServerSaturatedError` when the backlog is full.
         """
@@ -280,6 +263,8 @@ class ReproServer:
         existing = self._inflight.get(key)
         if existing is not None:
             self.metrics.dedupe_hit()
+            if events is not None:
+                existing.subscribers.append(events)
             return existing, None, True
 
         use_cache = self.policy.cache_enabled and not fields["no_cache"]
@@ -290,10 +275,10 @@ class ReproServer:
                 return None, hit, False
         self.metrics.cache_miss()
 
-        if self._backlog >= self.config.queue_limit:
+        if self.backlog >= self.config.queue_limit:
             self.metrics.rejected("saturated")
             raise ServerSaturatedError(
-                f"admission queue is full ({self._backlog} in flight)",
+                f"admission queue is full ({self.backlog} in flight)",
                 retry_after=self._retry_after(),
             )
 
@@ -304,11 +289,12 @@ class ReproServer:
             future=self._loop.create_future(),
             use_cache=use_cache,
         )
+        if events is not None:
+            ticket.subscribers.append(events)
         self._inflight[key] = ticket
-        self._backlog += 1
         self.cache.pin(key)
-        self._queue.put_nowait(ticket)
-        self.metrics.set_queue_depth(self._queue.qsize())
+        self._waiting.append(ticket)
+        self._dispatch()
         self.metrics.set_inflight(len(self._inflight))
         return ticket, None, False
 
@@ -316,7 +302,7 @@ class ReproServer:
         # Live workers share the backlog, so degraded capacity (crashed
         # workers mid-respawn) stretches the estimate: half the fleet
         # alive means double the wait.
-        estimate = self._backlog * self._ema_cell_seconds
+        estimate = self.backlog * self._ema_cell_seconds
         estimate /= max(self._pool.workers_alive(), 0.5)
         return max(1, int(round(estimate)))
 
@@ -335,53 +321,33 @@ class ReproServer:
         """Resolve one ticket and release its admission slot (loop thread)."""
         if ticket.future.done():
             return  # already refused by a drain that outran its cell
-        if self._inflight.get(ticket.key) is ticket:
-            del self._inflight[ticket.key]
-        self._backlog -= 1
+        del self._inflight[ticket.key]
         self.cache.unpin(ticket.key)
-        self.metrics.set_queue_depth(
-            self._queue.qsize() if self._queue else 0
-        )
+        self.metrics.set_queue_depth(len(self._waiting))
         self.metrics.set_inflight(len(self._inflight))
         ticket.future.set_result(outcome)
 
     # ------------------------------------------------------------------
-    # Batcher
+    # Dispatch
     # ------------------------------------------------------------------
-    async def _batch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            # A batch waits for a free worker, never for the batch before.
-            while len(self._running) >= self.policy.jobs:
-                await asyncio.wait(
-                    self._running, return_when=asyncio.FIRST_COMPLETED
-                )
-            batch = [await self._queue.get()]
-            deadline = loop.time() + self.config.batch_window
-            while len(batch) < self.config.batch_max:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
-            self._dispatch(batch)
-
-    def _dispatch(self, batch: list[_Ticket]) -> None:
-        """Submit every cell of ``batch`` to the pool; each settles alone."""
-        self.metrics.observe_batch(len(batch))
-        for ticket in batch:
+    def _dispatch(self) -> None:
+        """Hand waiting tickets to the pool, oldest first, while one of
+        the ``jobs`` workers is free and the server is not draining
+        (loop thread; called on admission and whenever a cell settles)."""
+        while (
+            self._waiting
+            and not self._draining
+            and len(self._running) < self.policy.jobs
+        ):
+            ticket = self._waiting.popleft()
+            self.metrics.cell_dispatched()
             ticket.publish(
                 {
                     "event": "batched",
                     "request_id": ticket.request_id,
-                    "batch_size": len(batch),
+                    "batch_size": 1,
                 }
             )
-            ticket.dispatched = True
             future = common.submit_cell(
                 ticket.spec,
                 self._cell_policy,
@@ -390,7 +356,12 @@ class ReproServer:
             )
             task = asyncio.ensure_future(self._await_cell(ticket, future))
             self._running.add(task)
-            task.add_done_callback(self._running.discard)
+            task.add_done_callback(self._cell_done)
+        self.metrics.set_queue_depth(len(self._waiting))
+
+    def _cell_done(self, task: asyncio.Task) -> None:
+        self._running.discard(task)
+        self._dispatch()
 
     async def _await_cell(self, ticket: _Ticket, future) -> None:
         started = time.monotonic()
@@ -431,15 +402,13 @@ class ReproServer:
             "server": self.metrics.snapshot(evictions=run_cache["evictions"]),
             "run_cache": run_cache,
             "pinned_entries": self.cache.pinned(),
-            "backlog": self._backlog,
+            "backlog": self.backlog,
             "draining": self._draining,
             "uptime_s": time.monotonic() - self.started_at,
             "pool": self._pool.stats(),
             "config": {
                 "jobs": self.policy.jobs,
                 "queue_limit": self.config.queue_limit,
-                "batch_window": self.config.batch_window,
-                "batch_max": self.config.batch_max,
                 "cache_quota_bytes": self.policy.cache_quota_bytes,
                 "cell_timeout": self.policy.cell_timeout,
                 "checkpoint_dir": self.policy.checkpoint_dir,

@@ -31,10 +31,7 @@ def running_server(
     Keyword ``overrides`` patch individual :class:`ServeConfig` fields::
 
         policy = common.RunPolicy(cache_dir=str(tmp_path))
-        with running_server(policy=policy, batch_window=0.05) as (
-            server,
-            client,
-        ):
+        with running_server(policy=policy, queue_limit=8) as (server, client):
             response = client.run(workload="KCORE")
 
     ``drain_on_exit=False`` leaves shutdown to the test (lifecycle tests

@@ -75,9 +75,6 @@ class EvictionPlan:
             return 1.0
         return min(1.0, self.eviction_busy_cycles() / window)
 
-    def total_frame_wait(self) -> int:
-        return sum(self.frame_waits)
-
 
 class EvictionStrategy:
     """Base class; subclasses implement :meth:`schedule`."""

@@ -73,9 +73,6 @@ class DmaChannel:
             obs.tracer.complete(self._track, "page transfer", start, finish)
         return start, finish
 
-    def reset_clock(self) -> None:
-        self.busy_until = 0
-
 
 class PcieModel:
     """The two directions of the link plus compression effects.

@@ -85,8 +85,6 @@ EXPERIMENTS_OPTIONS = {
     "-j": "jobs",
 }
 SERVE_OPTIONS = {
-    "--batch-max": "batch_max",
-    "--batch-window": "batch_window",
     "--breaker-threshold": "breaker_threshold",
     "--cache-dir": "cache_dir",
     "--cache-quota-mb": "cache_quota_mb",

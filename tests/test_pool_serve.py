@@ -131,7 +131,8 @@ class TestDegradedCapacity:
         with running_server(
             **_pool_kwargs(tmp_path)
         ) as (server, client):
-            server._backlog = 8
+            # Eight admitted, unsettled tickets (the backlog).
+            server._inflight.update({("placeholder", i): None for i in range(8)})
             saved = {}
             try:
                 healthy = server._retry_after()
@@ -144,7 +145,7 @@ class TestDegradedCapacity:
             finally:
                 for slot in server._pool._slots:
                     slot.worker = saved.get(slot.index, slot.worker)
-                server._backlog = 0
+                server._inflight.clear()
             assert degraded > healthy, (
                 "Retry-After must stretch when capacity is degraded"
             )

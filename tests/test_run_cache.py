@@ -4,7 +4,9 @@ serving layer)."""
 
 import dataclasses
 import os
+import shutil
 import sys
+import tempfile
 import threading
 from dataclasses import replace
 
@@ -325,9 +327,29 @@ class TestPerDirectory:
         assert common.run_cache(relative) is common.run_cache(absolute)
         assert common.cache_stats(absolute)["memory_hits"] == 1
 
+    def test_clear_forgets_deleted_directories(self, cache):
+        """A fresh directory per round, deleted after it, must not grow
+        the directory table: ``clear_run_cache`` forgets the
+        ``RunCache`` of each directory that is gone and holds no pins."""
+        before = len(common._CACHES)
+        for _ in range(4):
+            directory = tempfile.mkdtemp(dir=cache)
+            policy = common.RunPolicy(cache_dir=directory)
+            common.run_cells([_spec()], policy=policy)
+            shutil.rmtree(directory)
+            common.clear_run_cache()
+            assert len(common._CACHES) <= before
+        gone = common.RunPolicy(cache_dir=cache / "gone")
+        pinned = common.run_cache(gone)
+        pinned.pin(common._memo_key(_spec()))
+        common.clear_run_cache()
+        assert common.run_cache(gone) is pinned
+        pinned.unpin(common._memo_key(_spec()))
+
     def test_counters_and_pins_survive_thread_contention(self, cache):
-        """The server counts and pins from its event loop while its batch
-        thread counts and evicts: no update may be lost."""
+        """The server counts and pins from its event loop while results
+        land, count and evict on the pool's thread: no update may be
+        lost."""
         run_cache = common.run_cache()
         key = common._memo_key(_spec())
         rounds, threads = 2000, 8

@@ -4,8 +4,8 @@ The acceptance properties locked here:
 
 * N concurrent *identical* requests execute the simulation exactly once
   (in-flight dedupe onto one shared future).
-* Concurrent *distinct* requests coalesce into batches, yet each cell
-  answers as soon as it lands: a fast cell never waits for a slow one.
+* Concurrent *distinct* requests each answer with their own cell's
+  result, as soon as it lands: a fast cell never waits for a slow one.
 * A full admission queue answers 429 with a Retry-After hint instead of
   queueing unboundedly.
 * A client disconnecting mid-stream never poisons the shared future its
@@ -83,9 +83,9 @@ def _wait_until(predicate, deadline: float = 15.0) -> bool:
     return False
 
 
-def _on_worker(client, batches: int = 1):
-    """True once ``batches`` batches have been dispatched to the worker."""
-    return client.stats()["server"]["batches"]["count"] >= batches
+def _on_worker(client, cells: int = 1):
+    """True once ``cells`` cells have been dispatched to the pool."""
+    return client.stats()["server"]["batches"]["count"] >= cells
 
 
 def _fan_out(client, requests, stagger: float = 0.0):
@@ -107,7 +107,7 @@ class TestDedupe:
     ):
         n = 6
         with running_server(
-            policy=RunPolicy(cache_dir=tmp_path), batch_window=0.3
+            policy=RunPolicy(cache_dir=tmp_path)
         ) as (server, client):
             baseline = client.stats()["run_cache"]
             responses = _fan_out(client, [dict(POOL[0])] * n)
@@ -140,26 +140,10 @@ class TestDedupe:
 
 
 class TestBatching:
-    def test_distinct_requests_coalesce_into_batches(self, tmp_path, oracle):
-        with running_server(
-            policy=RunPolicy(cache_dir=tmp_path), batch_window=0.5
-        ) as (_server, client):
-            responses = _fan_out(
-                client, [dict(r) for r in POOL], stagger=0.05
-            )
-            assert all(r.status == 200 for r in responses)
-            for request, response in zip(POOL, responses):
-                assert _canon(response.json()["result"]) == _canon(
-                    oracle[_pool_key(request)]
-                )
-            batches = client.stats()["server"]["batches"]
-            assert batches["count"] >= 1
-            assert batches["max_size"] >= 2, "no coalescing happened"
-
     def test_batched_results_keep_request_identity(self, tmp_path, oracle):
         """Order independence: each response carries *its* cell's result."""
         with running_server(
-            policy=RunPolicy(cache_dir=tmp_path), batch_window=0.4
+            policy=RunPolicy(cache_dir=tmp_path)
         ) as (_server, client):
             shuffled = [POOL[2], POOL[0], POOL[3], POOL[1]]
             responses = _fan_out(client, [dict(r) for r in shuffled])
@@ -173,7 +157,7 @@ class TestNoHeadOfLineBlocking:
     def test_tiny_cell_answers_while_a_small_cell_runs(self, tmp_path):
         """Each cell settles on its own: on a 2-worker server a tiny cell
         sent while a small one runs takes the idle worker and answers
-        first, instead of waiting for the small cell's batch."""
+        first, instead of waiting for the small cell."""
         small = {"workload": "BFS-TWC", "scale": "small", "seed": 0}
         tiny = {"workload": "KCORE", "scale": "tiny", "seed": 3}
         done = {}
@@ -184,7 +168,7 @@ class TestNoHeadOfLineBlocking:
             return response
 
         with running_server(
-            policy=RunPolicy(cache_dir=tmp_path, jobs=2), batch_window=0.0
+            policy=RunPolicy(cache_dir=tmp_path, jobs=2)
         ) as (_server, client):
             with ThreadPoolExecutor(max_workers=2) as pool:
                 slow = pool.submit(run, "small", small)
@@ -203,8 +187,6 @@ class TestBackpressure:
         with running_server(
             policy=RunPolicy(cache_dir=tmp_path),
             queue_limit=1,
-            batch_window=0.0,
-            batch_max=1,
         ) as (_server, client):
             with ThreadPoolExecutor(max_workers=2) as pool:
                 first = pool.submit(client.run, **slow)
@@ -226,8 +208,6 @@ class TestBackpressure:
         with running_server(
             policy=RunPolicy(cache_dir=tmp_path),
             queue_limit=1,
-            batch_window=0.0,
-            batch_max=1,
         ) as (_server, client):
             with ThreadPoolExecutor(max_workers=2) as pool:
                 first = pool.submit(client.run, **slow)
@@ -246,7 +226,7 @@ class TestDisconnect:
     ):
         request = dict(POOL[3])
         with running_server(
-            policy=RunPolicy(cache_dir=tmp_path), batch_window=0.6
+            policy=RunPolicy(cache_dir=tmp_path)
         ) as (server, client):
             # Hand-rolled streaming request, abandoned after the first
             # event lands.
@@ -262,8 +242,8 @@ class TestDisconnect:
             sock.recv(256)  # wait for the response head / first event
             sock.close()  # abandon mid-flight
 
-            # A deduped peer issued while the cell is still in its batch
-            # window must ride the same ticket and still succeed.
+            # A deduped peer issued while the cell is still running must
+            # ride the same ticket and still succeed.
             response = client.run(**request)
             assert response.status == 200
             assert _canon(response.json()["result"]) == _canon(
@@ -284,7 +264,7 @@ class TestDisconnect:
 def interleaving_server(tmp_path_factory):
     cache = tmp_path_factory.mktemp("interleave-cache")
     with running_server(
-        policy=RunPolicy(cache_dir=cache), batch_window=0.05
+        policy=RunPolicy(cache_dir=cache)
     ) as (server, client):
         yield server, client
 

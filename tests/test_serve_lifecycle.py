@@ -1,8 +1,8 @@
 """Serve lifecycle contract: drain, restart-warm, checkpoints, pinning.
 
-* Graceful drain: cells already dispatched to the pool finish, queued
-  requests resolve to structured 503 shutdown envelopes, nothing hangs,
-  and no orphaned checkpoint files are left behind.
+* Graceful drain: cells already on the pool finish, requests still
+  waiting for a worker resolve to structured 503 shutdown envelopes,
+  nothing hangs, and no orphaned checkpoint files are left behind.
 * Restart-and-resume: a fresh server over the same cache directory
   answers warm (disk hits) with identical results.
 * Stall/resume: a request whose wall budget is too tight checkpoints
@@ -56,9 +56,9 @@ def _wait_until(predicate, deadline: float = 15.0) -> bool:
     return False
 
 
-def _on_worker(client, batches: int = 1):
-    """True once ``batches`` batches have been dispatched to the worker."""
-    return client.stats()["server"]["batches"]["count"] >= batches
+def _on_worker(client, cells: int = 1):
+    """True once ``cells`` cells have been dispatched to the pool."""
+    return client.stats()["server"]["batches"]["count"] >= cells
 
 
 @pytest.fixture(scope="module")
@@ -80,8 +80,6 @@ class TestDrain:
             policy=RunPolicy(
                 cache_dir=tmp_path / "cache", checkpoint_dir=ckpt, resume=True
             ),
-            batch_window=0.0,
-            batch_max=1,
             drain_on_exit=False,
         ) as (server, client):
             with ThreadPoolExecutor(max_workers=2) as pool:
@@ -114,11 +112,29 @@ class TestDrain:
                 (client.host, client.port), timeout=1
             ).close()
 
+    def test_burst_drain_refuses_cells_waiting_for_a_worker(self, tmp_path):
+        """A one-worker server holds one cell of a burst on the pool; the
+        rest wait for the worker, so a drain lets that one finish and
+        refuses the others."""
+        burst = [dict(SLOW, seed=seed) for seed in range(3)]
+        with running_server(
+            policy=RunPolicy(cache_dir=tmp_path, jobs=1),
+            drain_on_exit=False,
+        ) as (server, client):
+            with ThreadPoolExecutor(max_workers=len(burst)) as pool:
+                futures = [pool.submit(client.run, **r) for r in burst]
+                assert _wait_until(lambda: server.backlog == len(burst))
+                assert _wait_until(lambda: _on_worker(client))
+                server.request_shutdown()
+                responses = [f.result(timeout=60) for f in futures]
+        assert sorted(r.status for r in responses) == [200, 503, 503]
+        for response in responses:
+            if response.status == 503:
+                assert response.json()["error"]["code"] == "shutting_down"
+
     def test_submit_refuses_while_draining(self, tmp_path):
         with running_server(
             policy=RunPolicy(cache_dir=tmp_path),
-            batch_window=0.0,
-            batch_max=1,
             drain_on_exit=False,
         ) as (server, client):
             with ThreadPoolExecutor(max_workers=1) as pool:
