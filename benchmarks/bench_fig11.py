@@ -19,7 +19,7 @@ def test_fig11_headline_speedups(benchmark, bench_scale, experiment_cache,
     # UE contributes more than TO (paper: +61% vs +22%).
     assert avg["UE"] > avg["TO"]
     # TO+UE outperforms ETC (paper: by 79%).
-    assert avg["TO+UE"] > avg["ETC"] - 0.02
+    assert avg["TO+UE"] > avg["ETC"]
     # PCIe compression helps only modestly compared to TO+UE.
     assert avg["BASELINE+PCIeC"] < avg["TO+UE"] + 0.05
     # Sanity: baseline column is exactly 1.

@@ -17,4 +17,6 @@ def test_fig14_batch_processing_time(benchmark, bench_scale,
     # the central claim of Figure 14.
     assert to_ue_avg < to_avg
     # TO alone raises batch processing time (bigger batches).
-    assert to_avg > 0.9
+    assert to_avg > 1.0
+    # TO+UE lands below the baseline's batch processing time (paper: -13%).
+    assert to_ue_avg < 1.0

@@ -27,6 +27,7 @@ import sys
 
 #: Per-layer figures recorded from each side's traced round.
 LEDGER = (
+    "workloads.build_s",
     "uvm.prefetch.self_s",
     "uvm.evict.self_s",
     "sim.events",

@@ -4,7 +4,7 @@ from repro.gpu.config import GpuConfig, SimConfig, UvmConfig
 from repro.gpu.context import ContextCostModel
 from repro.gpu.occupancy import KernelResources, OccupancyCalculator
 from repro.gpu.thread_block import BlockState, ThreadBlock
-from repro.gpu.warp import WarpOp, WarpState
+from repro.gpu.warp import WarpState
 from repro.gpu.warp_soa import SoAWarp, WarpStore
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "BlockState",
     "ThreadBlock",
     "SoAWarp",
-    "WarpOp",
     "WarpState",
     "WarpStore",
 ]

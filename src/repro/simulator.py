@@ -649,27 +649,24 @@ class GpuUvmSimulator:
         benchmark repetitions, checkpoint restores) reuse the tuples
         instead of re-deriving them every launch.
         """
-        total = sum(len(bt.warp_ops) for bt in kernel.blocks)
-        store = WarpStore(total)
-        store.validator = self._warp_validator
         # ``_start_next_kernel`` has already advanced past this kernel.
-        store.load_kernel(
+        store = WarpStore(
             self.workload,
             self._kernel_index - 1,
             self.page_shift,
             self.config.time_scale,
         )
+        store.validator = self._warp_validator
         self._warp_store = store
         blocks: list[ThreadBlock] = []
-        index = 0
-        for block_trace in kernel.blocks:
+        bounds = kernel.block_start.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
             warps = []
-            for warp_id in range(len(block_trace.warp_ops)):
-                warp = store.add_handle(index, warp_id)
+            for index in range(lo, hi):
+                warp = store.add_handle(index, index - lo)
                 warp.exec_event = _ExecuteOpEvent(self, warp)
                 warp.complete_event = _WarpCompletedEvent(self, warp)
                 warps.append(warp)
-                index += 1
             if not warps or all(w.finished for w in warps):
                 continue  # nothing to execute
             blocks.append(ThreadBlock(len(blocks), warps))
@@ -942,10 +939,11 @@ class GpuUvmSimulator:
         """
         depth = self.config.runahead.depth
         self._runahead_probes += 1
-        for op in warp.ops[warp.pc + 1 : warp.pc + 1 + depth]:
-            # Only independent addresses are probeable: destinations found
-            # through loaded values are opaque to speculation.
-            for page in op.independent_pages(self.page_shift):
+        # Only independent addresses are probeable: destinations found
+        # through loaded values are opaque to speculation.
+        upcoming = warp.store.op_independent(warp.index)
+        for pages in upcoming[warp.pc + 1 : warp.pc + 1 + depth]:
+            for page in pages:
                 if self.page_table.is_resident(page):
                     continue
                 if self.runtime.page_has_waiters(page):

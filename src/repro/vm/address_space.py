@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import LayoutError
 
 
@@ -48,6 +50,10 @@ class Segment:
         hot paths.
         """
         return self.base + index * self.element_size
+
+    def addrs(self, indices) -> np.ndarray:
+        """Byte addresses of elements ``indices`` as an int64 array, unchecked."""
+        return self.base + self.element_size * np.asarray(indices, dtype=np.int64)
 
     def page_range(self, page_shift: int) -> range:
         """Virtual page numbers spanned by this segment."""

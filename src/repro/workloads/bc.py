@@ -39,8 +39,8 @@ def build_bc(graph: CsrGraph, source: int = 0, **kwargs) -> Workload:
                 return
             builder.emit_active_properties(ops, active)
 
-            def sigma_addr(_edge_index: int, dst: int) -> list[int]:
-                return [sigma.addr_unchecked(dst)]
+            def sigma_addr(_edge_index, dst):
+                return [sigma.addrs(dst)]
 
             builder.emit_tc_expansion(
                 ops, active, touch_dst=True, dst_store=True,
@@ -62,16 +62,15 @@ def build_bc(graph: CsrGraph, source: int = 0, **kwargs) -> Workload:
                 return
             builder.emit_active_properties(ops, active)
 
-            def delta_addr(_edge_index: int, dst: int) -> list[int]:
-                return [delta.addr_unchecked(dst), sigma.addr_unchecked(dst)]
+            def delta_addr(_edge_index, dst):
+                return [delta.addrs(dst), sigma.addrs(dst)]
 
             builder.emit_tc_expansion(
                 ops, active, touch_dst=True, extra_dst_addrs=delta_addr,
             )
             # Write back own delta and centrality record.
             ops.access(
-                [delta.addr_unchecked(v) for v in active]
-                + builder.vprop_addrs(active),
+                delta.addrs(active).tolist() + builder.vprop_addrs(active),
                 is_store=True,
             )
 

@@ -46,16 +46,11 @@ class _BfsBuilder(GraphWorkloadBuilder):
         return int(reachable.max()) if reachable.size else 0
 
     def discoveries(self, vertices, level: int) -> list[int]:
-        """Destinations first discovered by expanding ``vertices``."""
-        found = []
-        seen = set()
-        for v in vertices:
-            for u in self.graph.neighbors(int(v)):
-                u = int(u)
-                if self.levels[u] == level + 1 and u not in seen:
-                    seen.add(u)
-                    found.append(u)
-        return found
+        """Destinations first discovered by expanding ``vertices``, in order."""
+        reached = self.graph.edges[self.graph.edge_indices(vertices)]
+        reached = reached[self.levels[reached] == level + 1]
+        _, first = np.unique(reached, return_index=True)
+        return reached[np.sort(first)].tolist()
 
 
 def _topological_bfs(builder: _BfsBuilder, name: str, warp_centric: bool,
@@ -98,8 +93,7 @@ def _data_driven_bfs(builder: _BfsBuilder, name: str, warp_centric: bool) -> Wor
         def emit(ops, chunk, queue_offset, _level=level, _wc=warp_centric):
             # Coalesced read of the frontier queue slots.
             ops.access(
-                [builder.frontier_q.addr_unchecked(queue_offset + i)
-                 for i in range(len(chunk))]
+                builder.frontier_q.addrs(np.arange(len(chunk)) + queue_offset)
             )
             builder.emit_active_properties(ops, chunk)
             expand = builder.emit_wc_expansion if _wc else builder.emit_tc_expansion
@@ -107,8 +101,9 @@ def _data_driven_bfs(builder: _BfsBuilder, name: str, warp_centric: bool) -> Wor
             # Append discoveries to the next-level queue (coalesced-ish).
             found = builder.discoveries(chunk, _level)
             ops.access(
-                [builder.next_q.addr_unchecked(i % builder.graph.num_vertices)
-                 for i, _ in enumerate(found)],
+                builder.next_q.addrs(
+                    np.arange(len(found)) % builder.graph.num_vertices
+                ),
                 is_store=True,
             )
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gpu.config import WARP_SIZE
+from repro.gpu.config import LINE_SIZE, WARP_SIZE
+from repro.gpu.warp_soa import kernel_derived
 from repro.workloads.trace import Workload
 
 
@@ -56,25 +57,19 @@ def profile(workload: Workload) -> WorkloadProfile:
     pages_per_op = 0
     store_ops = 0
     touched: set[int] = set()
+    for kernel in workload.kernels:
+        addresses += kernel.addresses.size
+        for pages, _, store_pages, _ in kernel_derived(kernel, shift, 1.0):
+            ops += len(pages)
+            pages_per_op += sum(map(len, pages))
+            touched.update(*pages)
+            store_ops += sum(map(bool, store_pages))
     # Page sharing: how many blocks touch each page in the biggest kernel.
     biggest = max(workload.kernels, key=lambda k: k.num_blocks)
     page_owners: dict[int, int] = {}
-    for kernel in workload.kernels:
-        for block in kernel.blocks:
-            block_pages: set[int] = set()
-            for warp_ops in block.warp_ops:
-                for op in warp_ops:
-                    ops += 1
-                    addresses += len(op.addresses)
-                    op_pages = op.pages(shift)
-                    pages_per_op += len(op_pages)
-                    touched.update(op_pages)
-                    block_pages.update(op_pages)
-                    if op.is_store:
-                        store_ops += 1
-            if kernel is biggest:
-                for page in block_pages:
-                    page_owners[page] = page_owners.get(page, 0) + 1
+    for block in biggest.blocks:
+        for page in block.pages(shift):
+            page_owners[page] = page_owners.get(page, 0) + 1
     shared = sum(1 for count in page_owners.values() if count > 1)
     return WorkloadProfile(
         name=workload.name,
@@ -109,13 +104,13 @@ def divergence_index(workload: Workload, sample_ops: int = 2000) -> float:
     seen = 0
     total = 0.0
     for kernel in workload.kernels:
-        for block in kernel.blocks:
-            for warp_ops in block.warp_ops:
-                for op in warp_ops:
-                    if len(op.addresses) < WARP_SIZE // 2:
-                        continue
-                    total += len(op.lines()) / len(op.addresses)
-                    seen += 1
-                    if seen >= sample_ops:
-                        return total / seen
+        lines = (kernel.addresses // LINE_SIZE).tolist()
+        start = 0
+        for end in kernel.op_end.tolist():
+            if end - start >= WARP_SIZE // 2:
+                total += len(set(lines[start:end])) / (end - start)
+                seen += 1
+                if seen >= sample_ops:
+                    return total / seen
+            start = end
     return total / seen if seen else 0.0

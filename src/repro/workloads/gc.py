@@ -111,10 +111,7 @@ def build_gc_dtc(graph: CsrGraph, **kwargs) -> Workload:
         worklist = np.flatnonzero(~colored)
 
         def emit(ops, chunk, queue_offset):
-            ops.access(
-                [builder.worklist.addr_unchecked(queue_offset + i)
-                 for i in range(len(chunk))]
-            )
+            ops.access(builder.worklist.addrs(np.arange(len(chunk)) + queue_offset))
             builder.emit_active_properties(ops, chunk)
             builder.emit_tc_expansion(ops, chunk, touch_dst=True)
             ops.access(builder.vprop_addrs(chunk), is_store=True)

@@ -60,6 +60,15 @@ class CsrGraph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.edges[self.offsets[v] : self.offsets[v + 1]]
 
+    def edge_indices(self, vertices) -> np.ndarray:
+        """Edge-array indices of every adjacency list of ``vertices``,
+        list after list."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        start = self.offsets[vertices]
+        degree = self.offsets[vertices + 1] - start
+        first = np.cumsum(degree) - degree  # each list's place in the result
+        return np.arange(degree.sum()) + np.repeat(start - first, degree)
+
     def neighbor_slice(self, v: int) -> tuple[int, int]:
         """(start, end) edge-array indices of ``v``'s adjacency list."""
         return int(self.offsets[v]), int(self.offsets[v + 1])
@@ -147,15 +156,11 @@ def bfs_levels(graph: CsrGraph, source: int) -> np.ndarray:
         raise WorkloadError(f"source {source} out of range")
     levels = np.full(graph.num_vertices, -1, dtype=np.int64)
     levels[source] = 0
-    frontier = [source]
+    frontier = np.array([source])
     level = 0
-    while frontier:
-        next_frontier = []
-        for v in frontier:
-            for u in graph.neighbors(v):
-                if levels[u] == -1:
-                    levels[u] = level + 1
-                    next_frontier.append(int(u))
-        frontier = next_frontier
+    while frontier.size:
+        reached = graph.edges[graph.edge_indices(frontier)]
+        frontier = np.unique(reached[levels[reached] == -1])
         level += 1
+        levels[frontier] = level
     return levels

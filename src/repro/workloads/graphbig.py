@@ -25,21 +25,21 @@ styles recur across GraphBIG implementations:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import WorkloadError
 from repro.gpu.config import WARP_SIZE
 from repro.gpu.occupancy import KernelResources
-from repro.gpu.warp import WarpOp
-from repro.vm.address_space import AddressSpace, Segment
+from repro.vm.address_space import AddressSpace
 from repro.workloads.graph import CsrGraph
 from repro.workloads.trace import (
-    BlockTrace,
     KernelTrace,
     WarpOpsBuilder,
+    WarpTrace,
     Workload,
+    cumulative_offsets,
     group_warps_into_blocks,
 )
 
@@ -83,29 +83,36 @@ class GraphWorkloadBuilder:
     # ------------------------------------------------------------------
     # Address helpers
     # ------------------------------------------------------------------
-    def vprop_addrs(self, vertices: Iterable[int]) -> list[int]:
-        addr = self.vprop.addr_unchecked
-        return [addr(int(v)) for v in vertices]
+    def vprop_addrs(self, vertices: Sequence[int]) -> list[int]:
+        return self.vprop.addrs(vertices).tolist()
 
-    def offsets_addrs(self, vertices: Iterable[int]) -> list[int]:
-        addr = self.offsets.addr_unchecked
-        out = []
-        for v in vertices:
-            out.append(addr(int(v)))
-            out.append(addr(int(v) + 1))
-        return out
+    def offsets_addrs(self, vertices: Sequence[int]) -> np.ndarray:
+        """``offsets[v]`` and ``offsets[v + 1]``: one row per vertex."""
+        v = np.asarray(vertices, dtype=np.int64)[:, None]
+        return self.offsets.addrs(v + (0, 1))
 
-    def edge_addrs(self, indices: Iterable[int]) -> list[int]:
-        addr = self.edges.addr_unchecked
-        return [addr(int(i)) for i in indices]
+    def _lanes(
+        self, edge_index: np.ndarray, touch_dst: bool, extra_dst_addrs
+    ) -> np.ndarray:
+        """One row per edge: its edge entry, then (``touch_dst``) the
+        destination's property record — which ``dst_store`` writes — and
+        the ``extra_dst_addrs(edge_index, dst)`` columns, all dependent.
+        Columns lie in distinct segments, so positional marks are the
+        by-value ones."""
+        columns = [self.edges.addrs(edge_index)]
+        if touch_dst:
+            dst = self.graph.edges[edge_index]
+            columns.append(self.vprop.addrs(dst))
+            if extra_dst_addrs is not None:
+                columns.extend(extra_dst_addrs(edge_index, dst))
+        return np.column_stack(columns)
 
     # ------------------------------------------------------------------
     # Warp-level emitters
     # ------------------------------------------------------------------
     def emit_status_check(self, ops: WarpOpsBuilder, vertices: Sequence[int]) -> None:
         """Every lane reads its vertex's compact status word (coalesced)."""
-        addr = self.status.addr_unchecked
-        ops.access([addr(int(v)) for v in vertices])
+        ops.access(self.status.addrs(vertices))
 
     def emit_active_properties(
         self, ops: WarpOpsBuilder, active: Sequence[int], is_store: bool = False
@@ -124,38 +131,27 @@ class GraphWorkloadBuilder:
         """Thread-centric lockstep expansion of ``active`` lanes.
 
         Step ``j`` gathers edge ``j`` of every active lane that still has
-        neighbours, plus the destination property records.
+        neighbours, plus the destination property records, lane by lane.
+        ``extra_dst_addrs(edge_index, dst)`` maps arrays of edge indices
+        and their destinations to further per-edge address columns.
         """
         if not len(active):
             return
-        graph = self.graph
-        ops.access(self.offsets_addrs(active))
-        slices = [graph.neighbor_slice(int(v)) for v in active]
-        max_degree = max(end - start for start, end in slices)
-        for j in range(max_degree):
-            addrs: list[int] = []
-            stores: list[int] = []
-            dependent: list[int] = []
-            for start, end in slices:
-                if start + j < end:
-                    edge_index = start + j
-                    addrs.append(self.edges.addr_unchecked(edge_index))
-                    if touch_dst:
-                        dst = int(graph.edges[edge_index])
-                        dst_addr = self.vprop.addr_unchecked(dst)
-                        addrs.append(dst_addr)
-                        dependent.append(dst_addr)
-                        if dst_store:
-                            stores.append(dst_addr)
-                        if extra_dst_addrs is not None:
-                            extra = extra_dst_addrs(edge_index, dst)
-                            addrs.extend(extra)
-                            dependent.extend(extra)
-            ops.access(
-                addrs,
-                store_addresses=stores if dst_store else None,
-                dependent_addresses=dependent or None,
-            )
+        ops.access(self.offsets_addrs(active).ravel())
+        v = np.asarray(active, dtype=np.int64)
+        start, end = self.graph.offsets[v], self.graph.offsets[v + 1]
+        # (step, lane) grid: lane l's edge j sits in row j, column l.
+        grid = start + np.arange((end - start).max())[:, None]
+        live = grid < end
+        lanes = self._lanes(grid[live], touch_dst, extra_dst_addrs)
+        width = lanes.shape[1]
+        column = np.tile(np.arange(width), len(lanes))
+        ops.access_many(
+            lanes.ravel().tolist(),
+            (np.cumsum(live.sum(axis=1)) * width).tolist(),
+            (dst_store & (column == 1)).tolist(),
+            (column > 0).tolist(),
+        )
 
     def emit_wc_expansion(
         self,
@@ -165,33 +161,41 @@ class GraphWorkloadBuilder:
         dst_store: bool = False,
         extra_dst_addrs=None,
     ) -> None:
-        """Warp-centric expansion: 32 consecutive edges per step."""
-        graph = self.graph
-        for v in active:
-            start, end = graph.neighbor_slice(int(v))
-            ops.access(self.offsets_addrs([int(v)]))
-            for chunk_start in range(start, end, WARP_SIZE):
-                chunk_end = min(chunk_start + WARP_SIZE, end)
-                addrs = self.edge_addrs(range(chunk_start, chunk_end))
-                stores: list[int] = []
-                dependent: list[int] = []
-                if touch_dst:
-                    for edge_index in range(chunk_start, chunk_end):
-                        dst = int(graph.edges[edge_index])
-                        dst_addr = self.vprop.addr_unchecked(dst)
-                        addrs.append(dst_addr)
-                        dependent.append(dst_addr)
-                        if dst_store:
-                            stores.append(dst_addr)
-                        if extra_dst_addrs is not None:
-                            extra = extra_dst_addrs(edge_index, dst)
-                            addrs.extend(extra)
-                            dependent.extend(extra)
-                ops.access(
-                    addrs,
-                    store_addresses=stores if dst_store else None,
-                    dependent_addresses=dependent or None,
-                )
+        """Warp-centric expansion: 32 consecutive edges per step.
+
+        Each active vertex reads its offsets pair, then its edges
+        ``WARP_SIZE`` at a time; a step reads its lanes' edge entries
+        first (they coalesce), then each lane's destination records.
+        """
+        if not len(active):
+            return
+        v = np.asarray(active, dtype=np.int64)
+        lanes = self._lanes(self.graph.edge_indices(v), touch_dst, extra_dst_addrs)
+        edge = lanes[:, 0].tolist()
+        found = lanes[:, 1:].ravel().tolist()
+        rest = lanes.shape[1] - 1  # addresses per lane after its edge entry
+        written = ([dst_store] + [False] * rest)[:rest]  # the property record
+        addresses: list[int] = []
+        op_end: list[int] = []
+        store: list[bool] = []
+        dependent: list[bool] = []
+        degree = self.graph.offsets[v + 1] - self.graph.offsets[v]
+        bounds = cumulative_offsets(degree).tolist()
+        pairs = self.offsets_addrs(active).tolist()
+        for pair, lo, hi in zip(pairs, bounds, bounds[1:]):
+            addresses += pair
+            op_end.append(len(addresses))
+            store += (False, False)
+            dependent += (False, False)
+            for c0 in range(lo, hi, WARP_SIZE):
+                c1 = min(c0 + WARP_SIZE, hi)
+                m = c1 - c0
+                addresses += edge[c0:c1]
+                addresses += found[c0 * rest : c1 * rest]
+                op_end.append(len(addresses))
+                store += [False] * m + written * m
+                dependent += [False] * m + [True] * (m * rest)
+        ops.access_many(addresses, op_end, store, dependent)
 
     # ------------------------------------------------------------------
     # Kernel assembly
@@ -204,7 +208,7 @@ class GraphWorkloadBuilder:
         ``per_warp_emit(ops, vertices)`` fills one warp's op list; warps
         cover 32 consecutive vertices each.
         """
-        warp_ops: list[list[WarpOp]] = []
+        warp_ops: list[WarpTrace] = []
         n = self.graph.num_vertices
         for start in range(0, n, WARP_SIZE):
             vertices = range(start, min(start + WARP_SIZE, n))
@@ -217,17 +221,17 @@ class GraphWorkloadBuilder:
         self, name: str, work_items: Sequence[int], per_warp_emit
     ) -> KernelTrace:
         """One kernel over an explicit work queue (frontier)."""
-        warp_ops: list[list[WarpOp]] = []
+        warp_ops: list[WarpTrace] = []
         for start in range(0, len(work_items), WARP_SIZE):
             chunk = [int(v) for v in work_items[start : start + WARP_SIZE]]
             ops = WarpOpsBuilder()
             per_warp_emit(ops, chunk, start)
             warp_ops.append(ops.build())
         if not warp_ops:
-            warp_ops.append([])
+            warp_ops.append(WarpOpsBuilder().build())
         return self._kernel(name, warp_ops)
 
-    def _kernel(self, name: str, warp_ops: list[list[WarpOp]]) -> KernelTrace:
+    def _kernel(self, name: str, warp_ops: list[WarpTrace]) -> KernelTrace:
         blocks = group_warps_into_blocks(warp_ops, self.warps_per_block)
         return KernelTrace(name, blocks, self.resources)
 

@@ -26,10 +26,8 @@ def _peeling_rounds(graph: CsrGraph, k: int) -> list[np.ndarray]:
             break
         rounds.append(doomed)
         alive[doomed] = False
-        for v in doomed:
-            for u in graph.neighbors(int(v)):
-                if alive[u]:
-                    degrees[u] -= 1
+        neighbours = graph.edges[graph.edge_indices(doomed)]
+        np.subtract.at(degrees, neighbours[alive[neighbours]], 1)
     return rounds
 
 

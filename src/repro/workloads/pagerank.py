@@ -25,8 +25,8 @@ def build_pagerank(graph: CsrGraph, iterations: int = 2, **kwargs) -> Workload:
         def emit(ops, vertices):
             builder.emit_status_check(ops, vertices)
 
-            def accumulator_addr(_edge_index: int, dst: int) -> list[int]:
-                return [rank_next.addr_unchecked(dst)]
+            def accumulator_addr(_edge_index, dst):
+                return [rank_next.addrs(dst)]
 
             builder.emit_tc_expansion(
                 ops,

@@ -16,23 +16,26 @@ from repro.workloads.trace import KernelTrace, Workload
 
 
 def _sssp_rounds(graph: CsrGraph, source: int) -> list[np.ndarray]:
-    """Host-side Bellman–Ford; returns the per-round updated-vertex sets."""
-    dist = np.full(graph.num_vertices, np.iinfo(np.int64).max, dtype=np.int64)
+    """Host-side Bellman–Ford; returns the per-round updated-vertex sets.
+    Relaxations within a round see each other, so the loop is scalar."""
+    offsets = graph.offsets.tolist()
+    edges = graph.edges.tolist()
+    weights = graph.weights.tolist()
+    dist = [np.iinfo(np.int64).max] * graph.num_vertices
     dist[source] = 0
-    updated = np.array([source], dtype=np.int64)
+    updated = [source]
     rounds: list[np.ndarray] = []
-    while updated.size:
-        rounds.append(updated)
+    while updated:
+        rounds.append(np.array(updated, dtype=np.int64))
         changed = set()
         for v in updated:
-            start, end = graph.neighbor_slice(int(v))
-            for i in range(start, end):
-                u = int(graph.edges[i])
-                candidate = dist[v] + int(graph.weights[i])
+            for i in range(offsets[v], offsets[v + 1]):
+                u = edges[i]
+                candidate = dist[v] + weights[i]
                 if candidate < dist[u]:
                     dist[u] = candidate
                     changed.add(u)
-        updated = np.array(sorted(changed), dtype=np.int64)
+        updated = sorted(changed)
     return rounds
 
 
@@ -42,8 +45,8 @@ def build_sssp_twc(graph: CsrGraph, source: int = 0, max_rounds: int = 10,
     weights = builder.vas.allocate("weights", max(1, graph.num_edges), 8)
     rounds = _sssp_rounds(graph, source)[:max_rounds]
 
-    def weight_addr(edge_index: int, _dst: int) -> list[int]:
-        return [weights.addr_unchecked(edge_index)]
+    def weight_addr(edge_index, _dst):
+        return [weights.addrs(edge_index)]
 
     kernels: list[KernelTrace] = []
     for rnd, frontier in enumerate(rounds):

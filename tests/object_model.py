@@ -7,10 +7,15 @@ derived from — one :class:`Warp` object per warp, block predicates that
 loop over warp fields, and an issue path that calls
 :meth:`~repro.vm.mmu.GpuMmu.translate` and
 :meth:`~repro.gpu.caches.CacheHierarchy.access_lines` directly — as an
-independent implementation of the same timing model.
+independent implementation of the same timing model.  Its warps run
+:class:`~tests.warp_ops.WarpOp` lists read back from the kernel's
+columns, each op deriving its own pages and lines, so the oracle also
+re-derives the trace independently of
+:func:`~repro.gpu.warp_soa.kernel_derived`.
 
 :class:`ObjectModelSimulator` swaps it into :class:`GpuUvmSimulator` by
-overriding the kernel build, issue, schedule and wake methods.  The
+overriding the kernel build, issue, schedule, wake and runahead
+methods.  The
 golden tests run both models against the recorded corpus, and
 ``--regenerate`` records new goldens from this model rather than from
 the code under test.
@@ -22,8 +27,9 @@ from typing import Iterable, Sequence
 
 from repro.gpu.sm import StreamingMultiprocessor
 from repro.gpu.thread_block import BlockState
-from repro.gpu.warp import WarpOp, WarpState
+from repro.gpu.warp import WarpState
 from repro.simulator import GpuUvmSimulator, _ExecuteOpEvent, _WarpCompletedEvent
+from tests.warp_ops import WarpOp, ops_of
 
 
 class Warp:
@@ -262,9 +268,9 @@ class ObjectModelSimulator(GpuUvmSimulator):
         """One :class:`Warp` object per warp of the launch."""
         blocks: list[ObjectThreadBlock] = []
         validator = self._warp_validator
-        for block_trace in kernel.blocks:
+        for block_ops in ops_of(kernel):
             warps = []
-            for warp_id, ops in enumerate(block_trace.warp_ops):
+            for warp_id, ops in enumerate(block_ops):
                 warp = Warp(warp_id, ops)
                 warp.exec_event = _ExecuteOpEvent(self, warp)
                 warp.complete_event = _WarpCompletedEvent(self, warp)
@@ -276,6 +282,20 @@ class ObjectModelSimulator(GpuUvmSimulator):
                 continue  # nothing to execute
             blocks.append(ObjectThreadBlock(len(blocks), warps))
         return blocks
+
+    def _runahead_probe(self, warp: Warp) -> None:
+        """Runahead over the warp's :class:`WarpOp` objects: each upcoming
+        op's own independent pages."""
+        depth = self.config.runahead.depth
+        self._runahead_probes += 1
+        for op in warp.ops[warp.pc + 1 : warp.pc + 1 + depth]:
+            for page in op.independent_pages(self.page_shift):
+                if self.page_table.is_resident(page):
+                    continue
+                if self.runtime.page_has_waiters(page):
+                    continue
+                self._runahead_faults += 1
+                self.runtime.raise_fault(page, None)
 
     def _scale_compute(self, cycles: int) -> int:
         """Scheduled cycles for ``cycles`` of raw compute under the

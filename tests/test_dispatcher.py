@@ -6,9 +6,10 @@ from repro.gpu.occupancy import KernelResources
 from repro.gpu.dispatcher import Dispatcher
 from repro.gpu.sm import StreamingMultiprocessor
 from repro.gpu.thread_block import BlockState
-from repro.gpu.warp import WarpOp, WarpState
+from repro.gpu.warp import WarpState
 from repro.sim.engine import Engine
 from tests.warp_factory import make_block
+from tests.warp_ops import WarpOp
 
 
 def make_blocks(n, warps=1):

@@ -3,25 +3,33 @@
 import pytest
 
 from repro import GpuUvmSimulator, build_workload, systems
-from repro.gpu.warp import WarpOp
 from repro.workloads.registry import SCALES
+from tests.warp_factory import make_store
+from tests.warp_ops import WarpOp
 
 RATIO = SCALES["tiny"].half_memory_ratio
 
 
+def independent(op):
+    store = make_store([[op]])
+    return store.op_independent(0)[0], store.op_pages[0][0]
+
+
 class TestWarpOpDependence:
     def test_default_everything_independent(self):
-        op = WarpOp(8, (0x1000, 0x2000))
-        assert op.independent_pages(12) == op.pages(12)
+        probeable, pages = independent(WarpOp(8, (0x1000, 0x2000)))
+        assert probeable == pages == (1, 2)
 
     def test_dependent_addresses_excluded(self):
-        op = WarpOp(8, (0x1000, 0x2000), dependent_addresses=(0x2000,))
-        assert op.independent_pages(12) == (1,)
-        assert op.pages(12) == (1, 2)
+        probeable, pages = independent(
+            WarpOp(8, (0x1000, 0x2000), dependent_addresses=(0x2000,))
+        )
+        assert probeable == (1,)
+        assert pages == (1, 2)
 
     def test_fully_dependent_op(self):
-        op = WarpOp(8, (0x1000,), dependent_addresses=(0x1000,))
-        assert op.independent_pages(12) == ()
+        probeable, _ = independent(WarpOp(8, (0x1000,), dependent_addresses=(0x1000,)))
+        assert probeable == ()
 
 
 class TestTracesTagDependence:
@@ -31,14 +39,9 @@ class TestTracesTagDependence:
         vprop_pages = set(vas["vprop"].page_range(vas.page_shift))
         tagged = 0
         for kernel in workload.kernels:
-            for block in kernel.blocks:
-                for warp_ops in block.warp_ops:
-                    for op in warp_ops:
-                        if not op.dependent_addresses:
-                            continue
-                        tagged += 1
-                        for addr in op.dependent_addresses:
-                            assert addr >> vas.page_shift in vprop_pages
+            pages = kernel.addresses[kernel.dependent] >> vas.page_shift
+            assert set(pages.tolist()) <= vprop_pages
+            tagged += pages.size
         assert tagged > 0
 
 

@@ -257,41 +257,46 @@ class TestQuotaPinning:
             assert server.cache.pinned() == 0
 
 
+def _start_server_process(tmp_path) -> tuple[subprocess.Popen, dict]:
+    """``python -m repro.serve`` on a free port; returns it once ready."""
+    ready_file = tmp_path / "ready.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src"
+    repo_root = pathlib.Path(__file__).parent.parent
+    proc = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.serve",
+            "--port",
+            "0",
+            "--cache-dir",
+            str(tmp_path / "cache"),
+            "--ready-file",
+            str(ready_file),
+            "--quiet",
+        ],
+        env=env,
+        cwd=repo_root,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    deadline = time.monotonic() + 30
+    while not ready_file.exists():
+        if time.monotonic() > deadline or proc.poll() is not None:
+            proc.kill()
+            _, stderr = proc.communicate(timeout=10)
+            pytest.fail(f"server never became ready: {stderr.decode()}")
+        time.sleep(0.05)
+    return proc, json.loads(ready_file.read_text())
+
+
 class TestSigterm:
     def test_subprocess_server_drains_on_sigterm(self, tmp_path):
         """The real signal path: SIGTERM lets the in-flight cell finish,
         then the process exits 0."""
-        ready_file = tmp_path / "ready.json"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = "src"
-        repo_root = pathlib.Path(__file__).parent.parent
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.serve",
-                "--port",
-                "0",
-                "--cache-dir",
-                str(tmp_path / "cache"),
-                "--ready-file",
-                str(ready_file),
-                "--quiet",
-            ],
-            env=env,
-            cwd=repo_root,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-        )
+        proc, ready = _start_server_process(tmp_path)
         try:
-            deadline = time.monotonic() + 30
-            while not ready_file.exists():
-                assert time.monotonic() < deadline, "server never became ready"
-                assert proc.poll() is None, (
-                    f"server died early: {proc.stderr.read().decode()}"
-                )
-                time.sleep(0.05)
-            ready = json.loads(ready_file.read_text())
             client = ServeClient(ready["host"], ready["port"])
 
             with ThreadPoolExecutor(max_workers=1) as pool:
@@ -302,6 +307,24 @@ class TestSigterm:
             assert response.status == 200
             assert response.json()["result"]["workload"] == "BFS-TWC"
             assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+
+    def test_idle_connection_closes_cleanly_on_sigterm(self, tmp_path):
+        """A drained server closes its open connections before its loop
+        ends, so none is cancelled mid-close (which made asyncio print a
+        CancelledError traceback although the process exited 0)."""
+        proc, ready = _start_server_process(tmp_path)
+        try:
+            with socket.create_connection((ready["host"], ready["port"])) as idle:
+                ServeClient(ready["host"], ready["port"]).healthz()
+                proc.send_signal(signal.SIGTERM)
+                _, stderr = proc.communicate(timeout=30)
+                assert idle.recv(1) == b""  # the server closed it
+            assert proc.returncode == 0
+            assert b"Traceback" not in stderr, stderr.decode()
         finally:
             if proc.poll() is None:
                 proc.kill()

@@ -6,9 +6,9 @@ from repro import GpuUvmSimulator, build_workload, simulate, systems
 from repro.errors import SimulationError
 from repro.gpu.config import WARP_SIZE
 from repro.gpu.occupancy import KernelResources
-from repro.gpu.warp import WarpOp
 from repro.vm.address_space import AddressSpace
 from repro.workloads.trace import BlockTrace, KernelTrace, Workload
+from tests.warp_ops import WarpOp, warp_trace
 
 
 def tiny_workload(num_blocks=2, ops_per_warp=4, warps=2, page_size=4096):
@@ -23,7 +23,7 @@ def tiny_workload(num_blocks=2, ops_per_warp=4, warps=2, page_size=4096):
                 WarpOp(8, (data.addr_unchecked((b * warps + w) * 64 + i * 16),))
                 for i in range(ops_per_warp)
             ]
-            warp_ops.append(ops)
+            warp_ops.append(warp_trace(ops))
         blocks.append(BlockTrace(warp_ops))
     kernel = KernelTrace(
         "k", blocks, KernelResources(threads_per_block=WARP_SIZE * warps)

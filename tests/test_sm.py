@@ -8,9 +8,10 @@ from repro.gpu.context import ContextCostModel
 from repro.gpu.occupancy import KernelResources
 from repro.gpu.sm import StreamingMultiprocessor
 from repro.gpu.thread_block import BlockState
-from repro.gpu.warp import WarpOp, WarpState
+from repro.gpu.warp import WarpState
 from repro.sim.engine import Engine
 from tests import warp_factory
+from tests.warp_ops import WarpOp
 
 
 def make_block(block_id=0, num_warps=2):

@@ -1,8 +1,9 @@
 """Unit tests for the thread-block model."""
 
 from repro.gpu.thread_block import BlockState
-from repro.gpu.warp import WarpOp, WarpState
+from repro.gpu.warp import WarpState
 from tests import warp_factory
+from tests.warp_ops import WarpOp
 
 
 def make_block(num_warps=2):

@@ -1,7 +1,8 @@
 """Unit tests for the warp model."""
 
-from repro.gpu.warp import WarpOp, WarpState
+from repro.gpu.warp import WarpState
 from tests import warp_factory
+from tests.warp_ops import WarpOp
 
 
 def make_warp(ops=None):
@@ -9,24 +10,27 @@ def make_warp(ops=None):
     return warp_factory.make_warp(ops)
 
 
+def derived(op):
+    """``op``'s derived pages, lines and store pages (4 KB pages)."""
+    store = warp_factory.make_store([[op]])
+    return store.op_pages[0][0], store.op_lines[0][0], store.op_store_pages[0][0]
+
+
 class TestWarpOp:
     def test_lines_deduplicate_and_sort(self):
-        op = WarpOp(8, (256, 300, 128, 130))
+        _, lines, _ = derived(WarpOp(8, (256, 300, 128, 130)))
         # 128-byte lines: 256 and 300 share line 2; 128 and 130 share line 1.
-        assert op.lines() == (1, 2)
+        assert lines == (1, 2)
 
     def test_pages_deduplicate_and_sort(self):
-        shift = 12  # 4 KB pages
-        op = WarpOp(8, (0x1000, 0x1FFF, 0x3000))
-        assert op.pages(shift) == (1, 3)
+        pages, _, _ = derived(WarpOp(8, (0x1000, 0x1FFF, 0x3000)))
+        assert pages == (1, 3)
 
     def test_empty_addresses(self):
-        op = WarpOp(4)
-        assert op.lines() == ()
-        assert op.pages(16) == ()
+        assert derived(WarpOp(4)) == ((), (), ())
 
     def test_store_flag(self):
-        assert WarpOp(1, (0,), is_store=True).is_store
+        assert derived(WarpOp(1, (0,), is_store=True))[2] == (0,)
 
 
 class TestWarpLifecycle:
@@ -77,11 +81,12 @@ class TestWarpLifecycle:
         assert warp.stalled_cycles == 200
 
     def test_current_op_tracks_pc(self):
-        ops = [WarpOp(1, (0,)), WarpOp(2, (128,))]
-        warp = make_warp(ops)
-        assert warp.current_op() is ops[0]
+        warp = make_warp([WarpOp(1, (0,)), WarpOp(2, (128,))])
+        store = warp.store
+        assert store.op_compute[0][warp.pc] == 1
         warp.advance()
-        assert warp.current_op() is ops[1]
+        assert store.op_compute[0][warp.pc] == 2
+        assert store.op_lines[0][warp.pc] == (1,)
 
     def test_restall_preserves_stall_start(self):
         # Regression: stalling an already-STALLED warp (a replay faulting

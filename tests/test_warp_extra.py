@@ -1,46 +1,55 @@
 """Additional warp-model coverage: stores, dependence, memoisation."""
 
-from repro.gpu.warp import WarpOp, WarpState
-from tests.warp_factory import make_warp
+from repro.gpu.warp import WarpState
+from repro.gpu.warp_soa import kernel_derived, kernel_independent
+from tests.warp_factory import make_store, make_warp
+from tests.warp_ops import WarpOp, kernel_of
+
+
+def pages_and_store_pages(op):
+    store = make_store([[op]])
+    return store.op_pages[0][0], store.op_store_pages[0][0]
 
 
 class TestStoreAddresses:
     def test_is_store_without_subset_marks_all(self):
-        op = WarpOp(8, (0x1000, 0x2000), is_store=True)
-        assert op.store_addresses == op.addresses
-        assert op.store_pages(12) == op.pages(12)
+        pages, stored = pages_and_store_pages(WarpOp(8, (0x1000, 0x2000), is_store=True))
+        assert stored == pages == (1, 2)
 
     def test_subset_implies_is_store(self):
         op = WarpOp(8, (0x1000, 0x2000), store_addresses=(0x2000,))
         assert op.is_store
-        assert op.store_pages(12) == (2,)
+        assert pages_and_store_pages(op)[1] == (2,)
 
     def test_empty_subset_means_pure_load(self):
         op = WarpOp(8, (0x1000,), store_addresses=())
         assert not op.is_store
-        assert op.store_pages(12) == ()
+        assert pages_and_store_pages(op)[1] == ()
 
     def test_pure_load_default(self):
-        op = WarpOp(8, (0x1000,))
-        assert not op.is_store
-        assert op.store_pages(12) == ()
+        assert pages_and_store_pages(WarpOp(8, (0x1000,)))[1] == ()
 
 
 class TestMemoisation:
     def test_pages_memo_invalidated_by_shift_change(self):
-        op = WarpOp(8, (0x1000, 0x2000))
-        assert op.pages(12) == (1, 2)
-        assert op.pages(13) == (0, 1)
-        assert op.pages(12) == (1, 2)
+        kernel = kernel_of([[WarpOp(8, (0x1000, 0x2000))]])
+        assert kernel_derived(kernel, 12, 1.0)[0][0] == ((1, 2),)
+        assert kernel_derived(kernel, 13, 1.0)[0][0] == ((0, 1),)
+        assert kernel_derived(kernel, 12, 1.0)[0][0] == ((1, 2),)
 
     def test_lines_memoised(self):
-        op = WarpOp(8, (0, 1, 128))
-        assert op.lines() is op.lines()
+        kernel = kernel_of([[WarpOp(8, (0, 1, 128))]])
+        derived = kernel_derived(kernel, 12, 1.0)
+        assert derived[0][1] == ((0, 1),)
+        assert kernel_derived(kernel, 12, 1.0) is derived
 
     def test_independent_pages_memo_per_shift(self):
-        op = WarpOp(8, (0x1000, 0x2000), dependent_addresses=(0x2000,))
-        assert op.independent_pages(12) == (1,)
-        assert op.independent_pages(13) == (0,)
+        kernel = kernel_of(
+            [[WarpOp(8, (0x1000, 0x2000), dependent_addresses=(0x2000,))]]
+        )
+        assert kernel_independent(kernel, 12)[0] == ((1,),)
+        assert kernel_independent(kernel, 13)[0] == ((0,),)
+        assert kernel_independent(kernel, 12) is kernel_independent(kernel, 12)
 
 
 class TestWarpStates:

@@ -9,9 +9,10 @@ slice-scan block predicates against their specification.
 import pytest
 
 from repro.gpu.thread_block import ThreadBlock
-from repro.gpu.warp import WarpOp, WarpState
+from repro.gpu.warp import WarpState
 from repro.gpu.warp_soa import SoAWarp
 from tests.warp_factory import PAGE_SHIFT, make_store
+from tests.warp_ops import WarpOp
 
 
 def two_op_warp():
@@ -34,7 +35,7 @@ class TestWarpStore:
 
     def test_compute_scale_applied_at_build(self):
         ops = [WarpOp(10, (0,))]
-        store = make_store([ops], scale=lambda c: c * 3)
+        store = make_store([ops], time_scale=3.0)
         assert store.op_compute[0] == (30,)
 
     def test_empty_ops_warp_starts_finished(self):
@@ -92,9 +93,11 @@ class TestSoAWarpLifecycle:
 
     def test_current_op_tracks_pc(self):
         warp, ops = two_op_warp()
-        assert warp.current_op() is ops[0]
+        store = warp.store
+        assert store.op_pages[0][warp.pc] == ops[0].pages(PAGE_SHIFT)
         warp.advance()
-        assert warp.current_op() is ops[1]
+        assert store.op_pages[0][warp.pc] == ops[1].pages(PAGE_SHIFT)
+        assert store.op_store_pages[0][warp.pc] == ops[1].store_pages(PAGE_SHIFT)
 
     def test_state_setter_round_trips_every_state(self):
         warp, _ = two_op_warp()

@@ -5,23 +5,23 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.gpu.thread_block import ThreadBlock
-from repro.gpu.warp import WarpOp
 from repro.gpu.warp_soa import SoAWarp, WarpStore
+from repro.vm.address_space import AddressSpace
+from repro.workloads.trace import Workload
+from tests.warp_ops import WarpOp, kernel_of
 
 PAGE_SHIFT = 12
 
 
-def identity_scale(cycles: int) -> int:
-    return cycles
-
-
 def make_store(
-    op_lists: Sequence[Sequence[WarpOp]], scale=identity_scale
+    op_lists: Sequence[Sequence[WarpOp]], time_scale: float = 1.0
 ) -> WarpStore:
-    """One warp per op list; warp ``i`` has index and warp id ``i``."""
-    store = WarpStore(len(op_lists))
-    for i, ops in enumerate(op_lists):
-        store.add_warp(i, i, ops, PAGE_SHIFT, scale)
+    """One warp per op list, all in one block of a one-kernel workload;
+    warp ``i`` has index and warp id ``i``."""
+    workload = Workload("w", AddressSpace(1 << PAGE_SHIFT), [kernel_of(op_lists)])
+    store = WarpStore(workload, 0, PAGE_SHIFT, time_scale)
+    for i in range(len(op_lists)):
+        store.add_handle(i, i)
     return store
 
 
