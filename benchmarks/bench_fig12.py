@@ -21,3 +21,7 @@ def test_fig12_fewer_batches_under_to(benchmark, bench_scale,
     ]
     total = len(result.rows) - 1
     assert len(improved) >= total // 2
+    if bench_scale == "tiny":
+        # The paper's -51% is compressed to -16% here (84.1%, EXPERIMENTS.md):
+        # a run that reaches the paper's figure is a conscious diff.
+        assert 60.0 < result.value("AVERAGE", "relative_pct") < 90.0

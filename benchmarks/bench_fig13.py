@@ -21,3 +21,7 @@ def test_fig13_bigger_batches_under_to(benchmark, bench_scale,
     ]
     total = len(result.rows) - 1
     assert len(grown) >= total // 2
+    if bench_scale == "tiny":
+        # The paper's 2.27x batch size is compressed to 1.17x here
+        # (116.9%, EXPERIMENTS.md).
+        assert 105.0 < result.value("AVERAGE", "relative_pct") < 150.0

@@ -12,12 +12,23 @@ def test_fig18_fault_handling_time_sensitivity(benchmark, bench_scale,
     )
     print(save_table(result))
     to = result.column("to")
+    ue = result.column("ue")
     to_ue = result.column("to_ue")
     # The amortisation mechanism: TO's benefit grows with the cost being
     # amortised.
     assert to[-1] > to[0]
     # The composed system beats the baseline at every fault-handling cost.
     assert all(s > 1.0 for s in to_ue)
-    # At this scale UE's FHT-independent share flattens the composed
-    # trend (EXPERIMENTS.md); it must at least not collapse.
-    assert to_ue[-1] > to_ue[0] - 0.15
+    if bench_scale == "tiny":
+        # Each step of the sweep: TO rises, UE falls (its saving is the
+        # FHT-independent eviction time, a shrinking share).
+        assert all(b > a for a, b in zip(to, to[1:])), to
+        assert all(b < a for a, b in zip(ue, ue[1:])), ue
+        # The composed trend is flat at this scale, not rising as in the
+        # paper (EXPERIMENTS.md): 1.377 -> 1.311.
+        assert max(to_ue) - min(to_ue) < 0.1, to_ue
+        assert all(s > 1.25 for s in to_ue), to_ue
+    else:
+        # UE's FHT-independent share flattens the composed trend; it
+        # must at least not collapse.
+        assert to_ue[-1] > to_ue[0] - 0.15

@@ -7,7 +7,8 @@ A guard's cost is too small to resolve inside one real simulation run
 
 1. A **bare engine replica** (the pre-instrumentation event loop, inlined
    below) and :class:`repro.sim.Engine` each drain the same synthetic
-   event storm; the timing delta is the guard cost per event.
+   event storm; the median per-pair delta is the guard cost per event
+   (``guard_timing``), measured once for the module.
 2. A real tiny run with obs off gives events-processed and wall-clock.
    Estimated overhead = guard cost x events x guard sites / runtime.
 
@@ -22,6 +23,9 @@ import heapq
 import pathlib
 import time
 
+import pytest
+from guard_timing import describe, guard_cost
+
 from repro import GpuUvmSimulator, build_workload, obs, systems
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
@@ -29,9 +33,6 @@ from repro.sim.engine import Engine
 #: Upper bound on `is not None` guard evaluations per engine event across
 #: all instrumented components (engine step, fault path, buffer, DMA, SM).
 GUARD_SITES_PER_EVENT = 8
-
-#: Events in the synthetic storm used to resolve the per-event guard cost.
-STORM_EVENTS = 200_000
 
 #: Upper bound on the *additional* `analytics is not None` guards per
 #: engine event added by repro.obs.analytics: op execution (2 charge
@@ -82,30 +83,6 @@ class BareEngine(Engine):
                 self.now = until
 
 
-def drain_storm(engine, n: int = STORM_EVENTS) -> float:
-    """Time draining n self-rescheduling events; returns seconds."""
-    remaining = [n]
-
-    def tick() -> None:
-        remaining[0] -= 1
-        if remaining[0] > 0:
-            engine.schedule(1, tick)
-
-    engine.schedule(0, tick)
-    start = time.perf_counter()
-    engine.run()
-    return time.perf_counter() - start
-
-
-def interleaved_mins(fn_a, fn_b, repeats: int = 7) -> tuple[float, float]:
-    """Best-of timings for two rivals, alternating so drift hits both."""
-    a_times, b_times = [], []
-    for _ in range(repeats):
-        a_times.append(fn_a())
-        b_times.append(fn_b())
-    return min(a_times), min(b_times)
-
-
 def timed_tiny_run(obs_session) -> tuple[float, int]:
     """(wall seconds, engine events) for one KCORE tiny run."""
     workload = build_workload("KCORE", scale="tiny", seed=0)
@@ -116,23 +93,23 @@ def timed_tiny_run(obs_session) -> tuple[float, int]:
     return time.perf_counter() - start, sim.engine.events_processed
 
 
-def test_obs_off_overhead_below_two_percent():
+@pytest.fixture(scope="module")
+def engine_guards():
+    """``(cost per event, per-pair differences)`` of the engine's guards
+    over the bare replica, measured once for every gate below."""
     assert obs.current() is None, "a leaked obs session would skew timing"
+    return guard_cost(BareEngine, Engine)
 
-    bare, guarded = interleaved_mins(
-        lambda: drain_storm(BareEngine()), lambda: drain_storm(Engine())
-    )
-    guard_cost_per_event = max(0.0, guarded - bare) / STORM_EVENTS
+
+def test_obs_off_overhead_below_two_percent(engine_guards):
+    assert obs.current() is None, "a leaked obs session would skew timing"
+    guard_cost_per_event, diffs = engine_guards
 
     off_seconds, events = min(timed_tiny_run(None) for _ in range(3))
     estimated = guard_cost_per_event * GUARD_SITES_PER_EVENT * events
     overhead = estimated / off_seconds
 
-    print(
-        f"\nguard cost: {guard_cost_per_event * 1e9:.1f} ns/event "
-        f"(bare {bare * 1e3:.1f} ms vs guarded {guarded * 1e3:.1f} ms "
-        f"over {STORM_EVENTS:,} events)"
-    )
+    print(f"\n{describe(guard_cost_per_event, diffs)}")
     print(
         f"obs off: {off_seconds * 1e3:.0f} ms, {events:,} engine events, "
         f"estimated guard overhead {overhead:.3%} "
@@ -143,7 +120,7 @@ def test_obs_off_overhead_below_two_percent():
     )
 
 
-def test_analytics_off_overhead_below_two_percent():
+def test_analytics_off_overhead_below_two_percent(engine_guards):
     """Analytics disabled must stay under the same 2% budget.
 
     With ``analytics=False`` every analytics hook is one pointer test
@@ -153,11 +130,7 @@ def test_analytics_off_overhead_below_two_percent():
     sites x events / runtime.
     """
     assert obs.current() is None, "a leaked obs session would skew timing"
-
-    bare, guarded = interleaved_mins(
-        lambda: drain_storm(BareEngine()), lambda: drain_storm(Engine())
-    )
-    guard_cost_per_event = max(0.0, guarded - bare) / STORM_EVENTS
+    guard_cost_per_event, _ = engine_guards
 
     off_seconds, events = min(timed_tiny_run(None) for _ in range(3))
     estimated = guard_cost_per_event * ANALYTICS_GUARD_SITES * events
@@ -191,7 +164,7 @@ def _timed_tiny_sim(checkpoint_dir=None, every=1):
 CHECKPOINT_GUARD_SITES_PER_TRANSITION = 4
 
 
-def test_checkpoint_off_overhead_below_two_percent():
+def test_checkpoint_off_overhead_below_two_percent(engine_guards):
     """Checkpointing disabled must cost <2% — same budget as obs off.
 
     With no checkpoint hook installed the engine keeps its unguarded
@@ -202,11 +175,7 @@ def test_checkpoint_off_overhead_below_two_percent():
     the obs guards: measured per-guard cost x sites x transitions.
     """
     assert obs.current() is None, "a leaked obs session would skew timing"
-
-    bare, guarded = interleaved_mins(
-        lambda: drain_storm(BareEngine()), lambda: drain_storm(Engine())
-    )
-    guard_cost_per_event = max(0.0, guarded - bare) / STORM_EVENTS
+    guard_cost_per_event, _ = engine_guards
 
     off_seconds, sim, _ = min(
         (_timed_tiny_sim() for _ in range(3)), key=lambda t: t[0]

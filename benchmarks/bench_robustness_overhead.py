@@ -8,7 +8,8 @@ resolve inside a real run (noise swamps it), so we measure it directly:
 
 1. A **pre-watchdog engine replica** (the ``run`` body as of the obs PR,
    inlined below) races :class:`repro.sim.Engine` over the same
-   synthetic event storm; the delta is the per-event guard cost.
+   synthetic event storm; the median per-pair delta is the per-event
+   guard cost (``guard_timing``).
 2. A real tiny run with robustness off gives events and wall-clock.
    Estimated overhead = guard cost x guard sites x events / runtime.
 
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import time
 
+from guard_timing import describe, guard_cost
+
 from repro import GpuUvmSimulator, build_workload, obs, systems
 from repro.chaos.config import parse_chaos_spec
 from repro.sim.engine import Engine
@@ -31,9 +34,6 @@ from repro.sim.engine import Engine
 #: chaos and invariant hooks (which fire per fault or per batch — far
 #: less than once per event; one slot each is already generous).
 GUARD_SITES_PER_EVENT = 4
-
-#: Events in the synthetic storm used to resolve the per-event guard cost.
-STORM_EVENTS = 200_000
 
 
 class PreWatchdogEngine(Engine):
@@ -66,30 +66,6 @@ class PreWatchdogEngine(Engine):
             )
 
 
-def drain_storm(engine, n: int = STORM_EVENTS) -> float:
-    """Time draining n self-rescheduling events; returns seconds."""
-    remaining = [n]
-
-    def tick() -> None:
-        remaining[0] -= 1
-        if remaining[0] > 0:
-            engine.schedule(1, tick)
-
-    engine.schedule(0, tick)
-    start = time.perf_counter()
-    engine.run()
-    return time.perf_counter() - start
-
-
-def interleaved_mins(fn_a, fn_b, repeats: int = 7) -> tuple[float, float]:
-    """Best-of timings for two rivals, alternating so drift hits both."""
-    a_times, b_times = [], []
-    for _ in range(repeats):
-        a_times.append(fn_a())
-        b_times.append(fn_b())
-    return min(a_times), min(b_times)
-
-
 def timed_tiny_run(chaos=None, check_invariants=False) -> tuple[float, int]:
     """(wall seconds, engine events) for one KCORE tiny run."""
     workload = build_workload("KCORE", scale="tiny", seed=0)
@@ -105,20 +81,13 @@ def timed_tiny_run(chaos=None, check_invariants=False) -> tuple[float, int]:
 def test_robustness_off_overhead_below_two_percent():
     assert obs.current() is None, "a leaked obs session would skew timing"
 
-    bare, guarded = interleaved_mins(
-        lambda: drain_storm(PreWatchdogEngine()), lambda: drain_storm(Engine())
-    )
-    guard_cost_per_event = max(0.0, guarded - bare) / STORM_EVENTS
+    guard_cost_per_event, diffs = guard_cost(PreWatchdogEngine, Engine)
 
     off_seconds, events = min(timed_tiny_run() for _ in range(3))
     estimated = guard_cost_per_event * GUARD_SITES_PER_EVENT * events
     overhead = estimated / off_seconds
 
-    print(
-        f"\nguard cost: {guard_cost_per_event * 1e9:.1f} ns/event "
-        f"(pre-watchdog {bare * 1e3:.1f} ms vs current {guarded * 1e3:.1f} ms "
-        f"over {STORM_EVENTS:,} events)"
-    )
+    print(f"\n{describe(guard_cost_per_event, diffs)}")
     print(
         f"robustness off: {off_seconds * 1e3:.0f} ms, {events:,} engine "
         f"events, estimated guard overhead {overhead:.3%} "

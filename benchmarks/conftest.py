@@ -25,7 +25,7 @@ from contextlib import nullcontext
 
 import pytest
 
-from repro.experiments import common
+from repro.experiments.policy import run_policy
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -37,7 +37,7 @@ def _experiment_layer_config():
     """``REPRO_BENCH_JOBS`` overrides the default policy's worker count
     (itself ``REPRO_JOBS``) for the session."""
     jobs = os.environ.get("REPRO_BENCH_JOBS")
-    with common.run_policy(jobs=int(jobs)) if jobs else nullcontext():
+    with run_policy(jobs=int(jobs)) if jobs else nullcontext():
         yield
 
 

@@ -27,7 +27,7 @@ import sys
 from repro import obs as obs_mod
 from repro import systems
 from repro.errors import ReproError
-from repro.experiments import common
+from repro.experiments.cells import RunSpec, simulate_spec
 from repro.workloads.registry import SCALES, workload_names
 
 DEFAULT_CELLS = ("BASELINE:BFS-TTC", "TO_UE:BFS-TTC")
@@ -118,7 +118,7 @@ def analyze_cells(args) -> tuple[dict, list]:
     runs = []
     for token in args.cells:
         system_name, workload_name = parse_cell(token)
-        spec = common.RunSpec(
+        spec = RunSpec(
             workload_name,
             preset=systems.by_name(system_name),
             scale=args.scale,
@@ -130,7 +130,7 @@ def analyze_cells(args) -> tuple[dict, list]:
         )
         previous = obs_mod.install(ob)
         try:
-            result = common._simulate_spec(spec)
+            result = simulate_spec(spec)
         finally:
             obs_mod.install(previous)
         run = ob.analytics.runs[-1]

@@ -42,9 +42,11 @@ Guarantees and failure handling (see ``docs/robustness.md``):
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import warnings
+from functools import lru_cache
 from pathlib import Path
 
 from repro.errors import CheckpointError, WorkloadError
@@ -57,6 +59,8 @@ __all__ = [
     "load_checkpoint",
     "try_load",
     "restore_checkpoint",
+    "source_fingerprint",
+    "quarantine",
 ]
 
 MAGIC = "repro-checkpoint"
@@ -67,12 +71,16 @@ MAGIC = "repro-checkpoint"
 SCHEMA_VERSION = 3
 
 
-def _source_fingerprint() -> str:
-    """Fingerprint of the package source (lazy import: experiments.common
-    pulls in the runner stack, which this low-level module must not)."""
-    from repro.experiments.common import _code_fingerprint
-
-    return _code_fingerprint()
+@lru_cache(maxsize=1)
+def source_fingerprint() -> str:
+    """Content hash of the ``repro`` package source: any code change
+    invalidates every checkpoint and run-cache entry."""
+    root = Path(__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 class SimCheckpoint:
@@ -104,7 +112,7 @@ class SimCheckpoint:
         meta = {
             "magic": MAGIC,
             "schema": SCHEMA_VERSION,
-            "fingerprint": _source_fingerprint(),
+            "fingerprint": source_fingerprint(),
             "workload": workload.name,
             "registry_key": workload.registry_key,
             "shape": workload.shape,
@@ -177,14 +185,15 @@ def save_checkpoint(sim, path: str | Path) -> Path:
     return path
 
 
-def _quarantine(path: Path) -> Path:
-    """Move a corrupt checkpoint aside (same policy as the run cache's
-    ``.pkl.corrupt`` entries) so retries fall back to a fresh run."""
+def quarantine(path: Path) -> Path | None:
+    """Rename a corrupt checkpoint or run-cache entry aside as
+    ``<name>.corrupt`` (kept for a post-mortem, never loaded again);
+    returns the new path, or ``None`` when the rename failed."""
     target = path.with_name(path.name + ".corrupt")
     try:
         os.replace(path, target)
     except OSError:
-        return path
+        return None
     return target
 
 
@@ -213,7 +222,7 @@ def load_checkpoint(path: str | Path, check_fingerprint: bool = True) -> SimChec
     except CheckpointError:
         raise
     except Exception as exc:
-        quarantined = _quarantine(path)
+        quarantined = quarantine(path) or path
         raise CheckpointError(
             "corrupt checkpoint quarantined",
             path=str(path),
@@ -221,7 +230,7 @@ def load_checkpoint(path: str | Path, check_fingerprint: bool = True) -> SimChec
             error=repr(exc),
         ) from exc
     if magic != MAGIC:
-        quarantined = _quarantine(path)
+        quarantined = quarantine(path) or path
         raise CheckpointError(
             "not a repro checkpoint (bad magic); quarantined",
             path=str(path),
@@ -235,7 +244,7 @@ def load_checkpoint(path: str | Path, check_fingerprint: bool = True) -> SimChec
             found=meta.get("schema"),
             expected=SCHEMA_VERSION,
         )
-    if check_fingerprint and meta.get("fingerprint") != _source_fingerprint():
+    if check_fingerprint and meta.get("fingerprint") != source_fingerprint():
         raise CheckpointError(
             "checkpoint written by a different source tree",
             path=str(path),

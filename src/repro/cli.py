@@ -35,7 +35,8 @@ import sys
 from repro import obs as obs_mod
 from repro import systems
 from repro.errors import ReproError
-from repro.experiments import common
+from repro.experiments import cells
+from repro.experiments.policy import RunPolicy, add_policy_arguments
 from repro.workloads.registry import SCALES, workload_names
 
 
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-events",
         type=int,
-        default=common.MAX_EVENTS,
+        default=cells.MAX_EVENTS,
         help="abort the run after this many engine events "
         "(default: %(default)s)",
     )
@@ -156,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
             "+ engine events) to PATH (implies --analytics)"
         ),
     )
-    common.add_policy_arguments(
+    add_policy_arguments(
         parser,
         "chaos",
         "chaos_seed",
@@ -194,9 +195,9 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     try:
-        policy = common.RunPolicy.from_args(args, common.RunPolicy())
+        policy = RunPolicy.from_args(args, RunPolicy())
         spec = policy.apply(
-            common.RunSpec(
+            cells.RunSpec(
                 args.workload,
                 preset=systems.by_name(args.system),
                 scale=args.scale,
@@ -225,16 +226,16 @@ def main(argv: list[str] | None = None) -> int:
     previous_obs = obs_mod.install(obs)
     try:
         try:
-            sim, resumed = common.open_cell(spec)
+            sim, resumed = cells.open_cell(spec)
         except ReproError as exc:
             parser.error(str(exc))
         if resumed:
             # The restored simulator carries its original instrumentation
             # (pickled with it); report from that, not this invocation's.
             obs = sim.obs
-            checkpoint_file = common._checkpoint_file(spec)
+            saved = cells.checkpoint_file(spec)
             print(
-                f"resuming {checkpoint_file} "
+                f"resuming {saved} "
                 f"(cycle {sim.engine.now:,}, "
                 f"batch {sim.runtime.batch_stats.num_batches})"
             )
@@ -245,13 +246,13 @@ def main(argv: list[str] | None = None) -> int:
                     "under --obs off" if obs is None else "without --analytics"
                 )
                 parser.error(
-                    f"{checkpoint_file} was written {cause}, so its resumed "
+                    f"{saved} was written {cause}, so its resumed "
                     "run cannot produce the requested --trace-out/"
                     "--metrics-out/--report/--analytics output; drop those "
                     "flags, or drop --resume to start fresh"
                 )
         try:
-            result = common.drive_cell(spec, sim, resumed)
+            result = cells.drive_cell(spec, sim, resumed)
         except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
             saved = getattr(exc, "checkpoint_path", None)

@@ -8,21 +8,3 @@ Every experiment module exposes
 ``repro.experiments.runner`` is the CLI (``python -m repro.experiments``).
 The paper-vs-measured record lives in EXPERIMENTS.md.
 """
-
-from repro.experiments.common import (
-    ExperimentResult,
-    RunSpec,
-    run_cells,
-    run_config,
-    run_matrix,
-    run_system,
-)
-
-__all__ = [
-    "ExperimentResult",
-    "RunSpec",
-    "run_cells",
-    "run_config",
-    "run_matrix",
-    "run_system",
-]

@@ -13,11 +13,12 @@ Not figures from the paper — these probe the knobs the paper fixes:
   migrations (Section 4.2 cites D2H being the faster direction).
 * ``to-degree`` — the maximum thread-oversubscription degree.
 
-Every run goes through :func:`repro.experiments.common.run_config` /
-:func:`~repro.experiments.common.run_matrix`, so ablation cells share the
-persistent run cache and fan out across ``--jobs`` workers like the paper
-figures: each ``run_*`` first dispatches its full cell set, then assembles
-the table from cache hits.
+Every run goes through the dispatcher in :mod:`repro.experiments.common`
+(:func:`~repro.experiments.common.run_cells`, ``run_config``,
+``run_matrix``), so ablation cells share the persistent run cache and fan
+out across ``--jobs`` workers like the paper figures: each ``run_*``
+first dispatches its full cell set, then assembles the table from cache
+hits.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro import systems
+from repro.experiments.cells import RunSpec, half_ratio
 from repro.experiments.common import (
     ExperimentResult,
-    RunSpec,
-    half_ratio,
     is_failure,
     run_cells,
     run_config,

@@ -12,10 +12,10 @@ Two bars per workload, both normalised to a GPU with unlimited memory:
 from __future__ import annotations
 
 from repro import systems
+from repro.experiments.cells import RunSpec
 from repro.experiments.common import (
     PAPER_WORKLOADS,
     ExperimentResult,
-    RunSpec,
     is_failure,
     run_cells,
     run_system,

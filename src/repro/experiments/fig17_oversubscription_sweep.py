@@ -11,9 +11,9 @@ Sweeping the GPU memory capacity from 10% of the footprint to 100%:
 from __future__ import annotations
 
 from repro import systems
+from repro.experiments.cells import RunSpec
 from repro.experiments.common import (
     ExperimentResult,
-    RunSpec,
     is_failure,
     run_cells,
     run_system,

@@ -17,9 +17,9 @@ EXPERIMENTS.md).
 from __future__ import annotations
 
 from repro import systems
+from repro.experiments.cells import RunSpec
 from repro.experiments.common import (
     ExperimentResult,
-    RunSpec,
     is_failure,
     run_cells,
     run_system,

@@ -15,7 +15,6 @@ from repro import obs as obs_mod
 from repro.errors import ReproError
 from repro.experiments import (
     ablations,
-    common,
     fig01_working_set,
     fig03_per_page_time,
     fig05_context_switch,
@@ -30,6 +29,14 @@ from repro.experiments import (
     fig18_fault_latency_sweep,
     sec65_context_cost,
     table1_config,
+)
+from repro.experiments.cache import run_cache
+from repro.experiments.policy import (
+    RunPolicy,
+    add_policy_arguments,
+    default_policy,
+    drain_failures,
+    run_policy,
 )
 
 EXPERIMENTS = {
@@ -134,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="also write each rendered table to DIR/<experiment>.txt",
     )
-    common.add_policy_arguments(
+    add_policy_arguments(
         parser,
         "jobs",
         "no_cache",
@@ -192,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
             "caveats)"
         ),
     )
-    common.add_policy_arguments(
+    add_policy_arguments(
         parser,
         "chaos",
         "chaos_seed",
@@ -222,14 +229,15 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")
 
     try:
-        policy = common.RunPolicy.from_args(
+        policy = RunPolicy.from_args(
             args,
-            replace(common.default_policy(), progress=sys.stderr.isatty()),
+            replace(default_policy(), progress=sys.stderr.isatty()),
         )
     except ReproError as exc:
         parser.error(str(exc))
+    cache = run_cache(policy)
     if args.cache_quota_mb is not None:
-        common.enforce_cache_quota(policy)
+        cache.enforce_quota(policy.cache_quota_bytes)
 
     analytics = bool(args.analytics_out or args.features_out)
     obs_mode = args.obs
@@ -256,14 +264,14 @@ def main(argv: list[str] | None = None) -> int:
 
     exit_code = 0
     try:
-        with common.run_policy(policy):
+        with run_policy(policy):
             for name in names:
                 runner = (
                     EXPERIMENTS[name].run
                     if name in EXPERIMENTS
                     else ABLATIONS[name]
                 )
-                before = common.cache_stats(policy)
+                before = dict(cache.stats)
                 start = time.time()
                 if obs is not None:
                     with obs.tracer.wall_span(
@@ -273,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
                 else:
                     result = runner(scale=args.scale)
                 elapsed = time.time() - start
-                after = common.cache_stats(policy)
+                after = dict(cache.stats)
                 print(result.format_table())
                 if args.output:
                     import pathlib
@@ -296,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
                     - before["disk_hits"]
                 )
                 disk = after["disk_hits"] - before["disk_hits"]
-                failures = common.drain_failures()
+                failures = drain_failures()
                 if failures:
                     print(f"[{name}: {len(failures)} cell(s) FAILED]")
                     for failure in failures:

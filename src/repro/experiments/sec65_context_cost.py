@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro import systems
-from repro.experiments.common import ExperimentResult, half_ratio
+from repro.experiments.cells import half_ratio
+from repro.experiments.common import ExperimentResult
 from repro.gpu.context import ContextCostModel
 from repro.simulator import GpuUvmSimulator
 from repro.workloads.registry import build_workload

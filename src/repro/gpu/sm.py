@@ -25,7 +25,7 @@ from repro.gpu.warp_soa import SoAWarp
 from repro.sim.engine import Engine
 
 
-def _always_allowed() -> bool:
+def always_allowed() -> bool:
     """Default ``switch_allowed`` hook (module-level: checkpoints pickle
     the SM, so defaults cannot be lambdas)."""
     return True
@@ -74,7 +74,7 @@ class StreamingMultiprocessor:
         context_cost: ContextCostModel,
         kernel_resources: KernelResources,
         schedule_warp: Callable[[SoAWarp, int], None],
-        switch_allowed: Callable[[], bool] = _always_allowed,
+        switch_allowed: Callable[[], bool] = always_allowed,
         forced_oversubscription: bool = False,
     ) -> None:
         self.sm_id = sm_id

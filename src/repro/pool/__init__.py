@@ -1,8 +1,9 @@
 """Supervised, crash-isolated worker pool — the execution tier for cells.
 
-Both entry points that fan simulation cells out — the sweep runner
-(:func:`repro.experiments.common.run_cells`) and the serving layer
-(:mod:`repro.serve`) — execute through :class:`SupervisedPool`: workers
+Both entry points that fan simulation cells out — sweeps and the
+serving layer (:mod:`repro.serve`), each through the experiment layer's
+one dispatcher, ``submit_cell`` — execute through
+:class:`SupervisedPool`: workers
 run cells in isolated subprocesses with heartbeats and per-cell
 deadlines; the supervisor detects hung or dead workers (missed
 heartbeats → SIGTERM → SIGKILL escalation), restarts them with
@@ -24,6 +25,10 @@ Deterministic process-level chaos (``worker-kill`` / ``worker-hang`` /
 a chaotic sweep completes bit-identical to a chaos-free golden run.
 See ``docs/robustness.md`` ("Supervised worker pool") for the operator
 view and the poison-cell triage runbook.
+
+A worker runs a cell with :func:`repro.experiments.cells.simulate_spec`.
+The pool imports nothing else from the experiment layer, so the
+dispatcher above it imports the pool at module top.
 """
 
 from repro.pool.config import PoolConfig

@@ -16,7 +16,7 @@ class PoolConfig:
     shrink the time constants to keep chaos suites fast.  What a cell
     computes — including its checkpoint directory and process-level
     chaos — rides in the cell's own
-    :class:`~repro.experiments.common.RunSpec`.
+    :class:`~repro.experiments.cells.RunSpec`.
     """
 
     #: Worker processes to keep alive.

@@ -56,7 +56,7 @@ from multiprocessing import connection, get_all_start_methods, get_context
 
 from repro.chaos.process import plan_worker_chaos
 from repro.errors import PoisonCellError, PoolBrokenError, PoolError
-from repro.experiments import common as _common
+from repro.experiments.cells import checkpoint_file, spec_digest
 from repro.lifecycle import WORKER_LIFECYCLE, StateMachine
 from repro.obs import current as _obs_current
 from repro.pool.config import PoolConfig
@@ -246,7 +246,7 @@ class SupervisedPool:
 
     def submit(self, spec) -> Future:
         """Queue one cell (policy already applied: see
-        :meth:`~repro.experiments.common.RunPolicy.apply`).
+        :meth:`~repro.experiments.policy.RunPolicy.apply`).
 
         The future resolves to the cell's
         :class:`~repro.simulator.SimulationResult`, or raises what ended
@@ -257,7 +257,7 @@ class SupervisedPool:
         crashed cell resumes in a fresh worker.  Callbacks run on the
         pool's loop thread.
         """
-        task = _Task(spec, _common._spec_digest(spec))
+        task = _Task(spec, spec_digest(spec))
         self.start()
         with self._start_lock:
             if self._closed:
@@ -419,7 +419,7 @@ class SupervisedPool:
     def _task_checkpoint(self, task: _Task) -> pathlib.Path | None:
         if task.spec.checkpoint_dir is None:
             return None
-        return _common._checkpoint_file(task.spec)
+        return checkpoint_file(task.spec)
 
     def _cleanup_task_files(self, task: _Task, quarantine: bool) -> str | None:
         path = self._task_checkpoint(task)

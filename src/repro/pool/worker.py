@@ -33,7 +33,9 @@ import stat
 import threading
 import time
 
+from repro import obs
 from repro.errors import WorkerCrashError
+from repro.experiments import cells
 
 __all__ = ["worker_main"]
 
@@ -95,7 +97,7 @@ class _ChaosCheckpointHook:
 
 
 class _ChaosInstaller:
-    """Cell hook (``common.set_cell_hook``): arm the plan on a simulator."""
+    """Cell hook (``cells.set_cell_hook``): arm the plan on a simulator."""
 
     __slots__ = ("plan", "runtime")
 
@@ -173,16 +175,10 @@ def worker_main(conn, worker_id: int, heartbeat: float | None) -> None:
     signal.signal(signal.SIGTERM, _sigterm)
     _close_inherited_sockets(conn.fileno())
     runtime = _WorkerRuntime(conn, heartbeat)
-    # Imported here (not at module top) so a spawn-context worker pays
-    # the import inside the child, and so repro.experiments.common can
-    # lazily import repro.pool without a cycle.
-    from repro import obs
-    from repro.experiments import common
-
     # A forked worker inherits the parent's obs session and cell hook.
     # Cells here run on neither: what a cell needs arrives in its task.
     obs.install(None)
-    common.set_cell_hook(None)
+    cells.set_cell_hook(None)
     runtime.send(("ready", os.getpid()))
     while True:
         try:
@@ -199,15 +195,15 @@ def worker_main(conn, worker_id: int, heartbeat: float | None) -> None:
         runtime.begin(task_id)
         try:
             if plan is not None:
-                common.set_cell_hook(_ChaosInstaller(plan, runtime))
-            result = common._simulate_spec(spec)
+                cells.set_cell_hook(_ChaosInstaller(plan, runtime))
+            result = cells.simulate_spec(spec)
             payload = ("result", task_id, result)
         except (KeyboardInterrupt, SystemExit):
             raise  # graceful crash: the supervisor resumes the cell
         except BaseException as exc:
             payload = ("error", task_id, exc)
         finally:
-            common.set_cell_hook(None)
+            cells.set_cell_hook(None)
             runtime.end()
         try:
             # Connection.send pickles fully before writing, so a pickling

@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 
 from repro.errors import ConfigError
-from repro.experiments import common
+from repro.experiments.policy import RunPolicy, add_policy_arguments, default_policy
 from repro.serve.server import ServeConfig, main_loop
 
 
@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=8787,
         help="TCP port (0 picks an ephemeral port; see --ready-file)",
     )
-    common.add_policy_arguments(parser, "jobs")
+    add_policy_arguments(parser, "jobs")
     parser.add_argument(
         "--queue-limit",
         type=int,
@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1 << 20,
         help="request body size limit in bytes",
     )
-    common.add_policy_arguments(
+    add_policy_arguments(
         parser,
         "cell_timeout",
         "checkpoint_dir",
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write {host, port, pid} JSON here once listening",
     )
-    common.add_policy_arguments(
+    add_policy_arguments(
         parser,
         "worker_heartbeat",
         "worker_deadline",
@@ -87,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> ServeConfig:
     """The server configuration the flags describe; raises
     :class:`~repro.errors.ConfigError` for invalid values."""
-    policy = common.RunPolicy.from_args(
-        args, replace(common.default_policy(), jobs=1)
+    policy = RunPolicy.from_args(
+        args, replace(default_policy(), jobs=1)
     )
     return ServeConfig(
         host=args.host,

@@ -30,12 +30,8 @@ from typing import Any, Mapping
 
 from repro import systems
 from repro.errors import CellFailure, ProtocolError, ServeError
-from repro.experiments.common import (
-    MAX_EVENTS,
-    RunPolicy,
-    RunSpec,
-    default_policy,
-)
+from repro.experiments.cells import MAX_EVENTS, RunSpec
+from repro.experiments.policy import RunPolicy, default_policy
 from repro.simulator import SimulationResult
 from repro.workloads.registry import SCALES, workload_names
 

@@ -4,7 +4,7 @@ Request lifecycle (see ``docs/serving.md`` for the ops view)::
 
     POST /v1/run
       └─ validate (protocol.py)            → 400 structured errors
-      └─ cache probe (common.probe_cache)  → immediate warm answer
+      └─ cache probe (cache.probe_cache)   → immediate warm answer
       └─ dedupe (in-flight map by memo key)→ ride the existing future
       └─ admission (bounded backlog)       → 429 + Retry-After when full
       └─ dispatch (FIFO; as soon as one of the ``jobs`` workers is free)
@@ -48,8 +48,12 @@ from repro.errors import (
     ServerSaturatedError,
     ServerShutdownError,
 )
-from repro.experiments import common
+from repro.experiments.cache import probe_cache, run_cache
+from repro.experiments.cells import memo_key
+from repro.experiments.common import submit_cell
+from repro.experiments.policy import RunPolicy, default_policy
 from repro.obs.serve import ServeMetrics
+from repro.pool import SupervisedPool
 from repro.serve import handlers
 from repro.serve.protocol import spec_from_request
 from repro.simulator import SimulationResult
@@ -67,7 +71,7 @@ class ServeConfig:
     #: (requests can only tighten it), checkpointing (stalled cells
     #: checkpoint and resume here on re-request), and process-level
     #: chaos.  Default: the process default policy at construction.
-    policy: common.RunPolicy = field(default_factory=common.default_policy)
+    policy: RunPolicy = field(default_factory=default_policy)
     #: Maximum admitted-but-unfinished requests before 429.
     queue_limit: int = 64
     #: Request body size limit (bytes).
@@ -114,7 +118,7 @@ class ReproServer:
         self.policy = self.config.policy
         #: A failing cell answers its own request with an envelope.
         self._cell_policy = replace(self.policy, on_error="keep-going")
-        self.cache = common.run_cache(self.policy)
+        self.cache = run_cache(self.policy)
         self.metrics = ServeMetrics()
         self.port: int | None = None
         self.started_at = time.monotonic()
@@ -172,8 +176,6 @@ class ReproServer:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._shutdown_event = asyncio.Event()
-        from repro.pool import SupervisedPool
-
         # Started before the listener so a pool that cannot spawn fails
         # startup loudly.
         self._pool = SupervisedPool(self.policy.pool_config(self.policy.jobs))
@@ -267,7 +269,7 @@ class ReproServer:
         if self._draining:
             raise ServerShutdownError("server is draining; request refused")
         spec = spec_from_request(fields, self.policy)
-        key = common._memo_key(spec)
+        key = memo_key(spec)
 
         existing = self._inflight.get(key)
         if existing is not None:
@@ -278,7 +280,7 @@ class ReproServer:
 
         use_cache = self.policy.cache_enabled and not fields["no_cache"]
         if use_cache:
-            hit = common.probe_cache(spec, policy=self.policy)
+            hit = probe_cache(spec, policy=self.policy)
             if hit is not None:
                 self.metrics.cache_hit()
                 return None, hit, False
@@ -357,7 +359,7 @@ class ReproServer:
                     "batch_size": 1,
                 }
             )
-            future = common.submit_cell(
+            future = submit_cell(
                 ticket.spec,
                 self._cell_policy,
                 pool=self._pool,

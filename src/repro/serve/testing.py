@@ -4,7 +4,7 @@
 on a daemon thread, waits for the listener, yields ``(server, client)``,
 and on exit drains the server.  The server's run cache — directory,
 quota, memo and counters — is the one of its own
-:class:`~repro.experiments.common.RunPolicy`'s directory, so servers on
+:class:`~repro.experiments.policy.RunPolicy`'s directory, so servers on
 distinct directories share nothing and need no restoring.
 """
 
@@ -30,7 +30,7 @@ def running_server(
 
     Keyword ``overrides`` patch individual :class:`ServeConfig` fields::
 
-        policy = common.RunPolicy(cache_dir=str(tmp_path))
+        policy = RunPolicy(cache_dir=str(tmp_path))
         with running_server(policy=policy, queue_limit=8) as (server, client):
             response = client.run(workload="KCORE")
 

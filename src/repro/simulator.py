@@ -39,7 +39,7 @@ from repro.gpu.config import SimConfig
 from repro.gpu.context import ContextCostModel
 from repro.gpu.dispatcher import Dispatcher
 from repro.gpu.occupancy import OccupancyCalculator
-from repro.gpu.sm import StreamingMultiprocessor, _always_allowed
+from repro.gpu.sm import StreamingMultiprocessor, always_allowed
 from repro.gpu.thread_block import BlockState, ThreadBlock
 from repro.gpu.warp_soa import (
     FINISHED,
@@ -600,7 +600,7 @@ class GpuUvmSimulator:
         active_limit = self.occupancy.blocks_per_sm(kernel.resources)
         forced = self.config.forced_oversubscription
         switch_allowed = (
-            _always_allowed if forced else self.to_controller.context_switch_allowed
+            always_allowed if forced else self.to_controller.context_switch_allowed
         )
         self._sms = [
             StreamingMultiprocessor(

@@ -19,48 +19,34 @@ from repro.workloads.graphbig import GraphWorkloadBuilder
 from repro.workloads.trace import KernelTrace, Workload
 
 
-def _symmetric_adjacency(graph: CsrGraph) -> list[np.ndarray]:
-    """Out- plus in-neighbours per vertex (colouring conflicts are
-    undirected even on a directed CSR)."""
-    incoming: list[list[int]] = [[] for _ in range(graph.num_vertices)]
-    for v in range(graph.num_vertices):
-        for u in graph.neighbors(v):
-            incoming[int(u)].append(v)
-    return [
-        np.unique(np.concatenate((graph.neighbors(v), np.array(incoming[v], dtype=np.int64))))
-        if incoming[v]
-        else np.unique(graph.neighbors(v))
-        for v in range(graph.num_vertices)
-    ]
-
-
 def _coloring_rounds(graph: CsrGraph, seed: int = 7) -> list[np.ndarray]:
     """Host-side Jones–Plassmann: vertices coloured per round.
 
     A vertex wins a round when its random priority beats every still-
     uncoloured neighbour (in either edge direction), so each round's
-    winners form an independent set.
+    winners form an independent set.  Priorities are a permutation, so
+    the highest-priority uncoloured vertex always wins and every round
+    colours at least one vertex.
     """
-    rng = np.random.default_rng(seed)
-    priority = rng.permutation(graph.num_vertices)
-    adjacency = _symmetric_adjacency(graph)
-    uncolored = np.ones(graph.num_vertices, dtype=bool)
+    n = graph.num_vertices
+    priority = np.random.default_rng(seed).permutation(n)
+    sources = np.repeat(np.arange(n), graph.degrees())
+    # Conflicts are undirected even on a directed CSR: each edge counts
+    # both ways, and only a higher-priority ``b`` can make ``a`` lose.
+    a = np.concatenate((sources, graph.edges))
+    b = np.concatenate((graph.edges, sources))
+    outranked = priority[b] > priority[a]
+    a, b = a[outranked], b[outranked]
+    uncolored = np.ones(n, dtype=bool)
     rounds: list[np.ndarray] = []
     while uncolored.any():
-        newly = []
-        for v in np.flatnonzero(uncolored):
-            p = priority[v]
-            wins = True
-            for u in adjacency[int(v)]:
-                if uncolored[u] and priority[u] > p:
-                    wins = False
-                    break
-            if wins:
-                newly.append(int(v))
-        if not newly:  # isolated pathologies: colour everything left
-            newly = [int(v) for v in np.flatnonzero(uncolored)]
-        rounds.append(np.array(newly, dtype=np.int64))
-        uncolored[np.array(newly, dtype=np.int64)] = False
+        live = uncolored[a] & uncolored[b]
+        a, b = a[live], b[live]
+        loses = np.zeros(n, dtype=bool)
+        loses[a] = True
+        winners = np.flatnonzero(uncolored & ~loses)
+        rounds.append(winners)
+        uncolored[winners] = False
     return rounds
 
 

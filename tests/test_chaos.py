@@ -165,9 +165,9 @@ class TestCacheKeyCoverage:
     def test_chaos_is_part_of_the_memo_key(self):
         import dataclasses
 
-        from repro.experiments import common
+        from repro.experiments.cells import RunSpec, memo_key
 
-        base = common.RunSpec("KCORE", preset=systems.BASELINE).resolved()
+        base = RunSpec("KCORE", preset=systems.BASELINE).resolved()
         chaotic = dataclasses.replace(
             base, chaos=parse_chaos_spec("drop-fault:prob=0.1", seed=0)
         )
@@ -176,7 +176,7 @@ class TestCacheKeyCoverage:
         )
         checked = dataclasses.replace(base, check_invariants=True)
         keys = {
-            common._memo_key(spec)
+            memo_key(spec)
             for spec in (base, chaotic, reseeded, checked)
         }
         assert len(keys) == 4
@@ -184,8 +184,8 @@ class TestCacheKeyCoverage:
     def test_timeout_is_not_part_of_the_memo_key(self):
         import dataclasses
 
-        from repro.experiments import common
+        from repro.experiments.cells import RunSpec, memo_key
 
-        base = common.RunSpec("KCORE", preset=systems.BASELINE).resolved()
+        base = RunSpec("KCORE", preset=systems.BASELINE).resolved()
         budgeted = dataclasses.replace(base, wall_budget_seconds=30.0)
-        assert common._memo_key(base) == common._memo_key(budgeted)
+        assert memo_key(base) == memo_key(budgeted)

@@ -1,7 +1,7 @@
 """The single-run CLIs run the same cell as the sweep and serving paths.
 
 ``repro-run`` (``python -m repro``) and ``repro-analyze`` are fronts over
-the common cell executor (``common.open_cell``/``drive_cell``): with no
+the common cell executor (``open_cell``/``drive_cell``): with no
 ``--ratio`` they run the scale's calibrated ratio like ``run_cells``,
 their checkpoints are named by the whole cell, and a resume that cannot
 produce the requested outputs is refused instead of dropping them.
@@ -16,6 +16,8 @@ from repro import systems
 from repro.cli import main as cli_main
 from repro.chaos import parse_chaos_spec
 from repro.experiments import common
+from repro.experiments.cells import RunSpec, checkpoint_file, open_cell
+from repro.experiments.policy import RunPolicy
 from repro.serve.protocol import dump_result_json
 
 TO_UE = systems.by_name("TO_UE")
@@ -28,23 +30,23 @@ def test_default_ratio_matches_run_cells(tmp_path):
     argv = ["KCORE", "--scale", "tiny", "--obs", "off", "--result-out", str(out)]
     assert cli_main(argv) == 0
     [want] = common.run_cells(
-        [common.RunSpec("KCORE", preset=TO_UE)],
-        policy=common.RunPolicy(cache_enabled=False),
+        [RunSpec("KCORE", preset=TO_UE)],
+        policy=RunPolicy(cache_enabled=False),
     )
     assert out.read_text() == dump_result_json(want)
 
 
 class TestCheckpointNames:
     def spec(self, **changes):
-        base = common.RunSpec(
+        base = RunSpec(
             "KCORE", preset=TO_UE, checkpoint_dir="ck"
         ).resolved()
         return replace(base, **changes)
 
     def test_event_cap_shares_the_file(self):
-        assert common._checkpoint_file(
+        assert checkpoint_file(
             self.spec(max_events=400)
-        ) == common._checkpoint_file(self.spec())
+        ) == checkpoint_file(self.spec())
 
     @pytest.mark.parametrize(
         "changes",
@@ -56,9 +58,9 @@ class TestCheckpointNames:
         ],
     )
     def test_cell_fields_split_the_file(self, changes):
-        assert common._checkpoint_file(
+        assert checkpoint_file(
             self.spec(**changes)
-        ) != common._checkpoint_file(self.spec())
+        ) != checkpoint_file(self.spec())
 
     def test_resume_ignores_another_ratios_checkpoint(self, tmp_path, capsys):
         """A ratio-1.5 leftover is not resumed as the ratio-0.5 run."""

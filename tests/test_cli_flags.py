@@ -1,7 +1,7 @@
 """Flag-set guard: one declaration per policy flag lost no CLI anything.
 
 The option strings of the four CLIs and the run policies their argvs
-built before the policy flags moved into ``common.POLICY_FLAGS`` are
+built before the policy flags moved into ``POLICY_FLAGS`` are
 recorded below as literals.  Every recorded option must still parse,
 every new option must be an alias (same ``dest``) of a recorded one, and
 each argv must still build the recorded policy.
@@ -15,7 +15,9 @@ import pytest
 
 from repro import analyze, cli, systems
 from repro.chaos import parse_chaos_spec
-from repro.experiments import common, runner
+from repro.experiments import cells, policy as policy_layer, runner
+from repro.experiments.cells import RunSpec
+from repro.experiments.policy import POLICY_FLAGS, RunPolicy
 from repro.serve import cli as serve_cli
 
 RUN_OPTIONS = {
@@ -128,7 +130,7 @@ RUN_ALL = [
     "--resume",
 ]  # fmt: skip
 
-P = common.RunPolicy
+P = RunPolicy
 EXPERIMENTS_POLICIES = [
     ([], P()),
     (
@@ -225,27 +227,27 @@ class _Stop(Exception):
 def default_policy(monkeypatch, tmp_path):
     """Class defaults as the environment's policy, a non-tty stderr, and
     relative flag paths under ``tmp_path``."""
-    monkeypatch.setattr(common, "_DEFAULT_POLICY", common.RunPolicy())
+    monkeypatch.setattr(policy_layer, "_DEFAULT_POLICY", RunPolicy())
     monkeypatch.setattr(sys, "stderr", io.StringIO())
     monkeypatch.chdir(tmp_path)
 
 
-def _capture(monkeypatch, name: str):
-    """Replace ``common.<name>`` by a stub that records its first
-    argument and stops the CLI there."""
+def _capture(monkeypatch, module, name: str):
+    """Replace ``module.<name>``, where the CLI looks it up, by a stub
+    that records its first argument and stops the CLI there."""
     seen = []
 
     def stub(value, *args, **kwargs):
         seen.append(value)
         raise _Stop
 
-    monkeypatch.setattr(common, name, stub)
+    monkeypatch.setattr(module, name, stub)
     return seen
 
 
 @pytest.mark.parametrize("argv, policy", EXPERIMENTS_POLICIES)
 def test_experiments_policy(default_policy, monkeypatch, argv, policy):
-    seen = _capture(monkeypatch, "run_policy")
+    seen = _capture(monkeypatch, runner, "run_policy")
     with pytest.raises(_Stop):
         runner.main(["table1", *argv])
     assert seen == [policy]
@@ -261,8 +263,8 @@ def test_serve_policy(default_policy, argv, policy):
 def test_run_policy(default_policy, monkeypatch, argv, policy):
     """``repro-run`` had no policy object: the recorded policy is the one
     whose ``apply`` gives the cell its flags ran."""
-    seen = _capture(monkeypatch, "open_cell")
+    seen = _capture(monkeypatch, cells, "open_cell")
     with pytest.raises(_Stop):
         cli.main(["KCORE", "--obs", "off", *argv])
-    want = common.RunSpec("KCORE", preset=systems.by_name("TO_UE"))
+    want = RunSpec("KCORE", preset=systems.by_name("TO_UE"))
     assert seen == [policy.apply(want)]

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.experiments import common
+from repro.experiments.cache import clear_run_cache
+from repro.experiments.cells import half_ratio
 from repro.experiments.common import ExperimentResult
 from repro.experiments import (
     fig01_working_set,
@@ -32,12 +34,6 @@ class TestExperimentResult:
         assert result.column("a") == [1.0, 3.0]
         assert result.mean("a") == 2.0
 
-    def test_geomean(self):
-        result = ExperimentResult("x", "t", ["a"])
-        result.add_row("w1", a=1.0)
-        result.add_row("w2", a=4.0)
-        assert result.geomean("a") == pytest.approx(2.0)
-
     def test_format_table_contains_everything(self):
         text = self.make().format_table()
         assert "Title" in text
@@ -55,7 +51,7 @@ class TestRunSystem:
     def test_caching_returns_same_object(self):
         from repro import systems
 
-        common.clear_run_cache()
+        clear_run_cache()
         a = common.run_system(systems.BASELINE, "KCORE", scale="tiny")
         b = common.run_system(systems.BASELINE, "KCORE", scale="tiny")
         assert a is b
@@ -67,7 +63,7 @@ class TestRunSystem:
     def test_default_ratio_is_scale_calibrated(self):
         from repro.workloads.registry import SCALES
 
-        assert common.half_ratio("tiny") == SCALES["tiny"].half_memory_ratio
+        assert half_ratio("tiny") == SCALES["tiny"].half_memory_ratio
 
     def test_run_matrix_keys(self):
         from repro import systems

@@ -13,7 +13,15 @@ import time
 import pytest
 
 from repro import systems
-from repro.experiments import common
+from repro.experiments import cells as cell_layer, common
+from repro.experiments.cache import run_cache
+from repro.experiments.cells import RunSpec
+from repro.experiments.policy import (
+    RunPolicy,
+    default_policy,
+    run_policy,
+    set_cache_dir,
+)
 from repro.experiments.runner import ABLATIONS, EXPERIMENTS, expand_experiments
 
 WORKLOADS = ("KCORE", "PR")
@@ -22,7 +30,7 @@ PRESETS = (systems.BASELINE, systems.TO)
 
 @pytest.fixture()
 def isolated_cache(tmp_path):
-    with common.run_policy(common.RunPolicy(cache_dir=tmp_path / "a")):
+    with run_policy(RunPolicy(cache_dir=tmp_path / "a")):
         yield tmp_path
 
 
@@ -48,8 +56,8 @@ class TestParallelEquality:
 
         # A fresh cache dir has a fresh memo: the parallel run recomputes
         # every cell in worker processes.
-        common.set_cache_dir(isolated_cache / "b")
-        with common.run_policy(jobs=2):
+        set_cache_dir(isolated_cache / "b")
+        with run_policy(jobs=2):
             parallel = common.run_matrix(PRESETS, WORKLOADS, scale="tiny")
 
         assert serial.keys() == parallel.keys()
@@ -60,25 +68,25 @@ class TestParallelEquality:
 
     def test_run_cells_preserves_order(self, isolated_cache):
         cells = [
-            common.RunSpec(name, preset=preset, scale="tiny")
+            RunSpec(name, preset=preset, scale="tiny")
             for name in WORKLOADS
             for preset in PRESETS
         ]
-        with common.run_policy(jobs=2):
+        with run_policy(jobs=2):
             results = common.run_cells(cells)
         assert [r.workload for r in results] == [c.workload for c in cells]
 
     def test_parallel_populates_shared_cache(self, isolated_cache):
-        with common.run_policy(jobs=2):
+        with run_policy(jobs=2):
             common.run_matrix(PRESETS, ["KCORE"], scale="tiny")
-        first_misses = common.cache_stats()["misses"]
+        first_misses = run_cache().stats["misses"]
         assert first_misses == len(PRESETS)
         # A serial lookup of the same cells is now free.
         common.run_matrix(PRESETS, ["KCORE"], scale="tiny")
-        assert common.cache_stats()["misses"] == first_misses
+        assert run_cache().stats["misses"] == first_misses
 
     def test_default_jobs_setting(self, isolated_cache):
-        with common.run_policy(jobs=2):
+        with run_policy(jobs=2):
             results = common.run_matrix(PRESETS, ["KCORE"], scale="tiny")
         assert len(results) == len(PRESETS)
 
@@ -88,7 +96,7 @@ class TestParallelEquality:
             ("KCORE",),
             scale="tiny",
             fault_handling_cycles=40_000,
-            policy=dataclasses.replace(common.default_policy(), jobs=2),
+            policy=dataclasses.replace(default_policy(), jobs=2),
         )
         direct = common.run_system(
             systems.BASELINE,
@@ -104,22 +112,24 @@ class TestParallelEquality:
 KILLED_SWEEP = """
 import time
 from repro import systems
-from repro.experiments import common
+from repro.experiments import cells as cell_layer
+from repro.experiments.common import run_cells
+from repro.experiments.policy import RunPolicy
 
-real = common._simulate_spec
+real = cell_layer.simulate_spec
 
 def simulate(spec):
     if spec.workload == "PR":
         time.sleep(3600)
     return real(spec)
 
-common._simulate_spec = simulate
+cell_layer.simulate_spec = simulate
 cells = [
-    common.RunSpec(w, preset=p, scale="tiny")
+    cell_layer.RunSpec(w, preset=p, scale="tiny")
     for w, p in (("PR", systems.BASELINE), ("KCORE", systems.BASELINE),
                  ("KCORE", systems.TO), ("BFS-TWC", systems.BASELINE))
 ]
-common.run_cells(cells, policy=common.RunPolicy(cache_dir={cache!r}, jobs=2))
+run_cells(cells, policy=RunPolicy(cache_dir={cache!r}, jobs=2))
 """
 
 
@@ -147,15 +157,15 @@ class TestKilledSweep:
         landed = len(list(cache.glob("*.pkl")))
         assert 1 <= landed < 4
 
-        policy = common.RunPolicy(cache_dir=cache)
+        policy = RunPolicy(cache_dir=cache)
         cells = [
-            common.RunSpec(w, preset=p, scale="tiny")
+            RunSpec(w, preset=p, scale="tiny")
             for w, p in (("PR", systems.BASELINE), ("KCORE", systems.BASELINE),
                          ("KCORE", systems.TO), ("BFS-TWC", systems.BASELINE))
         ]
         results = common.run_cells(cells, policy=policy)
         assert all(r.exec_cycles > 0 for r in results)
-        stats = common.cache_stats(policy)
+        stats = run_cache(policy).stats
         assert stats["disk_hits"] == landed
         assert stats["misses"] == 4 - landed
 

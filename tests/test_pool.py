@@ -44,7 +44,9 @@ from repro.errors import (
     PoisonCellError,
     PoolBrokenError,
 )
-from repro.experiments import common
+from repro.experiments import cells as cell_layer, common
+from repro.experiments.cells import RunSpec, memo_key, set_cell_hook, spec_digest
+from repro.experiments.policy import RunPolicy, default_policy, run_policy
 from repro.lifecycle import WORKER_LIFECYCLE, StateMachine
 from repro.pool import PoolConfig, SupervisedPool, sweep_stale_tmp_files
 from repro.simulator import SimulationResult
@@ -55,12 +57,12 @@ pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptio
 @pytest.fixture()
 def harness(tmp_path):
     """Isolated cache + pristine run policy for the test's duration."""
-    with common.run_policy(common.RunPolicy(cache_dir=tmp_path / "cache")):
+    with run_policy(RunPolicy(cache_dir=tmp_path / "cache")):
         yield tmp_path
 
 
 def _spec(workload="KCORE", preset=systems.BASELINE, **kwargs):
-    return common.RunSpec(workload, preset=preset, scale="tiny", **kwargs)
+    return RunSpec(workload, preset=preset, scale="tiny", **kwargs)
 
 
 FAST_POOL = dict(
@@ -172,7 +174,7 @@ class TestProcessChaos:
         clean = _spec(
             chaos=parse_chaos_spec("fault-latency:prob=0.1", seed=4)
         ).resolved()
-        assert common._memo_key(spec) == common._memo_key(clean)
+        assert memo_key(spec) == memo_key(clean)
 
     def test_process_kinds_frozen(self):
         assert PROCESS_KINDS == {"worker-kill", "worker-hang", "worker-slow"}
@@ -224,7 +226,7 @@ class TestSupervisedPool:
             for w in ("KCORE", "PR")
             for p in (systems.BASELINE, systems.TO)
         ]
-        serial = [common._simulate_spec(s) for s in specs]
+        serial = [cell_layer.simulate_spec(s) for s in specs]
         with SupervisedPool(PoolConfig(workers=2, **FAST_POOL)) as pool:
             pooled = pool.run(specs)
         assert [_fields(r) for r in pooled] == [_fields(r) for r in serial]
@@ -243,9 +245,9 @@ class TestSupervisedPool:
     def test_pool_injects_checkpoint_policy(self, harness, tmp_path):
         ckpt = tmp_path / "pool-ckpt"
         chaos = parse_chaos_spec("worker-kill:prob=1,after=1", seed=3)
-        policy = common.RunPolicy(checkpoint_dir=ckpt, chaos=chaos)
+        policy = RunPolicy(checkpoint_dir=ckpt, chaos=chaos)
         config = PoolConfig(workers=1, breaker_threshold=100, **FAST_POOL)
-        golden = common._simulate_spec(_spec().resolved())
+        golden = cell_layer.simulate_spec(_spec().resolved())
         with SupervisedPool(config) as pool:
             (result,) = pool.run([policy.apply(_spec())])
         assert _fields(result) == _fields(golden)
@@ -264,7 +266,7 @@ class TestSupervisedPool:
         from repro.checkpoint import try_load
 
         policy = replace(
-            common.default_policy(),
+            default_policy(),
             jobs=2,
             cell_timeout=1e-9,
             checkpoint_dir=tmp_path / "ckpt",
@@ -274,12 +276,12 @@ class TestSupervisedPool:
         # ~10k events each: past the watchdog's first wall-clock sample.
         specs = [_spec("BFS-TTC", ratio=0.5, seed=seed) for seed in (0, 1)]
         hooked = tmp_path / "hooked"
-        common.set_cell_hook(lambda sim: hooked.touch())
+        set_cell_hook(lambda sim: hooked.touch())
         try:
             with obs.session("full"):
                 failures = common.run_cells(specs, policy=policy)
         finally:
-            common.set_cell_hook(None)
+            set_cell_hook(None)
         assert not hooked.exists(), "worker ran the parent's cell hook"
         for failure in failures:
             assert failure.error_type == "SimulationStalledError"
@@ -303,7 +305,7 @@ class TestCircuitBreaker:
         ckpt = tmp_path / "ckpt"
         chaos = parse_chaos_spec("worker-kill:prob=1,after=1", seed=5)
         config = PoolConfig(workers=1, breaker_threshold=2, **FAST_POOL)
-        policy = common.RunPolicy(checkpoint_dir=ckpt, chaos=chaos)
+        policy = RunPolicy(checkpoint_dir=ckpt, chaos=chaos)
         spec = policy.apply(_spec())
         with SupervisedPool(config) as pool:
             (outcome,) = pool.run([spec])
@@ -313,7 +315,7 @@ class TestCircuitBreaker:
             stats = pool.stats()
             assert stats["poisoned"] == 1
             assert stats["crashes"] == 2
-            digest = common._spec_digest(spec)
+            digest = spec_digest(spec)
             assert digest in stats["quarantined_keys"]
             # The last checkpoint survives for triage, renamed out of the
             # resumable namespace.
@@ -332,11 +334,11 @@ class TestCircuitBreaker:
         chaos (one crash per submission, every submission completing) is
         never quarantined."""
         chaos = parse_chaos_spec("worker-kill:prob=0.5,after=1", seed=5)
-        policy = common.RunPolicy(
+        policy = RunPolicy(
             checkpoint_dir=tmp_path / "ckpt", chaos=chaos
         )
         spec = policy.apply(_spec())
-        digest = common._spec_digest(spec)
+        digest = spec_digest(spec)
         # The scenario this seed pins: the first attempt (stream 0) is
         # killed, the retry is spared — every submission crashes exactly
         # once, then completes.
@@ -355,7 +357,7 @@ class TestCircuitBreaker:
     def test_poison_cell_respects_on_error_policy(self, harness, tmp_path):
         chaos = parse_chaos_spec("worker-kill:prob=1,after=1", seed=5)
         config = PoolConfig(workers=1, breaker_threshold=1, **FAST_POOL)
-        policy = common.RunPolicy(
+        policy = RunPolicy(
             checkpoint_dir=tmp_path / "ckpt", chaos=chaos
         )
         spec = _spec()
@@ -418,8 +420,8 @@ class TestBrokenPoolPath:
             for w in ("KCORE", "PR")
             for p in (systems.BASELINE, systems.TO)
         ]
-        golden = [common._simulate_spec(s) for s in specs]
-        real_main, real_simulate = sup.worker_main, common._simulate_spec
+        golden = [cell_layer.simulate_spec(s) for s in specs]
+        real_main, real_simulate = sup.worker_main, cell_layer.simulate_spec
         broken = harness / "broken"
         starts = harness / "starts.log"
         pool = SupervisedPool(PoolConfig(workers=1, **HEALING_POOL))
@@ -431,8 +433,8 @@ class TestBrokenPoolPath:
             real_main(conn, worker_id, heartbeat)
 
         def simulate(spec):
-            index = [common._memo_key(s) for s in specs].index(
-                common._memo_key(spec)
+            index = [memo_key(s) for s in specs].index(
+                memo_key(spec)
             )
             with open(starts, "a") as fh:
                 fh.write(f"{index}\n")
@@ -442,7 +444,7 @@ class TestBrokenPoolPath:
             return real_simulate(spec)
 
         monkeypatch.setattr(sup, "worker_main", main)
-        monkeypatch.setattr(common, "_simulate_spec", simulate)
+        monkeypatch.setattr(cell_layer, "simulate_spec", simulate)
         with pool:
             results = common.run_cells(specs, use_cache=False, pool=pool)
             stats = pool.stats()
@@ -467,7 +469,7 @@ class TestBrokenPoolPath:
             results = common.run_cells(
                 [_spec()], use_cache=False, pool=pool,
                 on_error="keep-going",
-                policy=common.RunPolicy(cache_dir=harness, retries=3),
+                policy=RunPolicy(cache_dir=harness, retries=3),
             )
             stats = pool.stats()
         (failure,) = results
@@ -504,7 +506,7 @@ class TestBrokenPoolPath:
             calls["n"] += 1
             raise MemoryError("simulated allocation failure")
 
-        monkeypatch.setattr(common, "_simulate_spec", _oom)
+        monkeypatch.setattr(cell_layer, "simulate_spec", _oom)
         (failure,) = common.run_cells(
             [_spec()], use_cache=False, on_error="keep-going"
         )
@@ -514,7 +516,7 @@ class TestBrokenPoolPath:
 
     def test_oserror_still_transient(self, harness, monkeypatch):
         calls = {"n": 0}
-        real = common._simulate_spec
+        real = cell_layer.simulate_spec
 
         def _flaky(spec):
             calls["n"] += 1
@@ -522,7 +524,7 @@ class TestBrokenPoolPath:
                 raise OSError("transient infrastructure hiccup")
             return real(spec)
 
-        monkeypatch.setattr(common, "_simulate_spec", _flaky)
+        monkeypatch.setattr(cell_layer, "simulate_spec", _flaky)
         (result,) = common.run_cells([_spec()], use_cache=False)
         assert isinstance(result, SimulationResult)
         assert calls["n"] == 2

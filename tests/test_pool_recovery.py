@@ -22,26 +22,29 @@ import os
 import signal
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro import systems
 from repro.chaos import parse_chaos_spec
 from repro.experiments import common
+from repro.experiments.cells import RunSpec, simulate_spec
+from repro.experiments.policy import RunPolicy, run_policy
 from repro.pool import PoolConfig, SupervisedPool
 from repro.simulator import SimulationResult
 
 
 @pytest.fixture()
 def harness(tmp_path):
-    with common.run_policy(
-        common.RunPolicy(cache_dir=tmp_path / "cache", cache_enabled=False)
+    with run_policy(
+        RunPolicy(cache_dir=tmp_path / "cache", cache_enabled=False)
     ):
         yield tmp_path
 
 
 def _spec(**kwargs):
-    return common.RunSpec(
+    return RunSpec(
         "KCORE", preset=systems.BASELINE, scale="tiny", **kwargs
     ).resolved()
 
@@ -62,7 +65,7 @@ def _fields(result):
 
 
 def _golden():
-    return common._simulate_spec(_spec())
+    return simulate_spec(_spec())
 
 
 class TestHardKill:
@@ -230,7 +233,7 @@ class TestRunCellsKillIntegration:
         with worker-kill chaos routed via the ordinary ``chaos=`` field
         completes bit-identical to the chaos-free golden run."""
         cells = [
-            common.RunSpec(w, preset=p, scale="tiny")
+            RunSpec(w, preset=p, scale="tiny")
             for w in ("KCORE", "PR")
             for p in (systems.BASELINE, systems.TO)
         ]
@@ -239,14 +242,14 @@ class TestRunCellsKillIntegration:
         chaos = parse_chaos_spec("worker-kill:prob=0.5,after=1", seed=21)
         ckpt = harness / "sweep"
         chaotic = [
-            common.replace(c, chaos=chaos, checkpoint_dir=str(ckpt))
+            replace(c, chaos=chaos, checkpoint_dir=str(ckpt))
             for c in cells
         ]
         # Default heartbeat cadence (kill recovery detects EOF, not
         # silence) and a high breaker threshold: on a loaded machine a
         # tight miss budget can spuriously escalate slow-but-alive
         # workers, and this test pins bit-identity, not the breaker.
-        with common.run_policy(jobs=2, breaker_threshold=100):
+        with run_policy(jobs=2, breaker_threshold=100):
             out = common.run_cells(chaotic, use_cache=False)
         assert [_fields(r) for r in out] == [_fields(r) for r in golden]
         assert not list(ckpt.glob("*")), "chaotic sweep left orphans"

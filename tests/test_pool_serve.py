@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos import parse_chaos_spec
-from repro.experiments.common import RunPolicy
+from repro.experiments.policy import RunPolicy
 from repro.serve.testing import running_server
 
 FAST = {"workload": "KCORE", "scale": "tiny", "seed": 0}

@@ -1,9 +1,9 @@
 """The explicit run policy: validation, scoping, and its two consumers.
 
-* :class:`~repro.experiments.common.RunPolicy` validates once, at
+* :class:`~repro.experiments.RunPolicy` validates once, at
   construction; both CLIs turn an invalid value into a usage error
   (exit 2), never a traceback and never a silently accepted value.
-* :func:`~repro.experiments.common.run_policy` scopes a default over a
+* :func:`~repro.experiments.run_policy` scopes a default over a
   block, restores the previous one on exit, and collects the scope's
   keep-going failures; calls with an explicit policy collect nothing.
 * The policy is applied in the calling process, so a policy change after
@@ -22,8 +22,10 @@ import pytest
 from repro import systems
 from repro.chaos import parse_chaos_spec
 from repro.errors import ConfigError
-from repro.experiments import common, runner
-from repro.experiments.common import RunPolicy
+from repro.experiments import common, policy as policy_layer, runner
+from repro.experiments.cells import RunSpec
+from repro.experiments.policy import default_policy, run_policy
+from repro.experiments.policy import RunPolicy
 from repro.pool import PoolConfig, SupervisedPool
 from repro.serve import cli as serve_cli
 from repro.serve.client import ServeClient
@@ -36,7 +38,7 @@ FAILING_CHAOS = parse_chaos_spec("fail-batch:batch=0", seed=0)
 
 
 def _spec(**kwargs):
-    return common.RunSpec("KCORE", preset=systems.BASELINE, **kwargs)
+    return RunSpec("KCORE", preset=systems.BASELINE, **kwargs)
 
 
 class TestValidation:
@@ -137,7 +139,7 @@ class TestCliUsageErrors:
         self, main, argv, monkeypatch, sleepless_serve, capsys
     ):
         monkeypatch.setenv("REPRO_JOBS", "-3")
-        monkeypatch.setattr(common, "_DEFAULT_POLICY", None)
+        monkeypatch.setattr(policy_layer, "_DEFAULT_POLICY", None)
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -146,24 +148,24 @@ class TestCliUsageErrors:
 
 @pytest.fixture()
 def isolated(tmp_path):
-    with common.run_policy(RunPolicy(cache_dir=tmp_path / "default")):
+    with run_policy(RunPolicy(cache_dir=tmp_path / "default")):
         yield tmp_path
 
 
 class TestScope:
     def test_scope_restores_the_previous_default(self, isolated):
-        before = common.default_policy()
+        before = default_policy()
         with pytest.raises(RuntimeError):
-            with common.run_policy(jobs=2, retries=3) as failures:
-                assert common.default_policy().jobs == 2
-                assert common.default_policy().cache_dir == before.cache_dir
+            with run_policy(jobs=2, retries=3) as failures:
+                assert default_policy().jobs == 2
+                assert default_policy().cache_dir == before.cache_dir
                 assert failures == []
                 raise RuntimeError("leave the block early")
-        assert common.default_policy() == before
+        assert default_policy() == before
 
     def test_explicit_policy_calls_collect_nothing(self, isolated):
         keep_going = RunPolicy(cache_dir=isolated, on_error="keep-going")
-        with common.run_policy(on_error="keep-going") as failures:
+        with run_policy(on_error="keep-going") as failures:
             (slot,) = common.run_cells(
                 [_spec(chaos=FAILING_CHAOS)], policy=keep_going
             )
@@ -240,7 +242,7 @@ class TestServerPolicy:
         assert b_stats == counts
 
     def test_direct_server_leaves_default_policy_unchanged(self, isolated):
-        before = common.default_policy()
+        before = default_policy()
         policy = RunPolicy(
             cache_dir=isolated / "served", cache_quota_bytes=1 << 20
         )
@@ -254,5 +256,5 @@ class TestServerPolicy:
             server.request_shutdown()
             thread.join(timeout=30)
         assert not thread.is_alive()
-        assert common.default_policy() == before
+        assert default_policy() == before
         assert list((isolated / "served").glob("*.pkl"))

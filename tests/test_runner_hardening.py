@@ -12,7 +12,10 @@ from repro.errors import (
     SimulationError,
     SimulationStalledError,
 )
-from repro.experiments import common
+from repro.experiments import cells as cell_layer, common
+from repro.experiments.cache import clear_run_cache, run_cache
+from repro.experiments.cells import RunSpec
+from repro.experiments.policy import RunPolicy, drain_failures, run_policy
 
 FAILING_CHAOS = parse_chaos_spec("fail-batch:batch=0", seed=0)
 
@@ -20,7 +23,7 @@ FAILING_CHAOS = parse_chaos_spec("fail-batch:batch=0", seed=0)
 @pytest.fixture()
 def harness(tmp_path):
     """Isolated cache plus pristine failure/retry policy, restored after."""
-    with common.run_policy(common.RunPolicy(cache_dir=tmp_path)):
+    with run_policy(RunPolicy(cache_dir=tmp_path)):
         yield tmp_path
 
 
@@ -28,7 +31,7 @@ def specs(*chaos_slots):
     """One BFS-TTC cell per slot; a truthy slot injects failing chaos."""
     presets = (systems.BASELINE, systems.UE, systems.TO)
     return [
-        common.RunSpec(
+        RunSpec(
             "BFS-TTC",
             preset=presets[i % len(presets)],
             scale="tiny",
@@ -43,7 +46,7 @@ class TestQuarantine:
         first = common.run_system(systems.BASELINE, "KCORE", scale="tiny")
         (entry,) = harness.glob("*.pkl")
         entry.write_bytes(b"these are not the bytes you pickled")
-        common.clear_run_cache()
+        clear_run_cache()
         with pytest.warns(RuntimeWarning, match="quarantined"):
             second = common.run_system(systems.BASELINE, "KCORE", scale="tiny")
         assert second.exec_cycles == first.exec_cycles  # recomputed
@@ -55,7 +58,7 @@ class TestQuarantine:
         common.run_system(systems.BASELINE, "KCORE", scale="tiny")
         for path in harness.glob("*.pkl"):
             path.unlink()
-        common.clear_run_cache()
+        clear_run_cache()
         common.run_system(systems.BASELINE, "KCORE", scale="tiny")
         assert not list(harness.glob("*.pkl.corrupt"))
 
@@ -63,16 +66,16 @@ class TestQuarantine:
         common.run_system(systems.BASELINE, "KCORE", scale="tiny")
         (entry,) = harness.glob("*.pkl")
         entry.write_bytes(b"junk")
-        common.clear_run_cache()
+        clear_run_cache()
         with pytest.warns(RuntimeWarning):
             common.run_system(systems.BASELINE, "KCORE", scale="tiny")
-        assert common.clear_persistent_cache() >= 2  # fresh .pkl + .corrupt
+        assert run_cache().clear() >= 2  # fresh .pkl + .corrupt
         assert not list(harness.glob("*"))
 
 
 class TestOnErrorPolicy:
     def test_raise_policy_aborts_with_structured_failure(self, harness):
-        with common.run_policy(chaos=FAILING_CHAOS):
+        with run_policy(chaos=FAILING_CHAOS):
             with pytest.raises(CellFailure) as excinfo:
                 common.run_system(systems.BASELINE, "BFS-TTC", scale="tiny")
         failure = excinfo.value
@@ -82,28 +85,28 @@ class TestOnErrorPolicy:
         assert failure.__cause__ is not None  # chained to the original
 
     def test_keep_going_serial_sweep_completes(self, harness):
-        with common.run_policy(on_error="keep-going"):
+        with run_policy(on_error="keep-going"):
             results = common.run_cells(specs(False, True, False))
-            failures = common.drain_failures()
-            assert common.drain_failures() == []  # drained exactly once
+            failures = drain_failures()
+            assert drain_failures() == []  # drained exactly once
         assert [common.is_failure(r) for r in results] == [False, True, False]
         assert len(failures) == 1
         assert failures[0].system == "UE"
 
     def test_keep_going_parallel_sweep_completes(self, harness):
-        with common.run_policy(on_error="keep-going", jobs=2):
+        with run_policy(on_error="keep-going", jobs=2):
             results = common.run_cells(specs(True, False, False))
-            assert len(common.drain_failures()) == 1
+            assert len(drain_failures()) == 1
         assert [common.is_failure(r) for r in results] == [True, False, False]
 
     def test_failed_cells_are_never_cached(self, harness):
-        with common.run_policy(on_error="keep-going"):
+        with run_policy(on_error="keep-going"):
             results = common.run_cells(specs(False, True, False))
         successes = sum(not common.is_failure(r) for r in results)
         assert len(list(harness.glob("*.pkl"))) == successes
 
     def test_failure_record_serializes(self, harness):
-        with common.run_policy(on_error="keep-going") as failures:
+        with run_policy(on_error="keep-going") as failures:
             common.run_cells(specs(True))
         (failure,) = failures
         record = failure.to_dict()
@@ -115,7 +118,7 @@ class TestOnErrorPolicy:
 
 class TestRetryPolicy:
     def test_transient_error_retried(self, harness, monkeypatch):
-        real = common._simulate_spec
+        real = cell_layer.simulate_spec
         calls = []
 
         def flaky(spec):
@@ -124,8 +127,8 @@ class TestRetryPolicy:
                 raise OSError("spurious I/O hiccup")
             return real(spec)
 
-        monkeypatch.setattr(common, "_simulate_spec", flaky)
-        with common.run_policy(retries=2, retry_backoff=0.0):
+        monkeypatch.setattr(cell_layer, "simulate_spec", flaky)
+        with run_policy(retries=2, retry_backoff=0.0):
             result = common.run_system(systems.BASELINE, "KCORE", scale="tiny")
         assert result.exec_cycles > 0
         assert len(calls) == 2
@@ -137,8 +140,8 @@ class TestRetryPolicy:
             calls.append(spec)
             raise SimulationError("same bits, same crash")
 
-        monkeypatch.setattr(common, "_simulate_spec", broken)
-        with common.run_policy(
+        monkeypatch.setattr(cell_layer, "simulate_spec", broken)
+        with run_policy(
             retries=5, retry_backoff=0.0, on_error="keep-going"
         ):
             result = common.run_system(systems.BASELINE, "KCORE", scale="tiny")
@@ -152,8 +155,8 @@ class TestRetryPolicy:
             calls.append(spec)
             raise OSError("the disk is on fire")
 
-        monkeypatch.setattr(common, "_simulate_spec", always_flaky)
-        with common.run_policy(
+        monkeypatch.setattr(cell_layer, "simulate_spec", always_flaky)
+        with run_policy(
             retries=2, retry_backoff=0.0, on_error="keep-going"
         ):
             result = common.run_system(systems.BASELINE, "KCORE", scale="tiny")
@@ -169,15 +172,15 @@ class TestRetryPolicy:
         def buggy(spec):
             raise ValueError("a bug, not a cell failure")
 
-        monkeypatch.setattr(common, "_simulate_spec", buggy)
-        with common.run_policy(on_error="keep-going", jobs=jobs):
+        monkeypatch.setattr(cell_layer, "simulate_spec", buggy)
+        with run_policy(on_error="keep-going", jobs=jobs):
             with pytest.raises(ValueError):
                 common.run_cells(specs(False, False))
 
     def test_pool_retry_runs_in_a_worker(self, harness, monkeypatch):
         """Under ``jobs=2`` the retry after a transient error goes back
         to the pool: no attempt runs in the parent process."""
-        real = common._simulate_spec
+        real = cell_layer.simulate_spec
         log = harness / "attempts.log"
 
         def flaky(spec):
@@ -187,8 +190,8 @@ class TestRetryPolicy:
                 raise OSError("spurious I/O hiccup")
             return real(spec)
 
-        monkeypatch.setattr(common, "_simulate_spec", flaky)
-        with common.run_policy(jobs=2, retries=2, retry_backoff=0.01):
+        monkeypatch.setattr(cell_layer, "simulate_spec", flaky)
+        with run_policy(jobs=2, retries=2, retry_backoff=0.01):
             result = common.run_system(systems.BASELINE, "KCORE", scale="tiny")
         assert result.exec_cycles > 0
         pids = [int(pid) for pid in log.read_text().split()]
@@ -200,7 +203,7 @@ class TestCellTimeout:
     # ratio=0.5 keeps the cell above the watchdog's 8192-event sampling
     # interval; a shorter run finishes before the deadline is ever read.
     def test_timeout_becomes_structured_failure(self, harness):
-        with common.run_policy(cell_timeout=1e-9, on_error="keep-going"):
+        with run_policy(cell_timeout=1e-9, on_error="keep-going"):
             result = common.run_system(
                 systems.BASELINE, "BFS-TTC", scale="tiny", ratio=0.5
             )
@@ -208,7 +211,7 @@ class TestCellTimeout:
         assert result.error_type == "SimulationStalledError"
 
     def test_timeout_raises_under_default_policy(self, harness):
-        with common.run_policy(cell_timeout=1e-9):
+        with run_policy(cell_timeout=1e-9):
             with pytest.raises(CellFailure) as excinfo:
                 common.run_system(
                     systems.BASELINE, "BFS-TTC", scale="tiny", ratio=0.5
@@ -219,26 +222,26 @@ class TestCellTimeout:
 class TestPolicyDefaults:
     def test_resolved_fills_policy_defaults(self, harness):
         chaos = parse_chaos_spec("drop-fault:prob=0.1", seed=5)
-        policy = common.RunPolicy(
+        policy = RunPolicy(
             chaos=chaos, invariants=True, cell_timeout=30.0
         )
-        spec = policy.apply(common.RunSpec("KCORE", preset=systems.BASELINE))
+        spec = policy.apply(RunSpec("KCORE", preset=systems.BASELINE))
         assert spec.chaos == chaos
         assert spec.check_invariants is True
         assert spec.wall_budget_seconds == 30.0
 
     def test_explicit_spec_beats_defaults(self, harness):
-        policy = common.RunPolicy(chaos=FAILING_CHAOS)
+        policy = RunPolicy(chaos=FAILING_CHAOS)
         other = parse_chaos_spec("dup-fault:prob=0.2", seed=1)
         spec = policy.apply(
-            common.RunSpec("KCORE", preset=systems.BASELINE, chaos=other)
+            RunSpec("KCORE", preset=systems.BASELINE, chaos=other)
         )
         assert spec.chaos == other
 
     def test_setter_validation(self):
         with pytest.raises(ConfigError):
-            common.RunPolicy(cell_timeout=0)
+            RunPolicy(cell_timeout=0)
         with pytest.raises(ConfigError):
-            common.RunPolicy(retries=-1)
+            RunPolicy(retries=-1)
         with pytest.raises(ConfigError):
-            common.RunPolicy(on_error="shrug")
+            RunPolicy(on_error="shrug")

@@ -31,7 +31,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import common
-from repro.experiments.common import RunPolicy
+from repro.experiments.cells import half_ratio
+from repro.experiments.policy import RunPolicy
 from repro.serve.protocol import (
     dump_result_json,
     result_payload,
@@ -308,7 +309,7 @@ class TestCliBitIdentity:
     def test_server_result_equals_repro_run_result_out(self, tmp_path):
         """The wire payload re-serialised with the shared serialiser is
         byte-for-byte what ``repro-run --result-out`` writes."""
-        ratio = common.half_ratio("tiny")
+        ratio = half_ratio("tiny")
         out = tmp_path / "cli-result.json"
         env = dict(os.environ)
         env["PYTHONPATH"] = "src"

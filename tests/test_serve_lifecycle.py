@@ -30,7 +30,8 @@ import pytest
 
 from repro.errors import ServerShutdownError
 from repro.experiments import common
-from repro.experiments.common import RunPolicy
+from repro.experiments.cache import clear_run_cache
+from repro.experiments.policy import RunPolicy
 from repro.serve.client import ServeClient
 from repro.serve.protocol import (
     result_payload,
@@ -173,7 +174,7 @@ class TestRestartWarm:
         # New server instance, same cache directory: the entry comes
         # back from disk.  A restart is a new process, whose memo starts
         # empty; in this one, the shared directory's memo is dropped.
-        common.clear_run_cache()
+        clear_run_cache()
         with running_server(
             policy=RunPolicy(cache_dir=cache)
         ) as (_server, client):

@@ -24,7 +24,7 @@ from repro.errors import (
     ServerSaturatedError,
     ServerShutdownError,
 )
-from repro.experiments.common import RunPolicy
+from repro.experiments.policy import RunPolicy
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     error_envelope,

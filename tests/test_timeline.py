@@ -9,6 +9,8 @@ from repro import GpuUvmSimulator, build_workload, systems
 from repro.cli import main as cli_main
 from repro.core.batching import BatchRecord
 from repro.experiments import common
+from repro.experiments.cells import RunSpec
+from repro.experiments.policy import RunPolicy
 from repro.obs import Observability, render_batches
 from repro.obs.tracer import Tracer
 
@@ -146,14 +148,14 @@ def test_pool_result_renders_like_serial():
     the records the Figure-2 view needs: same lanes as the serial run.
     Two cells, because ``run_cells`` runs a lone miss in process."""
     specs = [
-        common.RunSpec(workload="KCORE", preset=systems.by_name(system))
+        RunSpec(workload="KCORE", preset=systems.by_name(system))
         for system in ("BASELINE", "TO+UE")
     ]
     pooled = common.run_cells(
-        specs, policy=common.RunPolicy(jobs=2, cache_enabled=False)
+        specs, policy=RunPolicy(jobs=2, cache_enabled=False)
     )
     serial = common.run_cells(
-        specs, policy=common.RunPolicy(jobs=1, cache_enabled=False)
+        specs, policy=RunPolicy(jobs=1, cache_enabled=False)
     )
     for got, want in zip(pooled, serial):
         text = render_batches(got.batch_stats.records)

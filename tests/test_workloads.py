@@ -1,5 +1,6 @@
 """Tests for the GraphBIG-style workload generators."""
 
+import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
@@ -98,6 +99,34 @@ class TestAlgorithms:
         # uncoloured in round 1): no edge inside the winner set.
         for v in first:
             assert not any(int(u) in first for u in GRAPH.neighbors(v))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_gc_rounds_match_the_loop_reference(self, seed):
+        """The vectorised rounds equal the per-vertex Jones–Plassmann loop:
+        a vertex wins when no uncoloured neighbour, in either edge
+        direction, has a higher priority."""
+        from repro.workloads.gc import _coloring_rounds
+
+        n = GRAPH.num_vertices
+        priority = np.random.default_rng(seed).permutation(n)
+        neighbours = [set() for _ in range(n)]
+        for v in range(n):
+            for u in GRAPH.neighbors(v).tolist():
+                neighbours[v].add(u)
+                neighbours[u].add(v)
+        uncolored = set(range(n))
+        want = []
+        while uncolored:
+            winners = sorted(
+                v for v in uncolored
+                if all(
+                    u not in uncolored or priority[u] <= priority[v]
+                    for u in neighbours[v]
+                )
+            )
+            want.append(winners)
+            uncolored -= set(winners)
+        assert [r.tolist() for r in _coloring_rounds(GRAPH, seed)] == want
 
     def test_kcore_peeling_removes_low_degree(self):
         from repro.workloads.kcore import _peeling_rounds
