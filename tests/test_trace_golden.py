@@ -1,7 +1,7 @@
 """Trace-identity golden: every registry workload's trace, hashed.
 
 ``tests/golden/traces.json`` holds one SHA-256 per workload: every
-registry workload at ``tiny``, plus three at ``small``.  A digest covers
+registry workload at ``tiny``, plus eight at ``small``.  A digest covers
 the workload's :attr:`~repro.workloads.trace.Workload.shape`, every
 kernel's derived per-op columns
 (:func:`~repro.gpu.warp_soa.kernel_derived` at time scale 1.0: pages,
@@ -38,6 +38,11 @@ CASES = [(name, "tiny") for name in workload_names() + list(REGULAR_WORKLOADS)] 
     ("BFS-TTC", "small"),
     ("BFS-TWC", "small"),
     ("KCORE", "small"),
+    ("SSSP-TWC", "small"),
+    ("BFS-DWC", "small"),
+    ("GC-DTC", "small"),
+    ("BC", "small"),
+    ("PR", "small"),
 ]
 
 
