@@ -5,21 +5,18 @@ Builds a synthetic "pointer chasing over a hash table" workload — a warp
 alternates between a hot index array (sequential) and cold table buckets
 (strided, pseudo-random) — and studies how each memory-management system
 copes.  Demonstrates the trace-building API surface a downstream user
-would adopt: AddressSpace, WarpOpsBuilder, BlockTrace/KernelTrace, and
-the system presets.
+would adopt: AddressSpace, KernelBuilder (one launch's ops for all its
+warps at once, as NumPy arrays), Workload, and the system presets.
 """
 
 import argparse
 
+import numpy as np
+
 from repro import GpuUvmSimulator, systems
 from repro.gpu.occupancy import KernelResources
 from repro.vm.address_space import AddressSpace
-from repro.workloads.trace import (
-    BlockTrace,
-    KernelTrace,
-    WarpOpsBuilder,
-    Workload,
-)
+from repro.workloads.trace import KernelBuilder, Workload
 
 PAGE_SIZE = 4096
 WARPS_PER_BLOCK = 4
@@ -39,33 +36,27 @@ def build_hash_probe_workload(num_blocks=12, probes_per_warp=40,
     table = vas.allocate("table", table_pages * PAGE_SIZE // 64, 64)
     buckets = table.num_elements
 
-    blocks = []
-    for b in range(num_blocks):
-        warp_ops = []
-        for w in range(WARPS_PER_BLOCK):
-            ops = WarpOpsBuilder(compute_cycles=12)
-            lane_base = (b * WARPS_PER_BLOCK + w) * probes_per_warp
-            for i in range(probes_per_warp):
-                # Sequential read of the next 32 indices (coalesced).
-                ops.access([index.addr_unchecked(lane_base + i)])
-                # 32 bucket probes scattered over ~4 distinct pages.
-                group = ((lane_base + i) * 2654435761) % buckets
-                probe = [
-                    table.addr_unchecked(
-                        (group + lane * 7 + (lane % 4) * (buckets // 4)) % buckets
-                    )
-                    for lane in range(32)
-                ]
-                ops.access(probe)
-            warp_ops.append(ops.build())
-        blocks.append(BlockTrace(warp_ops))
-
-    kernel = KernelTrace(
+    num_warps = num_blocks * WARPS_PER_BLOCK
+    ops = KernelBuilder(
         "hash-probe",
-        blocks,
+        num_warps,
         KernelResources(threads_per_block=32 * WARPS_PER_BLOCK,
                         registers_per_thread=56),
+        compute_cycles=12,
     )
+    # Probe p belongs to warp p // probes_per_warp and is two ops: a
+    # sequential read of the next index (coalesced), then 32 bucket
+    # probes scattered over ~4 distinct pages.
+    probe = np.arange(num_warps * probes_per_warp)
+    group = (probe * 2654435761) % buckets
+    lane = np.arange(32)
+    bucket = (group[:, None] + lane * 7 + (lane % 4) * (buckets // 4)) % buckets
+    ops.access(
+        np.repeat(probe // probes_per_warp, 2),
+        np.tile([1, 32], probe.size),
+        np.column_stack((index.addrs(probe), table.addrs(bucket))),
+    )
+    kernel = ops.build()
     return Workload("HASH-PROBE", vas, [kernel], num_sms_hint=1)
 
 

@@ -41,7 +41,7 @@ def working_set_curve(workload: Workload, sm_counts=SM_COUNTS) -> list[float]:
         kernel.resources
     )
     shift = workload.address_space.page_shift
-    block_pages = [block.pages(shift) for block in kernel.blocks]
+    block_pages = kernel.block_pages(shift)
 
     def mean_wave_pages(active_sms: int) -> float:
         wave = max(1, active_sms * blocks_per_sm)

@@ -7,7 +7,7 @@ from repro.workloads.registry import (
     build_workload,
     workload_names,
 )
-from repro.workloads.trace import BlockTrace, KernelTrace, Workload
+from repro.workloads.trace import KernelBuilder, KernelTrace, Workload
 
 __all__ = [
     "CsrGraph",
@@ -17,7 +17,7 @@ __all__ = [
     "REGULAR_WORKLOADS",
     "build_workload",
     "workload_names",
-    "BlockTrace",
+    "KernelBuilder",
     "KernelTrace",
     "Workload",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.gpu.config import WARP_SIZE
 from repro.workloads.graph import CsrGraph, bfs_levels
 from repro.workloads.graphbig import GraphWorkloadBuilder
 from repro.workloads.trace import KernelTrace, Workload
@@ -24,56 +25,43 @@ def build_bc(graph: CsrGraph, source: int = 0, **kwargs) -> Workload:
     reachable = levels[levels >= 0]
     max_level = int(reachable.max()) if reachable.size else 0
 
+    def sigma_addr(_edge_index, dst):
+        return [sigma.addrs(dst)]
+
+    def delta_addr(_edge_index, dst):
+        return [delta.addrs(dst), sigma.addrs(dst)]
+
     kernels: list[KernelTrace] = []
 
     # ---------------- forward (BFS + sigma accumulation) ----------------
     for level in range(max_level + 1):
-        active_set = set(np.flatnonzero(levels == level).tolist())
-        if not active_set:
+        active = np.flatnonzero(levels == level)
+        if not active.size:
             break
-
-        def emit_fwd(ops, vertices, _active=active_set):
-            builder.emit_status_check(ops, vertices)
-            active = [v for v in vertices if v in _active]
-            if not active:
-                return
-            builder.emit_active_properties(ops, active)
-
-            def sigma_addr(_edge_index, dst):
-                return [sigma.addrs(dst)]
-
-            builder.emit_tc_expansion(
-                ops, active, touch_dst=True, dst_store=True,
-                extra_dst_addrs=sigma_addr,
-            )
-
-        kernels.append(builder.topological_kernel(f"BC-FWD-L{level}", emit_fwd))
+        ops = builder.topological_kernel(f"BC-FWD-L{level}")
+        warp = active // WARP_SIZE
+        builder.emit_active_properties(ops, warp, active)
+        builder.emit_tc_expansion(
+            ops, warp, active, dst_store=True, extra_dst_addrs=sigma_addr
+        )
+        kernels.append(ops.build())
 
     # ---------------- backward (dependency accumulation) ----------------
     for level in range(max_level, -1, -1):
-        active_set = set(np.flatnonzero(levels == level).tolist())
-        if not active_set:
+        active = np.flatnonzero(levels == level)
+        if not active.size:
             continue
-
-        def emit_bwd(ops, vertices, _active=active_set):
-            builder.emit_status_check(ops, vertices)
-            active = [v for v in vertices if v in _active]
-            if not active:
-                return
-            builder.emit_active_properties(ops, active)
-
-            def delta_addr(_edge_index, dst):
-                return [delta.addrs(dst), sigma.addrs(dst)]
-
-            builder.emit_tc_expansion(
-                ops, active, touch_dst=True, extra_dst_addrs=delta_addr,
-            )
-            # Write back own delta and centrality record.
-            ops.access(
-                delta.addrs(active).tolist() + builder.vprop_addrs(active),
-                is_store=True,
-            )
-
-        kernels.append(builder.topological_kernel(f"BC-BWD-L{level}", emit_bwd))
+        ops = builder.topological_kernel(f"BC-BWD-L{level}")
+        warp = active // WARP_SIZE
+        builder.emit_active_properties(ops, warp, active)
+        builder.emit_tc_expansion(ops, warp, active, extra_dst_addrs=delta_addr)
+        # Write back own delta and centrality record: each warp's delta
+        # records, then its property records.
+        ops.warp_ops(
+            np.concatenate((warp, warp)),
+            np.concatenate((delta.addrs(active), builder.vprop.addrs(active))),
+            store=True,
+        )
+        kernels.append(ops.build())
 
     return builder.workload("BC", kernels)

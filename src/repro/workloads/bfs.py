@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.gpu.config import WARP_SIZE
 from repro.workloads.graph import CsrGraph, bfs_levels
 from repro.workloads.graphbig import GraphWorkloadBuilder
-from repro.workloads.trace import KernelTrace, Workload
+from repro.workloads.trace import KernelTrace, Workload, run_ranks
 
 
 class _BfsBuilder(GraphWorkloadBuilder):
@@ -45,71 +46,60 @@ class _BfsBuilder(GraphWorkloadBuilder):
         reachable = self.levels[self.levels >= 0]
         return int(reachable.max()) if reachable.size else 0
 
-    def discoveries(self, vertices, level: int) -> list[int]:
-        """Destinations first discovered by expanding ``vertices``, in order."""
+    def discoveries(self, warp, vertices, level: int) -> tuple[np.ndarray, ...]:
+        """Per warp, the destinations first discovered by expanding its
+        lanes' ``vertices``, in order: each one's warp, and the vertex."""
+        found_by = np.repeat(warp, self.graph.degrees()[vertices])
         reached = self.graph.edges[self.graph.edge_indices(vertices)]
-        reached = reached[self.levels[reached] == level + 1]
-        _, first = np.unique(reached, return_index=True)
-        return reached[np.sort(first)].tolist()
+        new = self.levels[reached] == level + 1
+        found_by, reached = found_by[new], reached[new]
+        _, first = np.unique(
+            found_by * self.graph.num_vertices + reached, return_index=True
+        )
+        first.sort()
+        return found_by[first], reached[first]
 
 
 def _topological_bfs(builder: _BfsBuilder, name: str, warp_centric: bool,
                      atomic: bool = False) -> Workload:
+    expand = builder.emit_wc_expansion if warp_centric else builder.emit_tc_expansion
     kernels: list[KernelTrace] = []
     for level in range(builder.max_level + 1):
-        active_set = set(int(v) for v in builder.frontier_at(level))
-        if not active_set:
+        active = builder.frontier_at(level)
+        if not active.size:
             break
-
-        def emit(ops, vertices, _active=active_set, _level=level):
-            builder.emit_status_check(ops, vertices)
-            active = [v for v in vertices if v in _active]
-            if not active:
-                return
-            builder.emit_active_properties(ops, active)
-            expand = (
-                builder.emit_wc_expansion
-                if warp_centric
-                else builder.emit_tc_expansion
-            )
-            expand(ops, active, touch_dst=True, dst_store=True)
-            if atomic:
-                # Atomic compare-and-swap on each discovered destination:
-                # one extra read-modify-write round trip.
-                found = builder.discoveries(active, _level)
-                ops.access(builder.vprop_addrs(found), compute=16, is_store=True)
-
-        kernels.append(builder.topological_kernel(f"{name}-L{level}", emit))
+        ops = builder.topological_kernel(f"{name}-L{level}")
+        warp = active // WARP_SIZE
+        builder.emit_active_properties(ops, warp, active)
+        expand(ops, warp, active, dst_store=True)
+        if atomic:
+            # Atomic compare-and-swap on each discovered destination:
+            # one extra read-modify-write round trip.
+            found_by, found = builder.discoveries(warp, active, level)
+            ops.warp_ops(found_by, builder.vprop.addrs(found), store=True, compute=16)
+        kernels.append(ops.build())
     return builder.workload(name, kernels)
 
 
 def _data_driven_bfs(builder: _BfsBuilder, name: str, warp_centric: bool) -> Workload:
+    expand = builder.emit_wc_expansion if warp_centric else builder.emit_tc_expansion
     kernels: list[KernelTrace] = []
     for level in range(builder.max_level + 1):
         frontier = builder.frontier_at(level)
         if not frontier.size:
             break
-
-        def emit(ops, chunk, queue_offset, _level=level, _wc=warp_centric):
-            # Coalesced read of the frontier queue slots.
-            ops.access(
-                builder.frontier_q.addrs(np.arange(len(chunk)) + queue_offset)
-            )
-            builder.emit_active_properties(ops, chunk)
-            expand = builder.emit_wc_expansion if _wc else builder.emit_tc_expansion
-            expand(ops, chunk, touch_dst=True, dst_store=True)
-            # Append discoveries to the next-level queue (coalesced-ish).
-            found = builder.discoveries(chunk, _level)
-            ops.access(
-                builder.next_q.addrs(
-                    np.arange(len(found)) % builder.graph.num_vertices
-                ),
-                is_store=True,
-            )
-
-        kernels.append(
-            builder.data_driven_kernel(f"{name}-L{level}", list(frontier), emit)
+        # Lanes read their frontier queue slots (coalesced).
+        ops = builder.data_driven_kernel(
+            f"{name}-L{level}", builder.frontier_q, frontier
         )
+        warp = np.arange(frontier.size) // WARP_SIZE
+        builder.emit_active_properties(ops, warp, frontier)
+        expand(ops, warp, frontier, dst_store=True)
+        # Each warp appends its discoveries to the next-level queue.
+        found_by, _ = builder.discoveries(warp, frontier, level)
+        slot = run_ranks(np.unique(found_by, return_counts=True)[1])
+        ops.warp_ops(found_by, builder.next_q.addrs(slot), store=True)
+        kernels.append(ops.build())
     return builder.workload(name, kernels)
 
 

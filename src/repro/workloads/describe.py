@@ -67,8 +67,8 @@ def profile(workload: Workload) -> WorkloadProfile:
     # Page sharing: how many blocks touch each page in the biggest kernel.
     biggest = max(workload.kernels, key=lambda k: k.num_blocks)
     page_owners: dict[int, int] = {}
-    for block in biggest.blocks:
-        for page in block.pages(shift):
+    for pages in biggest.block_pages(shift):
+        for page in pages:
             page_owners[page] = page_owners.get(page, 0) + 1
     shared = sum(1 for count in page_owners.values() if count > 1)
     return WorkloadProfile(

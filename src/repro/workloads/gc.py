@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.gpu.config import WARP_SIZE
 from repro.workloads.graph import CsrGraph
 from repro.workloads.graphbig import GraphWorkloadBuilder
 from repro.workloads.trace import KernelTrace, Workload
@@ -72,19 +73,14 @@ def build_gc_ttc(graph: CsrGraph, **kwargs) -> Workload:
     colored = np.zeros(graph.num_vertices, dtype=bool)
     kernels: list[KernelTrace] = []
     for rnd, winners in enumerate(builder.rounds):
-        uncolored_set = set(np.flatnonzero(~colored).tolist())
-
-        def emit(ops, vertices, _uncolored=uncolored_set):
-            builder.emit_status_check(ops, vertices)
-            active = [v for v in vertices if v in _uncolored]
-            if not active:
-                return
-            builder.emit_active_properties(ops, active)
-            # Read every neighbour's colour record; write own colour.
-            builder.emit_tc_expansion(ops, active, touch_dst=True)
-            ops.access(builder.vprop_addrs(active), is_store=True)
-
-        kernels.append(builder.topological_kernel(f"GC-TTC-R{rnd}", emit))
+        ops = builder.topological_kernel(f"GC-TTC-R{rnd}")
+        active = np.flatnonzero(~colored)
+        warp = active // WARP_SIZE
+        builder.emit_active_properties(ops, warp, active)
+        # Read every neighbour's colour record; write own colour.
+        builder.emit_tc_expansion(ops, warp, active)
+        builder.emit_active_properties(ops, warp, active, is_store=True)
+        kernels.append(ops.build())
         colored[winners] = True
     return builder.workload("GC-TTC", kernels)
 
@@ -95,15 +91,11 @@ def build_gc_dtc(graph: CsrGraph, **kwargs) -> Workload:
     kernels: list[KernelTrace] = []
     for rnd, winners in enumerate(builder.rounds):
         worklist = np.flatnonzero(~colored)
-
-        def emit(ops, chunk, queue_offset):
-            ops.access(builder.worklist.addrs(np.arange(len(chunk)) + queue_offset))
-            builder.emit_active_properties(ops, chunk)
-            builder.emit_tc_expansion(ops, chunk, touch_dst=True)
-            ops.access(builder.vprop_addrs(chunk), is_store=True)
-
-        kernels.append(
-            builder.data_driven_kernel(f"GC-DTC-R{rnd}", worklist.tolist(), emit)
-        )
+        ops = builder.data_driven_kernel(f"GC-DTC-R{rnd}", builder.worklist, worklist)
+        warp = np.arange(worklist.size) // WARP_SIZE
+        builder.emit_active_properties(ops, warp, worklist)
+        builder.emit_tc_expansion(ops, warp, worklist)
+        builder.emit_active_properties(ops, warp, worklist, is_store=True)
+        kernels.append(ops.build())
         colored[winners] = True
     return builder.workload("GC-DTC", kernels)

@@ -11,9 +11,12 @@ Every graph workload lays out the same core arrays in unified memory:
 
 plus per-algorithm extras (frontier queues, edge weights).
 
-Trace generators run the actual algorithm on the host and emit, per warp,
-the coalesced accesses the SIMT execution would issue.  Two execution
-styles recur across GraphBIG implementations:
+Trace generators run the actual algorithm on the host and emit, for
+every warp of a launch at once, the coalesced accesses the SIMT
+execution would issue (through one
+:class:`~repro.workloads.trace.KernelBuilder` per launch).  Lane ``p``
+of a launch runs in warp ``p // 32``; the emitters take each lane's warp
+and vertex.  Two execution styles recur across GraphBIG implementations:
 
 * *thread-centric* (TC): thread ``t`` owns vertex ``t``; a warp's threads
   expand their adjacency lists in lockstep, so step ``j`` of the warp
@@ -25,22 +28,19 @@ styles recur across GraphBIG implementations:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.errors import WorkloadError
 from repro.gpu.config import WARP_SIZE
 from repro.gpu.occupancy import KernelResources
-from repro.vm.address_space import AddressSpace
+from repro.vm.address_space import AddressSpace, Segment
 from repro.workloads.graph import CsrGraph
 from repro.workloads.trace import (
+    KernelBuilder,
     KernelTrace,
-    WarpOpsBuilder,
-    WarpTrace,
     Workload,
     cumulative_offsets,
-    group_warps_into_blocks,
+    run_ranks,
 )
 
 #: Bytes per vertex-property record (GraphBIG property structs).
@@ -63,8 +63,6 @@ class GraphWorkloadBuilder:
             raise WorkloadError("threads_per_block must be a multiple of 32")
         self.graph = graph
         self.vas = AddressSpace(page_size)
-        self.threads_per_block = threads_per_block
-        self.warps_per_block = threads_per_block // WARP_SIZE
         self.resources = KernelResources(
             threads_per_block=threads_per_block,
             registers_per_thread=registers_per_thread,
@@ -83,157 +81,132 @@ class GraphWorkloadBuilder:
     # ------------------------------------------------------------------
     # Address helpers
     # ------------------------------------------------------------------
-    def vprop_addrs(self, vertices: Sequence[int]) -> list[int]:
-        return self.vprop.addrs(vertices).tolist()
-
-    def offsets_addrs(self, vertices: Sequence[int]) -> np.ndarray:
+    def offsets_addrs(self, vertices: np.ndarray) -> np.ndarray:
         """``offsets[v]`` and ``offsets[v + 1]``: one row per vertex."""
-        v = np.asarray(vertices, dtype=np.int64)[:, None]
-        return self.offsets.addrs(v + (0, 1))
+        return self.offsets.addrs(vertices[:, None] + (0, 1))
 
-    def _lanes(
-        self, edge_index: np.ndarray, touch_dst: bool, extra_dst_addrs
-    ) -> np.ndarray:
-        """One row per edge: its edge entry, then (``touch_dst``) the
-        destination's property record — which ``dst_store`` writes — and
-        the ``extra_dst_addrs(edge_index, dst)`` columns, all dependent.
+    def _lanes(self, edge_index: np.ndarray, extra_dst_addrs) -> np.ndarray:
+        """One row per edge: its edge entry, the destination's property
+        record — which ``dst_store`` writes — and the
+        ``extra_dst_addrs(edge_index, dst)`` columns, all dependent.
         Columns lie in distinct segments, so positional marks are the
         by-value ones."""
-        columns = [self.edges.addrs(edge_index)]
-        if touch_dst:
-            dst = self.graph.edges[edge_index]
-            columns.append(self.vprop.addrs(dst))
-            if extra_dst_addrs is not None:
-                columns.extend(extra_dst_addrs(edge_index, dst))
+        dst = self.graph.edges[edge_index]
+        columns = [self.edges.addrs(edge_index), self.vprop.addrs(dst)]
+        if extra_dst_addrs is not None:
+            columns.extend(extra_dst_addrs(edge_index, dst))
         return np.column_stack(columns)
 
     # ------------------------------------------------------------------
-    # Warp-level emitters
+    # Emitters: ``warp`` and ``vertices`` give each lane's warp (in
+    # ascending order) and vertex; each emits one stream for all warps.
     # ------------------------------------------------------------------
-    def emit_status_check(self, ops: WarpOpsBuilder, vertices: Sequence[int]) -> None:
-        """Every lane reads its vertex's compact status word (coalesced)."""
-        ops.access(self.status.addrs(vertices))
-
     def emit_active_properties(
-        self, ops: WarpOpsBuilder, active: Sequence[int], is_store: bool = False
+        self, ops: KernelBuilder, warp, vertices, is_store: bool = False
     ) -> None:
-        """Active lanes read (or update) their full property records."""
-        ops.access(self.vprop_addrs(active), is_store=is_store)
+        """The lanes read (or update) their full property records."""
+        ops.warp_ops(warp, self.vprop.addrs(vertices), store=is_store)
 
     def emit_tc_expansion(
         self,
-        ops: WarpOpsBuilder,
-        active: Sequence[int],
-        touch_dst: bool = True,
+        ops: KernelBuilder,
+        warp: np.ndarray,
+        vertices: np.ndarray,
         dst_store: bool = False,
         extra_dst_addrs=None,
     ) -> None:
-        """Thread-centric lockstep expansion of ``active`` lanes.
+        """Thread-centric lockstep expansion of the lanes' vertices.
 
-        Step ``j`` gathers edge ``j`` of every active lane that still has
-        neighbours, plus the destination property records, lane by lane.
+        Each warp with lanes reads their offsets pairs; then its step
+        ``j`` gathers edge ``j`` of every lane that still has neighbours,
+        plus the destination property records, lane by lane.
         ``extra_dst_addrs(edge_index, dst)`` maps arrays of edge indices
         and their destinations to further per-edge address columns.
         """
-        if not len(active):
-            return
-        ops.access(self.offsets_addrs(active).ravel())
-        v = np.asarray(active, dtype=np.int64)
-        start, end = self.graph.offsets[v], self.graph.offsets[v + 1]
-        # (step, lane) grid: lane l's edge j sits in row j, column l.
-        grid = start + np.arange((end - start).max())[:, None]
-        live = grid < end
-        lanes = self._lanes(grid[live], touch_dst, extra_dst_addrs)
-        width = lanes.shape[1]
-        column = np.tile(np.arange(width), len(lanes))
-        ops.access_many(
-            lanes.ravel().tolist(),
-            (np.cumsum(live.sum(axis=1)) * width).tolist(),
-            (dst_store & (column == 1)).tolist(),
-            (column > 0).tolist(),
+        ops.warp_ops(np.repeat(warp, 2), self.offsets_addrs(vertices).ravel())
+        degree = self.graph.degrees()[vertices]
+        edge = self.graph.edge_indices(vertices)
+        lane = np.repeat(np.arange(vertices.size), degree)
+        step = run_ranks(degree)
+        order = np.lexsort((lane, step, warp[lane]))
+        rows = self._lanes(edge[order], extra_dst_addrs)
+        op_warp, op_step = warp[lane][order], step[order]
+        first = np.flatnonzero(
+            np.diff(op_warp, prepend=-1) | np.diff(op_step, prepend=-1)
+        )
+        width = rows.shape[1]
+        column = np.tile(np.arange(width), len(rows))
+        ops.access(
+            op_warp[first],
+            np.diff(first, append=len(rows)) * width,
+            rows,
+            dst_store & (column == 1),
+            column > 0,
         )
 
     def emit_wc_expansion(
         self,
-        ops: WarpOpsBuilder,
-        active: Sequence[int],
-        touch_dst: bool = True,
+        ops: KernelBuilder,
+        warp: np.ndarray,
+        vertices: np.ndarray,
         dst_store: bool = False,
         extra_dst_addrs=None,
     ) -> None:
         """Warp-centric expansion: 32 consecutive edges per step.
 
-        Each active vertex reads its offsets pair, then its edges
+        Each lane's vertex in turn reads its offsets pair, then its edges
         ``WARP_SIZE`` at a time; a step reads its lanes' edge entries
         first (they coalesce), then each lane's destination records.
         """
-        if not len(active):
-            return
-        v = np.asarray(active, dtype=np.int64)
-        lanes = self._lanes(self.graph.edge_indices(v), touch_dst, extra_dst_addrs)
-        edge = lanes[:, 0].tolist()
-        found = lanes[:, 1:].ravel().tolist()
-        rest = lanes.shape[1] - 1  # addresses per lane after its edge entry
-        written = ([dst_store] + [False] * rest)[:rest]  # the property record
-        addresses: list[int] = []
-        op_end: list[int] = []
-        store: list[bool] = []
-        dependent: list[bool] = []
-        degree = self.graph.offsets[v + 1] - self.graph.offsets[v]
-        bounds = cumulative_offsets(degree).tolist()
-        pairs = self.offsets_addrs(active).tolist()
-        for pair, lo, hi in zip(pairs, bounds, bounds[1:]):
-            addresses += pair
-            op_end.append(len(addresses))
-            store += (False, False)
-            dependent += (False, False)
-            for c0 in range(lo, hi, WARP_SIZE):
-                c1 = min(c0 + WARP_SIZE, hi)
-                m = c1 - c0
-                addresses += edge[c0:c1]
-                addresses += found[c0 * rest : c1 * rest]
-                op_end.append(len(addresses))
-                store += [False] * m + written * m
-                dependent += [False] * m + [True] * (m * rest)
-        ops.access_many(addresses, op_end, store, dependent)
+        degree = self.graph.degrees()[vertices]
+        rows = self._lanes(self.graph.edge_indices(vertices), extra_dst_addrs)
+        width = rows.shape[1]
+        # Per vertex: op 0 is the offsets pair, op 1 + c its chunk c.
+        ops_per_vertex = 1 + -(-degree // WARP_SIZE)
+        first_op = cumulative_offsets(ops_per_vertex)[:-1]
+        vertex = np.repeat(np.arange(vertices.size), ops_per_vertex)
+        k = run_ranks(ops_per_vertex)
+        chunk_edges = np.minimum(WARP_SIZE, degree[vertex] - WARP_SIZE * (k - 1))
+        lengths = np.where(k == 0, 2, chunk_edges * width)
+        op_start = cumulative_offsets(lengths)
+        addresses = np.empty(op_start[-1], dtype=np.int64)
+        pair = op_start[first_op][:, None] + (0, 1)
+        addresses[pair] = self.offsets_addrs(vertices)
+        # Edge e of its vertex sits in chunk e // 32, lane e % 32.
+        local = run_ranks(degree)
+        op = np.repeat(first_op, degree) + 1 + local // WARP_SIZE
+        lane = local % WARP_SIZE
+        addresses[op_start[op] + lane] = rows[:, 0]
+        rest = (op_start[op] + lengths[op] // width + lane * (width - 1))[:, None]
+        rest = rest + np.arange(width - 1)
+        addresses[rest] = rows[:, 1:]
+        store = np.zeros(addresses.size, dtype=bool)
+        store[rest[:, 0]] = dst_store  # the property record
+        dependent = np.zeros(addresses.size, dtype=bool)
+        dependent[rest] = True
+        ops.access(warp[vertex], lengths, addresses, store, dependent)
 
     # ------------------------------------------------------------------
     # Kernel assembly
     # ------------------------------------------------------------------
-    def topological_kernel(
-        self, name: str, per_warp_emit
-    ) -> KernelTrace:
-        """One kernel scanning all vertices thread-centrically.
-
-        ``per_warp_emit(ops, vertices)`` fills one warp's op list; warps
-        cover 32 consecutive vertices each.
-        """
-        warp_ops: list[WarpTrace] = []
+    def topological_kernel(self, name: str) -> KernelBuilder:
+        """A launch scanning all vertices thread-centrically: lane ``v``
+        runs vertex ``v``, and every lane first reads its vertex's compact
+        status word (coalesced)."""
         n = self.graph.num_vertices
-        for start in range(0, n, WARP_SIZE):
-            vertices = range(start, min(start + WARP_SIZE, n))
-            ops = WarpOpsBuilder()
-            per_warp_emit(ops, list(vertices))
-            warp_ops.append(ops.build())
-        return self._kernel(name, warp_ops)
+        ops = KernelBuilder(name, -(-n // WARP_SIZE), self.resources)
+        ops.warp_ops(np.arange(n) // WARP_SIZE, self.status.addrs(np.arange(n)))
+        return ops
 
     def data_driven_kernel(
-        self, name: str, work_items: Sequence[int], per_warp_emit
-    ) -> KernelTrace:
-        """One kernel over an explicit work queue (frontier)."""
-        warp_ops: list[WarpTrace] = []
-        for start in range(0, len(work_items), WARP_SIZE):
-            chunk = [int(v) for v in work_items[start : start + WARP_SIZE]]
-            ops = WarpOpsBuilder()
-            per_warp_emit(ops, chunk, start)
-            warp_ops.append(ops.build())
-        if not warp_ops:
-            warp_ops.append(WarpOpsBuilder().build())
-        return self._kernel(name, warp_ops)
-
-    def _kernel(self, name: str, warp_ops: list[WarpTrace]) -> KernelTrace:
-        blocks = group_warps_into_blocks(warp_ops, self.warps_per_block)
-        return KernelTrace(name, blocks, self.resources)
+        self, name: str, queue: Segment, work_items: np.ndarray
+    ) -> KernelBuilder:
+        """A launch over an explicit work queue (frontier): lane ``p``
+        runs ``work_items[p]`` and first reads its ``queue`` slot."""
+        lanes = np.arange(len(work_items))
+        ops = KernelBuilder(name, -(-lanes.size // WARP_SIZE), self.resources)
+        ops.warp_ops(lanes // WARP_SIZE, queue.addrs(lanes))
+        return ops
 
     def workload(self, name: str, kernels: list[KernelTrace]) -> Workload:
         kernels = [k for k in kernels if k.num_ops > 0]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.gpu.config import WARP_SIZE
 from repro.workloads.graph import CsrGraph
 from repro.workloads.graphbig import GraphWorkloadBuilder
 from repro.workloads.trace import KernelTrace, Workload
@@ -39,31 +40,17 @@ def build_kcore(graph: CsrGraph, k: int | None = None, max_rounds: int = 8,
         k = max(2, int(graph.num_edges / max(1, graph.num_vertices)))
     rounds = _peeling_rounds(graph, k)[:max_rounds]
 
-    alive = np.ones(graph.num_vertices, dtype=bool)
     kernels: list[KernelTrace] = []
-    for rnd, doomed in enumerate(rounds):
-        doomed_set = set(doomed.tolist())
-
-        def emit(ops, vertices, _doomed=doomed_set):
-            # Degree check for every lane's vertex.
-            builder.emit_status_check(ops, vertices)
-            removed = [v for v in vertices if v in _doomed]
-            if not removed:
-                return
-            builder.emit_active_properties(ops, removed, is_store=True)
-            # Decrement each live neighbour's degree record.
-            builder.emit_tc_expansion(ops, removed, touch_dst=True, dst_store=True)
-
-        kernels.append(builder.topological_kernel(f"KCORE-R{rnd}", emit))
-        alive[doomed] = False
+    for rnd, removed in enumerate(rounds):
+        # Degree check for every lane's vertex.
+        ops = builder.topological_kernel(f"KCORE-R{rnd}")
+        warp = removed // WARP_SIZE
+        builder.emit_active_properties(ops, warp, removed, is_store=True)
+        # Decrement each neighbour's degree record.
+        builder.emit_tc_expansion(ops, warp, removed, dst_store=True)
+        kernels.append(ops.build())
 
     if not kernels:
         # Degenerate graph (nothing peels): still scan degrees once.
-        kernels.append(
-            builder.topological_kernel(
-                "KCORE-R0", lambda ops, vertices: builder.emit_status_check(
-                    ops, vertices
-                )
-            )
-        )
+        kernels.append(builder.topological_kernel("KCORE-R0").build())
     return builder.workload("KCORE", kernels)

@@ -9,6 +9,9 @@ iteration; more iterations only lengthen the run).
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.gpu.config import WARP_SIZE
 from repro.workloads.graph import CsrGraph
 from repro.workloads.graphbig import GraphWorkloadBuilder
 from repro.workloads.trace import KernelTrace, Workload
@@ -19,24 +22,24 @@ def build_pagerank(graph: CsrGraph, iterations: int = 2, **kwargs) -> Workload:
     # Double-buffered rank accumulators.
     rank_next = builder.vas.allocate("rank_next", graph.num_vertices, 8)
 
+    def accumulator_addr(_edge_index, dst):
+        return [rank_next.addrs(dst)]
+
+    vertices = np.arange(graph.num_vertices)
+    pushing = np.flatnonzero(graph.degrees() > 0)
     kernels: list[KernelTrace] = []
     for it in range(iterations):
-
-        def emit(ops, vertices):
-            builder.emit_status_check(ops, vertices)
-
-            def accumulator_addr(_edge_index, dst):
-                return [rank_next.addrs(dst)]
-
-            builder.emit_tc_expansion(
-                ops,
-                [v for v in vertices if builder.graph.degree(v) > 0],
-                touch_dst=True,
-                dst_store=True,
-                extra_dst_addrs=accumulator_addr,
-            )
-            # Normalization write of the own rank record.
-            ops.access(builder.vprop_addrs(vertices), is_store=True)
-
-        kernels.append(builder.topological_kernel(f"PR-IT{it}", emit))
+        ops = builder.topological_kernel(f"PR-IT{it}")
+        builder.emit_tc_expansion(
+            ops,
+            pushing // WARP_SIZE,
+            pushing,
+            dst_store=True,
+            extra_dst_addrs=accumulator_addr,
+        )
+        # Normalization write of the own rank record.
+        builder.emit_active_properties(
+            ops, vertices // WARP_SIZE, vertices, is_store=True
+        )
+        kernels.append(ops.build())
     return builder.workload("PR", kernels)

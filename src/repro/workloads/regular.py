@@ -15,16 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import WorkloadError
 from repro.gpu.config import WARP_SIZE
 from repro.gpu.occupancy import KernelResources
 from repro.vm.address_space import AddressSpace
-from repro.workloads.trace import (
-    BlockTrace,
-    KernelTrace,
-    WarpOpsBuilder,
-    Workload,
-)
+from repro.workloads.trace import KernelBuilder, Workload, run_ranks
 
 
 @dataclass(frozen=True)
@@ -75,35 +72,39 @@ def build_regular(
     out = vas.allocate("out", elems_per_tile * num_blocks, stride)
     constants = vas.allocate("constants", 1024, stride)
 
-    warps_per_block = threads_per_block // WARP_SIZE
-    halo = int(elems_per_tile * spec.halo_fraction)
-    blocks: list[BlockTrace] = []
-    for b in range(num_blocks):
-        tile_start = b * elems_per_tile
-        lo = max(0, tile_start - halo)
-        hi = min(elems_per_tile * num_blocks, tile_start + elems_per_tile + halo)
-        span = hi - lo
-        per_warp = max(1, span // warps_per_block)
-        warp_ops = []
-        for w in range(warps_per_block):
-            ops = WarpOpsBuilder()
-            ops.access([constants.addr_unchecked(w % 1024)])
-            w_lo = lo + w * per_warp
-            w_hi = min(hi, w_lo + per_warp)
-            tile = data.addrs(range(w_lo, w_hi)).tolist()
-            written = out.addrs(range(w_lo, min(w_lo + WARP_SIZE, w_hi))).tolist()
-            # One sweep: the tile WARP_SIZE lanes at a time, then one store.
-            sweep = tile + written
-            ends = [*range(WARP_SIZE, len(tile), WARP_SIZE), len(tile), len(sweep)]
-            store = [False] * len(tile) + [True] * len(written)
-            for _ in range(spec.sweeps if tile else 0):
-                ops.access_many(sweep, ends, store, [False] * len(sweep))
-            warp_ops.append(ops.build())
-        blocks.append(BlockTrace(warp_ops))
-
-    kernel = KernelTrace(
-        spec.name,
-        blocks,
-        KernelResources(threads_per_block=threads_per_block, registers_per_thread=24),
+    resources = KernelResources(
+        threads_per_block=threads_per_block, registers_per_thread=24
     )
-    return Workload(spec.name, vas, [kernel], irregular=False)
+    warps_per_block = resources.warps_per_block
+    ops = KernelBuilder(spec.name, num_blocks * warps_per_block, resources)
+    warp = np.arange(num_blocks * warps_per_block)
+    block, w = np.divmod(warp, warps_per_block)
+    ops.warp_ops(warp, constants.addrs(w % 1024))
+    # Warp w takes its share of its block's tile plus halo: elements
+    # [w_lo, w_lo + tile).
+    halo = int(elems_per_tile * spec.halo_fraction)
+    lo = np.maximum(0, block * elems_per_tile - halo)
+    hi = np.minimum(elems_per_tile * num_blocks, (block + 1) * elems_per_tile + halo)
+    per_warp = np.maximum(1, (hi - lo) // warps_per_block)
+    w_lo = lo + w * per_warp
+    tile = np.maximum(0, np.minimum(hi, w_lo + per_warp) - w_lo)
+    # One sweep: the tile WARP_SIZE lanes at a time, then one store of
+    # the first outputs.
+    written = np.minimum(WARP_SIZE, tile)
+    sweep = tile + written
+    at = run_ranks(sweep)
+    tile_of, lo_of = np.repeat(tile, sweep), np.repeat(w_lo, sweep)
+    store = at >= tile_of
+    addresses = np.where(store, out.addrs(lo_of + at - tile_of), data.addrs(lo_of + at))
+    chunks = -(-tile // WARP_SIZE)
+    sweep_ops = chunks + (tile > 0)
+    op_warp = np.repeat(warp, sweep_ops)
+    k = run_ranks(sweep_ops)
+    lengths = np.where(
+        k < chunks[op_warp],
+        np.minimum(WARP_SIZE, tile[op_warp] - WARP_SIZE * k),
+        written[op_warp],
+    )
+    for _ in range(spec.sweeps):
+        ops.access(op_warp, lengths, addresses, store)
+    return Workload(spec.name, vas, [ops.build()], irregular=False)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.gpu.config import WARP_SIZE
 from repro.workloads.graph import CsrGraph
 from repro.workloads.graphbig import GraphWorkloadBuilder
 from repro.workloads.trace import KernelTrace, Workload
@@ -50,21 +51,11 @@ def build_sssp_twc(graph: CsrGraph, source: int = 0, max_rounds: int = 10,
 
     kernels: list[KernelTrace] = []
     for rnd, frontier in enumerate(rounds):
-        frontier_set = set(frontier.tolist())
-
-        def emit(ops, vertices, _frontier=frontier_set):
-            builder.emit_status_check(ops, vertices)
-            active = [v for v in vertices if v in _frontier]
-            if not active:
-                return
-            builder.emit_active_properties(ops, active)
-            builder.emit_wc_expansion(
-                ops,
-                active,
-                touch_dst=True,
-                dst_store=True,
-                extra_dst_addrs=weight_addr,
-            )
-
-        kernels.append(builder.topological_kernel(f"SSSP-TWC-R{rnd}", emit))
+        ops = builder.topological_kernel(f"SSSP-TWC-R{rnd}")
+        warp = frontier // WARP_SIZE
+        builder.emit_active_properties(ops, warp, frontier)
+        builder.emit_wc_expansion(
+            ops, warp, frontier, dst_store=True, extra_dst_addrs=weight_addr
+        )
+        kernels.append(ops.build())
     return builder.workload("SSSP-TWC", kernels)

@@ -8,10 +8,10 @@ Traces carry real byte addresses into the laid-out arrays — produced by
 running the actual algorithm on the host — so the page-level fault
 behaviour is the algorithm's own.
 
-There is no Python object per op.  :class:`WarpOpsBuilder` appends a
-warp's ops to flat lists and builds a :class:`WarpTrace` of NumPy
-columns; a :class:`KernelTrace` joins its warps, in block order, into
-one set for the launch: int64 ``addresses`` in issue order, per op its
+There is no Python object per op, nor per warp.  A
+:class:`KernelBuilder` takes a launch's ops as NumPy streams covering
+all its warps at once and builds one :class:`KernelTrace` of columns,
+warp after warp: int64 ``addresses`` in issue order, per op its
 ``op_end`` offset into them and raw ``compute`` cycles, per address
 ``store`` and ``dependent`` (computable only from loaded values) masks,
 and the offsets ``warp_start`` (ops) and ``block_start`` (warps).  The
@@ -24,8 +24,6 @@ from __future__ import annotations
 import copyreg
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
-
 import numpy as np
 
 from repro.errors import WorkloadError
@@ -41,93 +39,33 @@ def cumulative_offsets(counts) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
 
-class WarpTrace(NamedTuple):
-    """One warp's ops as columns (see the module docstring); ``op_end``
-    offsets index this warp's own ``addresses``."""
+def run_ranks(counts) -> np.ndarray:
+    """Each item's place in its run, runs of ``counts`` items laid end to
+    end: ``[0, 1, ..., c0 - 1, 0, 1, ..., c1 - 1, ...]``."""
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = cumulative_offsets(counts)
+    return np.arange(starts[-1]) - np.repeat(starts[:-1], counts)
 
+
+@dataclass(eq=False)
+class KernelTrace:
+    """One kernel launch: its columns (see the module docstring) and
+    resource needs.  Warps form blocks of ``resources.warps_per_block``
+    in order; ``block_start`` holds each block's first warp."""
+
+    name: str
     addresses: np.ndarray
     op_end: np.ndarray
     compute: np.ndarray
     store: np.ndarray
     dependent: np.ndarray
-
-    @property
-    def num_ops(self) -> int:
-        return len(self.compute)
-
-    @classmethod
-    def concat(cls, warps: Sequence["WarpTrace"]) -> "WarpTrace":
-        """The ops of ``warps`` in order, as one trace."""
-        if not warps:
-            return WarpOpsBuilder().build()
-        addresses, op_end, compute, store, dependent = map(np.concatenate, zip(*warps))
-        # Rebase each warp's op ends onto its first address.
-        op_end += np.repeat(
-            cumulative_offsets([len(w.addresses) for w in warps])[:-1],
-            [w.num_ops for w in warps],
-        )
-        return cls(addresses, op_end, compute, store, dependent)
-
-
-class BlockTrace:
-    """One thread block: its warps' traces."""
-
-    def __init__(self, warp_ops: Sequence[WarpTrace]) -> None:
-        self._warp_ops = list(warp_ops)
-
-    @property
-    def warp_ops(self) -> list[WarpTrace]:
-        return self._warp_ops
-
-    @property
-    def num_warps(self) -> int:
-        return len(self.warp_ops)
-
-    def pages(self, page_shift: int) -> set[int]:
-        """Every virtual page this block touches."""
-        addresses = WarpTrace.concat(self.warp_ops).addresses
-        return set((addresses >> page_shift).tolist())
-
-
-class _KernelBlock(BlockTrace):
-    """Block ``index`` of ``kernel``, read from the kernel's columns."""
-
-    def __init__(self, kernel: "KernelTrace", index: int) -> None:
-        self._kernel, self._index = kernel, index
-
-    @property
-    def warp_ops(self) -> list[WarpTrace]:
-        lo, hi = self._kernel.block_start[self._index : self._index + 2].tolist()
-        return [self._kernel.warp(i) for i in range(lo, hi)]
-
-
-@dataclass
-class KernelTrace:
-    """One kernel launch: a grid of block traces plus resource needs.
-    The blocks' warps become the kernel's columns (see the module
-    docstring); the blocks it keeps are views of them."""
-
-    name: str
-    blocks: list[BlockTrace]
+    warp_start: np.ndarray
+    block_start: np.ndarray
     resources: KernelResources = field(default_factory=KernelResources)
-
-    def __post_init__(self) -> None:
-        warps = [warp for block in self.blocks for warp in block.warp_ops]
-        self.addresses, self.op_end, self.compute, self.store, self.dependent = (
-            WarpTrace.concat(warps)
-        )
-        self.warp_start = cumulative_offsets([warp.num_ops for warp in warps])
-        self.block_start = cumulative_offsets(
-            [block.num_warps for block in self.blocks]
-        )
-        self._view_blocks()
-
-    def _view_blocks(self) -> None:
-        self.blocks = [_KernelBlock(self, b) for b in range(len(self.block_start) - 1)]
 
     @property
     def num_blocks(self) -> int:
-        return len(self.blocks)
+        return len(self.block_start) - 1
 
     @property
     def num_ops(self) -> int:
@@ -137,34 +75,23 @@ class KernelTrace:
     def num_warps(self) -> int:
         return len(self.warp_start) - 1
 
-    def warp(self, index: int) -> WarpTrace:
-        """Warp ``index`` (in block order), as views of the columns."""
-        lo, hi = self.warp_start[index : index + 2].tolist()
-        start, end = (int(self.op_end[op - 1]) if op else 0 for op in (lo, hi))
-        return WarpTrace(
-            self.addresses[start:end],
-            self.op_end[lo:hi] - start,
-            self.compute[lo:hi],
-            self.store[start:end],
-            self.dependent[start:end],
-        )
-
     def pages(self, page_shift: int) -> set[int]:
         return set((self.addresses >> page_shift).tolist())
 
+    def block_pages(self, page_shift: int) -> list[set[int]]:
+        """Every virtual page each block touches, block by block."""
+        op_start = np.concatenate(([0], self.op_end))
+        bounds = op_start[self.warp_start[self.block_start]].tolist()
+        pages = (self.addresses >> page_shift).tolist()
+        return [set(pages[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
     def __getstate__(self) -> dict:
-        """Pickle the columns, not the block views, nor the process-local
-        per-op derived cache (:func:`~repro.gpu.warp_soa.kernel_derived`):
-        the bytes must not depend on which time scales this process has
-        simulated."""
+        """Pickle the columns, not the process-local per-op derived cache
+        (:func:`~repro.gpu.warp_soa.kernel_derived`): the bytes must not
+        depend on which time scales this process has simulated."""
         state = self.__dict__.copy()
         state.pop("_derived_cache", None)
-        del state["blocks"]
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._view_blocks()
 
 
 @dataclass
@@ -233,98 +160,104 @@ class Workload:
         return pages
 
 
-class WarpOpsBuilder:
-    """Incremental builder for one warp's ops: groups addresses into
-    SIMT steps (one coalesced memory instruction per :meth:`access`) and
-    attaches compute cycles, on flat lists that :meth:`build` turns into
-    columns."""
+class KernelBuilder:
+    """Builds one kernel launch's columns from op streams that cover all
+    its warps at once.
 
-    def __init__(self, compute_cycles: int = DEFAULT_COMPUTE_CYCLES) -> None:
+    Each :meth:`access` call appends a stream of ops, each tagged with
+    its warp; :meth:`build` orders every op by warp, then by stream, then
+    by its place in the stream, with one stable sort and one gather.  So
+    a stream must list each warp's ops in that warp's issue order, and a
+    warp's ops in an earlier stream run before its ops in a later one.
+    Op ``k`` of a warp (counting every op of that warp) gets ``k % 5``
+    cycles of jitter on its compute, so warps do not march in lockstep;
+    an op with no address is a pure-compute stretch and takes none.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        num_warps: int,
+        resources: KernelResources | None = None,
+        compute_cycles: int = DEFAULT_COMPUTE_CYCLES,
+    ) -> None:
+        self.name = name
+        self.num_warps = num_warps
+        self.resources = resources if resources is not None else KernelResources()
         self.compute_cycles = compute_cycles
-        self._addresses: list[int] = []
-        self._op_end: list[int] = []
-        self._compute: list[int] = []
-        self._store: list[bool] = []
-        self._dependent: list[bool] = []
+        #: Per stream: per-op warp, length and compute, then per-address
+        #: addresses, store and dependent flags (first, an empty stream).
+        self._columns: list[tuple[np.ndarray, ...]] = [
+            (*[np.zeros(0, dtype=np.int64)] * 4, *[np.zeros(0, dtype=bool)] * 2)
+        ]
 
     def access(
         self,
-        addresses: Iterable[int],
-        compute: int | None = None,
-        is_store: bool = False,
-        store_addresses: Iterable[int] | None = None,
-        dependent_addresses: Iterable[int] | None = None,
-    ) -> None:
-        """Emit one coalesced access; empty address sets are skipped.
-
-        ``store_addresses`` names the written subset of ``addresses``
-        (dirty-page tracking; naming an address outside ``addresses`` is
-        a :class:`~repro.errors.WorkloadError`); ``is_store`` alone marks
-        the whole access as a store.  ``dependent_addresses`` names
-        addresses only computable from loaded values (opaque to runahead
-        probing).  Both mark addresses by value.
-        """
-        is_array = isinstance(addresses, np.ndarray)
-        addrs = addresses.tolist() if is_array else list(addresses)
-        if not addrs:
-            return
-        if store_addresses is None:
-            store = [is_store] * len(addrs)
-        else:
-            stores = set(store_addresses)
-            if not stores.issubset(addrs):
-                raise WorkloadError("store addresses must be a subset of the access")
-            store = [a in stores for a in addrs]
-        found = set(dependent_addresses or ())
-        dependent = [a in found for a in addrs] if found else [False] * len(addrs)
-        self.access_many(addrs, [len(addrs)], store, dependent, compute)
-
-    def access_many(
-        self,
-        addresses: list[int],
-        op_end: list[int],
-        store: list[bool],
-        dependent: list[bool],
+        warp,
+        lengths,
+        addresses,
+        store=False,
+        dependent=False,
         compute: int | None = None,
     ) -> None:
-        """Emit a run of accesses at once, as :meth:`access` would one by
-        one: op ``k`` reads ``addresses[op_end[k - 1]:op_end[k]]`` (op 0
-        from 0), and no op may be empty.  ``store`` and ``dependent``
-        mark addresses by position; the caller's marks must be the ones
-        :meth:`access` would set by value."""
+        """Append a stream of coalesced accesses: op ``i`` belongs to warp
+        ``warp[i]`` and reads the next ``lengths[i]`` of ``addresses``
+        after ``compute`` cycles.  ``store`` marks the written addresses
+        and ``dependent`` those computable only from loaded values
+        (opaque to runahead probing), by position, as a scalar or one
+        flag per address."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        addresses = np.asarray(addresses, dtype=np.int64).ravel()
+        if addresses.size != lengths.sum():
+            raise WorkloadError("op lengths must cover the addresses exactly")
         compute = self.compute_cycles if compute is None else compute
-        first = len(self._compute)
-        # Mild deterministic jitter keeps warps from marching in lockstep.
-        self._compute += [compute + k % 5 for k in range(first, first + len(op_end))]
-        base = len(self._addresses)
-        self._op_end += [base + end for end in op_end]
-        self._addresses += addresses
-        self._store += store
-        self._dependent += dependent
-
-    def compute(self, cycles: int) -> None:
-        """Emit a pure-compute stretch (no memory access)."""
-        if cycles > 0:
-            self._compute.append(cycles)
-            self._op_end.append(len(self._addresses))
-
-    def build(self) -> WarpTrace:
-        return WarpTrace(
-            np.array(self._addresses, dtype=np.int64),
-            np.array(self._op_end, dtype=np.int64),
-            np.array(self._compute, dtype=np.int64),
-            np.array(self._store, dtype=bool),
-            np.array(self._dependent, dtype=bool),
+        self._columns.append(
+            (
+                np.broadcast_to(np.asarray(warp, dtype=np.int64), lengths.shape),
+                lengths,
+                np.broadcast_to(np.asarray(compute, dtype=np.int64), lengths.shape),
+                addresses,
+                np.broadcast_to(np.asarray(store, dtype=bool), addresses.shape),
+                np.broadcast_to(np.asarray(dependent, dtype=bool), addresses.shape),
+            )
         )
 
+    def warp_ops(self, warp, addresses, store=False, compute: int | None = None):
+        """One access per warp named in ``warp``, reading the addresses
+        tagged with it: ``addresses[i]`` belongs to warp ``warp[i]`` and
+        keeps its order among that warp's addresses."""
+        warp = np.asarray(warp, dtype=np.int64)
+        order = np.argsort(warp, kind="stable")
+        op_warp, lengths = np.unique(warp, return_counts=True)
+        addresses = np.asarray(addresses, dtype=np.int64)[order]
+        self.access(op_warp, lengths, addresses, store, compute=compute)
 
-def group_warps_into_blocks(
-    warp_ops: Sequence[WarpTrace], warps_per_block: int
-) -> list[BlockTrace]:
-    """Chunk a flat warp list into block traces."""
-    if warps_per_block <= 0:
-        raise WorkloadError("warps_per_block must be positive")
-    return [
-        BlockTrace(warp_ops[start : start + warps_per_block])
-        for start in range(0, len(warp_ops), warps_per_block)
-    ]
+    def build(self) -> KernelTrace:
+        """The launch's :class:`KernelTrace`."""
+        warp, lengths, compute, addresses, store, dependent = map(
+            np.concatenate, zip(*self._columns)
+        )
+        if warp.size and (warp.min() < 0 or warp.max() >= self.num_warps):
+            raise WorkloadError(f"kernel {self.name!r}: warp index out of range")
+        order = np.argsort(warp, kind="stable")
+        first = cumulative_offsets(lengths)[order]
+        lengths = lengths[order]
+        op_end = np.cumsum(lengths)
+        # One gather moves every op's addresses to its place in warp order.
+        source = np.repeat(first - (op_end - lengths), lengths)
+        source += np.arange(source.size)
+        warp_start = cumulative_offsets(np.bincount(warp, minlength=self.num_warps))
+        # Jitter by op k of each warp, counting every op of that warp.
+        rank = run_ranks(np.diff(warp_start))
+        per_block = self.resources.warps_per_block
+        return KernelTrace(
+            self.name,
+            addresses[source],
+            op_end,
+            compute[order] + np.where(lengths > 0, rank % 5, 0),
+            store[source],
+            dependent[source],
+            warp_start,
+            np.append(np.arange(0, self.num_warps, per_block), self.num_warps),
+            self.resources,
+        )

@@ -42,3 +42,31 @@ def test_bench_perf_wall_quartiles_are_ordered():
         for side in entry["end_to_end"]["wall_s"].values():
             assert len(side["runs"]) >= 10
             assert side["q1"] <= side["median"] <= side["q3"]
+
+
+def _gate():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "ledger_gate", ROOT / "scripts" / "ledger_gate.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ledger_gate_fails_only_when_slower_than_the_bound():
+    gate = _gate()
+    bench, declared = _load()
+    for workload in ("oversub", "adequate"):
+        entry = bench["workloads"][workload]
+        committed = {m: gate.committed_head(entry, m) for m in gate.GATED}
+
+        def statuses(scale):
+            run = {"metrics": {m: {"value": v * scale} for m, v in committed.items()}}
+            lines = gate.check(workload, run, bench, declared)
+            return {line.split()[0] for line in lines}
+
+        # The bound is 0.25: faster or within it passes, beyond it fails.
+        assert statuses(0.5) == statuses(1.2) == {"ok"}
+        assert statuses(1.3) == {"FAIL"}

@@ -12,12 +12,7 @@ from repro import GpuUvmSimulator, systems
 from repro.errors import SimulationError, SimulationStalledError
 from repro.gpu.occupancy import KernelResources
 from repro.vm.address_space import AddressSpace
-from repro.workloads.trace import (
-    BlockTrace,
-    KernelTrace,
-    WarpOpsBuilder,
-    Workload,
-)
+from repro.workloads.trace import KernelBuilder, Workload
 
 PAGE_SIZE = 4096
 
@@ -34,28 +29,22 @@ def mini_workloads(draw):
     data = vas.allocate("data", array_pages * PAGE_SIZE // 8, 8)
     aux = vas.allocate("aux", PAGE_SIZE // 8, 8)
 
-    blocks = []
-    for b in range(num_blocks):
-        warp_ops = []
-        for w in range(warps_per_block):
-            ops = WarpOpsBuilder(compute_cycles=8)
-            for i in range(ops_per_warp):
-                indices = draw(
-                    st.lists(
-                        st.integers(0, data.num_elements - 1),
-                        min_size=1,
-                        max_size=6,
-                    )
+    resources = KernelResources(threads_per_block=32 * warps_per_block)
+    ops = KernelBuilder("mini", num_blocks * warps_per_block, resources)
+    for warp in range(num_blocks * warps_per_block):
+        for i in range(ops_per_warp):
+            indices = draw(
+                st.lists(
+                    st.integers(0, data.num_elements - 1),
+                    min_size=1,
+                    max_size=6,
                 )
-                addrs = [data.addr_unchecked(j) for j in indices]
-                if draw(st.booleans()):
-                    addrs.append(aux.addr_unchecked(i % aux.num_elements))
-                ops.access(addrs, is_store=draw(st.booleans()))
-            warp_ops.append(ops.build())
-        blocks.append(BlockTrace(warp_ops))
-    kernel = KernelTrace(
-        "mini", blocks, KernelResources(threads_per_block=32 * warps_per_block)
-    )
+            )
+            addrs = [data.addr_unchecked(j) for j in indices]
+            if draw(st.booleans()):
+                addrs.append(aux.addr_unchecked(i % aux.num_elements))
+            ops.access(warp, [len(addrs)], addrs, store=draw(st.booleans()))
+    kernel = ops.build()
     return Workload("MINI", vas, [kernel], num_sms_hint=1)
 
 

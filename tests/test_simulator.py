@@ -7,27 +7,22 @@ from repro.errors import SimulationError
 from repro.gpu.config import WARP_SIZE
 from repro.gpu.occupancy import KernelResources
 from repro.vm.address_space import AddressSpace
-from repro.workloads.trace import BlockTrace, KernelTrace, Workload
-from tests.warp_ops import WarpOp, warp_trace
+from repro.workloads.trace import Workload
+from tests.warp_ops import WarpOp, kernel_of
 
 
 def tiny_workload(num_blocks=2, ops_per_warp=4, warps=2, page_size=4096):
     """A hand-built workload touching a handful of pages."""
     vas = AddressSpace(page_size)
     data = vas.allocate("data", 8 * page_size // 8, 8)
-    blocks = []
-    for b in range(num_blocks):
-        warp_ops = []
-        for w in range(warps):
-            ops = [
-                WarpOp(8, (data.addr_unchecked((b * warps + w) * 64 + i * 16),))
-                for i in range(ops_per_warp)
-            ]
-            warp_ops.append(warp_trace(ops))
-        blocks.append(BlockTrace(warp_ops))
-    kernel = KernelTrace(
-        "k", blocks, KernelResources(threads_per_block=WARP_SIZE * warps)
-    )
+    op_lists = [
+        [
+            WarpOp(8, (data.addr_unchecked(warp * 64 + i * 16),))
+            for i in range(ops_per_warp)
+        ]
+        for warp in range(num_blocks * warps)
+    ]
+    kernel = kernel_of(op_lists, KernelResources(threads_per_block=WARP_SIZE * warps))
     return Workload("hand", vas, [kernel], num_sms_hint=1)
 
 

@@ -45,8 +45,7 @@ class TestIrregularCommon:
         vprop_pages = set(vas["vprop"].page_range(vas.page_shift))
         kernel = max(irregular_workload.kernels, key=lambda k: k.num_blocks)
         sharing = [
-            bool(block.pages(vas.page_shift) & vprop_pages)
-            for block in kernel.blocks
+            bool(pages & vprop_pages) for pages in kernel.block_pages(vas.page_shift)
         ]
         assert sum(sharing) >= max(1, len(sharing) // 2)
 
@@ -169,7 +168,7 @@ class TestRegular:
         workload = build_regular("GM", num_blocks=8, page_size=4096)
         shift = workload.address_space.page_shift
         kernel = workload.kernels[0]
-        page_sets = [b.pages(shift) for b in kernel.blocks]
+        page_sets = kernel.block_pages(shift)
         # GM has no halo: tiles of different blocks share only constants.
         overlap = page_sets[0] & page_sets[4]
         assert len(overlap) <= 1

@@ -5,9 +5,9 @@ object per op in the simulator.  Tests state small traces as op lists,
 and the object warp oracle (:mod:`tests.object_model`) runs on them,
 so this module keeps the per-op form: :class:`WarpOp` derives its
 pages, lines, store pages and independent pages itself, independently
-of :func:`~repro.gpu.warp_soa.kernel_derived`.  :func:`warp_trace`
-feeds an op list through the public
-:class:`~repro.workloads.trace.WarpOpsBuilder`, and :func:`ops_of`
+of :func:`~repro.gpu.warp_soa.kernel_derived`.  :func:`kernel_of`
+feeds op lists through the public
+:class:`~repro.workloads.trace.KernelBuilder`, and :func:`ops_of`
 reads a kernel's columns back as op lists.
 """
 
@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.gpu.config import LINE_SIZE
-from repro.workloads.trace import BlockTrace, KernelTrace, WarpOpsBuilder, WarpTrace
+from repro.gpu.config import LINE_SIZE, WARP_SIZE
+from repro.gpu.occupancy import KernelResources
+from repro.workloads.trace import KernelBuilder, KernelTrace
 
 
 class WarpOp:
@@ -122,29 +123,30 @@ class WarpOp:
         )
 
 
-def warp_trace(ops: Sequence[WarpOp]) -> WarpTrace:
-    """One warp's columns for ``ops``, built by :class:`WarpOpsBuilder`.
+def kernel_of(
+    op_lists: Sequence[Sequence[WarpOp]], resources: KernelResources | None = None
+) -> KernelTrace:
+    """A kernel with one warp per op list, built by :class:`KernelBuilder`;
+    by default all warps form one block.
 
-    The builder adds a jitter of ``k % 5`` cycles to op ``k``'s compute;
-    it is subtracted here, so each op keeps exactly its own cycles (a
-    pure-compute op needs positive cycles, or the builder drops it)."""
-    builder = WarpOpsBuilder()
-    for k, op in enumerate(ops):
-        if not op.addresses:
-            builder.compute(op.compute_cycles)
-            continue
-        builder.access(
-            op.addresses,
-            compute=op.compute_cycles - k % 5,
-            store_addresses=op.store_addresses,
-            dependent_addresses=op.dependent_addresses,
-        )
+    The builder adds a jitter of ``k % 5`` cycles to op ``k``'s compute
+    when the op has addresses; it is subtracted here, so each op keeps
+    exactly its own cycles."""
+    if resources is None:
+        resources = KernelResources(threads_per_block=WARP_SIZE * max(1, len(op_lists)))
+    builder = KernelBuilder("k", len(op_lists), resources)
+    for warp, ops in enumerate(op_lists):
+        for k, op in enumerate(ops):
+            stores, dependent = set(op.store_addresses), set(op.dependent_addresses)
+            builder.access(
+                warp,
+                [len(op.addresses)],
+                op.addresses,
+                store=[a in stores for a in op.addresses],
+                dependent=[a in dependent for a in op.addresses],
+                compute=op.compute_cycles - (k % 5 if op.addresses else 0),
+            )
     return builder.build()
-
-
-def kernel_of(op_lists: Sequence[Sequence[WarpOp]]) -> KernelTrace:
-    """A one-block kernel with one warp per op list."""
-    return KernelTrace("k", [BlockTrace([warp_trace(ops) for ops in op_lists])])
 
 
 def ops_of(kernel: KernelTrace) -> list[list[list[WarpOp]]]:
