@@ -4,9 +4,10 @@
 Runs ``perfbench/run.py`` from each checkout in alternating pairs (the
 side that goes first swaps every pair, so slow drift of a shared host
 lands on both sides), then one traced round per side, and writes the
-``wall_s`` median and quartiles per side, the per-pair win count, the
-other end-to-end medians, selected per-layer ledger figures, and
-provenance (both commits, nproc, Python, NumPy).
+``wall_s`` and ``setup_s`` runs, medians and quartiles per side with
+their per-pair win counts, the ``peak_rss_mb`` medians, selected
+per-layer ledger figures, and provenance (both commits, nproc, Python,
+NumPy).
 
 Usage (``base`` is e.g. a ``git archive`` of the parent commit)::
 
@@ -24,6 +25,10 @@ import platform
 import statistics
 import subprocess
 import sys
+
+#: End-to-end timings recorded run by run, with quartiles and per-pair
+#: wins.
+TIMED = ("wall_s", "setup_s")
 
 #: Per-layer figures recorded from each side's traced round.
 LEDGER = (
@@ -116,20 +121,25 @@ def main(argv: list[str] | None = None) -> int:
                 f"head {runs['head'][-1]['wall_s']:.3f} s",
                 file=sys.stderr,
             )
-        wall = {side: [r["wall_s"] for r in runs[side]] for side in sides}
+        timed = {
+            metric: {side: [r[metric] for r in runs[side]] for side in sides}
+            for metric in TIMED
+        }
         entry = {
             "end_to_end": {
-                "wall_s": {side: quartiles(wall[side]) for side in sides},
-                "setup_s": {
-                    side: statistics.median(r["setup_s"] for r in runs[side])
-                    for side in sides
+                **{
+                    metric: {side: quartiles(timed[metric][side]) for side in sides}
+                    for metric in TIMED
                 },
                 "peak_rss_mb": {
                     side: statistics.median(r["peak_rss_mb"] for r in runs[side])
                     for side in sides
                 },
             },
-            "head_wins": sum(h < b for b, h in zip(wall["base"], wall["head"])),
+            "head_wins": {
+                metric: sum(h < b for b, h in zip(by_side["base"], by_side["head"]))
+                for metric, by_side in timed.items()
+            },
         }
         traced = {
             side: run(sides[side], workload, args.seed, args.seconds, 1)
