@@ -33,6 +33,8 @@ TIMED = ("wall_s", "setup_s")
 #: Per-layer figures recorded from each side's traced round.
 LEDGER = (
     "workloads.build_s",
+    "sim.self_s",
+    "gpu.issue.self_s",
     "uvm.prefetch.self_s",
     "uvm.evict.self_s",
     "sim.events",

@@ -18,7 +18,12 @@ from repro.gpu.config import LINE_SHIFT, LINE_SIZE, GpuConfig
 
 
 class Cache:
-    """Set-associative LRU cache keyed by line number."""
+    """Set-associative LRU cache keyed by line number.
+
+    Each set is an ``OrderedDict`` in LRU order, so a hit is one
+    ``move_to_end``: the shape of the shared 16-way L2, most of whose
+    accesses hit.
+    """
 
     def __init__(self, name: str, size_bytes: int, assoc: int) -> None:
         lines = size_bytes // LINE_SIZE
@@ -29,11 +34,13 @@ class Cache:
         self.name = name
         self.assoc = assoc
         self.num_sets = lines // assoc
-        self._sets: list[OrderedDict[int, None]] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        self._sets = [self._new_set() for _ in range(self.num_sets)]
         self.hits = 0
         self.misses = 0
+
+    def _new_set(self) -> OrderedDict[int, None]:
+        """One empty set, its keys in LRU order (first = LRU)."""
+        return OrderedDict()
 
     def access(self, line: int) -> bool:
         """Probe-and-fill: returns True on hit; misses allocate the line."""
@@ -49,12 +56,16 @@ class Cache:
         return False
 
     def invalidate_page(self, page: int, page_shift: int) -> None:
-        """Drop every line belonging to ``page`` (page was evicted).
+        """Drop every line belonging to ``page`` (page was evicted): one
+        C-level pass pops each of the page's lines from its set."""
+        owners, lines = self._page_sets(page, page_shift)
+        deque(map(OrderedDict.pop, owners, lines, repeat(None, len(lines))), 0)
 
-        One C-level pass pops each of the page's lines from its set: line
-        ``first + i`` lives in set ``(first + i) % num_sets``, so the sets
-        are consecutive from ``start``, wrapping round when the page has
-        more lines than the cache has sets.
+    def _page_sets(self, page: int, page_shift: int) -> tuple:
+        """``(owners, lines)``: the page's lines and, in step, the set each
+        one lives in.  Line ``first + i`` lives in set ``(first + i) %
+        num_sets``, so the sets are consecutive from ``start``, wrapping
+        round when the page has more lines than the cache has sets.
         """
         shift = page_shift - LINE_SHIFT
         n = 1 << shift
@@ -65,15 +76,46 @@ class Cache:
             owners = sets[start:start + n]
         else:
             owners = islice(cycle(sets), start, start + n)
-        deque(
-            map(OrderedDict.pop, owners, range(first, first + n), repeat(None, n)),
-            0,
-        )
+        return owners, range(first, first + n)
 
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+
+class L1Cache(Cache):
+    """The private per-SM L1: each set is a ``deque(maxlen=assoc)`` in LRU
+    order (left end = LRU).
+
+    Most L1 accesses of the irregular workloads miss, and a miss is one
+    ``append``: the bounded deque drops the LRU line itself.  A hit is
+    ``remove`` + ``append`` over at most ``assoc`` lines.  The issue loop
+    (:meth:`repro.simulator.GpuUvmSimulator._execute_op`) inlines
+    :meth:`access`; this class is its specification.
+    """
+
+    def _new_set(self) -> deque[int]:
+        return deque(maxlen=self.assoc)
+
+    def access(self, line: int) -> bool:
+        entries = self._sets[line % self.num_sets]
+        if line in entries:
+            entries.remove(line)
+            entries.append(line)
+            self.hits += 1
+            return True
+        self.misses += 1
+        entries.append(line)
+        return False
+
+    def invalidate_page(self, page: int, page_shift: int) -> None:
+        """Drop every line belonging to ``page``: one membership test per
+        (owner set, line) pair, and a ``remove`` for the few present."""
+        owners, lines = self._page_sets(page, page_shift)
+        for entries, line in zip(owners, lines):
+            if line in entries:
+                entries.remove(line)
 
 
 class CacheHierarchy:
@@ -82,7 +124,7 @@ class CacheHierarchy:
     def __init__(self, gpu: GpuConfig) -> None:
         self._gpu = gpu
         self.l1 = [
-            Cache(f"l1d{i}", gpu.l1_cache_bytes, gpu.l1_cache_assoc)
+            L1Cache(f"l1d{i}", gpu.l1_cache_bytes, gpu.l1_cache_assoc)
             for i in range(gpu.num_sms)
         ]
         self.l2 = Cache("l2d", gpu.l2_cache_bytes, gpu.l2_cache_assoc)

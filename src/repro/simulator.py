@@ -357,7 +357,6 @@ class GpuUvmSimulator:
                 l1d,
                 l1d._sets,
                 l1d.num_sets,
-                l1d.assoc,
                 l2d,
                 l2d._sets,
                 l2d.num_sets,
@@ -735,7 +734,10 @@ class GpuUvmSimulator:
           fall back to :meth:`~repro.vm.mmu.GpuMmu.translate_after_l1_miss`,
           the cold path :meth:`~repro.vm.mmu.GpuMmu.translate` shares;
         * the data-cache probe-and-fill is inlined from
-          :meth:`~repro.gpu.caches.CacheHierarchy.access_lines`;
+          :meth:`~repro.gpu.caches.CacheHierarchy.access_lines`, with
+          :meth:`~repro.gpu.caches.L1Cache.access` (deque sets) and
+          :meth:`~repro.gpu.caches.Cache.access` (the L2) as the
+          per-level specifications;
         * the replacement-policy ``touch`` is skipped outright when the
           policy inherits the base no-op (aged-lru).
         """
@@ -776,7 +778,6 @@ class GpuUvmSimulator:
             l1d,
             l1d_sets,
             l1d_nsets,
-            l1d_assoc,
             l2d,
             l2d_sets,
             l2d_nsets,
@@ -865,12 +866,11 @@ class GpuUvmSimulator:
             for line in lines:
                 entries = l1d_sets[line % l1d_nsets]
                 if line in entries:
-                    entries.move_to_end(line)
+                    entries.remove(line)
+                    entries.append(line)
                 else:
                     l1_misses += 1
-                    if len(entries) >= l1d_assoc:
-                        entries.popitem(last=False)
-                    entries[line] = None
+                    entries.append(line)
                     entries = l2d_sets[line % l2d_nsets]
                     if line in entries:
                         entries.move_to_end(line)

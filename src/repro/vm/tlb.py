@@ -6,10 +6,10 @@ Table 1 configures a 64-entry fully associative private L1 TLB per SM and a
 invalidates all older entries, modelling a broadcast shootdown without
 scanning.
 
-Each TLB also carries MSHRs that track in-flight page-table walks so that
-concurrent misses to the same page coalesce into a single walk
-(Section 5.1: "Each TLB contains the miss-status-holding-registers (MSHRs)
-to track in-flight page table walks").
+Section 5.1's MSHRs ("Each TLB contains the miss-status-holding-registers
+(MSHRs) to track in-flight page table walks") are modelled by the walker:
+concurrent misses to the same page coalesce into one walk in
+:class:`repro.vm.walker.PageTableWalker`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ class Tlb:
         self._sets: list[OrderedDict[int, int]] = [
             OrderedDict() for _ in range(self.num_sets)
         ]
-        self.mshrs: set[int] = set()
         self.hits = 0
         self.misses = 0
         self.stale_hits = 0
@@ -81,19 +80,6 @@ class Tlb:
         for entries in self._sets:
             entries.clear()
 
-    # ------------------------------------------------------------------
-    # MSHR coalescing
-    # ------------------------------------------------------------------
-    def walk_pending(self, page: int) -> bool:
-        return page in self.mshrs
-
-    def register_walk(self, page: int) -> None:
-        self.mshrs.add(page)
-
-    def complete_walk(self, page: int) -> None:
-        self.mshrs.discard(page)
-
-    # ------------------------------------------------------------------
     @property
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)

@@ -73,15 +73,6 @@ def test_flush():
     assert tlb.occupancy == 0
 
 
-def test_mshr_coalescing():
-    tlb = Tlb("t", 4, 4)
-    assert not tlb.walk_pending(9)
-    tlb.register_walk(9)
-    assert tlb.walk_pending(9)
-    tlb.complete_walk(9)
-    assert not tlb.walk_pending(9)
-
-
 def test_hit_rate():
     tlb = Tlb("t", 4, 4)
     assert tlb.hit_rate == 0.0
