@@ -11,12 +11,13 @@ warp of a kernel launch:
   arrays indexed by a global warp index;
 * per-op derived data (page tuples, line tuples, store-page tuples,
   time-scaled compute cycles) derived once per kernel from the trace's
-  flat columns — one list per column, equal values sharing one int
-  object, then a sorted set per op — and cached on the trace
-  (:func:`kernel_derived`), so no NumPy scalar enters the issue loop, replays never re-derive them, and
-  checkpoints refer to these read-only columns instead of carrying
-  them; runahead's probeable pages are one more such column, derived
-  only when runahead first asks (:func:`kernel_independent`);
+  flat columns — one sort per column orders every op's values, repeats
+  dropped and equal values sharing one int object — and cached on the
+  trace (:func:`kernel_derived`), so no NumPy scalar enters the issue
+  loop, replays never re-derive them, and checkpoints refer to these
+  read-only columns instead of carrying them; runahead's probeable
+  pages are one more such column, derived only when runahead first
+  asks (:func:`kernel_independent`);
 * blocks own contiguous index ranges, so every block-level predicate is
   a short early-exit scan over the block's ``[lo, hi)`` slice
   (:class:`~repro.gpu.thread_block.ThreadBlock`).
@@ -74,28 +75,42 @@ def _shared_ints(values: np.ndarray) -> list[int]:
     return np.array(distinct.tolist(), dtype=object)[index].tolist()
 
 
-def _sorted_unique(values: list[int], ends: list[int]) -> list[tuple[int, ...]]:
-    """Per op, its sorted unique values (ops are consecutive runs of
-    ``values`` ending at ``ends``)."""
-    return [tuple(sorted(set(values[lo:hi]))) for lo, hi in zip([0] + ends, ends)]
+def _sorted_unique(values: np.ndarray, ends: np.ndarray) -> list[tuple[int, ...]]:
+    """Per op, its sorted distinct values (ops are consecutive runs of
+    ``values`` ending at ``ends``), equal values sharing one int object.
+
+    One sort of the key ``op * span + (value - lo)`` orders every op's
+    values at once; dropping repeated keys leaves each op's distinct
+    values, and op ``i``'s run starts at the first key ``>= i * span``.
+    """
+    ops = ends.size
+    if not values.size:
+        return [()] * ops
+    lo = int(values.min())
+    span = int(values.max()) - lo + 1
+    if ops * span > np.iinfo(np.int64).max:
+        raise OverflowError(f"{ops} ops over a value span of {span} overflow int64 keys")
+    op = np.repeat(np.arange(ops, dtype=np.int64), np.diff(ends, prepend=0))
+    keys = np.sort(op * span + (values - lo))
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    bounds = np.searchsorted(keys, np.arange(ops + 1) * span).tolist()
+    flat = tuple(_shared_ints(keys % span + lo))
+    return [flat[i:j] for i, j in zip(bounds, bounds[1:])]
 
 
 def _masked_pages(kernel, mask, page_shift: int) -> list[tuple[int, ...]]:
     """Per op, the sorted unique pages of its addresses where ``mask``."""
     kept = np.concatenate(([0], np.cumsum(mask)))
-    return _sorted_unique(
-        _shared_ints(kernel.addresses[mask] >> page_shift),
-        kept[kernel.op_end].tolist(),
-    )
+    return _sorted_unique(kernel.addresses[mask] >> page_shift, kept[kernel.op_end])
 
 
 def _per_warp(kernel, *columns) -> list[tuple]:
     """Split per-op ``columns`` into per-warp tuples, in warp order."""
     bounds = kernel.warp_start.tolist()
-    return [
-        tuple(tuple(column[lo:hi]) for column in columns)
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    spans = list(zip(bounds, bounds[1:]))
+    return list(
+        zip(*[[column[lo:hi] for lo, hi in spans] for column in map(tuple, columns)])
+    )
 
 
 def _cached(kernel, key, derive):
@@ -121,16 +136,16 @@ def kernel_derived(kernel, page_shift: int, time_scale: float) -> list[tuple]:
     """
 
     def derive() -> list[tuple]:
-        ends = kernel.op_end.tolist()
-        compute = kernel.compute.tolist()
+        compute = kernel.compute
         if time_scale != 1.0:
-            compute = [max(1, round(cycles * time_scale)) for cycles in compute]
+            # np.rint rounds half to even, like round().
+            compute = np.maximum(1, np.rint(compute * time_scale)).astype(np.int64)
         return _per_warp(
             kernel,
-            _sorted_unique(_shared_ints(kernel.addresses >> page_shift), ends),
-            _sorted_unique(_shared_ints(kernel.addresses // LINE_SIZE), ends),
+            _sorted_unique(kernel.addresses >> page_shift, kernel.op_end),
+            _sorted_unique(kernel.addresses // LINE_SIZE, kernel.op_end),
             _masked_pages(kernel, kernel.store, page_shift),
-            compute,
+            compute.tolist(),
         )
 
     return _cached(kernel, (page_shift, time_scale), derive)

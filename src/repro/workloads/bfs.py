@@ -9,10 +9,11 @@
   next-level queue.
 * **BFS-TWC** — topological warp-centric: every level scans all vertices;
   a warp expands its vertices one at a time with coalesced edge chunks.
-* **BFS-DWC** — data-driven warp-centric: the frontier queue (discovery
-  order!) drives warp-centric expansion, producing the extremely
-  divergent page-access pattern the paper singles out (Section 5.2:
-  constant page thrashing).
+* **BFS-DWC** — data-driven warp-centric: the frontier queue drives
+  warp-centric expansion.  On the GPU the queue is in discovery order,
+  producing the extremely divergent page-access pattern the paper
+  singles out (Section 5.2: constant page thrashing); here it is still
+  in vertex order (see :meth:`_BfsBuilder.frontier_at`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,11 @@ class _BfsBuilder(GraphWorkloadBuilder):
         self.next_q = self.vas.allocate("next_q", max(1, graph.num_vertices), 8)
 
     def frontier_at(self, level: int) -> np.ndarray:
-        """Vertices at ``level`` in discovery (host-BFS) order."""
+        """Vertices at ``level`` in ascending vertex order.
+
+        Not host-BFS discovery order, which the data-driven kernels'
+        queues model: a sorted frontier coalesces better than a real
+        queue (ROADMAP item 5)."""
         return np.flatnonzero(self.levels == level)
 
     @property

@@ -69,9 +69,15 @@ class CsrGraph:
         first = np.cumsum(degree) - degree  # each list's place in the result
         return np.arange(degree.sum()) + np.repeat(start - first, degree)
 
-    def neighbor_slice(self, v: int) -> tuple[int, int]:
-        """(start, end) edge-array indices of ``v``'s adjacency list."""
-        return int(self.offsets[v]), int(self.offsets[v + 1])
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct elements of ``values`` in ascending order: the array
+    ``np.unique`` returns, from one sort and an adjacent-difference mask."""
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _build_csr(
@@ -79,12 +85,10 @@ def _build_csr(
 ) -> CsrGraph:
     """Assemble a CSR graph from an edge list, dropping duplicates."""
     if src.size:
-        keys = src * num_vertices + dst
-        keys = np.unique(keys)
+        # Sorted (src, dst) keys: CSR order, so the rows need no regrouping.
+        keys = _sorted_distinct(src * num_vertices + dst)
         src = keys // num_vertices
         dst = keys % num_vertices
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
     counts = np.bincount(src, minlength=num_vertices)
     offsets = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
@@ -111,20 +115,21 @@ def generate_rmat(
         raise WorkloadError("need at least two vertices")
     if avg_degree < 1:
         raise WorkloadError("avg_degree must be >= 1")
-    if not 0 < a + b + c < 1:
-        raise WorkloadError("R-MAT probabilities must sum below 1")
+    if min(a, b, c) < 0 or not 0 < a + b + c < 1:
+        raise WorkloadError("R-MAT probabilities must be non-negative and sum below 1")
     rng = np.random.default_rng(seed)
     num_edges = num_vertices * avg_degree
     levels = int(np.ceil(np.log2(num_vertices)))
     src = np.zeros(num_edges, dtype=np.int64)
     dst = np.zeros(num_edges, dtype=np.int64)
-    # Quadrant thresholds: [a, a+b, a+b+c, 1].
-    thresholds = np.array([a, a + b, a + b + c])
+    # Quadrant thresholds: [a, a+b, a+b+c, 1].  The quadrant is the
+    # number of thresholds strictly below r.
+    ab, abc = a + b, a + b + c
     for _ in range(levels):
         src <<= 1
         dst <<= 1
         r = rng.random(num_edges)
-        quadrant = np.searchsorted(thresholds, r)
+        quadrant = (r > a).view(np.int8) + (r > ab) + (r > abc)
         src |= quadrant >> 1
         dst |= quadrant & 1
     src %= num_vertices
@@ -160,7 +165,7 @@ def bfs_levels(graph: CsrGraph, source: int) -> np.ndarray:
     level = 0
     while frontier.size:
         reached = graph.edges[graph.edge_indices(frontier)]
-        frontier = np.unique(reached[levels[reached] == -1])
+        frontier = _sorted_distinct(reached[levels[reached] == -1])
         level += 1
         levels[frontier] = level
     return levels

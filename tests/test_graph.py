@@ -12,6 +12,73 @@ from repro.workloads.graph import (
 )
 
 
+def reference_csr(num_vertices, src, dst, seed):
+    """The hash-unique ``_build_csr``: ``np.unique`` of the edge keys,
+    then a stable regroup by source."""
+    if src.size:
+        keys = np.unique(src * num_vertices + dst)
+        src = keys // num_vertices
+        dst = keys % num_vertices
+        order = np.argsort(src, kind="stable")
+        src, dst = src[order], dst[order]
+    counts = np.bincount(src, minlength=num_vertices)
+    offsets = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    rng = np.random.default_rng(seed ^ 0x5EED)
+    weights = rng.integers(1, 64, size=dst.size, dtype=np.int64)
+    return CsrGraph(offsets, dst.astype(np.int64), weights)
+
+
+def reference_rmat(num_vertices, avg_degree=8, seed=0, a=0.57, b=0.19, c=0.19):
+    """``generate_rmat`` with each level's quadrant from ``searchsorted``."""
+    rng = np.random.default_rng(seed)
+    num_edges = num_vertices * avg_degree
+    levels = int(np.ceil(np.log2(num_vertices)))
+    src = np.zeros(num_edges, dtype=np.int64)
+    dst = np.zeros(num_edges, dtype=np.int64)
+    thresholds = np.array([a, a + b, a + b + c])
+    for _ in range(levels):
+        src <<= 1
+        dst <<= 1
+        quadrant = np.searchsorted(thresholds, rng.random(num_edges))
+        src |= quadrant >> 1
+        dst |= quadrant & 1
+    src %= num_vertices
+    dst %= num_vertices
+    keep = src != dst
+    return reference_csr(num_vertices, src[keep], dst[keep], seed)
+
+
+def reference_uniform(num_vertices, avg_degree=8, seed=0):
+    rng = np.random.default_rng(seed)
+    num_edges = num_vertices * avg_degree
+    src = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
+    dst = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
+    keep = src != dst
+    return reference_csr(num_vertices, src[keep], dst[keep], seed)
+
+
+def reference_bfs_levels(graph, source):
+    """``bfs_levels`` with each frontier from ``np.unique``."""
+    levels = np.full(graph.num_vertices, -1, dtype=np.int64)
+    levels[source] = 0
+    frontier = np.array([source])
+    level = 0
+    while frontier.size:
+        reached = graph.edges[graph.edge_indices(frontier)]
+        frontier = np.unique(reached[levels[reached] == -1])
+        level += 1
+        levels[frontier] = level
+    return levels
+
+
+def assert_same_graph(graph, reference):
+    for column in ("offsets", "edges", "weights"):
+        got, want = getattr(graph, column), getattr(reference, column)
+        assert got.dtype == want.dtype, column
+        assert np.array_equal(got, want), column
+
+
 def tiny_graph():
     # 0 -> 1, 0 -> 2, 1 -> 2, 2 -> 3
     offsets = np.array([0, 2, 3, 4, 4])
@@ -35,10 +102,6 @@ class TestCsrGraph:
         g = tiny_graph()
         assert list(g.neighbors(0)) == [1, 2]
         assert list(g.neighbors(3)) == []
-
-    def test_neighbor_slice(self):
-        g = tiny_graph()
-        assert g.neighbor_slice(1) == (2, 3)
 
     def test_default_weights(self):
         g = tiny_graph()
@@ -103,6 +166,44 @@ class TestGenerators:
             generate_rmat(1, 4)
         with pytest.raises(WorkloadError):
             generate_uniform(100, 0)
+        with pytest.raises(WorkloadError):
+            generate_rmat(64, 4, a=0.7, b=-0.1, c=0.2)
+
+
+class TestAgainstReference:
+    """The sort-based generators and BFS give the arrays of the
+    ``np.unique`` / ``searchsorted`` versions, bit for bit."""
+
+    SIZES = [2, 3, 100, 128, 1000, 2048, 12_288]
+
+    @pytest.mark.parametrize("num_vertices", SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_rmat_matches_reference(self, num_vertices, seed):
+        degree = 12 if num_vertices == 12_288 else 8
+        graph = generate_rmat(num_vertices, degree, seed=seed)
+        assert_same_graph(graph, reference_rmat(num_vertices, degree, seed=seed))
+        for source in (0, num_vertices - 1):
+            assert np.array_equal(
+                bfs_levels(graph, source), reference_bfs_levels(graph, source)
+            )
+
+    @pytest.mark.parametrize(
+        "a, b, c",
+        # The quadrant is decided by comparisons against these sums, so
+        # include zero-width quadrants and thresholds that fall together.
+        [(0.45, 0.15, 0.15), (0.25, 0.25, 0.25), (0.5, 0.0, 0.25), (0.0, 0.5, 0.0)],
+    )
+    def test_rmat_probabilities_match_reference(self, a, b, c):
+        graph = generate_rmat(300, 6, seed=3, a=a, b=b, c=c)
+        assert_same_graph(graph, reference_rmat(300, 6, seed=3, a=a, b=b, c=c))
+
+    @pytest.mark.parametrize("num_vertices", [2, 5, 129, 1000])
+    def test_uniform_matches_reference(self, num_vertices):
+        for seed in (0, 4):
+            assert_same_graph(
+                generate_uniform(num_vertices, 4, seed=seed),
+                reference_uniform(num_vertices, 4, seed=seed),
+            )
 
 
 class TestBfsLevels:
