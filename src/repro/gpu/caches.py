@@ -11,6 +11,7 @@ of the paper's µs-scale effects.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from collections.abc import Iterable
 from itertools import cycle, islice, repeat
 
 from repro.errors import ConfigError
@@ -34,13 +35,31 @@ class Cache:
         self.name = name
         self.assoc = assoc
         self.num_sets = lines // assoc
-        self._sets = [self._new_set() for _ in range(self.num_sets)]
+        self._sets = self._new_sets(repeat((), self.num_sets))
         self.hits = 0
         self.misses = 0
 
-    def _new_set(self) -> OrderedDict[int, None]:
-        """One empty set, its keys in LRU order (first = LRU)."""
-        return OrderedDict()
+    def _new_sets(self, sets: Iterable[tuple]) -> list[OrderedDict[int, None]]:
+        """One set per tuple of lines in ``sets``, keys in LRU order
+        (first = LRU)."""
+        return list(map(OrderedDict.fromkeys, sets))
+
+    def __getstate__(self) -> dict:
+        """Checkpoint pickling: each set as a plain tuple of its lines,
+        LRU first.
+
+        ``pickle`` reduces every ``OrderedDict`` (and ``deque``) through
+        ``copyreg._slotnames``, one Python call per set, since a C type
+        cannot cache ``__slotnames__``; over the L2's 1,024 sets that was
+        most of a checkpoint write.  Tuples pickle in C.
+        """
+        state = self.__dict__.copy()
+        state["_sets"] = list(map(tuple, self._sets))
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._sets = self._new_sets(state["_sets"])
 
     def access(self, line: int) -> bool:
         """Probe-and-fill: returns True on hit; misses allocate the line."""
@@ -95,8 +114,8 @@ class L1Cache(Cache):
     :meth:`access`; this class is its specification.
     """
 
-    def _new_set(self) -> deque[int]:
-        return deque(maxlen=self.assoc)
+    def _new_sets(self, sets: Iterable[tuple]) -> list[deque[int]]:
+        return list(map(deque, sets, repeat(self.assoc)))
 
     def access(self, line: int) -> bool:
         entries = self._sets[line % self.num_sets]

@@ -186,10 +186,6 @@ class Engine:
         """Total number of events fired so far."""
         return self._events_processed
 
-    def peek_time(self) -> int | None:
-        """Time of the next queued event, or None if the queue is empty."""
-        return self._queue[0][0] if self._queue else None
-
     def state_snapshot(self) -> dict:
         """Diagnostic snapshot for stall reports (watchdog context).
 

@@ -41,6 +41,19 @@ class Tlb:
         self.misses = 0
         self.stale_hits = 0
 
+    def __getstate__(self) -> dict:
+        """Checkpoint pickling: each set as a plain tuple of
+        ``(page, fill_version)`` pairs, LRU first (an ``OrderedDict``
+        pickles through one ``copyreg._slotnames`` call per set; see
+        :meth:`repro.gpu.caches.Cache.__getstate__`)."""
+        state = self.__dict__.copy()
+        state["_sets"] = [tuple(entries.items()) for entries in self._sets]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._sets = list(map(OrderedDict, state["_sets"]))
+
     def _set_for(self, page: int) -> OrderedDict[int, int]:
         return self._sets[page % self.num_sets]
 
@@ -75,10 +88,6 @@ class Tlb:
     def invalidate(self, page: int) -> None:
         entries = self._set_for(page)
         entries.pop(page, None)
-
-    def flush(self) -> None:
-        for entries in self._sets:
-            entries.clear()
 
     @property
     def occupancy(self) -> int:

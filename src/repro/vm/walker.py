@@ -38,6 +38,17 @@ class PageWalkCache:
         self.hits = 0
         self.misses = 0
 
+    def __getstate__(self) -> dict:
+        """Checkpoint pickling: the cached regions as a tuple, LRU
+        first, like the TLB and data-cache sets."""
+        state = self.__dict__.copy()
+        state["_cache"] = tuple(self._cache)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._cache = OrderedDict.fromkeys(state["_cache"])
+
     def lookup(self, page: int) -> bool:
         if not self.entries:
             self.misses += 1
@@ -114,7 +125,3 @@ class PageTableWalker:
                 p: t for p, t in self._inflight.items() if t > now
             }
         return queue_delay + service
-
-    @property
-    def mean_queue_cycles(self) -> float:
-        return self.total_queue_cycles / self.walks if self.walks else 0.0

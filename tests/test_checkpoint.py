@@ -117,6 +117,34 @@ def test_resume_requires_restored_instance():
         sim.resume()
 
 
+def test_restored_hot_paths_bind_restored_sets():
+    """The issue loop's per-SM bindings point at the restored TLB and
+    data-cache sets, not at orphaned copies it would write into."""
+    _, snaps = _corpus("soa", chaos=False)
+    sim = snaps[len(snaps) // 2].restore()
+    l2d = sim.caches.l2
+    for hot, l1, l1d in zip(sim._sm_hot, sim.mmu.l1_tlbs, sim.caches.l1, strict=True):
+        assert hot[0] is l1
+        assert hot[1] is l1._sets[0]
+        assert hot[2].__self__ is l1._sets[0]
+        assert hot[7] is l1d
+        assert hot[8] is l1d._sets
+        assert hot[10] is l2d
+        assert hot[11] is l2d._sets
+
+
+def test_checkpoint_pickles_sets_as_tuples():
+    """Cache, TLB and walk-cache sets pickle as plain tuples: an
+    ``OrderedDict`` in the payload costs one ``copyreg._slotnames`` call
+    per set, which made up most of a checkpoint write."""
+    _, snaps = _corpus("soa", chaos=False)
+    sim = snaps[len(snaps) // 2].restore()
+    assert any(sim.caches.l2._sets) and any(sim.mmu.l2_tlb._sets)
+    for part in (sim.caches, sim.mmu):
+        payload = pickle.dumps(part, protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"OrderedDict" not in payload
+
+
 # ----------------------------------------------------------------------
 # Disk round trip + enable_checkpoints
 # ----------------------------------------------------------------------

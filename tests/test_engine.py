@@ -118,13 +118,6 @@ def test_step_returns_false_when_empty(make_engine):
     assert make_engine().step() is False
 
 
-def test_peek_time(make_engine):
-    engine = make_engine()
-    assert engine.peek_time() is None
-    engine.schedule(13, lambda: None)
-    assert engine.peek_time() == 13
-
-
 def test_run_not_reentrant(make_engine):
     engine = make_engine()
     errors = []

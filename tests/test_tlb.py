@@ -1,6 +1,11 @@
 """Unit tests for the TLB model."""
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.vm.tlb import Tlb
@@ -65,14 +70,6 @@ def test_explicit_invalidate():
     assert not tlb.lookup(1, 0)
 
 
-def test_flush():
-    tlb = Tlb("t", 4, 4)
-    for p in range(4):
-        tlb.fill(p, 0)
-    tlb.flush()
-    assert tlb.occupancy == 0
-
-
 def test_hit_rate():
     tlb = Tlb("t", 4, 4)
     assert tlb.hit_rate == 0.0
@@ -80,3 +77,60 @@ def test_hit_rate():
     tlb.lookup(1, 0)
     tlb.lookup(2, 0)
     assert tlb.hit_rate == pytest.approx(0.5)
+
+
+def entries(tlb: Tlb) -> list[list[tuple[int, int]]]:
+    """Every set's ``(page, fill_version)`` pairs, LRU first."""
+    return [list(s.items()) for s in tlb._sets]
+
+
+def counters(tlb: Tlb) -> tuple[int, int, int]:
+    return tlb.hits, tlb.misses, tlb.stale_hits
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+    ids=["deepcopy", "pickle"],
+)
+@pytest.mark.parametrize(
+    ("size", "assoc"), [(64, 64), (1024, 32), (12, 4)], ids=["l1", "l2", "odd"]
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tlb_survives_copy(size, assoc, round_trip, data):
+    """A checkpoint's copy of a TLB keeps every set's entries in LRU
+    order, their fill versions and the counters, and goes on to behave
+    like the original."""
+    tlb = Tlb("t", size, assoc)
+    num_sets = size // assoc
+    # Pages crowding a few sets (hits, LRU evictions) and pages spread
+    # over all sets; versions low enough that stale entries are common.
+    pages = st.one_of(
+        st.builds(
+            lambda s, k: s + num_sets * k, st.integers(0, 1), st.integers(0, assoc)
+        ),
+        st.integers(0, 4 * size),
+    )
+    op = st.sampled_from(["fill", "lookup", "invalidate"])
+    steps = st.lists(st.tuples(op, pages, st.integers(0, 3)), max_size=300)
+
+    def run(tlbs, ops):
+        for name, page, version in ops:
+            if name == "fill":
+                for t in tlbs:
+                    t.fill(page, version)
+            elif name == "lookup":
+                assert len({t.lookup(page, version) for t in tlbs}) == 1
+            else:
+                for t in tlbs:
+                    t.invalidate(page)
+
+    run([tlb], data.draw(steps))
+    twin = round_trip(tlb)
+    assert type(twin) is Tlb
+    assert entries(twin) == entries(tlb)
+    assert counters(twin) == counters(tlb)
+    run([twin, tlb], data.draw(steps))
+    assert entries(twin) == entries(tlb)
+    assert counters(twin) == counters(tlb)

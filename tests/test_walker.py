@@ -70,12 +70,6 @@ class TestWalker:
         walker.walk(0, now=0)
         assert walker.walk(600, now=500) == 400  # slot already free
 
-    def test_mean_queue_cycles(self):
-        walker = self.make(slots=1)
-        walker.walk(0, now=0)
-        walker.walk(600, now=0)
-        assert walker.mean_queue_cycles == pytest.approx(200.0)
-
     def test_same_page_walks_coalesce(self):
         walker = self.make(slots=2)
         first = walker.walk(0, now=0)
