@@ -5,8 +5,8 @@ site reduces to one ``x is not None`` test when no session is installed.
 A guard's cost is too small to resolve inside one real simulation run
 (run-to-run noise swamps it), so we measure it directly:
 
-1. A **bare engine replica** (the pre-instrumentation event loop, inlined
-   below) and :class:`repro.sim.Engine` each drain the same synthetic
+1. A **bare engine replica** (the engine's run loop minus its obs hooks,
+   inlined below) and :class:`repro.sim.Engine` each drain the same synthetic
    event storm; the median per-pair delta is the guard cost per event
    (``guard_timing``), measured once for the module.
 2. A real tiny run with obs off gives events-processed and wall-clock.
@@ -19,19 +19,19 @@ mode is *supposed* to pay for its data).
 
 from __future__ import annotations
 
-import heapq
 import pathlib
 import time
+from heapq import heappop, heappush
 
 import pytest
 from guard_timing import describe, guard_cost
 
 from repro import GpuUvmSimulator, build_workload, obs, systems
 from repro.errors import SimulationError
-from repro.sim.engine import Engine
+from repro.sim.engine import _NEVER, Engine, _countdown
 
 #: Upper bound on `is not None` guard evaluations per engine event across
-#: all instrumented components (engine step, fault path, buffer, DMA, SM).
+#: all instrumented components (engine loop, fault path, buffer, DMA, SM).
 GUARD_SITES_PER_EVENT = 8
 
 #: Upper bound on the *additional* `analytics is not None` guards per
@@ -42,45 +42,80 @@ ANALYTICS_GUARD_SITES = 8
 
 
 class BareEngine(Engine):
-    """The seed's event loop, verbatim minus the obs hooks.
+    """:meth:`Engine.run`, verbatim minus the obs hooks.
 
-    ``step``/``run`` below are byte-for-byte the pre-instrumentation
-    bodies (commit c1363d8), so the timing delta against
-    :class:`Engine` — the loop those hooks were added to — isolates
-    exactly what the observability change added per event.
+    The body below is the engine's run loop with its three obs sites
+    taken out: the ``count_event`` selection, the per-event
+    ``count_event`` guard and the closing tracer span.  So the timing
+    delta against :class:`Engine` isolates exactly what observability
+    adds per event, and a change to the loop itself must be mirrored
+    here.
     """
 
-    _running = False  # the replica's own reentrancy latch
-
-    def step(self) -> bool:
-        if not self._queue:
-            return False
-        time, _seq, callback = heapq.heappop(self._queue)
-        if time < self.now:
-            raise SimulationError("event queue went backwards in time")
-        self.now = time
-        self._events_processed += 1
-        callback()
-        return True
-
     def run(self, until=None, max_events=None) -> None:
-        if self._running:
-            raise SimulationError("engine.run() is not reentrant")
-        self._running = True
+        lifecycle = self.lifecycle
+        lifecycle.fire(
+            "start", reason="engine.run() is not reentrant", now=self.now
+        )
+        queue = self._queue
+        now = self.now
+        streak = self._streak
+        count = self.events_processed
+        stop = None if max_events is None else count + max(0, max_events)
+        watchdog = self.watchdog
+        if watchdog is None:
+            stall = _NEVER
+            sample_at = None
+        else:
+            stall = watchdog.stall_events
+            sample_at = watchdog.next_sample(count)
+        left = _countdown(count, stop, sample_at)
         try:
-            processed = 0
-            while self._queue:
-                if until is not None and self._queue[0][0] > until:
-                    break
-                if max_events is not None and processed >= max_events:
-                    break
-                self.step()
-                processed += 1
+            if left:
+                while queue:
+                    if until is not None and queue[0][0] > until:
+                        break
+                    time, seq, callback = heappop(queue)
+                    if time != now:
+                        if time < now:
+                            heappush(queue, (time, seq, callback))
+                            raise SimulationError(
+                                "event queue went backwards in time",
+                                event_time=time,
+                                now=now,
+                            )
+                        self.now = now = time
+                        streak = 0
+                    else:
+                        streak += 1
+                        if streak >= stall:
+                            left = 1
+                    left -= 1
+                    callback()
+                    if not left:
+                        count = self.events_processed
+                        if streak >= stall:
+                            watchdog.stalled(now, streak)
+                        if count == sample_at:
+                            watchdog.sample(now, count)
+                            sample_at = watchdog.next_sample(count)
+                        if count == stop:
+                            break
+                        left = _countdown(count, stop, sample_at)
+                    if self.checkpoint_due:
+                        self._take_checkpoint()
+                if self.checkpoint_due:
+                    self._take_checkpoint()
+        except BaseException:
+            lifecycle.fire("fail")
+            raise
         finally:
-            self._running = False
+            self._streak = streak
+        lifecycle.fire("finish")
         if until is not None and until > self.now:
-            if not self._queue or self._queue[0][0] > until:
+            if not queue or queue[0][0] > until:
                 self.now = until
+                self._streak = -1
 
 
 def timed_tiny_run(obs_session) -> tuple[float, int]:

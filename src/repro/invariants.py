@@ -242,17 +242,22 @@ class InvariantChecker:
 
 
 class Watchdog:
-    """Engine non-progress and wall-clock budget detector.
+    """Engine non-progress and wall-clock budget policy.
 
-    Attach via ``engine.watchdog = Watchdog(...)``; the engine calls
-    :meth:`tick` once per fired event.  Two failure modes:
+    Attach via ``engine.watchdog = Watchdog(...)``.  The engine tracks
+    the same-cycle streak and counts events itself, and calls the
+    watchdog only when there is something to decide.  Two failure modes:
 
     * ``stall_events`` consecutive events firing at the *same* simulated
-      cycle — a same-time event cascade that never advances the clock
-      (a scheduling livelock).
-    * ``wall_budget_seconds`` of real time elapsed since the first tick.
-      The clock is sampled every ``wall_check_interval`` events so the
-      per-event cost stays one modulo test.
+      cycle, after the one that moved the clock there — a same-time
+      event cascade that never advances the clock (a scheduling
+      livelock).  The engine calls :meth:`stalled` once the event that
+      reaches the count has fired.
+    * ``wall_budget_seconds`` of real time elapsed since the first event
+      the watchdog saw.  The engine calls :meth:`sample` after that
+      first event (which arms the deadline) and then after every
+      ``wall_check_interval``-th event counted from it, at the event
+      counts :meth:`next_sample` names.
 
     Both raise :class:`~repro.errors.SimulationStalledError` carrying the
     ``snapshot()`` provider's diagnostic state.
@@ -272,9 +277,8 @@ class Watchdog:
         self.wall_budget_seconds = wall_budget_seconds
         self.wall_check_interval = max(1, wall_check_interval)
         self._snapshot = snapshot
-        self._last_now: int | None = None
-        self._stuck = 0
-        self._ticks = 0
+        #: Engine event count just before the first watched event.
+        self._origin: int | None = None
         self._deadline: float | None = None
 
     def _context(self, **extra) -> dict:
@@ -286,31 +290,39 @@ class Watchdog:
                 context["snapshot_error"] = repr(exc)
         return context
 
-    def tick(self, now: int) -> None:
-        if now != self._last_now:
-            self._last_now = now
-            self._stuck = 0
-        else:
-            self._stuck += 1
-            if self._stuck >= self.stall_events:
-                raise SimulationStalledError(
-                    "simulated time stopped advancing",
-                    kind="no-progress",
-                    stuck_events=self._stuck,
-                    cycle=now,
-                    **self._context(),
-                )
-        budget = self.wall_budget_seconds
-        if budget is not None:
-            self._ticks += 1
-            if self._deadline is None:
-                self._deadline = time.monotonic() + budget
-            elif self._ticks % self.wall_check_interval == 0:
-                if time.monotonic() > self._deadline:
-                    raise SimulationStalledError(
-                        "wall-clock budget exceeded",
-                        kind="wall-clock",
-                        budget_seconds=budget,
-                        cycle=now,
-                        **self._context(),
-                    )
+    def stalled(self, now: int, streak: int) -> None:
+        """Raise the no-progress error: ``streak`` events fired at cycle
+        ``now`` after the one that moved the clock there."""
+        raise SimulationStalledError(
+            "simulated time stopped advancing",
+            kind="no-progress",
+            stuck_events=streak,
+            cycle=now,
+            **self._context(),
+        )
+
+    def next_sample(self, count: int) -> int | None:
+        """The engine event count after which to call :meth:`sample`
+        next, once ``count`` events have fired; None without a budget."""
+        if self.wall_budget_seconds is None:
+            return None
+        origin = self._origin
+        if origin is None:
+            return count + 1  # the first event arms the deadline
+        interval = self.wall_check_interval
+        return count + interval - (count - origin) % interval
+
+    def sample(self, now: int, count: int) -> None:
+        """Arm the deadline (first call) or check it, after the engine's
+        ``count``-th event."""
+        if self._origin is None:
+            self._origin = count - 1
+            self._deadline = time.monotonic() + self.wall_budget_seconds
+        elif time.monotonic() > self._deadline:
+            raise SimulationStalledError(
+                "wall-clock budget exceeded",
+                kind="wall-clock",
+                budget_seconds=self.wall_budget_seconds,
+                cycle=now,
+                **self._context(),
+            )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from heapq import heappush
 from pathlib import Path
 
 from repro.baselines.etc import EtcController
@@ -461,9 +462,10 @@ class GpuUvmSimulator:
         except SimulationStalledError as exc:
             self._attach_flight(exc)
             # A stall (watchdog timeout / wall budget) leaves the engine
-            # *between events* — the watchdog ticks after each step — so
-            # the state is consistent and worth keeping.  The checkpoint
-            # path rides on the error for the harness's resume logic.
+            # *between events* — the engine calls the watchdog only once
+            # an event has fired — so the state is consistent and worth
+            # keeping.  The checkpoint path rides on the error for the
+            # harness's resume logic.
             if self._checkpoint_dir is not None:
                 try:
                     exc.checkpoint_path = str(self._write_checkpoint())
@@ -730,7 +732,8 @@ class GpuUvmSimulator:
           comes from the WarpStore's precomputed tuples;
         * the L1 TLB probe is inlined (fully associative by construction,
           so ``_sets[0]`` is the whole TLB), replicating
-          :meth:`~repro.vm.tlb.Tlb.lookup` counter-for-counter; misses
+          :meth:`~repro.vm.tlb.Tlb.lookup` counter-for-counter (hits are
+          added once per op, as the data caches' counters are); misses
           fall back to :meth:`~repro.vm.mmu.GpuMmu.translate_after_l1_miss`,
           the cold path :meth:`~repro.vm.mmu.GpuMmu.translate` shares;
         * the data-cache probe-and-fill is inlined from
@@ -739,7 +742,10 @@ class GpuUvmSimulator:
           :meth:`~repro.gpu.caches.Cache.access` (the L2) as the
           per-level specifications;
         * the replacement-policy ``touch`` is skipped outright when the
-          policy inherits the base no-op (aged-lru).
+          policy inherits the base no-op (aged-lru);
+        * the next warp step is pushed onto the engine's queue directly,
+          one ``heappush`` under its sequence counter, as
+          :meth:`~repro.sim.engine.Engine.schedule` would.
         """
         store = warp.store
         i = warp.index
@@ -791,6 +797,7 @@ class GpuUvmSimulator:
             touch,
         ) = self._sm_hot[sm.sm_id]
         latency = 0
+        tlb_hits = 0
         missing = None
         for page in pages:
             # Empty version map (no shootdown has ever happened — e.g.
@@ -799,7 +806,7 @@ class GpuUvmSimulator:
             fill_version = l1_get(page)
             if fill_version is not None and fill_version >= version:
                 l1_entries.move_to_end(page)
-                l1.hits += 1
+                tlb_hits += 1
                 lat = l1_tlb_hit_cycles
             else:
                 if fill_version is not None:
@@ -817,6 +824,7 @@ class GpuUvmSimulator:
                         missing.append(page)
             if lat > latency:
                 latency = lat
+        l1.hits += tlb_hits
 
         if missing is not None:
             an = self._an
@@ -921,12 +929,18 @@ class GpuUvmSimulator:
         pc += 1
         store.pc[i] = pc
         compute = store.op_compute[i]
+        # Engine.schedule, inlined: one push under the engine's sequence
+        # counter; ``total`` is a whole, non-negative cycle count.
+        seq = engine._seq
+        engine._seq = seq + 1
         if pc >= len(compute):
             state[i] = FINISHED
-            engine.schedule(total, warp.complete_event)
+            heappush(engine._queue, (now + total, seq, warp.complete_event))
         else:
             state[i] = RUNNING
-            engine.schedule(total + compute[pc], warp.exec_event)
+            heappush(
+                engine._queue, (now + total + compute[pc], seq, warp.exec_event)
+            )
 
     def _runahead_probe(self, warp: SoAWarp) -> None:
         """Speculatively translate the stalled warp's next ops (§4.1 alt).

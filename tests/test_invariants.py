@@ -253,28 +253,48 @@ class TestWatchdog:
         engine.run()  # must not raise
         assert remaining[0] == 0
 
-    def test_wall_clock_budget(self):
-        dog = Watchdog(
-            wall_budget_seconds=1e-9,
-            wall_check_interval=1,
-            snapshot=lambda: {"probe": 17},
+    @staticmethod
+    def _timed_out_run(snapshot):
+        """Drive an engine whose wall budget is already spent: the first
+        event arms the deadline, the second samples it."""
+        engine = Engine()
+        for t in (1, 2, 3):
+            engine.schedule_at(t, lambda: None)
+        engine.watchdog = Watchdog(
+            wall_budget_seconds=1e-9, wall_check_interval=1, snapshot=snapshot
         )
-        dog.tick(0)  # arms the deadline
         with pytest.raises(SimulationStalledError, match="wall-clock") as exc:
-            dog.tick(1)
-        assert "probe" in str(exc.value)
+            engine.run()
+        assert engine.events_processed == 2
+        return exc.value
+
+    def test_wall_clock_budget(self):
+        exc = self._timed_out_run(lambda: {"probe": 17})
+        assert "probe" in str(exc)
+        assert exc.context["cycle"] == 2
 
     def test_snapshot_failure_never_masks_the_stall(self):
         def broken():
             raise RuntimeError("diagnostics down")
 
-        dog = Watchdog(
-            wall_budget_seconds=1e-9, wall_check_interval=1, snapshot=broken
-        )
-        dog.tick(0)
-        with pytest.raises(SimulationStalledError, match="wall-clock") as exc:
-            dog.tick(1)
+        exc = self._timed_out_run(broken)
+        assert "snapshot_error" in str(exc)
+
+    def test_snapshot_failure_never_masks_a_no_progress_stall(self):
+        def broken():
+            raise RuntimeError("diagnostics down")
+
+        engine = Engine()
+
+        def spin():
+            engine.schedule(0, spin)
+
+        engine.schedule(0, spin)
+        engine.watchdog = Watchdog(stall_events=5, snapshot=broken)
+        with pytest.raises(SimulationStalledError, match="stopped advancing") as exc:
+            engine.run()
         assert "snapshot_error" in str(exc.value)
+        assert engine.events_processed == 6
 
     def test_invalid_stall_threshold(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
 """Property-based tests for the core data structures.
 
 The engine section replays randomized event scripts — interleaved
-``schedule`` / ``schedule_at`` / ``run(until=)`` / ``run(max_events=)`` /
-``step()`` calls with callbacks spawning children — through
+``schedule`` / ``schedule_at`` / ``run(until=)`` / ``run(max_events=)``
+calls with callbacks spawning children — through
 :class:`~repro.sim.Engine`, asserting the determinism contract on the
 full trace: nondecreasing time, FIFO within a cycle, nothing lost
 (``tests/test_equivalence_golden.py`` locks full-simulation output).
@@ -12,10 +12,13 @@ import itertools
 import random
 from collections import OrderedDict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError, SimulationStalledError
+from repro.invariants import Watchdog
 from repro.sim.engine import Engine
 from repro.sim.stats import Histogram
 from repro.uvm.fault_buffer import FaultBuffer, FaultEntry
@@ -23,6 +26,7 @@ from repro.uvm.replacement import AccessLru, AgedLru
 from repro.vm.address_space import AddressSpace
 from repro.vm.page_table import PageTable
 from repro.vm.tlb import Tlb
+from tests.test_engine import _stall_oracle
 
 
 @pytest.mark.parametrize("engine_cls", [Engine])
@@ -50,7 +54,6 @@ SCRIPT_OPS = st.lists(
         ),
         st.tuples(st.just("until"), st.integers(min_value=0, max_value=6000)),
         st.tuples(st.just("max"), st.integers(min_value=1, max_value=40)),
-        st.tuples(st.just("step"), st.integers(min_value=1, max_value=5)),
     ),
     min_size=1,
     max_size=10,
@@ -100,11 +103,8 @@ def _apply_script(engine, ops, spawn_seed: int) -> tuple[list, dict]:
                 engine.schedule(delay, spawn(eid))
         elif op == "until":
             engine.run(until=engine.now + arg)
-        elif op == "max":
-            engine.run(max_events=arg)
         else:
-            for _ in range(arg):
-                engine.step()
+            engine.run(max_events=arg)
         trace.append(("checkpoint", engine.now, engine.pending_events))
     engine.run()
     return trace, scheduled
@@ -122,7 +122,7 @@ def test_engine_replays_scripts_in_contract_order(ops, spawn_seed):
     # Nondecreasing time, FIFO by schedule order within a cycle.
     keys = [scheduled[eid] for eid, _ in fired]
     assert keys == sorted(keys)
-    # The clock never runs backwards across bounded runs and steps.
+    # The clock never runs backwards across bounded runs.
     clock = [entry[1] for entry in trace]
     assert clock == sorted(clock)
     assert engine.events_processed == len(fired)
@@ -140,6 +140,48 @@ def test_fifo_within_cycle_matches_schedule_order(engine_cls, times):
     # sorted() is stable: equal times keep schedule order.
     expected = [(t, i) for i, t in sorted(enumerate(times), key=lambda e: e[1])]
     assert order == expected
+
+
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=300),
+            st.sampled_from(["int", "numpy", "at"]),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    start=st.integers(min_value=0, max_value=50),
+    negative=st.integers(min_value=-1000, max_value=-1),
+)
+def test_schedule_paths_share_time_then_fifo_order(entries, start, negative):
+    """``schedule``'s int path, its NumPy-int path and ``schedule_at``
+    queue into one order: by due time, then by call order; a negative
+    delay raises and queues nothing."""
+    engine = Engine()
+    engine.run(until=start)
+    order = []
+    for i, (delay, path) in enumerate(entries):
+        def fire(i=i):
+            order.append((engine.now, i))
+
+        if path == "int":
+            engine.schedule(delay, fire)
+        elif path == "numpy":
+            engine.schedule(np.int64(delay), fire)
+        else:
+            engine.schedule_at(engine.now + delay, fire)
+        if i == len(entries) // 2:
+            for bad in (negative, np.int64(negative)):
+                with pytest.raises(SimulationError, match="into the past"):
+                    engine.schedule(bad, fire)
+    engine.run()
+    expected = sorted(
+        ((start + delay, i) for i, (delay, _) in enumerate(entries)),
+    )
+    assert order == expected
+    assert all(type(now) is int for now, _ in order)
+    assert engine.events_processed == len(entries)
 
 
 class _TaggedEvent:
@@ -173,6 +215,44 @@ def test_state_snapshots_agree_after_bounded_run(delays, cut):
     assert snapshot["next_events"] == [
         (delays[i], f"tagged.{i}") for i in order[fired : fired + 4]
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    delays=st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=1, max_size=12),
+    stall_events=st.integers(min_value=1, max_value=6),
+    slices=st.lists(st.integers(min_value=1, max_value=9), max_size=6),
+    spawn_seed=st.integers(min_value=0, max_value=2**20),
+)
+def test_stall_trips_where_a_per_event_check_would(
+    delays, stall_events, slices, spawn_seed
+):
+    """The engine-side streak trips on exactly the event a check after
+    every fired event would, however the run is cut into slices."""
+    engine = Engine()
+    engine.watchdog = Watchdog(stall_events=stall_events)
+    rng = random.Random(spawn_seed)
+    fired = []
+    spawned = [0]
+
+    def fire():
+        fired.append(engine.now)
+        for _ in range(rng.randint(0, 2)):
+            if spawned[0] < 300:
+                spawned[0] += 1
+                engine.schedule(rng.choice([0, 0, 0, 1, 3]), fire)
+
+    for delay in delays:
+        engine.schedule(delay, fire)
+    expected = None
+    try:
+        for max_events in slices:
+            engine.run(max_events=max_events)
+        engine.run()
+    except SimulationStalledError:
+        expected = len(fired)
+    assert _stall_oracle(fired, stall_events) == expected
+    assert engine.events_processed == len(fired)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=500), min_size=1))

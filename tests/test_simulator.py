@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import GpuUvmSimulator, build_workload, simulate, systems
+from repro import GpuUvmSimulator, build_workload, obs, simulate, systems
 from repro.errors import SimulationError
 from repro.gpu.config import WARP_SIZE
 from repro.gpu.occupancy import KernelResources
@@ -77,23 +77,34 @@ class TestFastPathWiring:
     event objects instead of per-schedule closures, and the batched
     page-arrival wake fan-out."""
 
-    def test_warp_scheduling_uses_interned_events(self):
+    def test_interned_events_reach_the_heap(self):
+        """Every warp step and warp completion the engine fires is the
+        warp's own interned event object, never a per-schedule closure."""
         workload = tiny_workload()
         config = systems.UNLIMITED.configure(workload, ratio=1.0)
-        sim = GpuUvmSimulator(workload, config)
-        kinds = []
-        original = sim.engine.schedule
+        session = obs.Observability("full")
+        fired = []
+        count_event = session.count_event
 
-        def spy(delay, callback):
-            kind = getattr(callback, "kind", None)
-            if kind is not None:
-                kinds.append(kind)
-            original(delay, callback)
+        def log(callback):
+            fired.append(callback)
+            count_event(callback)
 
-        sim.engine.schedule = spy
+        session.count_event = log
+        sim = GpuUvmSimulator(workload, config, obs=session)
         sim.run()
-        assert "GpuUvmSimulator._execute_op" in kinds
-        assert "GpuUvmSimulator._warp_completed" in kinds
+        by_kind = {}
+        for callback in fired:
+            by_kind.setdefault(getattr(callback, "kind", None), []).append(callback)
+        steps = by_kind["GpuUvmSimulator._execute_op"]
+        completions = by_kind["GpuUvmSimulator._warp_completed"]
+        num_warps = 4  # tiny_workload(): 2 blocks of 2 warps
+        assert len({id(e) for e in steps}) == num_warps
+        assert len({id(e) for e in completions}) == num_warps
+        assert len(completions) == num_warps
+        assert len(steps) >= 4 * num_warps  # 4 ops a warp, plus re-issues
+        assert all(e._warp.exec_event is e for e in steps)
+        assert all(e._warp.complete_event is e for e in completions)
 
     def test_batched_wake_hook_is_installed(self):
         workload = tiny_workload()
