@@ -4,11 +4,12 @@
 Runs one perfbench sweep cell in this process with the engine watchdog
 armed the way the benchmark arms it (a wall budget, so the wall-clock
 sampler is live), and counts every bytecode the interpreter executes
-during ``GpuUvmSimulator.run`` through ``sys.settrace`` opcode events.
-Stdlib only.  One untraced run goes first, so the per-op tuples a
-kernel trace caches on its first run (``kernel_derived``) are not
-counted: the benchmark's ``wall_s`` takes each cell's median over
-several rounds, which leaves them out too.
+during ``GpuUvmSimulator.run``, per function and source line, through
+``sys.settrace`` opcode events (which carry ``f_lineno``).  Stdlib
+only.  One untraced run goes first, so the per-op tuples a kernel trace
+caches on its first run (``kernel_derived``) are not counted: the
+benchmark's ``wall_s`` takes each cell's median over several rounds,
+which leaves them out too.
 
 Counts are deterministic for a given interpreter version (unlike
 timings), so two versions of the code can be compared exactly.  Code
@@ -19,25 +20,32 @@ that runs in C (``heapq``, builtin methods) is not counted.  It prints
   (``repro/sim/engine.py``), the watchdog (``Watchdog`` in
   ``repro/invariants.py``) and the interned events' ``__call__``
   trampolines in ``repro/simulator.py`` -- everything an event costs
-  besides the simulation work it fires.
+  besides the simulation work it fires;
+* the **guard** opcodes of each hook family (:data:`GUARD_FAMILIES`):
+  what the disabled observability, analytics, robustness and
+  checkpoint hooks cost, counted on their own source lines.
 
 ``--max-plumbing N`` exits 1 when the plumbing subtotal is above ``N``
-opcodes per event.
+opcodes per event.  The off-mode guard gates
+(``benchmarks/bench_guard_share.py``) import this module's counter and
+family table.
 
 Usage::
 
     PYTHONPATH=src python scripts/opcount.py                       # UNLIMITED|BFS-TTC|small|1.5
-    PYTHONPATH=src python scripts/opcount.py --cell 'TO+UE|KCORE|tiny|0.5' --max-plumbing 70
+    PYTHONPATH=src python scripts/opcount.py --cell 'TO+UE|KCORE|tiny|0.5' --max-plumbing 88
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import collections
+import functools
+import linecache
 import pathlib
 import sys
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: The wall budget the benchmark gives a cell (``perfbench/sweeps.py``
 #: hands each cell at most this many seconds); only its presence
 #: matters here -- it arms the watchdog's wall-clock sampler.
@@ -56,19 +64,89 @@ def is_plumbing(filename: str, qualname: str) -> bool:
     return False
 
 
+#: Hook families and the names their guards test.  A source line is a
+#: guard of a family when it tests one of the family's names (the test
+#: of an ``if``, ``elif``, ``while`` or conditional expression) or only
+#: stores into one (``an = self._an``; the engine's same-cycle
+#: ``streak`` bookkeeping, which exists for the watchdog).  With every
+#: hook off, those lines are all a family costs.
+GUARD_FAMILIES: dict[str, frozenset[str]] = {
+    "obs": frozenset({"obs", "count_event"}),
+    "analytics": frozenset({"an", "_an", "analytics"}),
+    "robustness": frozenset({"chaos", "invariants", "inv", "validator", "streak"}),
+    "checkpoint": frozenset({"checkpoint_due"}),
+}
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every variable and attribute name an expression mentions."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def _stored(target: ast.AST) -> str | None:
+    """The name an assignment target binds (``x`` or ``obj.x``)."""
+    if isinstance(target, ast.Name):
+        return target.id
+    if isinstance(target, ast.Attribute):
+        return target.attr
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def guard_lines(filename: str) -> dict[int, tuple[str, ...]]:
+    """Guard line numbers of one source file, each with its families."""
+    try:
+        tree = ast.parse("".join(linecache.getlines(filename)))
+    except (SyntaxError, ValueError):
+        return {}
+    marked: dict[int, set[str]] = collections.defaultdict(set)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.If, ast.While, ast.IfExp)):
+            span = node.test
+            names = _names(span)
+            families = [f for f, hooks in GUARD_FAMILIES.items() if names & hooks]
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            span = node
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            stored = {_stored(target) for target in targets}
+            families = [f for f, hooks in GUARD_FAMILIES.items() if stored <= hooks]
+        else:
+            continue
+        for line in range(span.lineno, span.end_lineno + 1):
+            marked[line].update(families)
+    return {line: tuple(sorted(fams)) for line, fams in marked.items() if fams}
+
+
+def _trace_opcodes(frame, event, arg) -> None:
+    frame.f_trace_opcodes = True
+
+
+def _nothing() -> None:
+    pass
+
+
 class OpcodeCounter:
-    """Counts executed bytecodes per code object while installed."""
+    """Counts executed bytecodes per code object and line while
+    installed; :attr:`total`, :meth:`by_function` and
+    :meth:`guard_opcodes` sum them."""
 
     def __init__(self) -> None:
-        self.counts: collections.Counter = collections.Counter()
+        #: ``by_line[code][lineno]``: opcodes executed on each line.
+        self.by_line: dict = {}
         self._tracers: dict = {}
 
     def _tracer_for(self, code):
-        counts = self.counts
+        counts = self.by_line[code] = collections.Counter()
 
         def local(frame, event, arg):
             if event == "opcode":
-                counts[code] += 1
+                counts[frame.f_lineno] += 1
             return local
 
         return local
@@ -82,11 +160,51 @@ class OpcodeCounter:
         return tracer
 
     def __enter__(self) -> "OpcodeCounter":
+        # CPython 3.12 delivers no opcode events until a frame of an
+        # earlier tracing session has turned them on: prime one.
+        sys.settrace(_trace_opcodes)
+        _nothing()
         sys.settrace(self._global)
         return self
 
     def __exit__(self, *exc) -> None:
         sys.settrace(None)
+
+    @property
+    def total(self) -> int:
+        return sum(sum(counts.values()) for counts in self.by_line.values())
+
+    def by_function(self) -> collections.Counter:
+        return collections.Counter(
+            {code: sum(counts.values()) for code, counts in self.by_line.items()}
+        )
+
+    def guard_opcodes(self) -> dict[str, int]:
+        """Opcodes executed on each family's guard lines."""
+        guards = dict.fromkeys(GUARD_FAMILIES, 0)
+        for code, counts in self.by_line.items():
+            marked = guard_lines(code.co_filename)
+            for line, count in counts.items():
+                for family in marked.get(line, ()):
+                    guards[family] += count
+        return guards
+
+
+def count_cell(cell: str, wall_budget_seconds: float | None = None):
+    """``(counter, engine events)`` for one ``PRESET|WORKLOAD|SCALE|RATIO``
+    cell (graph seed 0), counted on its second run in this process."""
+    from repro import GpuUvmSimulator, systems
+    from repro.workloads import registry
+
+    preset, name, scale, ratio = cell.split("|")
+    workload = registry.build_workload(name, scale=scale, seed=0)
+    config = systems.by_name(preset).configure(workload, ratio=float(ratio))
+    GpuUvmSimulator(workload, config).run(wall_budget_seconds=wall_budget_seconds)
+
+    sim = GpuUvmSimulator(workload, config)
+    with OpcodeCounter() as counter:
+        result = sim.run(wall_budget_seconds=wall_budget_seconds)
+    return counter, result.events_processed
 
 
 def short(path: str) -> str:
@@ -108,24 +226,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro import GpuUvmSimulator, systems
-    from repro.workloads import registry
-
-    preset, name, scale, ratio = args.cell.split("|")
-    workload = registry.build_workload(name, scale=scale, seed=0)
-    config = systems.by_name(preset).configure(workload, ratio=float(ratio))
-    GpuUvmSimulator(workload, config).run(wall_budget_seconds=WALL_BUDGET_S)
-
-    sim = GpuUvmSimulator(workload, config)
-    with OpcodeCounter() as counter:
-        result = sim.run(wall_budget_seconds=WALL_BUDGET_S)
-    events = result.events_processed
-
+    counter, events = count_cell(args.cell, wall_budget_seconds=WALL_BUDGET_S)
     rows = sorted(
-        ((count, code) for code, count in counter.counts.items()),
+        ((count, code) for code, count in counter.by_function().items()),
         key=lambda row: -row[0],
     )
-    total = sum(count for count, _ in rows)
+    total = counter.total
     plumbing = 0
     plumbing_rows = []
     for count, code in rows:
@@ -143,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
         label = f"{short(code.co_filename)}:{code.co_qualname}"
         print(f"  {label:<56} {count / events:8.1f}")
     print(f"  {'subtotal':<56} {plumbing / events:8.1f}")
+    print("\nguards                                          per event    share")
+    for family, count in counter.guard_opcodes().items():
+        print(f"  {family:<46} {count / events:8.2f} {count / total:8.2%}")
     if args.max_plumbing is not None and plumbing / events > args.max_plumbing:
         print(
             f"plumbing {plumbing / events:.1f} opcodes per event exceeds "

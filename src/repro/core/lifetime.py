@@ -6,11 +6,12 @@ tracking when each page is allocated and evicted.  ...  If the running
 average is decreased by a certain threshold, the thread oversubscription
 mechanism does not allow any more context switching".
 
-The monitor samples the memory manager's eviction log every
-``period_cycles`` (100k cycles in the paper, recomputed per window),
-maintains an exponential running average of page lifetimes, and reports a
-*drop* when the window average falls more than ``threshold`` (20 %) below
-the running average.
+Every ``period_cycles`` (100k cycles in the paper, recomputed per
+window) the monitor takes the mean lifetime of the pages evicted in the
+window from the memory manager's running ``lifetime_total`` and
+``evictions`` counters.  It maintains an exponential running average of
+page lifetimes, and reports a *drop* when the window average falls more
+than ``threshold`` (20 %) below the running average.
 """
 
 from __future__ import annotations
@@ -52,7 +53,10 @@ class PageLifetimeMonitor:
         self.running_average: float | None = None
         self.windows_sampled = 0
         self.drops_detected = 0
-        self._log_cursor = 0
+        #: ``memory.evictions`` and ``memory.lifetime_total`` at the last
+        #: tick: the window is everything evicted since.
+        self._last_evictions = 0
+        self._last_lifetime_total = 0
         self._active = False
 
         #: Called with ``True`` when lifetimes dropped past the threshold
@@ -70,19 +74,18 @@ class PageLifetimeMonitor:
         self._active = False
 
     # ------------------------------------------------------------------
-    def _window_lifetimes(self) -> list[int]:
-        log = self.memory.eviction_log
-        window = [lifetime for _, lifetime in log[self._log_cursor:]]
-        self._log_cursor = len(log)
-        return window
-
     def _tick(self) -> None:
         if not self._active:
             return
-        window = self._window_lifetimes()
-        if window:
+        memory = self.memory
+        evicted = memory.evictions - self._last_evictions
+        if evicted:
+            window_avg = (
+                memory.lifetime_total - self._last_lifetime_total
+            ) / evicted
+            self._last_evictions = memory.evictions
+            self._last_lifetime_total = memory.lifetime_total
             self.windows_sampled += 1
-            window_avg = sum(window) / len(window)
             dropped = False
             if self.running_average is not None:
                 dropped = window_avg < self.running_average * (1.0 - self.threshold)

@@ -37,8 +37,9 @@ class GpuMemoryManager:
         self.allocations = 0
         self.evictions = 0
         self.premature_refaults = 0
-        #: (eviction_time, lifetime) pairs consumed by the lifetime monitor.
-        self.eviction_log: list[tuple[int, int]] = []
+        #: Sum of evicted pages' lifetimes in cycles, beside ``evictions``:
+        #: the lifetime monitor's window mean differences the two.
+        self.lifetime_total = 0
 
     # ------------------------------------------------------------------
     # Capacity queries
@@ -58,22 +59,11 @@ class GpuMemoryManager:
         return len(self._free_frames)
 
     @property
-    def at_capacity(self) -> bool:
-        """True when allocating a new page would require an eviction."""
-        return not self.unlimited and not self._free_frames
-
-    @property
     def occupancy_pct(self) -> float:
         """Resident pages as a percentage of capacity (0.0 if unlimited)."""
         if self.unlimited or not self.capacity:
             return 0.0
         return 100.0 * len(self._alloc_time) / self.capacity
-
-    def evictions_needed(self, new_pages: int) -> int:
-        """How many evictions servicing ``new_pages`` migrations requires."""
-        if self.unlimited:
-            return 0
-        return max(0, new_pages - len(self._free_frames))
 
     # ------------------------------------------------------------------
     # Allocation / eviction
@@ -133,7 +123,7 @@ class GpuMemoryManager:
         self._dirty.discard(page)
         self.evictions += 1
         lifetime = now - allocated_at
-        self.eviction_log.append((now, lifetime))
+        self.lifetime_total += lifetime
         return lifetime
 
     def release_frame(self, frame: int) -> None:
@@ -167,9 +157,6 @@ class GpuMemoryManager:
     # ------------------------------------------------------------------
     # Access + fault bookkeeping
     # ------------------------------------------------------------------
-    def on_access(self, page: int) -> None:
-        self.policy.touch(page)
-
     def mark_dirty(self, page: int) -> None:
         """A store hit the resident page: its eviction needs a writeback."""
         if page in self._alloc_time:

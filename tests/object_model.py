@@ -368,7 +368,7 @@ class ObjectModelSimulator(GpuUvmSimulator):
             return
 
         for page in pages:
-            self.memory.on_access(page)
+            self.memory.policy.touch(page)
         for page in op.store_pages(self.page_shift):
             self.memory.mark_dirty(page)
         data_latency = 0

@@ -9,10 +9,10 @@ from repro.uvm.memory_manager import GpuMemoryManager
 from repro.uvm.replacement import AgedLru
 
 
-def make_monitor(period=100, threshold=0.2):
+def make_monitor(period=100, threshold=0.2, smoothing=0.5):
     engine = Engine()
     memory = GpuMemoryManager(64, AgedLru())
-    monitor = PageLifetimeMonitor(engine, memory, period, threshold)
+    monitor = PageLifetimeMonitor(engine, memory, period, threshold, smoothing)
     return engine, memory, monitor
 
 
@@ -59,6 +59,25 @@ def test_drop_detection():
     engine.run(until=200)
     assert seen == [False, True]
     assert monitor.drops_detected == 1
+
+
+def test_window_mean_is_the_windows_lifetime_total_over_its_evictions():
+    engine, memory, monitor = make_monitor(period=100, smoothing=1.0)
+    monitor.start()
+    memory.allocate(1, 0)
+    memory.allocate(2, 50)
+    memory.evict(1, 100)
+    memory.evict(2, 100)
+    assert (memory.evictions, memory.lifetime_total) == (2, 150)
+    engine.run(until=100)
+    assert monitor.running_average == 75.0  # (100 + 50) / 2
+    for page, lifetime in ((3, 10), (4, 20), (5, 40)):
+        memory.allocate(page, 200 - lifetime)
+        memory.evict(page, 200)
+    engine.run(until=200)
+    # Smoothing 1.0 keeps only the latest window: (10 + 20 + 40) / 3.
+    assert monitor.running_average == 70 / 3
+    assert monitor.windows_sampled == 2
 
 
 def test_stable_lifetimes_not_flagged():

@@ -19,8 +19,6 @@ def test_rejects_zero_frames():
 def test_unlimited_mode():
     mm = GpuMemoryManager(None, AgedLru())
     assert mm.unlimited
-    assert not mm.at_capacity
-    assert mm.evictions_needed(1000) == 0
     frames = {mm.allocate(p, now=0) for p in range(100)}
     assert len(frames) == 100  # distinct frames forever
 
@@ -29,7 +27,7 @@ def test_allocate_assigns_distinct_frames():
     mm = make(4)
     frames = {mm.allocate(p, 0) for p in range(4)}
     assert frames == {0, 1, 2, 3}
-    assert mm.at_capacity
+    assert mm.free_frames == 0
 
 
 def test_allocate_when_full_raises():
@@ -55,13 +53,6 @@ def test_evict_release_allocate_cycle():
     mm.allocate(2, now=600)
     assert mm.is_resident(2)
     assert not mm.is_resident(1)
-
-
-def test_evictions_needed():
-    mm = make(4)
-    mm.allocate(1, 0)
-    assert mm.evictions_needed(2) == 0
-    assert mm.evictions_needed(5) == 2
 
 
 def test_victim_is_lru_head():
@@ -101,22 +92,3 @@ def test_premature_eviction_tracking():
 
 def test_premature_rate_zero_without_evictions():
     assert make().premature_eviction_rate == 0.0
-
-
-def test_eviction_log_records_lifetimes():
-    mm = make(2)
-    mm.allocate(1, 0)
-    mm.allocate(2, 50)
-    mm.evict(1, 100)
-    mm.evict(2, 100)
-    assert mm.eviction_log == [(100, 100), (100, 50)]
-
-
-def test_on_access_routes_to_policy():
-    from repro.uvm.replacement import AccessLru
-
-    mm = GpuMemoryManager(3, AccessLru())
-    for p in (1, 2, 3):
-        mm.allocate(p, 0)
-    mm.on_access(1)
-    assert mm.pick_victim() == 2
