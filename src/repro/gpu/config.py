@@ -88,10 +88,6 @@ class GpuConfig:
             raise ConfigError("l2_tlb_entries must be divisible by its associativity")
 
     @property
-    def max_warps_per_sm(self) -> int:
-        return self.threads_per_sm // WARP_SIZE
-
-    @property
     def registers_per_sm(self) -> int:
         """Number of 32-bit registers in one SM's register file."""
         return self.register_file_bytes_per_sm // 4

@@ -79,20 +79,6 @@ class OccupancyCalculator:
             )
         return blocks
 
-    def binding_limit(self, res: KernelResources) -> str:
-        """Name of the resource that limits occupancy."""
-        gpu = self._gpu
-        limits = {
-            "threads": gpu.threads_per_sm // res.threads_per_block,
-            "blocks": gpu.max_blocks_per_sm,
-            "registers": gpu.registers_per_sm // res.registers_per_block,
-        }
-        if res.shared_memory_per_block:
-            limits["shared_memory"] = (
-                gpu.shared_memory_bytes_per_sm // res.shared_memory_per_block
-            )
-        return min(limits, key=lambda k: limits[k])
-
     def vt_extra_blocks(self, res: KernelResources) -> int:
         """Extra blocks baseline Virtual Thread could host *without* full
         context switching, i.e. within spare register-file capacity.

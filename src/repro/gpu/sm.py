@@ -118,9 +118,7 @@ class StreamingMultiprocessor:
             self._activate(block, charge_restore=False)
         else:
             block.state = BlockState.INACTIVE
-            for warp in block.warps:
-                if warp.state is WarpState.READY:
-                    warp.state = WarpState.SUSPENDED
+            block.suspend_runnable_warps()
             self.inactive_blocks.append(block)
 
     def _activate(self, block: ThreadBlock, charge_restore: bool) -> None:
@@ -195,9 +193,14 @@ class StreamingMultiprocessor:
         self._activate(incoming, charge_restore=False)
 
     def on_warp_stalled(self, warp: SoAWarp) -> None:
-        """A warp stalled on page faults; switch its block if fully stalled."""
+        """A warp stalled on page faults; switch its block if fully stalled
+        (and some inactive block could take its place)."""
         block = warp.block
-        if block.state is BlockState.ACTIVE and block.fully_stalled():
+        if (
+            self.inactive_blocks
+            and block.state is BlockState.ACTIVE
+            and block.fully_stalled()
+        ):
             self.try_context_switch(block)
 
     def on_warp_mem_wait(self, warp: SoAWarp) -> None:
@@ -254,10 +257,6 @@ class StreamingMultiprocessor:
     @property
     def free_active_slots(self) -> int:
         return self.active_limit - len(self.active_blocks) - self._switching
-
-    @property
-    def resident_blocks(self) -> int:
-        return len(self.active_blocks) + len(self.inactive_blocks) + self._switching
 
     # ------------------------------------------------------------------
     # ETC memory-aware throttling

@@ -31,12 +31,16 @@ class BlockState(enum.Enum):
 
 
 class ThreadBlock:
-    """A thread block over a contiguous warp-index range of a WarpStore.
+    """A thread block over one block's contiguous warp-index range of a
+    WarpStore.
 
-    Every predicate the SM scheduler consults per stall/wake/switch scans
-    the block's warps; each is an early-exit loop over the block's
-    ``[lo, hi)`` slice of the store arrays — one C-level slice copy plus
-    at most hi−lo integer compares, no per-warp attribute loads.
+    Warp state changes only through the store's transition methods,
+    which keep this block's count of warps in each state (``counts``,
+    shared with the store); ``finished``, ``fully_stalled`` and
+    ``ready_to_run`` — what the SM scheduler asks on every stall, wake
+    and switch — read those counts in O(1).  ``fully_mem_stalled`` scans
+    the block's ``[lo, hi)`` slice: ``mem_wait`` is rewritten on every
+    op, and only the forced-oversubscription trigger reads it.
     """
 
     __slots__ = (
@@ -49,6 +53,7 @@ class ThreadBlock:
         "store",
         "lo",
         "hi",
+        "counts",
     )
 
     def __init__(self, block_id: int, warps: Sequence[SoAWarp]) -> None:
@@ -60,23 +65,21 @@ class ThreadBlock:
         self.sm = None
         self.context_switches = 0
         self.ever_active = False
-        self.store = warps[0].store
-        self.lo = warps[0].index
-        self.hi = warps[-1].index + 1
-        if [w.index for w in warps] != list(range(self.lo, self.hi)):
-            raise ValueError("ThreadBlock requires contiguous warp indices")
+        store = self.store = warps[0].store
+        lo = self.lo = warps[0].index
+        hi = self.hi = warps[-1].index + 1
+        counts = self.counts = store.block_counts[lo]
+        if (
+            [w.index for w in warps] != list(range(lo, hi))
+            or store.block_counts[hi - 1] is not counts
+            or sum(counts) != hi - lo
+        ):
+            raise ValueError("ThreadBlock requires one block's contiguous warps")
 
     # ------------------------------------------------------------------
     @property
     def finished(self) -> bool:
-        for s in self.store.state[self.lo : self.hi]:
-            if s != FINISHED:
-                return False
-        return True
-
-    @property
-    def num_threads(self) -> int:
-        return len(self.warps) * 32
+        return self.counts[FINISHED] == len(self.warps)
 
     def fully_stalled(self) -> bool:
         """True when no warp can make progress (all stalled or finished).
@@ -86,13 +89,8 @@ class ThreadBlock:
         At least one warp must actually be stalled — a finished block is not
         "stalled".
         """
-        saw_stalled = False
-        for s in self.store.state[self.lo : self.hi]:
-            if s == STALLED:
-                saw_stalled = True
-            elif s == READY or s == RUNNING:
-                return False
-        return saw_stalled
+        counts = self.counts
+        return counts[STALLED] > 0 and not (counts[READY] or counts[RUNNING])
 
     def fully_mem_stalled(self) -> bool:
         """True when every unfinished warp is waiting on DRAM or faults.
@@ -115,44 +113,24 @@ class ThreadBlock:
 
     def ready_to_run(self) -> bool:
         """True when at least one warp could make progress if activated."""
-        for s in self.store.state[self.lo : self.hi]:
-            if s == READY or s == SUSPENDED:
-                return True
-        return False
+        counts = self.counts
+        return counts[READY] > 0 or counts[SUSPENDED] > 0
 
     def suspend_runnable_warps(self) -> list[SoAWarp]:
         """Mark READY warps SUSPENDED (context switch out); return them."""
-        store = self.store
-        state = store.state
-        warps = store.warps
-        validator = store.validator
-        picked: list[SoAWarp] = []
-        for i in range(self.lo, self.hi):
-            if state[i] == READY:
-                if validator is not None:
-                    validator.check("suspend", "ready", warp=warps[i].warp_id)
-                state[i] = SUSPENDED
-                picked.append(warps[i])
-        return picked
+        if not self.counts[READY]:
+            return []
+        return self.store.suspend_ready(self.lo, self.hi)
 
     def resume_suspended_warps(self) -> list[SoAWarp]:
         """Mark SUSPENDED warps READY (context switch in); return them."""
-        store = self.store
-        state = store.state
-        warps = store.warps
-        validator = store.validator
-        picked: list[SoAWarp] = []
-        for i in range(self.lo, self.hi):
-            if state[i] == SUSPENDED:
-                if validator is not None:
-                    validator.check("resume", "suspended", warp=warps[i].warp_id)
-                state[i] = READY
-                picked.append(warps[i])
-        return picked
+        if not self.counts[SUSPENDED]:
+            return []
+        return self.store.resume_suspended(self.lo, self.hi)
 
     def __repr__(self) -> str:
-        done = sum(1 for w in self.warps if w.finished)
         return (
-            f"ThreadBlock(id={self.block_id}, warps={done}/{len(self.warps)} done, "
+            f"ThreadBlock(id={self.block_id}, "
+            f"warps={self.counts[FINISHED]}/{len(self.warps)} done, "
             f"{self.state.value})"
         )

@@ -6,9 +6,8 @@ state is not kept in one Python object per warp.  It lives in
 struct-of-arrays form, one parallel flat array per field across *every*
 warp of a kernel launch:
 
-* ``pc``, ``state``, ``waiting_count``, ``stall_start``,
-  ``stalled_cycles``, ``resume_latency``, ``mem_wait`` — parallel
-  arrays indexed by a global warp index;
+* ``pc``, ``state``, ``stall_start``, ``stalled_cycles``, ``mem_wait``
+  — parallel arrays indexed by a global warp index;
 * per-op derived data (page tuples, line tuples, store-page tuples,
   time-scaled compute cycles) derived once per kernel from the trace's
   flat columns — one sort per column orders every op's values, repeats
@@ -18,8 +17,9 @@ warp of a kernel launch:
   read-only columns instead of carrying them; runahead's probeable
   pages are one more such column, derived only when runahead first
   asks (:func:`kernel_independent`);
-* blocks own contiguous index ranges, so every block-level predicate is
-  a short early-exit scan over the block's ``[lo, hi)`` slice
+* blocks own contiguous index ranges, and each block keeps a count of
+  its warps in each state, so the block predicates the scheduler asks on
+  every stall and switch read counts instead of scanning
   (:class:`~repro.gpu.thread_block.ThreadBlock`).
 
 The parallel arrays are compact Python ``list``s, not NumPy ndarrays —
@@ -33,12 +33,13 @@ prefetcher's region masks); warp state is the opposite regime.  The
 layout — index-aligned flat arrays, precomputed derivatives, contiguous
 block slices — is what the speedup comes from, not the element type.
 
-:class:`SoAWarp` handles give the SM/dispatcher/runtime code a
-per-warp view (``WarpState`` enums, ``stall_on``); ``page_arrived`` and
-``advance`` are the scalar specification of the wake and retire steps
-that the simulator's issue and wake loops inline over the arrays.  The
-recorded golden corpus (``tests/test_equivalence_golden.py``) locks the
-result bits: same cells, same metrics, same chaos counters.
+Only the store writes ``state``, with one method per event of the
+declared warp machine (:data:`~repro.lifecycle.WARP_LIFECYCLE`); each
+moves the warp between its block's state counts.  Under
+``check_invariants`` a :class:`CheckedWarpStore` validates every move
+first.  :class:`SoAWarp` handles give a read-only per-warp view.  The
+golden corpus (``tests/test_equivalence_golden.py``) locks the result
+bits: same cells, same metrics, same chaos counters.
 """
 
 from __future__ import annotations
@@ -62,9 +63,8 @@ STALLED = _CODE_OF["stalled"]
 SUSPENDED = _CODE_OF["suspended"]
 FINISHED = _CODE_OF["finished"]
 
-_STATE_TO_CODE = {state: _CODE_OF[state.value] for state in WarpState}
-_CODE_TO_STATE = {code: state for state, code in _STATE_TO_CODE.items()}
-#: Code → declared state name (index-aligned with the spec's states).
+#: Code → ``WarpState`` and code → declared state name.
+_CODE_TO_STATE = tuple(WarpState(name) for name in WARP_LIFECYCLE.states)
 _CODE_TO_NAME = WARP_LIFECYCLE.states
 
 
@@ -174,26 +174,26 @@ _TRACE_COLUMNS = ("op_pages", "op_lines", "op_store_pages", "op_compute")
 
 
 class WarpStore:
-    """Struct-of-arrays state for every warp of one kernel launch."""
+    """Struct-of-arrays state for every warp of one kernel launch.
+
+    ``block_counts[i]`` is the list, shared by the warps of warp ``i``'s
+    block, of how many of them are in each state (by state code).
+    """
 
     __slots__ = (
-        "n",
         "pc",
         "state",
-        "waiting_count",
+        "block_counts",
         "stall_start",
         "stalled_cycles",
-        "resume_latency",
         "mem_wait",
         "replay_pending",
-        "n_ops",
         "op_pages",
         "op_lines",
         "op_store_pages",
         "op_compute",
         "waiting_pages",
         "warps",
-        "validator",
         "source",
     )
 
@@ -201,30 +201,30 @@ class WarpStore:
         self, workload, kernel_index: int, page_shift: int, time_scale: float
     ) -> None:
         """State for every warp of ``workload``'s kernel ``kernel_index``
-        (warp indices in block order), over its trace columns."""
-        n = self.n = workload.kernels[kernel_index].num_warps
+        (warp indices in block order), over its trace columns.  A warp
+        with no ops starts finished."""
+        self._load_trace(workload, kernel_index, page_shift, time_scale)
+        kernel = workload.kernels[kernel_index]
+        n = kernel.num_warps
         self.pc = [0] * n
-        self.state = [READY] * n
-        self.waiting_count = [0] * n
+        self.state = [READY if ops else FINISHED for ops in self.op_compute]
+        self.block_counts: list[list[int]] = []
+        bounds = kernel.block_start.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = self.state[lo:hi]
+            counts = [block.count(code) for code in range(len(_CODE_TO_NAME))]
+            self.block_counts += [counts] * (hi - lo)
         self.stall_start = [0] * n
         self.stalled_cycles = [0] * n
-        self.resume_latency = [0] * n
         self.mem_wait = [False] * n
         # Analytics-only flag: True between a fault-stall wake and the
         # next op issue, so the re-issued op's cycles are charged to the
         # ``replay`` bucket.  Stays False everywhere when analytics is off.
         self.replay_pending = [False] * n
-        self.n_ops = [0] * n
-        #: Outstanding faulted pages per warp (mirrored by waiting_count).
+        #: Outstanding faulted pages per warp.
         self.waiting_pages: list[set[int]] = [set() for _ in range(n)]
         #: Handle objects, index-aligned.
         self.warps: list[SoAWarp] = []
-        #: Shared :class:`repro.lifecycle.TransitionValidator`; installed
-        #: only under ``check_invariants`` (one ``is None`` test on the
-        #: handle paths; the inlined array loops stay untouched and are
-        #: covered transitively by the golden corpus).
-        self.validator = None
-        self._load_trace(workload, kernel_index, page_shift, time_scale)
 
     def _load_trace(
         self, workload, kernel_index: int, page_shift: int, time_scale: float
@@ -241,10 +241,12 @@ class WarpStore:
         self.op_compute = [d[3] for d in derived]
 
     def __getstate__(self) -> dict:
-        state = {name: getattr(self, name) for name in self.__slots__}
-        for name in _TRACE_COLUMNS:
-            del state[name]
-        return state
+        return {
+            name: getattr(self, name)
+            for cls in type(self).__mro__
+            for name in getattr(cls, "__slots__", ())
+            if name not in _TRACE_COLUMNS
+        }
 
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
@@ -258,23 +260,150 @@ class WarpStore:
         return kernel_independent(workload.kernels[kernel_index], page_shift)[index]
 
     def add_handle(self, index: int, warp_id: int) -> "SoAWarp":
-        """Return the handle for warp ``index`` (a warp with no ops
-        starts finished)."""
-        n_ops = len(self.op_compute[index])
-        self.n_ops[index] = n_ops
-        if not n_ops:
-            self.state[index] = FINISHED
+        """Return the handle for warp ``index``."""
         warp = SoAWarp(self, index, warp_id)
         self.warps.append(warp)
         return warp
 
+    # -- transitions: the only writers of ``state`` ---------------------
+    def _move(self, event: str, i: int, target: int) -> None:
+        """Make ``event``: put warp ``i`` in state ``target`` and move its
+        block count (``event`` names the move for validation)."""
+        state = self.state
+        counts = self.block_counts[i]
+        counts[state[i]] -= 1
+        counts[target] += 1
+        state[i] = target
+
+    def issue(self, i: int) -> bool:
+        """``issue``: warp ``i``'s current op is scheduled (ready →
+        running).  A warp parked while running (ETC throttling) stays
+        running; a finished warp is left alone and gives False."""
+        state = self.state
+        code = state[i]
+        if code == FINISHED:
+            return False
+        counts = self.block_counts[i]
+        counts[code] -= 1
+        counts[RUNNING] += 1
+        state[i] = RUNNING
+        return True
+
+    def stall(self, i: int, pages: Iterable[int], now: int) -> None:
+        """``stall``: warp ``i`` waits until every page in ``pages`` is
+        resident (running → stalled).
+
+        A warp that is *already* stalled may accrue more waiting pages
+        (``restall``: a replayed access faulting on a different page set
+        while earlier faults are still outstanding).  Then the original
+        ``stall_start`` is kept — the warp has been stalled since the
+        first fault, and overwriting it would silently drop the
+        already-accrued stall time from ``stalled_cycles``.
+        """
+        self.waiting_pages[i].update(pages)
+        state = self.state
+        code = state[i]
+        if code == STALLED:
+            return
+        counts = self.block_counts[i]
+        counts[code] -= 1
+        counts[STALLED] += 1
+        state[i] = STALLED
+        self.stall_start[i] = now
+
+    def page_arrived(self, i: int, page: int, now: int) -> bool:
+        """``page`` is resident: drop it from warp ``i``'s wait, and once
+        nothing is left, ``wake`` the warp (stalled → ready, its stall
+        time accrued) and return True.  A warp that is not stalled (a
+        duplicate waiter already woken) stays as it is."""
+        waiting = self.waiting_pages[i]
+        waiting.discard(page)
+        if waiting or self.state[i] != STALLED:
+            return False
+        self.stalled_cycles[i] += now - self.stall_start[i]
+        counts = self.block_counts[i]
+        counts[STALLED] -= 1
+        counts[READY] += 1
+        self.state[i] = READY
+        return True
+
+    def suspend(self, i: int) -> None:
+        """Ready warp ``i``'s block is not active (ready → suspended)."""
+        self._move("suspend", i, SUSPENDED)
+
+    def preempt(self, i: int) -> None:
+        """Warp ``i``'s op event fired in a switched-out block."""
+        self._move("preempt", i, SUSPENDED)
+
+    def resume(self, i: int) -> None:
+        """Warp ``i``'s block is switched in (suspended → ready)."""
+        self._move("resume", i, READY)
+
+    def finish(self, i: int) -> None:
+        """Warp ``i`` retired its last op (running → finished)."""
+        self._move("finish", i, FINISHED)
+
+    def suspend_ready(self, lo: int, hi: int) -> list["SoAWarp"]:
+        """``suspend`` every ready warp in ``[lo, hi)``; their handles."""
+        state = self.state
+        picked = [self.warps[i] for i in range(lo, hi) if state[i] == READY]
+        for warp in picked:
+            self.suspend(warp.index)
+        return picked
+
+    def resume_suspended(self, lo: int, hi: int) -> list["SoAWarp"]:
+        """``resume`` every suspended warp in ``[lo, hi)``; their handles."""
+        state = self.state
+        picked = [self.warps[i] for i in range(lo, hi) if state[i] == SUSPENDED]
+        for warp in picked:
+            self.resume(warp.index)
+        return picked
+
+
+class CheckedWarpStore(WarpStore):
+    """A :class:`WarpStore` (built under ``check_invariants``) whose
+    ``validator`` checks and counts each transition before it is made:
+    an undeclared move raises :class:`~repro.errors.IllegalTransition`
+    with the state unchanged."""
+
+    __slots__ = ("validator",)
+
+    def __init__(self, validator, *args) -> None:
+        super().__init__(*args)
+        self.validator = validator
+        for i, code in enumerate(self.state):
+            if code == FINISHED:  # no ops: retired at build time
+                validator.check("finish", "ready", warp=i)
+
+    def _check(self, event: str, i: int) -> None:
+        self.validator.check(event, _CODE_TO_NAME[self.state[i]], warp=i)
+
+    def issue(self, i: int) -> bool:
+        code = self.state[i]
+        # Scheduling a finished warp is a no-op, and a warp parked while
+        # running (ETC throttling) re-issues in place: neither moves.
+        if code != FINISHED and code != RUNNING:
+            self._check("issue", i)
+        return super().issue(i)
+
+    def stall(self, i: int, pages: Iterable[int], now: int) -> None:
+        self._check("restall" if self.state[i] == STALLED else "stall", i)
+        super().stall(i, pages, now)
+
+    def page_arrived(self, i: int, page: int, now: int) -> bool:
+        woke = super().page_arrived(i, page, now)
+        if woke:
+            self.validator.check("wake", "stalled", warp=i, now=now)
+        return woke
+
+    def _move(self, event: str, i: int, target: int) -> None:
+        self._check(event, i)
+        super()._move(event, i, target)
+
 
 class SoAWarp:
-    """Lightweight handle: a warp index into a :class:`WarpStore`.
-
-    Exposes a per-warp interface for the SM/block/dispatcher code; hot
-    paths index the store arrays directly.
-    """
+    """Lightweight handle: a warp index into a :class:`WarpStore`, and a
+    read-only per-warp view (state changes go through the store)."""
 
     __slots__ = ("store", "index", "warp_id", "block", "exec_event", "complete_event")
 
@@ -291,10 +420,6 @@ class SoAWarp:
     def state(self) -> WarpState:
         return _CODE_TO_STATE[self.store.state[self.index]]
 
-    @state.setter
-    def state(self, value: WarpState) -> None:
-        self.store.state[self.index] = _STATE_TO_CODE[value]
-
     @property
     def pc(self) -> int:
         return self.store.pc[self.index]
@@ -304,24 +429,8 @@ class SoAWarp:
         return self.store.state[self.index] == FINISHED
 
     @property
-    def remaining_ops(self) -> int:
-        return self.store.n_ops[self.index] - self.store.pc[self.index]
-
-    @property
-    def waiting_pages(self) -> set[int]:
-        return self.store.waiting_pages[self.index]
-
-    @property
     def stalled_cycles(self) -> int:
         return self.store.stalled_cycles[self.index]
-
-    @property
-    def stall_start(self) -> int:
-        return self.store.stall_start[self.index]
-
-    @property
-    def resume_latency(self) -> int:
-        return self.store.resume_latency[self.index]
 
     @property
     def mem_wait(self) -> bool:
@@ -331,93 +440,16 @@ class SoAWarp:
     def mem_wait(self, value: bool) -> None:
         self.store.mem_wait[self.index] = value
 
-    @property
-    def replay_pending(self) -> bool:
-        return self.store.replay_pending[self.index]
-
-    @replay_pending.setter
-    def replay_pending(self, value: bool) -> None:
-        self.store.replay_pending[self.index] = value
-
-    def stall_on(self, pages: Iterable[int], now: int, replay_latency: int) -> None:
-        """Stall this warp until every page in ``pages`` becomes resident.
-
-        A warp that is *already* stalled may accrue more waiting pages
-        (e.g. a replayed access faulting on a different page set while
-        earlier faults are still outstanding).  In that case the original
-        ``stall_start`` is preserved — the warp has been stalled since the
-        first fault, and overwriting it would silently drop the
-        already-accrued stall time from ``stalled_cycles``.  Replay
-        latencies merge by ``max``: the replays overlap, so the warp owes
-        the longest one, not their sum.
-        """
-        store = self.store
-        i = self.index
-        validator = store.validator
-        if validator is not None:
-            code = store.state[i]
-            validator.check(
-                "restall" if code == STALLED else "stall",
-                _CODE_TO_NAME[code],
-                warp=self.warp_id,
-                now=now,
-            )
-        waiting = store.waiting_pages[i]
-        waiting.update(pages)
-        store.waiting_count[i] = len(waiting)
-        if store.state[i] == STALLED:
-            if replay_latency > store.resume_latency[i]:
-                store.resume_latency[i] = replay_latency
-            return
-        store.state[i] = STALLED
-        store.resume_latency[i] = replay_latency
-        store.stall_start[i] = now
-
-    def page_arrived(self, page: int, now: int) -> bool:
-        """Notify the warp that ``page`` is resident; True if it can resume."""
-        store = self.store
-        i = self.index
-        waiting = store.waiting_pages[i]
-        waiting.discard(page)
-        count = len(waiting)
-        store.waiting_count[i] = count
-        if count:
-            return False
-        if store.state[i] == STALLED:
-            validator = store.validator
-            if validator is not None:
-                validator.check("wake", "stalled", warp=self.warp_id, now=now)
-            store.stalled_cycles[i] += now - store.stall_start[i]
-            store.state[i] = READY
-            return True
-        return False
-
-    def advance(self) -> None:
-        """Retire the current op and move to the next."""
-        store = self.store
-        i = self.index
-        pc = store.pc[i] + 1
-        done = pc >= store.n_ops[i]
-        validator = store.validator
-        if validator is not None:
-            validator.check(
-                "finish" if done else "retire",
-                _CODE_TO_NAME[store.state[i]],
-                warp=self.warp_id,
-                pc=pc,
-            )
-        store.pc[i] = pc
-        store.state[i] = FINISHED if done else READY
-
     def __repr__(self) -> str:
         return (
             f"SoAWarp(id={self.warp_id}, pc={self.pc}/"
-            f"{self.store.n_ops[self.index]}, {self.state.value})"
+            f"{len(self.store.op_compute[self.index])}, {self.state.value})"
         )
 
 
 __all__ = [
     "WarpStore",
+    "CheckedWarpStore",
     "SoAWarp",
     "kernel_derived",
     "kernel_independent",

@@ -225,13 +225,6 @@ class StateMachine:
             return target
         return self._reject(event, source, transition, witness)
 
-    def can_fire(self, event: str) -> bool:
-        """Would :meth:`fire` succeed right now (transition + guard)?"""
-        transition = self.spec._lookup.get((self.state, event))
-        return transition is not None and (
-            transition.guard is None or bool(transition.guard(self.owner))
-        )
-
     def _reject(
         self,
         event: str,
@@ -304,9 +297,10 @@ class TransitionValidator:
     :class:`StateMachine` per warp would bloat it.  Instead one validator
     serves every warp on a simulator: :meth:`check` verifies that a
     protocol-level move is declared, counts it, and forwards to the
-    observer.  Components keep the validator slot ``None`` unless
-    ``check_invariants`` is on, so the hot path pays one ``is None``
-    test.
+    observer.  Under ``check_invariants`` the simulator builds a
+    :class:`~repro.gpu.warp_soa.CheckedWarpStore`, whose transition
+    methods call :meth:`check` before each move; otherwise no validator
+    exists, and the plain store's transitions test nothing.
     """
 
     __slots__ = ("spec", "counts", "observer")
@@ -327,12 +321,7 @@ class TransitionValidator:
             raise IllegalTransition(
                 f"illegal {self.spec.name} transition: event {event!r} "
                 f"in state {source!r} (no transition)",
-                snapshot={
-                    "machine": self.spec.name,
-                    "state": source,
-                    "transitions": sum(self.counts.values()),
-                    "counts": dict(self.counts),
-                },
+                snapshot={**self.snapshot(), "state": source},
                 **witness,
             )
         self.counts[event] = self.counts.get(event, 0) + 1

@@ -42,15 +42,7 @@ from repro.gpu.dispatcher import Dispatcher
 from repro.gpu.occupancy import OccupancyCalculator
 from repro.gpu.sm import StreamingMultiprocessor, always_allowed
 from repro.gpu.thread_block import BlockState, ThreadBlock
-from repro.gpu.warp_soa import (
-    FINISHED,
-    READY,
-    RUNNING,
-    STALLED,
-    SUSPENDED,
-    SoAWarp,
-    WarpStore,
-)
+from repro.gpu.warp_soa import FINISHED, CheckedWarpStore, SoAWarp, WarpStore
 from repro.invariants import InvariantChecker, Watchdog
 from repro.lifecycle import WARP_LIFECYCLE, TransitionValidator
 from repro.obs import current as _current_obs
@@ -65,6 +57,12 @@ from repro.uvm.transfer import PcieModel
 from repro.vm.mmu import GpuMmu
 from repro.vm.page_table import PageTable
 from repro.workloads.trace import Workload
+
+
+#: Batches in a row that may complete with no warp op retired before a
+#: run fails as livelocked; finishing cells stay far below it
+#: (docs/robustness.md lists the longest streaks measured).
+LIVELOCK_BATCHES = 1000
 
 
 class _ExecuteOpEvent:
@@ -240,8 +238,8 @@ class GpuUvmSimulator:
         #: Batch-boundary consistency checker (:mod:`repro.invariants`).
         self.invariants: InvariantChecker | None = None
         #: Shared warp-lifecycle conformance checker (one per simulator,
-        #: not per warp); installed on warps/stores only when invariant
-        #: checking is on.
+        #: not per warp); with it, each kernel's warps live in a
+        #: ``CheckedWarpStore``.
         self._warp_validator: TransitionValidator | None = None
         if config.check_invariants:
             self.invariants = InvariantChecker(
@@ -302,6 +300,10 @@ class GpuUvmSimulator:
         self._warp_stall_cycles = 0
         self._runahead_probes = 0
         self._runahead_faults = 0
+        #: Forward-progress watch (``_on_batch_transition``): (kernel,
+        #: ops retired) at the last batch completion, and batches since.
+        self._progress = None
+        self._idle_batches = 0
         self._unique_fault_pages: set[int] = set()
         self._context_switches = 0
         self._switch_cycles = 0
@@ -556,15 +558,37 @@ class GpuUvmSimulator:
         self, machine: str, event: str, source: str, target: str
     ) -> None:
         """Observer on the runtime's batch machine: forward to the
-        invariant checker and mark checkpoints due at batch boundaries."""
+        invariant checker, fail a run whose batches complete without any
+        warp op retiring, and mark checkpoints due at batch boundaries."""
         invariants = self.invariants
         if invariants is not None:
             invariants.on_transition(machine, event, source, target)
-        if event == "complete" and self.engine.checkpoint_hook is not None:
+        if event != "complete":
+            return
+        progress = (self._kernel_index, self._kernel_ops_retired())
+        if progress != self._progress:
+            self._progress, self._idle_batches = progress, 0
+        else:
+            self._idle_batches += 1
+            if self._idle_batches >= LIVELOCK_BATCHES:
+                # Deterministic, so not a (retried, resumable) stall.
+                raise SimulationError(
+                    "livelock: batches keep completing but no warp op retires",
+                    kind="livelock",
+                    idle_batches=self._idle_batches,
+                    ops_retired=progress[1],
+                    **self.state_snapshot(),
+                )
+        if self.engine.checkpoint_hook is not None:
             self._batches_since_checkpoint += 1
             if self._batches_since_checkpoint >= self._checkpoint_every:
                 self._batches_since_checkpoint = 0
                 self.engine.checkpoint_due = True
+
+    def _kernel_ops_retired(self) -> int:
+        """Ops the current kernel retired (each retire advances a pc)."""
+        store = self._warp_store
+        return sum(store.pc) if store is not None else 0
 
     def __getstate__(self) -> dict:
         """Checkpoint pickling: drop the process-local hot-path bindings.
@@ -651,13 +675,18 @@ class GpuUvmSimulator:
         instead of re-deriving them every launch.
         """
         # ``_start_next_kernel`` has already advanced past this kernel.
-        store = WarpStore(
+        args = (
             self.workload,
             self._kernel_index - 1,
             self.page_shift,
             self.config.time_scale,
         )
-        store.validator = self._warp_validator
+        validator = self._warp_validator
+        store = (
+            WarpStore(*args)
+            if validator is None
+            else CheckedWarpStore(validator, *args)
+        )
         self._warp_store = store
         blocks: list[ThreadBlock] = []
         bounds = kernel.block_start.tolist()
@@ -716,11 +745,9 @@ class GpuUvmSimulator:
         (pre-scaled at kernel build)."""
         store = warp.store
         i = warp.index
-        if store.state[i] == FINISHED:
-            return
-        store.state[i] = RUNNING
-        delay = extra_delay + store.op_compute[i][store.pc[i]]
-        self.engine.schedule(delay, warp.exec_event)
+        if store.issue(i):
+            delay = extra_delay + store.op_compute[i][store.pc[i]]
+            self.engine.schedule(delay, warp.exec_event)
 
     def _execute_op(self, warp: SoAWarp) -> None:
         """Issue the warp's current op: translate, fault or access, retire.
@@ -749,14 +776,13 @@ class GpuUvmSimulator:
         """
         store = warp.store
         i = warp.index
-        state = store.state
-        if state[i] == FINISHED:
+        if store.state[i] == FINISHED:
             return
         block = warp.block
         if block.state is not BlockState.ACTIVE:
             # The block was context-switched out while this event was in
             # flight; the warp resumes when the block is reactivated.
-            state[i] = SUSPENDED
+            store.preempt(i)
             return
         sm: StreamingMultiprocessor = block.sm
         if sm.throttled:
@@ -838,7 +864,7 @@ class GpuUvmSimulator:
                     an.attr.replay[sm.sm_id] += cycles
                 else:
                     an.attr.compute[sm.sm_id] += cycles
-            warp.stall_on(missing, now, 0)
+            store.stall(i, missing, now)
             unique_fault_pages = self._unique_fault_pages
             raise_fault = self.runtime.raise_fault
             for page in missing:
@@ -930,14 +956,15 @@ class GpuUvmSimulator:
         store.pc[i] = pc
         compute = store.op_compute[i]
         # Engine.schedule, inlined: one push under the engine's sequence
-        # counter; ``total`` is a whole, non-negative cycle count.
+        # counter; ``total`` is a whole, non-negative cycle count.  The
+        # warp stays RUNNING through the fused retire-and-issue; only its
+        # last op is a transition.
         seq = engine._seq
         engine._seq = seq + 1
         if pc >= len(compute):
-            state[i] = FINISHED
+            store.finish(i)
             heappush(engine._queue, (now + total, seq, warp.complete_event))
         else:
-            state[i] = RUNNING
             heappush(
                 engine._queue, (now + total + compute[pc], seq, warp.exec_event)
             )
@@ -989,18 +1016,9 @@ class GpuUvmSimulator:
         for warp in waiters:
             store = warp.store
             i = warp.index
-            waiting = store.waiting_pages[i]
-            waiting.discard(page)
-            remaining = len(waiting)
-            store.waiting_count[i] = remaining
-            if remaining:
-                continue
-            state = store.state
-            if state[i] != STALLED:
+            if not store.page_arrived(i, page, now):
                 continue
             stall_start = store.stall_start[i]
-            store.stalled_cycles[i] += now - stall_start
-            state[i] = READY
             block = warp.block
             if an is not None:
                 # Decompose the just-finished stall interval in *every*
@@ -1035,7 +1053,7 @@ class GpuUvmSimulator:
                     )
                 schedule_warp(warp, 0)
                 continue
-            state[i] = SUSPENDED
+            store.suspend(i)
             if block.state is BlockState.INACTIVE and block.sm is not None:
                 block.sm.on_block_ready(block)
 

@@ -14,8 +14,8 @@ re-derives the trace independently of
 :func:`~repro.gpu.warp_soa.kernel_derived`.
 
 :class:`ObjectModelSimulator` swaps it into :class:`GpuUvmSimulator` by
-overriding the kernel build, issue, schedule, wake and runahead
-methods.  The
+overriding the kernel build, issue, schedule, wake, runahead and
+retired-op count methods.  The
 golden tests run both models against the recorded corpus, and
 ``--regenerate`` records new goldens from this model rather than from
 the code under test.
@@ -85,10 +85,6 @@ class Warp:
     @property
     def finished(self) -> bool:
         return self.state is WarpState.FINISHED
-
-    @property
-    def remaining_ops(self) -> int:
-        return len(self.ops) - self.pc
 
     def current_op(self) -> WarpOp:
         return self.ops[self.pc]
@@ -186,10 +182,6 @@ class ObjectThreadBlock:
     def finished(self) -> bool:
         return all(warp.finished for warp in self.warps)
 
-    @property
-    def num_threads(self) -> int:
-        return len(self.warps) * 32
-
     def fully_stalled(self) -> bool:
         """True when no warp can make progress (all stalled or finished).
 
@@ -264,6 +256,12 @@ class ObjectThreadBlock:
 class ObjectModelSimulator(GpuUvmSimulator):
     """:class:`GpuUvmSimulator` over the object warp model."""
 
+    #: The current kernel's warps (the base class reads its warp store).
+    _object_warps: Sequence[Warp] = ()
+
+    def _kernel_ops_retired(self) -> int:
+        return sum(warp.pc for warp in self._object_warps)
+
     def _build_blocks(self, kernel) -> list[ObjectThreadBlock]:
         """One :class:`Warp` object per warp of the launch."""
         blocks: list[ObjectThreadBlock] = []
@@ -281,6 +279,7 @@ class ObjectModelSimulator(GpuUvmSimulator):
             if not warps or all(w.finished for w in warps):
                 continue  # nothing to execute
             blocks.append(ObjectThreadBlock(len(blocks), warps))
+        self._object_warps = [warp for block in blocks for warp in block.warps]
         return blocks
 
     def _runahead_probe(self, warp: Warp) -> None:

@@ -26,7 +26,6 @@ class TestGpuConfig:
 
     def test_derived_quantities(self):
         gpu = GpuConfig()
-        assert gpu.max_warps_per_sm == 32
         assert gpu.registers_per_sm == 65536
 
     def test_rejects_bad_sm_count(self):

@@ -6,9 +6,8 @@ from repro.gpu.occupancy import KernelResources
 from repro.gpu.dispatcher import Dispatcher
 from repro.gpu.sm import StreamingMultiprocessor
 from repro.gpu.thread_block import BlockState
-from repro.gpu.warp import WarpState
 from repro.sim.engine import Engine
-from tests.warp_factory import make_block
+from tests.warp_factory import make_block, run_op
 from tests.warp_ops import WarpOp
 
 
@@ -21,7 +20,7 @@ def make_blocks(n, warps=1):
 
 def make_sms(engine, count=2, active_limit=2):
     def schedule_warp(warp, delay):
-        warp.state = WarpState.RUNNING
+        warp.store.issue(warp.index)
 
     return [
         StreamingMultiprocessor(
@@ -71,7 +70,7 @@ def test_block_finished_refills_from_pending():
     dispatcher = Dispatcher(sms, blocks)
     dispatcher.launch()
     for warp in blocks[0].warps:
-        warp.advance()
+        run_op(warp)
     dispatcher.block_finished(blocks[0])
     assert blocks[0].state is BlockState.FINISHED
     assert blocks[1].state is BlockState.ACTIVE
@@ -86,7 +85,7 @@ def test_ready_inactive_promoted_before_pending():
     dispatcher.launch()
     inactive = sms[0].inactive_blocks[0]
     for warp in blocks[0].warps:
-        warp.advance()
+        run_op(warp)
     dispatcher.block_finished(blocks[0])
     engine.run()
     assert inactive.state is BlockState.ACTIVE
@@ -101,7 +100,7 @@ def test_kernel_done_callback():
     dispatcher.launch()
     for block in blocks:
         for warp in block.warps:
-            warp.advance()
+            run_op(warp)
         dispatcher.block_finished(block)
     assert done == [True]
 

@@ -226,6 +226,20 @@ class TestEndToEnd:
             >= 2 * result.batch_stats.num_batches + 1
         )
 
+    @pytest.mark.parametrize("preset", [systems.BASELINE, systems.TO_UE])
+    def test_warp_validator_sees_the_whole_machine(self, preset):
+        """Every warp state change goes through the validating store, so
+        the checker counts issues, wakes and finishes, not only stalls;
+        every warp of every launch finishes exactly once."""
+        workload = build_workload("BFS-TTC", scale="tiny", seed=0)
+        config = preset.configure(workload, ratio=0.5, check_invariants=True)
+        sim = GpuUvmSimulator(workload, config)
+        sim.run()
+        counts = sim.invariants.transition_counts["warp"]
+        assert {"issue", "stall", "wake", "finish"} <= counts.keys()
+        assert counts["finish"] == sum(k.num_warps for k in workload.kernels)
+        assert all(warp.finished for warp in sim._warp_store.warps)
+
 
 class TestWatchdog:
     def test_no_progress_detected(self):

@@ -174,16 +174,6 @@ class TestStateMachine:
         owner.allow = True
         assert machine.fire("overload") == "broken"
 
-    def test_can_fire_consults_guard(self):
-        owner = _Owner()
-        machine = StateMachine(_toy_spec(), owner=owner)
-        assert machine.can_fire("flip")
-        assert not machine.can_fire("overload")  # wrong state
-        machine.fire("flip")
-        assert machine.can_fire("overload")
-        owner.allow = False
-        assert not machine.can_fire("overload")
-
     def test_on_error_resume_swallows_event(self):
         machine = StateMachine(_toy_spec())
         calls = []

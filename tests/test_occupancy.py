@@ -31,14 +31,12 @@ class TestOccupancy:
         calc = OccupancyCalculator(GpuConfig())
         res = KernelResources(threads_per_block=256, registers_per_thread=24)
         assert calc.blocks_per_sm(res) == 4
-        assert calc.binding_limit(res) == "threads"
 
     def test_register_limit_binds_for_fat_kernels(self):
         calc = OccupancyCalculator(GpuConfig())
         res = KernelResources(threads_per_block=256, registers_per_thread=128)
         # 65536 regs / (256*128) = 2 blocks.
         assert calc.blocks_per_sm(res) == 2
-        assert calc.binding_limit(res) == "registers"
 
     def test_shared_memory_limit(self):
         calc = OccupancyCalculator(GpuConfig())
@@ -48,7 +46,6 @@ class TestOccupancy:
             shared_memory_per_block=32 * 1024,
         )
         assert calc.blocks_per_sm(res) == 2
-        assert calc.binding_limit(res) == "shared_memory"
 
     def test_rejects_kernel_exceeding_sm(self):
         calc = OccupancyCalculator(GpuConfig())

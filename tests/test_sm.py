@@ -11,6 +11,7 @@ from repro.gpu.thread_block import BlockState
 from repro.gpu.warp import WarpState
 from repro.sim.engine import Engine
 from tests import warp_factory
+from tests.warp_factory import stall
 from tests.warp_ops import WarpOp
 
 
@@ -25,7 +26,7 @@ def make_sm(active_limit=2, allow=lambda: True, forced=False):
     scheduled = []
 
     def schedule_warp(warp, delay):
-        warp.state = WarpState.RUNNING
+        warp.store.issue(warp.index)
         scheduled.append((warp, delay))
 
     sm = StreamingMultiprocessor(
@@ -43,7 +44,7 @@ def make_sm(active_limit=2, allow=lambda: True, forced=False):
 
 def stall_block(block):
     for warp in block.warps:
-        warp.stall_on([99 + warp.warp_id], 0, 0)
+        stall(warp, [99 + warp.warp_id])
 
 
 class TestDispatch:

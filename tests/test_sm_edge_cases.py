@@ -7,9 +7,9 @@ from repro.gpu.context import ContextCostModel
 from repro.gpu.occupancy import KernelResources
 from repro.gpu.sm import StreamingMultiprocessor
 from repro.gpu.thread_block import BlockState
-from repro.gpu.warp import WarpState
 from repro.sim.engine import Engine
 from tests import warp_factory
+from tests.warp_factory import arrive, stall
 from tests.warp_ops import WarpOp
 
 
@@ -18,7 +18,7 @@ def make_sm(active_limit=1, forced=False):
     scheduled = []
 
     def schedule_warp(warp, delay):
-        warp.state = WarpState.RUNNING
+        warp.store.issue(warp.index)
         scheduled.append((warp, delay))
 
     sm = StreamingMultiprocessor(
@@ -42,7 +42,7 @@ def make_block(block_id=0, num_warps=2):
 
 def stall_block(block):
     for warp in block.warps:
-        warp.stall_on([99 + warp.warp_id], 0, 0)
+        stall(warp, [99 + warp.warp_id])
 
 
 class TestSwitchTransitions:
@@ -59,12 +59,6 @@ class TestSwitchTransitions:
         engine.run()
         assert sm.free_active_slots == 0
         assert b.state is BlockState.ACTIVE
-
-    def test_resident_blocks_count(self):
-        _engine, sm, _ = make_sm(active_limit=2)
-        sm.dispatch(make_block(0), active=True)
-        sm.dispatch(make_block(1), active=False)
-        assert sm.resident_blocks == 2
 
     def test_switch_out_increments_block_counters(self):
         engine, sm, _ = make_sm(active_limit=1)
@@ -87,8 +81,8 @@ class TestSwitchTransitions:
         engine.run()
         # a's pages arrive: its stalled warps wake -> a is ready again.
         for warp in a.warps:
-            warp.page_arrived(99 + warp.warp_id, 100)
-            warp.state = WarpState.SUSPENDED
+            assert arrive(warp, 99 + warp.warp_id, 100)
+            warp.store.suspend(warp.index)
         stall_block(b)
         assert sm.try_context_switch(b)
         engine.run()

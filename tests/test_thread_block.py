@@ -3,6 +3,7 @@
 from repro.gpu.thread_block import BlockState
 from repro.gpu.warp import WarpState
 from tests import warp_factory
+from tests.warp_factory import run_op, stall
 from tests.warp_ops import WarpOp
 
 
@@ -28,29 +29,29 @@ def test_not_finished_initially():
 def test_finished_when_all_warps_finished():
     block = make_block()
     for warp in block.warps:
-        warp.advance()
+        run_op(warp)
     assert block.finished
 
 
 def test_fully_stalled_requires_all_warps_stalled():
     block = make_block()
-    block.warps[0].stall_on([1], 0, 0)
+    stall(block.warps[0], [1])
     assert not block.fully_stalled()
-    block.warps[1].stall_on([2], 0, 0)
+    stall(block.warps[1], [2])
     assert block.fully_stalled()
 
 
 def test_fully_stalled_with_finished_warp():
     block = make_block()
-    block.warps[0].advance()  # finished
-    block.warps[1].stall_on([1], 0, 0)
+    run_op(block.warps[0])  # finished
+    stall(block.warps[1], [1])
     assert block.fully_stalled()
 
 
 def test_all_finished_is_not_stalled():
     block = make_block()
     for warp in block.warps:
-        warp.advance()
+        run_op(warp)
     assert not block.fully_stalled()
 
 
@@ -58,7 +59,7 @@ def test_fully_mem_stalled():
     block = make_block()
     block.warps[0].mem_wait = True
     assert not block.fully_mem_stalled()
-    block.warps[1].stall_on([3], 0, 0)
+    stall(block.warps[1], [3])
     assert block.fully_mem_stalled()
 
 
@@ -74,7 +75,7 @@ def test_suspend_and_resume_runnable_warps():
 
 def test_suspend_skips_stalled_warps():
     block = make_block()
-    block.warps[0].stall_on([1], 0, 0)
+    stall(block.warps[0], [1])
     suspended = block.suspend_runnable_warps()
     assert len(suspended) == 1
     assert block.warps[0].state is WarpState.STALLED
@@ -89,9 +90,5 @@ def test_ready_to_run_with_suspended_warp():
 def test_not_ready_when_all_stalled():
     block = make_block()
     for warp in block.warps:
-        warp.stall_on([9], 0, 0)
+        stall(warp, [9])
     assert not block.ready_to_run()
-
-
-def test_num_threads():
-    assert make_block(4).num_threads == 128

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.gpu.warp import WarpState
 from repro.gpu.warp_soa import _sorted_unique
 from tests import warp_factory
+from tests.warp_factory import arrive, run_op, stall
 from tests.warp_ops import WarpOp
 
 
@@ -106,52 +107,54 @@ class TestWarpLifecycle:
         assert warp.state is WarpState.READY
         assert warp.pc == 0
         assert not warp.finished
-        assert warp.remaining_ops == 2
+        assert len(warp.store.op_compute[0]) == 2
 
     def test_advance_to_finish(self):
         warp = make_warp()
-        warp.advance()
-        assert warp.state is WarpState.READY
-        warp.advance()
+        run_op(warp)
+        # The fused retire-and-issue leaves the warp running.
+        assert warp.state is WarpState.RUNNING
+        assert warp.pc == 1
+        run_op(warp)
         assert warp.finished
-        assert warp.remaining_ops == 0
+        assert warp.pc == 2
 
     def test_stall_and_wake_single_page(self):
         warp = make_warp()
-        warp.stall_on([7], now=100, replay_latency=0)
+        stall(warp, [7], now=100)
         assert warp.state is WarpState.STALLED
-        assert warp.page_arrived(7, now=400)
+        assert arrive(warp, 7, now=400)
         assert warp.state is WarpState.READY
         assert warp.stalled_cycles == 300
 
     def test_wake_requires_all_pages(self):
         warp = make_warp()
-        warp.stall_on([1, 2, 3], now=0, replay_latency=0)
-        assert not warp.page_arrived(1, now=10)
-        assert not warp.page_arrived(3, now=20)
+        stall(warp, [1, 2, 3])
+        assert not arrive(warp, 1, now=10)
+        assert not arrive(warp, 3, now=20)
         assert warp.state is WarpState.STALLED
-        assert warp.page_arrived(2, now=30)
+        assert arrive(warp, 2, now=30)
         assert warp.state is WarpState.READY
 
     def test_unrelated_page_arrival_ignored(self):
         warp = make_warp()
-        warp.stall_on([5], now=0, replay_latency=0)
-        assert not warp.page_arrived(99, now=10)
+        stall(warp, [5])
+        assert not arrive(warp, 99, now=10)
         assert warp.state is WarpState.STALLED
 
     def test_stalled_cycles_accumulate(self):
         warp = make_warp()
-        warp.stall_on([1], now=0, replay_latency=0)
-        warp.page_arrived(1, now=100)
-        warp.stall_on([2], now=150, replay_latency=0)
-        warp.page_arrived(2, now=250)
+        stall(warp, [1], now=0)
+        arrive(warp, 1, now=100)
+        stall(warp, [2], now=150)
+        arrive(warp, 2, now=250)
         assert warp.stalled_cycles == 200
 
     def test_current_op_tracks_pc(self):
         warp = make_warp([WarpOp(1, (0,)), WarpOp(2, (128,))])
         store = warp.store
         assert store.op_compute[0][warp.pc] == 1
-        warp.advance()
+        run_op(warp)
         assert store.op_compute[0][warp.pc] == 2
         assert store.op_lines[0][warp.pc] == (1,)
 
@@ -161,18 +164,19 @@ class TestWarpLifecycle:
         # overwrite stall_start, silently dropping the already-accrued
         # stall time from stalled_cycles.
         warp = make_warp()
-        warp.stall_on([1], now=100, replay_latency=40)
-        warp.stall_on([2], now=500, replay_latency=25)
-        assert warp.stall_start == 100
-        # Replay latencies merge by max (overlapping replays), not by
-        # overwrite with the latest.
-        assert warp.resume_latency == 40
-        assert not warp.page_arrived(1, now=900)
-        assert warp.page_arrived(2, now=1000)
+        stall(warp, [1], now=100)
+        stall(warp, [2], now=500)
+        assert warp.store.stall_start[0] == 100
+        assert not arrive(warp, 1, now=900)
+        assert arrive(warp, 2, now=1000)
         assert warp.stalled_cycles == 900  # since 100, not since 500
 
-    def test_restall_merges_larger_replay_latency(self):
+    def test_restall_waits_for_every_page(self):
         warp = make_warp()
-        warp.stall_on([1], now=0, replay_latency=10)
-        warp.stall_on([2], now=50, replay_latency=70)
-        assert warp.resume_latency == 70
+        stall(warp, [1], now=0)
+        stall(warp, [2, 3], now=50)
+        assert not arrive(warp, 1, now=60)
+        assert not arrive(warp, 3, now=70)
+        assert warp.state is WarpState.STALLED
+        assert arrive(warp, 2, now=80)
+        assert warp.stalled_cycles == 80

@@ -2,7 +2,7 @@
 
 from repro.gpu.warp import WarpState
 from repro.gpu.warp_soa import kernel_derived, kernel_independent
-from tests.warp_factory import make_store, make_warp
+from tests.warp_factory import arrive, make_store, make_warp, run_op, stall
 from tests.warp_ops import WarpOp, kernel_of
 
 
@@ -55,23 +55,25 @@ class TestMemoisation:
 class TestWarpStates:
     def test_suspend_resume_preserves_waiting_pages(self):
         warp = make_warp([WarpOp(8, (0x1000,))])
-        warp.stall_on([5, 6], 0, 0)
+        stall(warp, [5, 6])
         # A context switch does not disturb the fault wait.
         assert warp.state is WarpState.STALLED
-        warp.page_arrived(5, 10)
-        assert warp.waiting_pages == {6}
+        arrive(warp, 5, 10)
+        assert warp.store.waiting_pages[0] == {6}
 
     def test_wake_in_suspended_state_returns_false(self):
         warp = make_warp([WarpOp(8, (0x1000,))])
-        warp.stall_on([5], 0, 0)
-        warp.state = WarpState.SUSPENDED  # block switched out after stall
-        # page_arrived drains the wait but the warp is suspended, so the
-        # caller must not schedule it.
-        assert not warp.page_arrived(5, 10)
-        assert not warp.waiting_pages
+        stall(warp, [5])
+        assert arrive(warp, 5, 10)
+        warp.store.suspend(warp.index)  # woke while its block was out
+        # A duplicate arrival finds the warp suspended, not stalled, so
+        # the caller must not schedule it.
+        assert not arrive(warp, 5, 20)
+        assert warp.state is WarpState.SUSPENDED
+        assert not warp.store.waiting_pages[0]
 
     def test_finished_warp_reports_no_remaining_ops(self):
         warp = make_warp([WarpOp(8, (0x1000,))])
-        warp.advance()
+        run_op(warp)
         assert warp.finished
-        assert warp.remaining_ops == 0
+        assert warp.pc == len(warp.store.op_compute[0])
